@@ -9,7 +9,7 @@
 use std::path::Path;
 
 use alicoco::snapshot::binary::{self, AnnPayload, SnapshotView};
-use alicoco::snapshot::SaveError;
+use alicoco::snapshot::{LoadError, SaveError};
 use alicoco::store::{FileLoadError, Format};
 use alicoco::AliCoCo;
 use alicoco_obs::{Registry, Stopwatch};
@@ -38,9 +38,12 @@ pub fn save_snapshot_with_bundle(
 /// Decode a snapshot buffer into the net plus its bundle, if the
 /// snapshot carries one. TSV snapshots (and binary snapshots without
 /// the trailer) load with `None`.
-pub fn load_snapshot_with_bundle(
-    bytes: &[u8],
-) -> Result<(AliCoCo, Option<AnnBundle>), alicoco::snapshot::LoadError> {
+///
+/// Every section is checksummed on its own, so a trailer built over a
+/// different net decodes cleanly; it is rejected here unless it holds
+/// exactly one vector per concept and per item, because the engines turn
+/// a proposed vector id straight into a concept or item id.
+pub fn load_snapshot_with_bundle(bytes: &[u8]) -> Result<(AliCoCo, Option<AnnBundle>), LoadError> {
     if Format::detect(bytes) != Format::Binary {
         let store = alicoco::store::store_for(Format::Tsv);
         return Ok((store.load(bytes)?, None));
@@ -51,6 +54,19 @@ pub fn load_snapshot_with_bundle(
         .ann()
         .map(|(v, c, i)| AnnBundle::decode(v, c, i))
         .transpose()?;
+    if let Some(bundle) = &bundle {
+        for (section, vectors, nodes) in [
+            ("ACON", bundle.concepts().len(), kg.num_concepts()),
+            ("AITM", bundle.items().len(), kg.num_items()),
+        ] {
+            if vectors != nodes {
+                return Err(LoadError::Corrupt(
+                    section,
+                    format!("{vectors} vectors for a net of {nodes}"),
+                ));
+            }
+        }
+    }
     Ok((kg, bundle))
 }
 
@@ -110,6 +126,41 @@ mod tests {
         let (kg3, none) = load_snapshot_with_bundle(&bare).unwrap();
         assert_eq!(kg3, kg);
         assert!(none.is_none());
+    }
+
+    /// A trailer built over a different net passes every checksum; the
+    /// vector counts are what give it away, in both directions.
+    #[test]
+    fn mismatched_trailer_is_rejected_not_served() {
+        let small = sample_kg();
+        let mut big = sample_kg();
+        big.add_concept("indoor yoga");
+        big.add_item(&["yoga".into(), "mat".into()]);
+        let mut concepts_only = sample_kg();
+        concepts_only.add_concept("indoor yoga");
+        for (kg, trailer_of, section) in [
+            (&small, &big, "ACON"),
+            (&big, &small, "ACON"),
+            (&concepts_only, &big, "AITM"),
+        ] {
+            let mut bytes = Vec::new();
+            save_snapshot_with_bundle(kg, &build_default_bundle(trailer_of), &mut bytes).unwrap();
+            match load_snapshot_with_bundle(&bytes) {
+                Err(LoadError::Corrupt(got, _)) => assert_eq!(got, section),
+                other => panic!("mismatched trailer loaded: {other:?}"),
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("alicoco-ann-mismatch-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("net.alcc");
+        let mut bytes = Vec::new();
+        save_snapshot_with_bundle(&small, &build_default_bundle(&big), &mut bytes).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            load_file_with_bundle(&path, &Registry::new()),
+            Err(FileLoadError::Load(LoadError::Corrupt("ACON", _)))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

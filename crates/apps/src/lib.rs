@@ -17,13 +17,23 @@
 //!
 //! Everything here operates on a read-only [`alicoco::AliCoCo`] — these are
 //! serving-side features, independent of the construction pipeline.
+//!
+//! The four engines are views over **one** [`retrieve::Retriever`]: the
+//! net's single `QueryIndex`, its optional ANN bundle, and the one hybrid
+//! fusion (lexical ∪ HNSW proposals → exact rescoring → top-`k`). Each
+//! engine has one constructor, `Engine::new(retriever, cfg-if-any,
+//! &Registry)`; its fusion weights are constants beside its scoring
+//! formula, and its metric handles are always registered — a caller that
+//! does not read them passes `&Registry::new()`.
 
 pub mod qa;
 pub mod recommend;
 pub mod relevance;
+pub mod retrieve;
 pub mod search;
 
 pub use qa::{Answer, ScenarioQa};
 pub use recommend::{CognitiveRecommender, RecommendConfig, Recommendation};
 pub use relevance::RelevanceScorer;
+pub use retrieve::Retriever;
 pub use search::{ConceptCard, SearchConfig, SemanticSearch};

@@ -5,19 +5,23 @@
 use std::sync::Arc;
 
 use alicoco::query::QueryIndex;
-use alicoco::rank::{by_score_then_id, TopK};
-use alicoco::{AliCoCo, ConceptId, ItemId};
+use alicoco::rank::by_score_then_id;
+use alicoco::{ConceptId, ItemId};
 use alicoco_ann::AnnBundle;
 use alicoco_nn::util::FxHashSet;
 use alicoco_obs::{Counter, Histogram, Registry, SpanTimer};
 
-/// Weight of the vector cosine in the fused resolution score, and how
-/// many nearest concepts the HNSW index proposes per question. QA keeps
-/// fixed fusion knobs (unlike [`crate::SearchConfig`]) because question
-/// resolution wants one concept, not a tunable ranking.
-const VECTOR_WEIGHT: f64 = 0.5;
-const ANN_K: usize = 8;
-const ANN_EF: usize = 64;
+use crate::retrieve::{Fusion, Retriever};
+
+/// QA's fusion constants: a full cosine is worth half a surface word, and
+/// the index proposes 8 concepts per question — resolution wants one
+/// concept, not a page. With a bundle, a question whose content words
+/// never appear in a concept surface ("what do I need for charcoal?") can
+/// still resolve.
+const FUSION: Fusion = Fusion {
+    vector_weight: 0.5,
+    ann_k: 8,
+};
 
 /// Pre-registered `qa.*` metric handles.
 #[derive(Clone, Debug)]
@@ -76,39 +80,23 @@ const QUESTION_WORDS: &[&str] = &[
 /// the concepts on the content words' posting lists — the full concept
 /// layer is never scanned.
 pub struct ScenarioQa<'kg> {
-    kg: &'kg AliCoCo,
-    index: QueryIndex<'kg>,
-    ann: Option<Arc<AnnBundle>>,
-    metrics: Option<QaMetrics>,
+    retriever: Arc<Retriever<'kg>>,
+    metrics: QaMetrics,
 }
 
 impl<'kg> ScenarioQa<'kg> {
-    /// Create a new instance (builds the serving index once).
-    pub fn new(kg: &'kg AliCoCo) -> Self {
+    /// Build the engine over the pack's shared retriever, recording
+    /// `qa.*` metrics into `metrics`.
+    pub fn new(retriever: Arc<Retriever<'kg>>, metrics: &Registry) -> Self {
         ScenarioQa {
-            kg,
-            index: QueryIndex::build(kg),
-            ann: None,
-            metrics: None,
+            retriever,
+            metrics: QaMetrics::register(metrics),
         }
     }
 
-    /// Attach a retrieval bundle: content words are embedded and the HNSW
-    /// nearest concepts join the lexical candidates with a
-    /// `VECTOR_WEIGHT · max(0, cos)` fused bonus, so a question whose
-    /// content words never appear in a concept surface ("what do I need
-    /// for charcoal?") can still resolve.
-    #[must_use]
-    pub fn with_ann(mut self, bundle: Arc<AnnBundle>) -> Self {
-        self.ann = Some(bundle);
-        self
-    }
-
-    /// Create an instance recording `qa.*` metrics into `metrics`.
-    pub fn with_metrics(kg: &'kg AliCoCo, metrics: &Registry) -> Self {
-        let mut engine = Self::new(kg);
-        engine.metrics = Some(QaMetrics::register(metrics));
-        engine
+    /// The token index questions resolve against.
+    pub fn index(&self) -> &QueryIndex<'kg> {
+        self.retriever.index()
     }
 
     /// Extract content words from a natural question.
@@ -123,13 +111,14 @@ impl<'kg> ScenarioQa<'kg> {
 
     /// Score one concept against the question's content words.
     fn match_score(&self, cid: ConceptId, word_set: &FxHashSet<&str>) -> f64 {
-        let c = self.kg.concept(cid);
+        let kg = self.index().kg();
+        let c = kg.concept(cid);
         let surf: FxHashSet<&str> = c.name.split(' ').collect();
         let overlap = word_set.intersection(&surf).count() as f64;
         let prim = c
             .primitives
             .iter()
-            .filter(|&&p| word_set.contains(self.kg.primitive(p).name.as_str()))
+            .filter(|&&p| word_set.contains(kg.primitive(p).name.as_str()))
             .count() as f64;
         overlap + 0.5 * prim
     }
@@ -141,19 +130,11 @@ impl<'kg> ScenarioQa<'kg> {
     /// concepts sharing an interpreting primitive — so "barbecue" can still
     /// be answered through "garden barbecue".
     pub fn answer(&self, question: &str) -> Option<Answer> {
-        let span = self
-            .metrics
-            .as_ref()
-            .map(|m| SpanTimer::new(Arc::clone(&m.answer_ns)));
+        let _span = SpanTimer::new(Arc::clone(&self.metrics.answer_ns));
         let out = self.answer_impl(question);
-        if let Some(m) = &self.metrics {
-            m.requests.inc();
-            if out.is_some() {
-                m.answered.inc();
-            }
-        }
-        if let Some(s) = span {
-            s.stop();
+        self.metrics.requests.inc();
+        if out.is_some() {
+            self.metrics.answered.inc();
         }
         out
     }
@@ -163,6 +144,7 @@ impl<'kg> ScenarioQa<'kg> {
         if words.is_empty() {
             return None;
         }
+        let kg = self.index().kg();
         let word_set: FxHashSet<&str> = words.iter().map(String::as_str).collect();
         // Only concepts on the content words' posting lists can have a
         // positive lexical score; with a bundle attached the HNSW nearest
@@ -170,65 +152,50 @@ impl<'kg> ScenarioQa<'kg> {
         // everything is scored lexical + vector. Keep the single best
         // (ties resolve to the lowest concept id, as a full in-order scan
         // would).
-        let mut best = TopK::new(1);
-        let mut candidates = self.index.concept_candidates(word_set.iter().copied());
-        let qvec = self
-            .ann
-            .as_ref()
-            .and_then(|b| b.embed_query(&words.join(" ")));
-        if let (Some(bundle), Some(q)) = (&self.ann, &qvec) {
-            let lexical: FxHashSet<ConceptId> = candidates.iter().copied().collect();
-            candidates.extend(
-                bundle
-                    .concepts()
-                    .knn(q, ANN_K, ANN_EF)
-                    .into_iter()
-                    .map(|(id, _)| ConceptId::from_index(id as usize))
-                    .filter(|cid| !lexical.contains(cid)),
-            );
-        }
-        if let Some(m) = &self.metrics {
-            m.candidates.add(candidates.len() as u64);
-        }
-        for cid in candidates {
-            let mut base = self.match_score(cid, &word_set);
-            if let (Some(bundle), Some(q)) = (&self.ann, &qvec) {
-                let cos = bundle.concepts().sim_to(cid.index() as u32, q);
-                base += VECTOR_WEIGHT * f64::from(cos.max(0.0));
-            }
-            if base > 0.0 {
-                // Stocked concepts get a bonus so they win ties.
-                let stocked = !self.kg.concept(cid).items.is_empty();
-                best.push(cid, base + if stocked { 0.25 } else { 0.0 });
-            }
-        }
-        let (cid, _) = best.into_sorted_vec().into_iter().next()?;
-        let mut items = self.kg.items_for_concept(cid);
+        let (lexical, _) = self.retriever.concept_candidates(&word_set);
+        let qvec = self.retriever.embed(&words.join(" "));
+        let best = self.retriever.fuse(
+            lexical.iter().map(|c| (c.index() as u32, ())),
+            AnnBundle::concepts,
+            qvec.as_deref(),
+            FUSION,
+            1,
+            |slot, _, bonus| {
+                let cid = ConceptId::from_index(slot as usize);
+                let base = self.match_score(cid, &word_set) + bonus;
+                (base > 0.0).then(|| {
+                    // Stocked concepts get a bonus so they win ties.
+                    let stocked = !kg.concept(cid).items.is_empty();
+                    base + if stocked { 0.25 } else { 0.0 }
+                })
+            },
+        );
+        self.metrics.candidates.add(best.examined as u64);
+        let (slot, _) = best.top.into_sorted_vec().into_iter().next()?;
+        let cid = ConceptId::from_index(slot as usize);
+        let mut items = kg.items_for_concept(cid);
         if items.is_empty() {
-            if let Some(m) = &self.metrics {
-                m.sibling_fallbacks.inc();
-            }
+            self.metrics.sibling_fallbacks.inc();
             // Sibling fallback: union of items from concepts sharing a
             // primitive, discounted. Restrict to the primitives that matched
             // the question ("barbecue"), not incidental ones ("beach") —
             // otherwise a beach-barbecue question borrows swimsuits.
-            let mut prims: FxHashSet<_> = self
-                .kg
+            let mut prims: FxHashSet<_> = kg
                 .concept(cid)
                 .primitives
                 .iter()
                 .copied()
-                .filter(|&p| word_set.contains(self.kg.primitive(p).name.as_str()))
+                .filter(|&p| word_set.contains(kg.primitive(p).name.as_str()))
                 .collect();
             if prims.is_empty() {
-                prims = self.kg.concept(cid).primitives.iter().copied().collect();
+                prims = kg.concept(cid).primitives.iter().copied().collect();
             }
             // Sibling concepts come straight off the primitive postings
             // (sorted so the borrowing order is concept-id deterministic).
             let mut siblings: Vec<ConceptId> = {
                 let mut set: FxHashSet<ConceptId> = FxHashSet::default();
                 for &p in &prims {
-                    set.extend(self.index.concepts_by_primitive(p).iter().copied());
+                    set.extend(self.index().concepts_by_primitive(p).iter().copied());
                 }
                 set.remove(&cid);
                 set.into_iter().collect()
@@ -236,7 +203,7 @@ impl<'kg> ScenarioQa<'kg> {
             siblings.sort();
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
             for other in siblings {
-                for (item, w) in self.kg.items_for_concept(other) {
+                for (item, w) in kg.items_for_concept(other) {
                     if seen.insert(item) {
                         items.push((item, w * 0.8));
                     }
@@ -252,13 +219,13 @@ impl<'kg> ScenarioQa<'kg> {
             .take(8)
             .map(|(item, confidence)| ChecklistEntry {
                 item,
-                title: self.kg.item(item).title.join(" "),
+                title: kg.item(item).title.join(" "),
                 confidence,
             })
             .collect();
         Some(Answer {
             concept: cid,
-            concept_name: self.kg.concept(cid).name.clone(),
+            concept_name: kg.concept(cid).name.clone(),
             checklist,
         })
     }
@@ -267,6 +234,15 @@ impl<'kg> ScenarioQa<'kg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alicoco::AliCoCo;
+
+    fn engine_in<'kg>(kg: &'kg AliCoCo, reg: &Registry) -> ScenarioQa<'kg> {
+        ScenarioQa::new(Retriever::new(QueryIndex::build(kg), None), reg)
+    }
+
+    fn engine(kg: &AliCoCo) -> ScenarioQa<'_> {
+        engine_in(kg, &Registry::new())
+    }
 
     fn sample_kg() -> AliCoCo {
         let mut kg = AliCoCo::new();
@@ -292,7 +268,7 @@ mod tests {
     #[test]
     fn barbecue_question_yields_checklist() {
         let kg = sample_kg();
-        let qa = ScenarioQa::new(&kg);
+        let qa = engine(&kg);
         let a = qa
             .answer("What should I prepare for hosting next week's barbecue?")
             .expect("question resolves");
@@ -306,7 +282,7 @@ mod tests {
     #[test]
     fn unresolvable_question_returns_none() {
         let kg = sample_kg();
-        let qa = ScenarioQa::new(&kg);
+        let qa = engine(&kg);
         assert!(qa
             .answer("what should i buy for quantum entanglement?")
             .is_none());
@@ -317,7 +293,7 @@ mod tests {
     fn concepts_without_items_or_siblings_cannot_answer() {
         let mut kg = sample_kg();
         kg.add_concept("indoor knitting");
-        let qa = ScenarioQa::new(&kg);
+        let qa = engine(&kg);
         assert!(qa.answer("what do i need for indoor knitting?").is_none());
     }
 
@@ -328,19 +304,16 @@ mod tests {
         let beach = kg.add_concept("beach barbecue");
         kg.link_concept_primitive(beach, bbq);
         let reg = Registry::new();
-        let plain = ScenarioQa::new(&kg);
-        let wired = ScenarioQa::with_metrics(&kg, &reg);
-        for q in [
+        let wired = engine_in(&kg, &reg);
+        let answers = [
             "what should i prepare for a barbecue?",
             "what do i need for a beach barbecue?",
             "what should i buy for quantum entanglement?",
-        ] {
-            assert_eq!(
-                wired.answer(q).map(|a| a.concept),
-                plain.answer(q).map(|a| a.concept),
-                "question {q:?}"
-            );
-        }
+        ]
+        .map(|q| wired.answer(q).map(|a| a.concept_name));
+        assert_eq!(answers[0].as_deref(), Some("outdoor barbecue"));
+        assert_eq!(answers[1].as_deref(), Some("beach barbecue"));
+        assert_eq!(answers[2], None);
         assert_eq!(reg.counter("qa.requests").get(), 3);
         assert_eq!(reg.counter("qa.answered").get(), 2);
         assert_eq!(reg.counter("qa.sibling_fallbacks").get(), 1);
@@ -354,13 +327,16 @@ mod tests {
     #[test]
     fn lexical_miss_question_resolves_via_vectors() {
         let kg = sample_kg();
-        let plain = ScenarioQa::new(&kg);
+        let plain = engine(&kg);
         assert!(
             plain.answer("what do i need for charcoal?").is_none(),
             "lexical-only QA is blind to item-title tokens"
         );
         let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
-        let qa = ScenarioQa::new(&kg).with_ann(bundle);
+        let qa = ScenarioQa::new(
+            Retriever::new(QueryIndex::build(&kg), Some(bundle)),
+            &Registry::new(),
+        );
         let a = qa
             .answer("what do i need for charcoal?")
             .expect("vector candidates must resolve the question");
@@ -388,7 +364,7 @@ mod tests {
         let bbq = kg.primitives_by_name("barbecue")[0];
         let beach = kg.add_concept("beach barbecue");
         kg.link_concept_primitive(beach, bbq);
-        let qa = ScenarioQa::new(&kg);
+        let qa = engine(&kg);
         let a = qa
             .answer("what do i need for a beach barbecue?")
             .expect("resolves");

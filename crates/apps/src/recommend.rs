@@ -7,9 +7,20 @@ use std::sync::Arc;
 use alicoco::query::QueryIndex;
 use alicoco::rank::TopK;
 use alicoco::{AliCoCo, ConceptId, ItemId, PrimitiveId};
-use alicoco_ann::AnnBundle;
 use alicoco_nn::util::{FxHashMap, FxHashSet};
 use alicoco_obs::{Counter, Histogram, Registry, SpanTimer};
+
+use crate::retrieve::{Fusion, Retriever, ANN_EF};
+
+/// The recommender's vector-vote constants: each viewed item's stored
+/// embedding votes `vector_weight · max(0, cos)` for its 8 nearest
+/// concepts. The weight sits deliberately below `shared_weight`·votes so
+/// vector evidence refines but never outranks graph evidence. (The
+/// recommender votes per history item; it does not run the union fusion.)
+const FUSION: Fusion = Fusion {
+    vector_weight: 0.1,
+    ann_k: 8,
+};
 
 /// Pre-registered `recommend.*` metric handles.
 #[derive(Clone, Debug)]
@@ -109,15 +120,6 @@ pub struct RecommendConfig {
     pub direct_weight: f64,
     /// Vote weight of each shared primitive.
     pub shared_weight: f64,
-    /// Vote weight of the cosine between a viewed item's embedding and a
-    /// concept's, when an [`AnnBundle`] is attached. Deliberately below
-    /// `shared_weight`·votes so vector evidence refines but never outranks
-    /// graph evidence.
-    pub vector_weight: f64,
-    /// Nearest concepts proposed per history item by the HNSW index.
-    pub ann_k: usize,
-    /// `ef` beam width for the HNSW search.
-    pub ann_ef: usize,
 }
 
 impl Default for RecommendConfig {
@@ -127,91 +129,70 @@ impl Default for RecommendConfig {
             items_per_card: 8,
             direct_weight: 1.0,
             shared_weight: 0.2,
-            vector_weight: 0.1,
-            ann_k: 8,
-            ann_ef: 64,
         }
     }
 }
 
 /// The user-needs recommender.
 pub struct CognitiveRecommender<'kg> {
-    kg: &'kg AliCoCo,
+    retriever: Arc<Retriever<'kg>>,
     cfg: RecommendConfig,
-    /// Shared serving index (primitive → concepts postings).
-    index: QueryIndex<'kg>,
-    ann: Option<Arc<AnnBundle>>,
-    metrics: Option<RecommendMetrics>,
+    metrics: RecommendMetrics,
 }
 
 impl<'kg> CognitiveRecommender<'kg> {
-    /// Create a new instance.
-    pub fn new(kg: &'kg AliCoCo, cfg: RecommendConfig) -> Self {
+    /// Build the engine over the pack's shared retriever (its primitive →
+    /// concepts postings and, on a hybrid snapshot, its bundle), recording
+    /// `recommend.*` metrics into `metrics`.
+    pub fn new(retriever: Arc<Retriever<'kg>>, cfg: RecommendConfig, metrics: &Registry) -> Self {
         CognitiveRecommender {
-            kg,
+            retriever,
             cfg,
-            index: QueryIndex::build(kg),
-            ann: None,
-            metrics: None,
+            metrics: RecommendMetrics::register(metrics),
         }
     }
 
-    /// Attach a retrieval bundle: each viewed item's stored embedding
-    /// votes (weight `cfg.vector_weight · max(0, cos)`) for its nearest
-    /// concepts in the HNSW index, so a history can trigger a concept it
-    /// shares neither item links nor primitives with.
-    #[must_use]
-    pub fn with_ann(mut self, bundle: Arc<AnnBundle>) -> Self {
-        self.ann = Some(bundle);
-        self
-    }
-
-    /// Create an instance recording `recommend.*` metrics into `metrics`.
-    pub fn with_metrics(kg: &'kg AliCoCo, cfg: RecommendConfig, metrics: &Registry) -> Self {
-        let mut engine = Self::new(kg, cfg);
-        engine.metrics = Some(RecommendMetrics::register(metrics));
-        engine
+    /// The index whose primitive postings the recommender votes over.
+    pub fn index(&self) -> &QueryIndex<'kg> {
+        self.retriever.index()
     }
 
     /// Recommend concept cards for a browsing history.
     pub fn recommend(&self, history: &[ItemId]) -> Vec<Recommendation> {
-        let _span = self.metrics.as_ref().map(|m| {
-            m.requests.inc();
-            m.history_items.add(history.len() as u64);
-            SpanTimer::new(Arc::clone(&m.total_ns))
-        });
+        let kg = self.index().kg();
+        let _span = SpanTimer::new(Arc::clone(&self.metrics.total_ns));
+        self.metrics.requests.inc();
+        self.metrics.history_items.add(history.len() as u64);
         let mut votes: FxHashMap<ConceptId, f64> = FxHashMap::default();
         let mut direct_trigger: FxHashMap<ConceptId, ItemId> = FxHashMap::default();
         let mut shared: FxHashMap<ConceptId, FxHashSet<PrimitiveId>> = FxHashMap::default();
         let mut vector_trigger: FxHashMap<ConceptId, ItemId> = FxHashMap::default();
         for &item in history {
-            for &cid in self.kg.concepts_for_item(item) {
+            for &cid in kg.concepts_for_item(item) {
                 *votes.entry(cid).or_insert(0.0) += self.cfg.direct_weight;
                 direct_trigger.entry(cid).or_insert(item);
             }
-            for &p in &self.kg.item(item).primitives {
-                for &cid in self.index.concepts_by_primitive(p) {
+            for &p in &kg.item(item).primitives {
+                for &cid in self.index().concepts_by_primitive(p) {
                     *votes.entry(cid).or_insert(0.0) += self.cfg.shared_weight;
                     shared.entry(cid).or_default().insert(p);
                 }
             }
-            if let Some(bundle) = &self.ann {
+            if let Some(bundle) = self.retriever.ann() {
                 // The viewed item's stored embedding votes for its nearest
                 // concepts; zero-or-negative cosines never vote, so a
                 // zero-vector item (all-unknown title) adds nothing.
                 let qv = bundle.items().vector(item.index() as u32);
-                for (id, cos) in bundle.concepts().knn(qv, self.cfg.ann_k, self.cfg.ann_ef) {
+                for (id, cos) in bundle.concepts().knn(qv, FUSION.ann_k, ANN_EF) {
                     if cos > 0.0 {
                         let cid = ConceptId::from_index(id as usize);
-                        *votes.entry(cid).or_insert(0.0) += self.cfg.vector_weight * f64::from(cos);
+                        *votes.entry(cid).or_insert(0.0) += FUSION.vector_weight * f64::from(cos);
                         vector_trigger.entry(cid).or_insert(item);
                     }
                 }
             }
         }
-        if let Some(m) = &self.metrics {
-            m.candidates.add(votes.len() as u64);
-        }
+        self.metrics.candidates.add(votes.len() as u64);
         let mut top = TopK::new(self.cfg.k);
         for (cid, v) in votes {
             top.push(cid, v);
@@ -238,8 +219,7 @@ impl<'kg> CognitiveRecommender<'kg> {
                     },
                 };
                 // Novelty (§8.2.1): never re-show viewed items.
-                let items: Vec<(ItemId, f32)> = self
-                    .kg
+                let items: Vec<(ItemId, f32)> = kg
                     .items_for_concept(cid)
                     .into_iter()
                     .filter(|(i, _)| !viewed.contains(i))
@@ -247,7 +227,7 @@ impl<'kg> CognitiveRecommender<'kg> {
                     .collect();
                 Recommendation {
                     concept: cid,
-                    name: self.kg.concept(cid).name.clone(),
+                    name: kg.concept(cid).name.clone(),
                     affinity,
                     reason,
                     items,
@@ -260,6 +240,11 @@ impl<'kg> CognitiveRecommender<'kg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn engine(kg: &AliCoCo) -> CognitiveRecommender<'_> {
+        let retriever = Retriever::new(QueryIndex::build(kg), None);
+        CognitiveRecommender::new(retriever, RecommendConfig::default(), &Registry::new())
+    }
 
     fn sample_kg() -> (AliCoCo, ItemId, ItemId, ConceptId) {
         let mut kg = AliCoCo::new();
@@ -279,7 +264,7 @@ mod tests {
     #[test]
     fn direct_link_triggers_recommendation_with_reason() {
         let (kg, grill, charcoal, c) = sample_kg();
-        let rec = CognitiveRecommender::new(&kg, RecommendConfig::default());
+        let rec = engine(&kg);
         let out = rec.recommend(&[grill]);
         assert_eq!(out.len(), 1);
         let r = &out[0];
@@ -300,7 +285,7 @@ mod tests {
         let bbq = kg.primitives_by_name("barbecue")[0];
         let skewers = kg.add_item(&["skewers".into()]);
         kg.link_item_primitive(skewers, bbq);
-        let rec = CognitiveRecommender::new(&kg, RecommendConfig::default());
+        let rec = engine(&kg);
         let out = rec.recommend(&[skewers]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].concept, c);
@@ -313,7 +298,7 @@ mod tests {
     #[test]
     fn empty_history_yields_nothing() {
         let (kg, _, _, _) = sample_kg();
-        let rec = CognitiveRecommender::new(&kg, RecommendConfig::default());
+        let rec = engine(&kg);
         assert!(rec.recommend(&[]).is_empty());
     }
 
@@ -321,7 +306,8 @@ mod tests {
     fn instrumented_recommendations_match_and_count() {
         let (kg, grill, _, c) = sample_kg();
         let reg = Registry::new();
-        let rec = CognitiveRecommender::with_metrics(&kg, RecommendConfig::default(), &reg);
+        let retriever = Retriever::new(QueryIndex::build(&kg), None);
+        let rec = CognitiveRecommender::new(retriever, RecommendConfig::default(), &reg);
         let out = rec.recommend(&[grill]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].concept, c);
@@ -342,12 +328,16 @@ mod tests {
         // corpus co-occurrence only: no link, no primitive.
         let skewers = kg.add_item(&["charcoal".into(), "skewers".into()]);
         let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
-        let plain = CognitiveRecommender::new(&kg, RecommendConfig::default());
+        let plain = engine(&kg);
         assert!(
             plain.recommend(&[skewers]).is_empty(),
             "graph-only recommender has no evidence for this history"
         );
-        let rec = CognitiveRecommender::new(&kg, RecommendConfig::default()).with_ann(bundle);
+        let rec = CognitiveRecommender::new(
+            Retriever::new(QueryIndex::build(&kg), Some(bundle)),
+            RecommendConfig::default(),
+            &Registry::new(),
+        );
         let out = rec.recommend(&[skewers]);
         assert!(!out.is_empty(), "vector votes must surface a concept");
         assert_eq!(out[0].concept, c);
@@ -368,7 +358,7 @@ mod tests {
         let c_indirect = kg.add_concept("park picnic");
         kg.link_concept_primitive(c_indirect, picnic);
         kg.link_item_primitive(grill, picnic);
-        let rec = CognitiveRecommender::new(&kg, RecommendConfig::default());
+        let rec = engine(&kg);
         let out = rec.recommend(&[grill]);
         assert!(out.len() >= 2);
         assert_eq!(out[0].concept, c_direct, "direct link must rank first");

@@ -12,11 +12,16 @@ use alicoco_obs::{Counter, Histogram, Registry, SpanTimer};
 use alicoco_text::bm25::{Bm25Index, Bm25Metrics, Bm25Params};
 use alicoco_text::vocab::{TokenId, Vocab};
 
-/// Weight of the vector cosine in the fused item score, and how many
-/// nearest items the HNSW index proposes per query.
-const VECTOR_WEIGHT: f64 = 0.5;
-const ANN_K: usize = 16;
-const ANN_EF: usize = 64;
+use crate::retrieve::{Fusion, Retriever};
+
+/// Relevance's fusion constants: a full cosine adds 0.5 to an item's BM25
+/// score, and the index proposes 16 items per query — so a query word
+/// that titles no item can still retrieve the items of the concept it
+/// embeds next to.
+const FUSION: Fusion = Fusion {
+    vector_weight: 0.5,
+    ann_k: 16,
+};
 
 /// Pre-registered `relevance.*` metric handles.
 #[derive(Clone, Debug)]
@@ -40,50 +45,36 @@ impl RelevanceMetrics {
 
 /// A relevance scorer over item titles with optional isA expansion.
 pub struct RelevanceScorer<'kg> {
-    kg: &'kg AliCoCo,
+    retriever: Arc<Retriever<'kg>>,
     vocab: Vocab,
     index: Bm25Index,
-    ann: Option<Arc<AnnBundle>>,
-    metrics: Option<RelevanceMetrics>,
+    metrics: RelevanceMetrics,
 }
 
 impl<'kg> RelevanceScorer<'kg> {
-    /// Build the title index over all items in the net.
-    pub fn build(kg: &'kg AliCoCo) -> Self {
+    /// Build the BM25 title index over all items in the retriever's net,
+    /// recording `relevance.*` (and the underlying `bm25.*`) metrics into
+    /// `metrics`.
+    pub fn new(retriever: Arc<Retriever<'kg>>, metrics: &Registry) -> Self {
+        let kg = retriever.index().kg();
         let mut vocab = Vocab::new();
         let mut docs: Vec<Vec<TokenId>> = Vec::with_capacity(kg.num_items());
         for iid in kg.item_ids() {
             let doc = kg.item(iid).title.iter().map(|t| vocab.add(t)).collect();
             docs.push(doc);
         }
-        let index = Bm25Index::build(&docs, Bm25Params::default());
+        let mut index = Bm25Index::build(&docs, Bm25Params::default());
+        index.set_metrics(Bm25Metrics::register(metrics));
         RelevanceScorer {
-            kg,
+            retriever,
             vocab,
             index,
-            ann: None,
-            metrics: None,
+            metrics: RelevanceMetrics::register(metrics),
         }
     }
 
-    /// Attach a retrieval bundle: [`Self::top_items`] additionally embeds
-    /// the query, unions the HNSW nearest *items* into the BM25 candidate
-    /// set, and scores the union `bm25 + VECTOR_WEIGHT · max(0, cos)` —
-    /// so a query word that titles no item can still retrieve the items
-    /// of the concept it embeds next to.
-    #[must_use]
-    pub fn with_ann(mut self, bundle: Arc<AnnBundle>) -> Self {
-        self.ann = Some(bundle);
-        self
-    }
-
-    /// Build the scorer recording `relevance.*` (and the underlying
-    /// `bm25.*`) metrics into `metrics`.
-    pub fn with_metrics(kg: &'kg AliCoCo, metrics: &Registry) -> Self {
-        let mut scorer = Self::build(kg);
-        scorer.index.set_metrics(Bm25Metrics::register(metrics));
-        scorer.metrics = Some(RelevanceMetrics::register(metrics));
-        scorer
+    fn kg(&self) -> &'kg AliCoCo {
+        self.retriever.index().kg()
     }
 
     fn encode(&self, words: &[String]) -> Vec<TokenId> {
@@ -97,7 +88,7 @@ impl<'kg> RelevanceScorer<'kg> {
         let mut stack = vec![root];
         let mut out = Vec::new();
         while let Some(p) = stack.pop() {
-            for &h in &self.kg.primitive(p).hyponyms {
+            for &h in &self.kg().primitive(p).hyponyms {
                 if seen.insert(h) {
                     out.push(h);
                     stack.push(h);
@@ -110,10 +101,7 @@ impl<'kg> RelevanceScorer<'kg> {
     /// Expand query words with the names of hyponyms of any matching
     /// primitive concept.
     pub fn expand_query(&self, words: &[String]) -> Vec<String> {
-        let _span = self
-            .metrics
-            .as_ref()
-            .map(|m| SpanTimer::new(Arc::clone(&m.expand_ns)));
+        let _span = SpanTimer::new(Arc::clone(&self.metrics.expand_ns));
         let mut out: Vec<String> = words.to_vec();
         let mut seen: FxHashSet<String> = words.iter().cloned().collect();
         // Try single words and the full phrase as primitive surfaces.
@@ -122,9 +110,9 @@ impl<'kg> RelevanceScorer<'kg> {
             surfaces.push(words.join(" "));
         }
         for surface in surfaces {
-            for &p in self.kg.primitives_by_name(&surface) {
+            for &p in self.kg().primitives_by_name(&surface) {
                 for h in self.hyponym_closure(p) {
-                    for tok in self.kg.primitive(h).name.split(' ') {
+                    for tok in self.kg().primitive(h).name.split(' ') {
                         if seen.insert(tok.to_string()) {
                             out.push(tok.to_string());
                         }
@@ -132,9 +120,9 @@ impl<'kg> RelevanceScorer<'kg> {
                 }
             }
         }
-        if let Some(m) = &self.metrics {
-            m.expanded_terms.add((out.len() - words.len()) as u64);
-        }
+        self.metrics
+            .expanded_terms
+            .add((out.len() - words.len()) as u64);
         out
     }
 
@@ -149,42 +137,34 @@ impl<'kg> RelevanceScorer<'kg> {
         self.index.score(&self.encode(&expanded), item.index())
     }
 
-    /// Top-`k` items for a query, keyword-only: candidates come from the
-    /// BM25 postings (items sharing no query term are never touched) and
-    /// the best `k` are kept in a bounded heap with the workspace ranking
+    /// Top-`k` items for a query, without expansion: candidates come from
+    /// the BM25 postings (items sharing no query term are never touched),
+    /// joined on a hybrid snapshot by the HNSW nearest items of the
+    /// embedded query and scored `bm25 + FUSION.vector_weight · max(0,
+    /// cos)`. Only positive scores are returned, in the workspace ranking
     /// order (score descending, item id ascending).
     pub fn top_items(&self, words: &[String], k: usize) -> Vec<(alicoco::ItemId, f64)> {
-        let _span = self.metrics.as_ref().map(|m| {
-            m.queries.inc();
-            SpanTimer::new(Arc::clone(&m.retrieve_ns))
-        });
-        let qvec = self
-            .ann
-            .as_ref()
-            .and_then(|b| b.embed_query(&words.join(" ")));
-        let mut top = alicoco::rank::TopK::new(k);
-        if let (Some(bundle), Some(q)) = (&self.ann, &qvec) {
-            // Hybrid: fuse `bm25 + VECTOR_WEIGHT · max(0, cos)` over the
-            // union of BM25 candidates and the HNSW nearest items.
-            let mut fused: alicoco_nn::util::FxHashMap<usize, f64> = self
-                .index
-                .candidate_scores(&self.encode(words))
-                .into_iter()
-                .collect();
-            for (id, _) in bundle.items().knn(q, ANN_K.max(k), ANN_EF) {
-                fused.entry(id as usize).or_insert(0.0);
-            }
-            for (doc, bm25) in fused {
-                let cos = bundle.items().sim_to(doc as u32, q);
-                let score = bm25 + VECTOR_WEIGHT * f64::from(cos.max(0.0));
-                top.push(alicoco::ItemId::from_index(doc), score);
-            }
-        } else {
-            for (doc, score) in self.index.candidate_scores(&self.encode(words)) {
-                top.push(alicoco::ItemId::from_index(doc), score);
-            }
-        }
-        top.into_sorted_vec()
+        self.metrics.queries.inc();
+        let _span = SpanTimer::new(Arc::clone(&self.metrics.retrieve_ns));
+        let lexical = self.index.candidate_scores(&self.encode(words));
+        let qvec = self.retriever.embed(&words.join(" "));
+        let fused = self.retriever.fuse(
+            lexical.iter().map(|&(doc, bm25)| (doc as u32, bm25)),
+            AnnBundle::items,
+            qvec.as_deref(),
+            FUSION,
+            k,
+            |_, bm25, bonus| {
+                let score = bm25.unwrap_or(0.0) + bonus;
+                (score > 0.0).then_some(score)
+            },
+        );
+        fused
+            .top
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(slot, score)| (alicoco::ItemId::from_index(slot as usize), score))
+            .collect()
     }
 
     /// Top-`k` items with isA query expansion — the §8.1.1 serving path:
@@ -198,6 +178,19 @@ impl<'kg> RelevanceScorer<'kg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alicoco::query::QueryIndex;
+
+    fn scorer_in<'kg>(
+        kg: &'kg AliCoCo,
+        bundle: Option<Arc<AnnBundle>>,
+        reg: &Registry,
+    ) -> RelevanceScorer<'kg> {
+        RelevanceScorer::new(Retriever::new(QueryIndex::build(kg), bundle), reg)
+    }
+
+    fn scorer(kg: &AliCoCo) -> RelevanceScorer<'_> {
+        scorer_in(kg, None, &Registry::new())
+    }
 
     /// "jacket isA top": a query for "top" must reach an item titled only
     /// "jacket" after expansion.
@@ -219,7 +212,7 @@ mod tests {
     #[test]
     fn expansion_adds_hyponyms() {
         let kg = sample_kg();
-        let scorer = RelevanceScorer::build(&kg);
+        let scorer = scorer(&kg);
         let expanded = scorer.expand_query(&["top".to_string()]);
         assert!(expanded.contains(&"jacket".to_string()));
         assert!(expanded.contains(&"hoodie".to_string()));
@@ -229,7 +222,7 @@ mod tests {
     #[test]
     fn expanded_query_reaches_hyponym_titled_items() {
         let kg = sample_kg();
-        let scorer = RelevanceScorer::build(&kg);
+        let scorer = scorer(&kg);
         let q = vec!["top".to_string()];
         let jacket_item = kg.item_ids().next().unwrap();
         assert_eq!(
@@ -246,7 +239,7 @@ mod tests {
     #[test]
     fn expansion_does_not_leak_to_unrelated_items() {
         let kg = sample_kg();
-        let scorer = RelevanceScorer::build(&kg);
+        let scorer = scorer(&kg);
         let q = vec!["top".to_string()];
         let pot_item = kg.item_ids().nth(2).unwrap();
         assert_eq!(scorer.score_expanded(&q, pot_item), 0.0);
@@ -255,7 +248,7 @@ mod tests {
     #[test]
     fn top_items_retrieval_agrees_with_per_item_scores() {
         let kg = sample_kg();
-        let scorer = RelevanceScorer::build(&kg);
+        let scorer = scorer(&kg);
         let q = vec!["top".to_string()];
         // Keyword-only: no item titled "top" exists, nothing retrieved.
         assert!(scorer.top_items(&q, 5).is_empty());
@@ -273,14 +266,9 @@ mod tests {
     #[test]
     fn instrumented_scorer_matches_and_counts() {
         let kg = sample_kg();
-        let plain = RelevanceScorer::build(&kg);
         let reg = Registry::new();
-        let wired = RelevanceScorer::with_metrics(&kg, &reg);
-        let q = vec!["top".to_string()];
-        assert_eq!(
-            wired.top_items_expanded(&q, 5),
-            plain.top_items_expanded(&q, 5)
-        );
+        let wired = scorer_in(&kg, None, &reg);
+        assert_eq!(wired.top_items_expanded(&["top".to_string()], 5).len(), 2);
         assert_eq!(reg.counter("relevance.queries").get(), 1);
         // "top" expands to at least jacket + hoodie.
         assert!(reg.counter("relevance.expanded_terms").get() >= 2);
@@ -309,10 +297,10 @@ mod tests {
         kg.link_concept_item(c2, mat, 0.8);
         let q = vec!["barbecue".to_string()];
         // "barbecue" titles no item: keyword BM25 retrieves nothing.
-        let plain = RelevanceScorer::build(&kg);
+        let plain = scorer(&kg);
         assert!(plain.top_items(&q, 5).is_empty());
         let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
-        let fused = RelevanceScorer::build(&kg).with_ann(bundle);
+        let fused = scorer_in(&kg, Some(bundle), &Registry::new());
         let hits = fused.top_items(&q, 5);
         assert!(!hits.is_empty(), "vector candidates must surface items");
         assert_eq!(hits[0].0, grill, "the barbecue-linked item ranks first");
@@ -323,6 +311,39 @@ mod tests {
         assert!(direct[0].1 >= plain_direct[0].1);
     }
 
+    /// Regression: the hybrid path used to push every HNSW-proposed item,
+    /// so a page wider than the real hits was padded with items scored
+    /// exactly `0.0` — which the lexical path never returns.
+    #[test]
+    fn hybrid_top_items_returns_only_positive_scores() {
+        let mut kg = AliCoCo::new();
+        for title in [
+            ["desk", "lamp"],
+            ["floor", "lamp"],
+            ["lamp", "shade"],
+            ["yoga", "mat"],
+            ["steel", "pan"],
+            ["garden", "hose"],
+            ["wool", "sock"],
+            ["oak", "shelf"],
+        ] {
+            kg.add_item(&title.map(String::from));
+        }
+        let q = vec!["lamp".to_string()];
+        let plain = scorer(&kg);
+        let lexical = plain.top_items(&q, 10);
+        assert_eq!(lexical.len(), 3, "three titles contain the word");
+        for &(item, score) in &lexical {
+            assert_eq!(score, plain.score_plain(&q, item));
+        }
+        let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
+        let hits = scorer_in(&kg, Some(bundle), &Registry::new()).top_items(&q, 10);
+        assert!(hits.iter().all(|&(_, score)| score > 0.0), "{hits:?}");
+        for (item, _) in &lexical {
+            assert!(hits.iter().any(|(hit, _)| hit == item), "lost {item:?}");
+        }
+    }
+
     #[test]
     fn multiword_surfaces_expand() {
         let mut kg = sample_kg();
@@ -330,7 +351,7 @@ mod tests {
         let coat = kg.add_primitive("trench coat", cat);
         let top = kg.primitives_by_name("top")[0];
         kg.add_primitive_is_a(coat, top);
-        let scorer = RelevanceScorer::build(&kg);
+        let scorer = scorer(&kg);
         let expanded = scorer.expand_query(&["top".to_string()]);
         assert!(expanded.contains(&"trench".to_string()));
         assert!(expanded.contains(&"coat".to_string()));

@@ -2,7 +2,7 @@
 //! e-commerce concept cards — "items you will need for outdoor barbecue" —
 //! rather than bare keyword item matching.
 //!
-//! Retrieval is index-driven: a [`QueryIndex`] built at construction maps
+//! Retrieval is index-driven: the shared [`Retriever`]'s `QueryIndex` maps
 //! every concept-surface token and interpreting-primitive surface to its
 //! concepts, so a query only scores the union of its words' posting lists
 //! (the exact set of concepts that can score above zero) and keeps the
@@ -12,15 +12,15 @@
 //!
 //! ## Hybrid retrieval
 //!
-//! With an [`AnnBundle`] attached ([`SemanticSearch::with_ann`]) the
-//! candidate set becomes the *union* of the lexical posting lists and the
-//! HNSW nearest concepts of the embedded query, and every candidate is
-//! scored `lexical + vector_weight · max(0, cos)` using the exact stored
-//! vector — the approximate index only proposes candidates, it never
-//! scores them. This closes the zero-token-overlap gap: "charcoal" has no
-//! surface or primitive in common with "outdoor barbecue", but its
-//! embedding (trained over item titles too) does. Without a bundle the
-//! engine is byte-for-byte the lexical engine it always was.
+//! When the retriever carries an `AnnBundle` the candidate set becomes the
+//! *union* of the lexical posting lists and the HNSW nearest concepts of
+//! the embedded query, and every candidate is scored
+//! `lexical + FUSION.vector_weight · max(0, cos)` using the exact stored
+//! vector (see [`crate::retrieve`]). This closes the zero-token-overlap
+//! gap: "charcoal" has no surface or primitive in common with "outdoor
+//! barbecue", but its embedding (trained over item titles too) does.
+//! Without a bundle the engine is byte-for-byte the lexical engine it
+//! always was.
 
 use std::sync::Arc;
 
@@ -30,6 +30,15 @@ use alicoco::{AliCoCo, ConceptId, ItemId};
 use alicoco_ann::AnnBundle;
 use alicoco_nn::util::FxHashSet;
 use alicoco_obs::{Counter, Histogram, Registry, StageClock};
+
+use crate::retrieve::{Fusion, Retriever};
+
+/// Search's fusion constants: vectors weigh 0.6 of a full surface match,
+/// and the index proposes 16 concepts per query.
+const FUSION: Fusion = Fusion {
+    vector_weight: 0.6,
+    ann_k: 16,
+};
 
 /// Pre-registered `search.*` metric handles: registered once at engine
 /// construction so the query path never takes the registry lock.
@@ -91,15 +100,6 @@ pub struct SearchConfig {
     pub stocked_bonus: f64,
     /// Worker threads used by [`SemanticSearch::search_batch`].
     pub batch_workers: usize,
-    /// Weight of the (non-negative) cosine between the embedded query and
-    /// a concept's stored vector when an [`AnnBundle`] is attached.
-    pub vector_weight: f64,
-    /// Nearest concepts proposed by the HNSW index per query (the index
-    /// proposes at least `max(ann_k, k)` so a tight `k` never starves the
-    /// union).
-    pub ann_k: usize,
-    /// `ef` beam width for the HNSW search.
-    pub ann_ef: usize,
 }
 
 impl Default for SearchConfig {
@@ -110,9 +110,6 @@ impl Default for SearchConfig {
             primitive_weight: 0.3,
             stocked_bonus: 0.1,
             batch_workers: 4,
-            vector_weight: 0.6,
-            ann_k: 16,
-            ann_ef: 64,
         }
     }
 }
@@ -121,130 +118,50 @@ impl Default for SearchConfig {
 /// and their interpreting primitives, which is what makes the query
 /// "barbecue outdoor" trigger the concept "outdoor barbecue" (Figure 2a).
 pub struct SemanticSearch<'kg> {
-    kg: &'kg AliCoCo,
-    index: QueryIndex<'kg>,
+    retriever: Arc<Retriever<'kg>>,
     cfg: SearchConfig,
-    ann: Option<Arc<AnnBundle>>,
-    metrics: Option<SearchMetrics>,
+    metrics: SearchMetrics,
 }
 
 impl<'kg> SemanticSearch<'kg> {
-    /// Build the engine (constructs the inverted token index once).
-    pub fn new(kg: &'kg AliCoCo, cfg: SearchConfig) -> Self {
+    /// Build the engine over the pack's shared retriever, recording
+    /// `search.*` metrics into `metrics`. Handles are registered here,
+    /// once; per-query instrumentation is a handful of relaxed atomics and
+    /// three clock reads (DESIGN.md §8).
+    pub fn new(retriever: Arc<Retriever<'kg>>, cfg: SearchConfig, metrics: &Registry) -> Self {
         SemanticSearch {
-            kg,
-            index: QueryIndex::build(kg),
+            retriever,
             cfg,
-            ann: None,
-            metrics: None,
+            metrics: SearchMetrics::register(metrics),
         }
-    }
-
-    /// Attach a retrieval bundle: queries are additionally embedded and
-    /// the HNSW nearest concepts join the lexical candidate union (module
-    /// docs, "Hybrid retrieval").
-    #[must_use]
-    pub fn with_ann(mut self, bundle: Arc<AnnBundle>) -> Self {
-        self.ann = Some(bundle);
-        self
-    }
-
-    /// Build the engine recording `search.*` metrics into `metrics`.
-    /// Handles are registered here, once; per-query instrumentation is a
-    /// handful of relaxed atomics and three clock reads, keeping the
-    /// instrumented path within the overhead budget (DESIGN.md §8).
-    pub fn with_metrics(kg: &'kg AliCoCo, cfg: SearchConfig, metrics: &Registry) -> Self {
-        let mut engine = Self::new(kg, cfg);
-        engine.metrics = Some(SearchMetrics::register(metrics));
-        engine
-    }
-
-    /// Build the engine around a prebuilt [`QueryIndex`] — the fast-start
-    /// path when token postings come straight out of a binary snapshot's
-    /// postings sections (`QueryIndex::from_postings`) instead of being
-    /// re-tokenized from every surface at construction.
-    pub fn from_index(kg: &'kg AliCoCo, index: QueryIndex<'kg>, cfg: SearchConfig) -> Self {
-        SemanticSearch {
-            kg,
-            index,
-            cfg,
-            ann: None,
-            metrics: None,
-        }
-    }
-
-    /// [`from_index`](Self::from_index) with `search.*` metrics wired.
-    pub fn from_index_with_metrics(
-        kg: &'kg AliCoCo,
-        index: QueryIndex<'kg>,
-        cfg: SearchConfig,
-        metrics: &Registry,
-    ) -> Self {
-        let mut engine = Self::from_index(kg, index, cfg);
-        engine.metrics = Some(SearchMetrics::register(metrics));
-        engine
     }
 
     /// The token index the engine retrieves from.
     pub fn index(&self) -> &QueryIndex<'kg> {
-        &self.index
+        self.retriever.index()
     }
 
-    /// Score a single concept against query words.
+    fn kg(&self) -> &'kg AliCoCo {
+        self.index().kg()
+    }
+
+    /// Lexical score of a single concept against query words.
     fn score_concept(&self, cid: ConceptId, words: &FxHashSet<&str>) -> f64 {
-        let c = self.kg.concept(cid);
+        let kg = self.kg();
+        let c = kg.concept(cid);
         let concept_words: FxHashSet<&str> = c.name.split(' ').collect();
         let overlap = words.intersection(&concept_words).count() as f64;
         let mut score = overlap / concept_words.len().max(1) as f64;
         let prim_hits = c
             .primitives
             .iter()
-            .filter(|&&p| words.contains(self.kg.primitive(p).name.as_str()))
+            .filter(|&&p| words.contains(kg.primitive(p).name.as_str()))
             .count() as f64;
         score += self.cfg.primitive_weight * prim_hits;
         if score > 0.0 && !c.items.is_empty() {
             score += self.cfg.stocked_bonus;
         }
         score
-    }
-
-    /// Embed the query through the attached bundle, if any. `None` when
-    /// no bundle is attached or no query token is in the vocabulary.
-    fn query_vector(&self, query: &str) -> Option<Vec<f32>> {
-        self.ann.as_ref()?.embed_query(query)
-    }
-
-    /// The vector half of the fused score: `vector_weight · max(0, cos)`
-    /// against the concept's **exact stored vector** (the approximate
-    /// index only proposes candidates; it never scores them).
-    fn vector_bonus(&self, cid: ConceptId, qvec: Option<&[f32]>) -> f64 {
-        match (&self.ann, qvec) {
-            (Some(bundle), Some(q)) => {
-                let cos = bundle.concepts().sim_to(cid.index() as u32, q);
-                self.cfg.vector_weight * f64::from(cos.max(0.0))
-            }
-            _ => 0.0,
-        }
-    }
-
-    /// Fused score of one concept: lexical plus vector bonus.
-    fn fused_score(&self, cid: ConceptId, words: &FxHashSet<&str>, qvec: Option<&[f32]>) -> f64 {
-        self.score_concept(cid, words) + self.vector_bonus(cid, qvec)
-    }
-
-    /// Nearest-concept ids proposed by the HNSW index for an embedded
-    /// query, mapped back to [`ConceptId`]s (index slot `i` is the concept
-    /// with ordinal `i` — the bundle is built over concepts in id order).
-    fn ann_candidates(&self, qvec: Option<&[f32]>, k: usize) -> Vec<ConceptId> {
-        match (&self.ann, qvec) {
-            (Some(bundle), Some(q)) => bundle
-                .concepts()
-                .knn(q, self.cfg.ann_k.max(k), self.cfg.ann_ef)
-                .into_iter()
-                .map(|(id, _)| ConceptId::from_index(id as usize))
-                .collect(),
-            _ => Vec::new(),
-        }
     }
 
     /// Retrieve concept cards for a keyword query.
@@ -266,40 +183,35 @@ impl<'kg> SemanticSearch<'kg> {
         if words.is_empty() {
             return Vec::new();
         }
-        let mut clock = StageClock::started(self.metrics.is_some());
-        let (mut candidates, postings) =
-            self.index.concept_candidates_counted(words.iter().copied());
-        let qvec = self.query_vector(query);
-        let ann = self.ann_candidates(qvec.as_deref(), k);
-        if !ann.is_empty() {
-            let lexical: FxHashSet<ConceptId> = candidates.iter().copied().collect();
-            candidates.extend(ann.iter().filter(|cid| !lexical.contains(cid)));
-        }
-        if let Some(m) = &self.metrics {
-            m.requests.inc();
-            m.postings_hit.add(postings as u64);
-            m.ann_candidates.add(ann.len() as u64);
-            m.candidates_examined.add(candidates.len() as u64);
-            clock.lap(&m.retrieve_ns);
-        }
-        let mut top = TopK::new(k);
-        for cid in candidates {
-            let score = self.fused_score(cid, &words, qvec.as_deref());
-            if score > 0.0 {
-                top.push(cid, score);
-            }
-        }
-        if let Some(m) = &self.metrics {
-            clock.lap(&m.score_ns);
-        }
-        let cards = top
+        let m = &self.metrics;
+        let mut clock = StageClock::started(true);
+        let (lexical, postings) = self.retriever.concept_candidates(&words);
+        let qvec = self.retriever.embed(query);
+        clock.lap(&m.retrieve_ns);
+        let fused = self.retriever.fuse(
+            lexical.iter().map(|c| (c.index() as u32, ())),
+            AnnBundle::concepts,
+            qvec.as_deref(),
+            FUSION,
+            k,
+            |slot, _, bonus| {
+                let cid = ConceptId::from_index(slot as usize);
+                let score = self.score_concept(cid, &words) + bonus;
+                (score > 0.0).then_some(score)
+            },
+        );
+        m.requests.inc();
+        m.postings_hit.add(postings as u64);
+        m.ann_candidates.add(fused.proposed as u64);
+        m.candidates_examined.add(fused.examined as u64);
+        clock.lap(&m.score_ns);
+        let cards = fused
+            .top
             .into_sorted_vec()
             .into_iter()
-            .map(|(cid, score)| self.card(cid, score))
+            .map(|(slot, score)| self.card(ConceptId::from_index(slot as usize), score))
             .collect();
-        if let Some(m) = &self.metrics {
-            clock.lap(&m.rank_ns);
-        }
+        clock.lap(&m.rank_ns);
         cards
     }
 
@@ -314,11 +226,19 @@ impl<'kg> SemanticSearch<'kg> {
         if words.is_empty() {
             return Vec::new();
         }
-        let qvec = self.query_vector(query);
+        let qvec = self.retriever.embed(query);
         let mut scored: Vec<(ConceptId, f64)> = self
-            .kg
+            .kg()
             .concept_ids()
-            .map(|cid| (cid, self.fused_score(cid, &words, qvec.as_deref())))
+            .map(|cid| {
+                let bonus = self.retriever.bonus(
+                    AnnBundle::concepts,
+                    cid.index() as u32,
+                    qvec.as_deref(),
+                    FUSION.vector_weight,
+                );
+                (cid, self.score_concept(cid, &words) + bonus)
+            })
             .filter(|&(_, s)| s > 0.0)
             .collect();
         scored.sort_by(alicoco::rank::by_score_then_id);
@@ -335,7 +255,7 @@ impl<'kg> SemanticSearch<'kg> {
     /// caps the thread count (a batch of one, or one worker, degenerates
     /// to the sequential path).
     pub fn search_batch(&self, queries: &[&str]) -> Vec<Vec<ConceptCard>> {
-        let mut clock = StageClock::started(self.metrics.is_some());
+        let mut clock = StageClock::started(true);
         let workers = self.cfg.batch_workers.max(1).min(queries.len().max(1));
         let results = if workers <= 1 {
             queries.iter().map(|q| self.search(q)).collect()
@@ -354,26 +274,25 @@ impl<'kg> SemanticSearch<'kg> {
             });
             results
         };
-        if let Some(m) = &self.metrics {
-            m.batch_queries.add(queries.len() as u64);
-            clock.lap(&m.batch_ns);
-        }
+        self.metrics.batch_queries.add(queries.len() as u64);
+        clock.lap(&self.metrics.batch_ns);
         results
     }
 
     /// Render the card for a concept.
     pub fn card(&self, cid: ConceptId, score: f64) -> ConceptCard {
-        let c = self.kg.concept(cid);
+        let kg = self.kg();
+        let c = kg.concept(cid);
         let interpretation = c
             .primitives
             .iter()
             .map(|&p| {
-                let prim = self.kg.primitive(p);
-                let domain = self.kg.class(self.kg.class_domain(prim.class)).name.clone();
+                let prim = kg.primitive(p);
+                let domain = kg.class(kg.class_domain(prim.class)).name.clone();
                 (domain, prim.name.clone())
             })
             .collect();
-        let mut items = self.kg.items_for_concept(cid);
+        let mut items = kg.items_for_concept(cid);
         items.truncate(self.cfg.items_per_card);
         ConceptCard {
             concept: cid,
@@ -392,9 +311,9 @@ impl<'kg> SemanticSearch<'kg> {
         let mut seen: FxHashSet<ItemId> = FxHashSet::default();
         let mut top = TopK::new(k);
         for &w in &words {
-            for &i in self.index.items_by_token(w) {
+            for &i in self.index().items_by_token(w) {
                 if seen.insert(i) {
-                    let title = &self.kg.item(i).title;
+                    let title = &self.kg().item(i).title;
                     let hits = words
                         .iter()
                         .filter(|w| title.iter().any(|t| t == *w))
@@ -410,6 +329,21 @@ impl<'kg> SemanticSearch<'kg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A lexical engine over a fresh index, metrics into `reg`.
+    fn engine_in<'kg>(kg: &'kg AliCoCo, cfg: SearchConfig, reg: &Registry) -> SemanticSearch<'kg> {
+        SemanticSearch::new(Retriever::new(QueryIndex::build(kg), None), cfg, reg)
+    }
+
+    fn engine(kg: &AliCoCo, cfg: SearchConfig) -> SemanticSearch<'_> {
+        engine_in(kg, cfg, &Registry::new())
+    }
+
+    fn hybrid<'kg>(kg: &'kg AliCoCo, reg: &Registry) -> SemanticSearch<'kg> {
+        let bundle = Arc::new(alicoco_ann::build_default_bundle(kg));
+        let retriever = Retriever::new(QueryIndex::build(kg), Some(bundle));
+        SemanticSearch::new(retriever, SearchConfig::default(), reg)
+    }
 
     fn sample_kg() -> AliCoCo {
         let mut kg = AliCoCo::new();
@@ -433,7 +367,7 @@ mod tests {
     #[test]
     fn order_free_query_triggers_concept_card() {
         let kg = sample_kg();
-        let s = SemanticSearch::new(&kg, SearchConfig::default());
+        let s = engine(&kg, SearchConfig::default());
         let cards = s.search("barbecue outdoor");
         assert_eq!(cards.len(), 1);
         let card = &cards[0];
@@ -449,7 +383,7 @@ mod tests {
     fn search_top_with_cfg_k_is_search() {
         let kg = sample_kg();
         let cfg = SearchConfig::default();
-        let s = SemanticSearch::new(&kg, cfg);
+        let s = engine(&kg, cfg);
         assert_eq!(
             s.search("barbecue outdoor"),
             s.search_top("barbecue outdoor", cfg.k)
@@ -463,7 +397,7 @@ mod tests {
     #[test]
     fn partial_match_still_scores() {
         let kg = sample_kg();
-        let s = SemanticSearch::new(&kg, SearchConfig::default());
+        let s = engine(&kg, SearchConfig::default());
         let cards = s.search("barbecue");
         assert_eq!(cards.len(), 1);
         assert!(cards[0].score > 0.0);
@@ -472,7 +406,7 @@ mod tests {
     #[test]
     fn unrelated_query_returns_nothing() {
         let kg = sample_kg();
-        let s = SemanticSearch::new(&kg, SearchConfig::default());
+        let s = engine(&kg, SearchConfig::default());
         assert!(s.search("quantum physics").is_empty());
         assert!(s.search("").is_empty());
     }
@@ -480,7 +414,7 @@ mod tests {
     #[test]
     fn indexed_search_matches_reference_scan() {
         let kg = sample_kg();
-        let s = SemanticSearch::new(&kg, SearchConfig::default());
+        let s = engine(&kg, SearchConfig::default());
         for q in [
             "barbecue outdoor",
             "barbecue",
@@ -495,7 +429,7 @@ mod tests {
     #[test]
     fn keyword_fallback_matches_titles() {
         let kg = sample_kg();
-        let s = SemanticSearch::new(&kg, SearchConfig::default());
+        let s = engine(&kg, SearchConfig::default());
         let items = s.keyword_items("charcoal", 10);
         assert_eq!(items.len(), 1);
         assert_eq!(
@@ -512,13 +446,11 @@ mod tests {
         let mut kg = sample_kg();
         // Earlier-arena items each match one word; this one matches both.
         let both = kg.add_item(&["best".into(), "grill".into()]);
-        let items =
-            SemanticSearch::new(&kg, SearchConfig::default()).keyword_items("best grill", 2);
+        let items = engine(&kg, SearchConfig::default()).keyword_items("best grill", 2);
         assert_eq!(items[0], both, "two-word match must rank first");
         assert_eq!(items.len(), 2);
         // Tie on one word each: lower item id wins.
-        let tied =
-            SemanticSearch::new(&kg, SearchConfig::default()).keyword_items("brand charcoal", 10);
+        let tied = engine(&kg, SearchConfig::default()).keyword_items("brand charcoal", 10);
         assert_eq!(tied.len(), 2);
         assert!(
             tied[0] < tied[1],
@@ -532,7 +464,7 @@ mod tests {
         for i in 0..10 {
             kg.add_concept(&format!("barbecue idea {i}"));
         }
-        let s = SemanticSearch::new(
+        let s = engine(
             &kg,
             SearchConfig {
                 k: 2,
@@ -545,11 +477,10 @@ mod tests {
     #[test]
     fn instrumented_search_returns_identical_cards() {
         let kg = sample_kg();
-        let plain = SemanticSearch::new(&kg, SearchConfig::default());
         let reg = Registry::new();
-        let wired = SemanticSearch::with_metrics(&kg, SearchConfig::default(), &reg);
+        let wired = engine_in(&kg, SearchConfig::default(), &reg);
         for q in ["barbecue outdoor", "indoor", "", "nothing here"] {
-            assert_eq!(wired.search(q), plain.search(q), "query {q:?}");
+            assert_eq!(wired.search(q), wired.search_scan(q), "query {q:?}");
         }
         // Empty queries short-circuit before the request counter.
         assert_eq!(reg.counter("search.requests").get(), 3);
@@ -582,8 +513,12 @@ mod tests {
                 .into_iter()
                 .map(|(t, ids)| (t.to_string(), ids)),
         );
-        let fast = SemanticSearch::from_index(&kg, index, SearchConfig::default());
-        let fresh = SemanticSearch::new(&kg, SearchConfig::default());
+        let fast = SemanticSearch::new(
+            Retriever::new(index, None),
+            SearchConfig::default(),
+            &Registry::new(),
+        );
+        let fresh = engine(&kg, SearchConfig::default());
         for q in ["barbecue outdoor", "indoor", "grill", "nothing here", ""] {
             assert_eq!(fast.search(q), fresh.search(q), "query {q:?}");
         }
@@ -604,13 +539,12 @@ mod tests {
         let c2 = kg.concept_by_name("indoor yoga").unwrap();
         let mat = kg.add_item(&["yoga".into(), "mat".into()]);
         kg.link_concept_item(c2, mat, 0.7);
-        let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
         // "charcoal" appears only in an item title: the lexical engine is
         // structurally blind to it…
-        let lexical = SemanticSearch::new(&kg, SearchConfig::default());
+        let lexical = engine(&kg, SearchConfig::default());
         assert!(lexical.search("charcoal").is_empty());
         // …but the fused union proposes the barbecue concept.
-        let s = SemanticSearch::new(&kg, SearchConfig::default()).with_ann(Arc::clone(&bundle));
+        let s = hybrid(&kg, &Registry::new());
         let cards = s.search("charcoal");
         assert!(!cards.is_empty(), "fused path must propose a concept");
         assert_eq!(cards[0].name, "outdoor barbecue");
@@ -629,10 +563,8 @@ mod tests {
     #[test]
     fn hybrid_search_counts_ann_candidates() {
         let kg = sample_kg();
-        let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
         let reg = Registry::new();
-        let wired =
-            SemanticSearch::with_metrics(&kg, SearchConfig::default(), &reg).with_ann(bundle);
+        let wired = hybrid(&kg, &reg);
         let _ = wired.search("charcoal");
         assert!(reg.counter("search.ann_candidates").get() > 0);
         // Unknown-token queries embed to nothing and propose nothing.
@@ -647,7 +579,7 @@ mod tests {
         for i in 0..20 {
             kg.add_concept(&format!("barbecue idea {i}"));
         }
-        let s = SemanticSearch::new(
+        let s = engine(
             &kg,
             SearchConfig {
                 batch_workers: 3,

@@ -1,10 +1,20 @@
 //! Property tests for the serving layer: on random worlds, the inverted-
 //! index retrieval path must return exactly the cards (content and order)
-//! of the reference full-scan ranking, and sharded batch search must be
-//! indistinguishable from searching each query on its own.
+//! of the reference full-scan ranking, sharded batch search must be
+//! indistinguishable from searching each query on its own, and the one
+//! hybrid fusion must rank exactly as a brute-force scan of its formula.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use alicoco::query::QueryIndex;
+use alicoco::rank::by_score_then_id;
 use alicoco::AliCoCo;
+use alicoco_ann::{AnnBundle, Hnsw, HnswConfig, TokenTable};
+use alicoco_apps::retrieve::{Fusion, Retriever};
 use alicoco_apps::search::{SearchConfig, SemanticSearch};
+use alicoco_obs::Registry;
 use proptest::prelude::*;
 
 /// Shared vocabulary so random queries actually collide with random
@@ -83,6 +93,15 @@ fn build_world(spec: &WorldSpec) -> AliCoCo {
     kg
 }
 
+/// A lexical engine over a fresh index of `kg`.
+fn engine(kg: &AliCoCo, cfg: SearchConfig) -> SemanticSearch<'_> {
+    SemanticSearch::new(
+        Retriever::new(QueryIndex::build(kg), None),
+        cfg,
+        &Registry::new(),
+    )
+}
+
 fn query_strategy() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..16, 1..4) // indices past VOCAB give miss words
 }
@@ -112,7 +131,7 @@ proptest! {
         k in 1usize..6,
     ) {
         let kg = build_world(&spec);
-        let s = SemanticSearch::new(&kg, SearchConfig { k, ..Default::default() });
+        let s = engine(&kg, SearchConfig { k, ..Default::default() });
         let q = render_query(&query);
         prop_assert_eq!(s.search(&q), s.search_scan(&q), "query {:?}", q);
     }
@@ -125,10 +144,7 @@ proptest! {
         workers in 1usize..5,
     ) {
         let kg = build_world(&spec);
-        let s = SemanticSearch::new(
-            &kg,
-            SearchConfig { batch_workers: workers, ..Default::default() },
-        );
+        let s = engine(&kg, SearchConfig { batch_workers: workers, ..Default::default() });
         let rendered: Vec<String> = queries.iter().map(|q| render_query(q)).collect();
         let refs: Vec<&str> = rendered.iter().map(String::as_str).collect();
         let batched = s.search_batch(&refs);
@@ -147,7 +163,7 @@ proptest! {
         k in 1usize..6,
     ) {
         let kg = build_world(&spec);
-        let s = SemanticSearch::new(&kg, SearchConfig::default());
+        let s = engine(&kg, SearchConfig::default());
         let q = render_query(&query);
         let hits = s.keyword_items(&q, k);
         prop_assert!(hits.len() <= k);
@@ -162,5 +178,79 @@ proptest! {
         for &i in &hits {
             prop_assert!(overlap(i) > 0);
         }
+    }
+
+    /// The one oracle for the one fusion: with every stored vector
+    /// proposed (`ann_k ≥ n`), the fused top-`k` is the brute-force
+    /// ranking of `lexical + w·max(0, cos)` over all ids, an id that is
+    /// both lexical and proposed is scored once, and without a bundle the
+    /// ranking is the lexical one.
+    #[test]
+    fn fused_top_k_equals_brute_force_ranking(
+        vectors in prop::collection::vec(prop::collection::vec(-1.0f32..1.0, 4), 1..24),
+        query in prop::collection::vec(-1.0f32..1.0, 4),
+        lexical in prop::collection::vec((0u32..24, 1u32..300), 0..24),
+        weight in 0.0f64..1.0,
+        k in 1usize..8,
+    ) {
+        let n = vectors.len();
+        let mut stored = Hnsw::new(4, HnswConfig::default());
+        for v in &vectors {
+            stored.insert(v);
+        }
+        let lexical: BTreeMap<u32, f64> = lexical
+            .into_iter()
+            .map(|(slot, score)| (slot % n as u32, f64::from(score) / 100.0))
+            .collect();
+        let fusion = Fusion { vector_weight: weight, ann_k: n };
+        let cos = |slot: u32| {
+            let dot: f32 = stored.vector(slot).iter().zip(&query).map(|(a, b)| a * b).sum();
+            f64::from(dot.max(0.0))
+        };
+        let brute_force = |bonus: &dyn Fn(u32) -> f64| {
+            let mut all: Vec<(u32, f64)> = (0..n as u32)
+                .map(|slot| (slot, lexical.get(&slot).copied().unwrap_or(0.0) + bonus(slot)))
+                .filter(|&(_, score)| score > 0.0)
+                .collect();
+            all.sort_by(by_score_then_id);
+            all.truncate(k);
+            all
+        };
+        let keep_positive = |lex: Option<f64>, bonus: f64| {
+            let score = lex.unwrap_or(0.0) + bonus;
+            (score > 0.0).then_some(score)
+        };
+
+        let kg = AliCoCo::new();
+        let no_items = Hnsw::new(4, HnswConfig::default());
+        let bundle = AnnBundle::new(TokenTable::default(), stored.clone(), no_items);
+        let hybrid = Retriever::new(QueryIndex::build(&kg), Some(Arc::new(bundle)));
+        let scored = RefCell::new(vec![0usize; n]);
+        let fused = hybrid.fuse(
+            lexical.iter().map(|(&slot, &score)| (slot, score)),
+            AnnBundle::concepts,
+            Some(&query),
+            fusion,
+            k,
+            |slot, lex, bonus| {
+                scored.borrow_mut()[slot as usize] += 1;
+                keep_positive(lex, bonus)
+            },
+        );
+        prop_assert_eq!((fused.proposed, fused.examined), (n, n));
+        prop_assert_eq!(fused.top.into_sorted_vec(), brute_force(&|slot| weight * cos(slot)));
+        prop_assert!(scored.borrow().iter().all(|&times| times == 1));
+
+        let plain = Retriever::new(QueryIndex::build(&kg), None);
+        let fused = plain.fuse(
+            lexical.iter().map(|(&slot, &score)| (slot, score)),
+            AnnBundle::concepts,
+            Some(&query),
+            fusion,
+            k,
+            |_, lex, bonus| keep_positive(lex, bonus),
+        );
+        prop_assert_eq!((fused.proposed, fused.examined), (0, lexical.len()));
+        prop_assert_eq!(fused.top.into_sorted_vec(), brute_force(&|_| 0.0));
     }
 }

@@ -3,13 +3,17 @@
 //! plus the retrieval-at-scale comparison (linear scan vs. inverted index
 //! vs. shard-parallel batch) on a 50k-concept synthetic world.
 
+use std::sync::Arc;
+
+use alicoco::query::QueryIndex;
 use alicoco::AliCoCo;
 use alicoco_apps::{
-    CognitiveRecommender, RecommendConfig, RelevanceScorer, ScenarioQa, SearchConfig,
+    CognitiveRecommender, RecommendConfig, RelevanceScorer, Retriever, ScenarioQa, SearchConfig,
     SemanticSearch,
 };
 use alicoco_bench::{median_secs, scale_vocab, scale_world};
 use alicoco_corpus::{concept_relevant_item, Dataset};
+use alicoco_obs::Registry;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn ground_truth_kg(ds: &Dataset) -> AliCoCo {
@@ -51,12 +55,15 @@ fn bench_apps(c: &mut Criterion) {
     let ds = Dataset::tiny();
     let kg = ground_truth_kg(&ds);
 
-    let search = SemanticSearch::new(&kg, SearchConfig::default());
+    let reg = Registry::new();
+    let retriever = Retriever::new(QueryIndex::build(&kg), None);
+    let search = SemanticSearch::new(Arc::clone(&retriever), SearchConfig::default(), &reg);
     c.bench_function("apps/semantic_search", |b| {
         b.iter(|| black_box(search.search(black_box("outdoor barbecue"))))
     });
 
-    let recommender = CognitiveRecommender::new(&kg, RecommendConfig::default());
+    let recommender =
+        CognitiveRecommender::new(Arc::clone(&retriever), RecommendConfig::default(), &reg);
     let history: Vec<alicoco::ItemId> = kg
         .item_ids()
         .filter(|&i| !kg.concepts_for_item(i).is_empty())
@@ -66,15 +73,22 @@ fn bench_apps(c: &mut Criterion) {
         b.iter(|| black_box(recommender.recommend(black_box(&history))))
     });
     c.bench_function("apps/recommender_index_build", |b| {
-        b.iter(|| black_box(CognitiveRecommender::new(&kg, RecommendConfig::default())))
+        b.iter(|| {
+            let retriever = Retriever::new(QueryIndex::build(&kg), None);
+            black_box(CognitiveRecommender::new(
+                retriever,
+                RecommendConfig::default(),
+                &reg,
+            ))
+        })
     });
 
-    let qa = ScenarioQa::new(&kg);
+    let qa = ScenarioQa::new(Arc::clone(&retriever), &reg);
     c.bench_function("apps/question_answering", |b| {
         b.iter(|| black_box(qa.answer(black_box("what do i need for hiking?"))))
     });
 
-    let scorer = RelevanceScorer::build(&kg);
+    let scorer = RelevanceScorer::new(retriever, &reg);
     let q = vec!["top".to_string()];
     let item = kg.item_ids().next().unwrap();
     c.bench_function("apps/relevance_plain", |b| {
@@ -93,19 +107,23 @@ fn bench_search_at_scale(c: &mut Criterion) {
     const N_CONCEPTS: usize = 50_000;
     const BATCH: usize = 64;
     let kg = scale_world(N_CONCEPTS);
+    let reg = Registry::new();
+    let retriever = Retriever::new(QueryIndex::build(&kg), None);
     let engine = SemanticSearch::new(
-        &kg,
+        Arc::clone(&retriever),
         SearchConfig {
             batch_workers: 4,
             ..Default::default()
         },
+        &reg,
     );
     let sequential = SemanticSearch::new(
-        &kg,
+        retriever,
         SearchConfig {
             batch_workers: 1,
             ..Default::default()
         },
+        &reg,
     );
 
     let vocab = scale_vocab();

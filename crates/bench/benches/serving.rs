@@ -1,8 +1,9 @@
 //! Serving-path observability bench: on a 50k-concept world, measures the
-//! overhead of the instrumented search engine against the uninstrumented
-//! one (asserting identical answers first and gating the overhead under a
-//! few percent), then reports per-stage latency percentiles straight from
-//! the metric registry plus batch/QA/recommendation numbers. Also measures
+//! share of a search query spent in instrumentation — the obs calls one
+//! `search_top` makes, timed directly in a tight loop, over the measured
+//! per-query median — and gates it under a few percent, then reports
+//! per-stage latency percentiles straight from the metric registry plus
+//! batch/QA/recommendation numbers. Also measures
 //! the storage layer at 50k and at paper scale (1M concepts): cold
 //! save/load for both snapshot codecs plus *cold start to first answer* —
 //! TSV must fully materialize before it can answer a keyword probe, while
@@ -20,16 +21,19 @@
 //! gate, stamped with the machine's `cpus` so cpu-conditional floors
 //! apply.
 
+use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
+use alicoco::query::QueryIndex;
 use alicoco::snapshot::binary::SnapshotView;
 use alicoco::store::{BinaryStore, Store, TsvStore};
 use alicoco_ann::{Hnsw, HnswConfig};
 use alicoco_apps::{
-    CognitiveRecommender, RecommendConfig, ScenarioQa, SearchConfig, SemanticSearch,
+    CognitiveRecommender, RecommendConfig, Retriever, ScenarioQa, SearchConfig, SemanticSearch,
 };
 use alicoco_bench::{median_secs, scale_vocab, scale_world};
-use alicoco_obs::Registry;
+use alicoco_obs::{Registry, StageClock};
 
 const N_CONCEPTS: usize = 50_000;
 const N_CONCEPTS_1M: usize = 1_000_000;
@@ -39,6 +43,7 @@ const SNAPSHOT_ROUNDS: usize = 5;
 const SNAPSHOT_ROUNDS_1M: usize = 3;
 const BATCH: usize = 64;
 const MAX_OVERHEAD_PCT: f64 = 5.0;
+const OBS_ITERS: usize = 200_000;
 const ANN_VECTORS: usize = 100_000;
 const ANN_VECTORS_1M: usize = 1_000_000;
 const ANN_DIM: usize = 32;
@@ -67,6 +72,27 @@ fn round_secs(engine: &SemanticSearch, refs: &[&str]) -> f64 {
         std::hint::black_box(engine.search(q));
     }
     t.elapsed().as_secs_f64()
+}
+
+/// Seconds the obs calls of one `search_top` take: one clock start, four
+/// counter adds and three stage laps, on a scratch registry. Differencing
+/// two ~180 µs engine medians measured run-to-run noise (3.07 % one run,
+/// 0.14 % the next); this times the numerator itself.
+fn obs_calls_secs() -> f64 {
+    let scratch = Registry::new();
+    let counters = ["c0", "c1", "c2", "c3"].map(|name| scratch.counter(name));
+    let stages = ["h0", "h1", "h2"].map(|name| scratch.histogram(name));
+    let t = Instant::now();
+    for i in 0..OBS_ITERS {
+        let mut clock = StageClock::started(true);
+        for counter in &counters {
+            counter.add(black_box(i as u64));
+        }
+        for stage in &stages {
+            clock.lap(stage);
+        }
+    }
+    t.elapsed().as_secs_f64() / OBS_ITERS as f64
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -349,38 +375,22 @@ fn ann_costs(n: usize) -> AnnCosts {
 
 fn main() {
     let kg = scale_world(N_CONCEPTS);
-    let plain = SemanticSearch::new(&kg, SearchConfig::default());
+    let retriever = Retriever::new(QueryIndex::build(&kg), None);
     let registry = Registry::new();
-    let instrumented = SemanticSearch::with_metrics(&kg, SearchConfig::default(), &registry);
+    let engine = SemanticSearch::new(Arc::clone(&retriever), SearchConfig::default(), &registry);
 
     let qs = queries(QUERIES);
     let refs: Vec<&str> = qs.iter().map(String::as_str).collect();
 
-    // Correctness gate before any timing: instrumentation must never
-    // change an answer.
-    for q in &refs {
-        assert_eq!(
-            plain.search(q),
-            instrumented.search(q),
-            "instrumented search diverged on {q:?}"
-        );
-    }
-
-    // Interleaved rounds so drift (cache warmup, frequency scaling) hits
-    // both engines equally; medians damp outlier rounds.
-    let mut plain_rounds = Vec::with_capacity(ROUNDS);
-    let mut instr_rounds = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        plain_rounds.push(round_secs(&plain, &refs));
-        instr_rounds.push(round_secs(&instrumented, &refs));
-    }
-    let plain_med = median(plain_rounds);
-    let instr_med = median(instr_rounds);
-    let overhead_pct = (instr_med - plain_med) / plain_med * 100.0;
+    // Medians damp outlier rounds (cache warmup, frequency scaling).
+    let per_query_secs =
+        median((0..ROUNDS).map(|_| round_secs(&engine, &refs)).collect()) / QUERIES as f64;
+    let obs_secs = obs_calls_secs();
+    let overhead_pct = obs_secs / per_query_secs * 100.0;
     println!(
-        "serving/overhead: {:.2} us/query plain, {:.2} us/query instrumented ({overhead_pct:+.2}%)",
-        plain_med / QUERIES as f64 * 1e6,
-        instr_med / QUERIES as f64 * 1e6,
+        "serving/overhead: {:.2} us/query, {:.0} ns of it in obs calls ({overhead_pct:.2}%)",
+        per_query_secs * 1e6,
+        obs_secs * 1e9,
     );
     assert!(
         overhead_pct < MAX_OVERHEAD_PCT,
@@ -404,7 +414,7 @@ fn main() {
     let t = Instant::now();
     let mut batch_runs = 0usize;
     while batch_runs < 20 {
-        std::hint::black_box(instrumented.search_batch(&batch));
+        std::hint::black_box(engine.search_batch(&batch));
         batch_runs += 1;
     }
     let batch_secs = t.elapsed().as_secs_f64() / batch_runs as f64;
@@ -414,13 +424,13 @@ fn main() {
     // QA and recommendation latency percentiles via their own registries
     // (kept separate so search counts above stay those of the timed rounds).
     let aux = Registry::new();
-    let qa = ScenarioQa::with_metrics(&kg, &aux);
+    let qa = ScenarioQa::new(Arc::clone(&retriever), &aux);
     for q in refs.iter().take(256) {
         std::hint::black_box(qa.answer(&format!("what do i need for {q}?")));
     }
     let qa_snap = aux.histogram("qa.answer_ns").snapshot();
 
-    let recommender = CognitiveRecommender::with_metrics(&kg, RecommendConfig::default(), &aux);
+    let recommender = CognitiveRecommender::new(retriever, RecommendConfig::default(), &aux);
     let linked: Vec<alicoco::ItemId> = kg
         .item_ids()
         .filter(|&i| !kg.concepts_for_item(i).is_empty())
@@ -472,7 +482,7 @@ fn main() {
         "{{\n  \"n_concepts\": {N_CONCEPTS},\n  \"cpus\": {cpus},\n  \
          \"queries_per_round\": {QUERIES},\n  \
          \"rounds\": {ROUNDS},\n  \"search\": {{\n    \
-         \"plain_per_query_ns\": {:.0},\n    \"instrumented_per_query_ns\": {:.0},\n    \
+         \"instrumented_per_query_ns\": {:.0},\n    \
          \"overhead_pct\": {overhead_pct:.3},\n    \
          \"retrieve_p50_ns\": {},\n    \"retrieve_p99_ns\": {},\n    \
          \"score_p50_ns\": {},\n    \"score_p99_ns\": {},\n    \
@@ -486,8 +496,7 @@ fn main() {
          \"queries\": {ANN_QUERIES},\n      \"build_ns\": {:.0},\n      \
          \"recall_at_10\": {:.4},\n      \"p50_ns\": {},\n      \
          \"p99_ns\": {}\n    }}\n  }}\n}}\n",
-        plain_med / QUERIES as f64 * 1e9,
-        instr_med / QUERIES as f64 * 1e9,
+        per_query_secs * 1e9,
         retrieve.p50,
         retrieve.p99,
         score.p50,

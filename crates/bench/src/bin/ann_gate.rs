@@ -31,8 +31,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+use alicoco::query::QueryIndex;
 use alicoco_ann::AnnBundle;
-use alicoco_apps::{SearchConfig, SemanticSearch};
+use alicoco_apps::{Retriever, SearchConfig, SemanticSearch};
 use alicoco_bench::json::Json;
 use alicoco_bench::scale_world;
 use alicoco_obs::Registry;
@@ -209,7 +210,12 @@ fn main() -> ExitCode {
     let (p50_ns, p99_ns) = (pct(0.50), pct(0.99));
 
     // 2. Fused parity: hybrid search vs the exact fused-score scan.
-    let hybrid = SemanticSearch::new(&kg, SearchConfig::default()).with_ann(Arc::clone(&bundle));
+    let reg = Registry::new();
+    let hybrid = SemanticSearch::new(
+        Retriever::new(QueryIndex::build(&kg), Some(Arc::clone(&bundle))),
+        SearchConfig::default(),
+        &reg,
+    );
     let mut agreements = 0usize;
     for q in &queries {
         let fast: Vec<_> = hybrid.search(q).iter().map(|c| c.concept).collect();
@@ -223,7 +229,11 @@ fn main() -> ExitCode {
     // 3. Lexical-miss coverage: item-title-only tokens must reach
     // concepts through the vector path that the purely lexical engine
     // cannot serve at all.
-    let plain = SemanticSearch::new(&kg, SearchConfig::default());
+    let plain = SemanticSearch::new(
+        Retriever::new(QueryIndex::build(&kg), None),
+        SearchConfig::default(),
+        &reg,
+    );
     let probes = item_only_tokens(&kg);
     let mut miss_hits = 0usize;
     for token in &probes {

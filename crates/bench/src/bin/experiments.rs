@@ -738,12 +738,13 @@ fn recommendation() {
     let ds = medium_dataset();
     let (kg, _) = build_alicoco(&ds, &PipelineConfig::default());
     let recommender = alicoco_apps::CognitiveRecommender::new(
-        &kg,
+        alicoco_apps::Retriever::new(alicoco::query::QueryIndex::build(&kg), None),
         alicoco_apps::RecommendConfig {
             k: 3,
             items_per_card: 10,
             ..Default::default()
         },
+        &alicoco_obs::Registry::new(),
     );
     let mut rng = seeded_rng(82);
 

@@ -265,7 +265,12 @@ mod tests {
         kg.link_concept_item(c1, grill, 0.9);
         kg.link_concept_item(c1, charcoal, 0.8);
         kg.link_item_primitive(grill, bbq);
-        ServingPack::build(Arc::new(kg), &EngineConfig::default(), &Registry::new())
+        ServingPack::build_with_ann(
+            Arc::new(kg),
+            None,
+            &EngineConfig::default(),
+            &Registry::new(),
+        )
     }
 
     fn get(target: &str) -> Request {
@@ -381,8 +386,9 @@ mod tests {
         let slot = PackSlot::new(demo_pack());
         let before = handle(&get("/search?q=barbecue"), &slot.get(), &reg).1;
         assert!(String::from_utf8_lossy(&before.body).contains("outdoor barbecue"));
-        slot.swap(ServingPack::build(
+        slot.swap(ServingPack::build_with_ann(
             Arc::new(AliCoCo::new()),
+            None,
             &EngineConfig::default(),
             &reg,
         ));

@@ -7,11 +7,13 @@
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use alicoco::query::QueryIndex;
 use alicoco::AliCoCo;
 use alicoco_ann::AnnBundle;
 use alicoco_apps::qa::ScenarioQa;
 use alicoco_apps::recommend::{CognitiveRecommender, RecommendConfig};
 use alicoco_apps::relevance::RelevanceScorer;
+use alicoco_apps::retrieve::Retriever;
 use alicoco_apps::search::{SearchConfig, SemanticSearch};
 use alicoco_obs::Registry;
 
@@ -24,34 +26,31 @@ pub struct EngineConfig {
     pub recommend: RecommendConfig,
 }
 
-/// An immutable net and the four serving engines indexed over it.
+/// An immutable net and the four serving engines over its one shared
+/// [`Retriever`].
 ///
-/// The engines borrow the net, so the struct is self-referential: the
-/// borrows are extended to `'static` at construction and shrunk back at
-/// every accessor, and the `Arc` they actually point into is owned by
-/// the last field.
+/// The retriever's index borrows the net, so the struct is
+/// self-referential: the borrow is extended to `'static` at construction
+/// and shrunk back at every accessor, and the `Arc` it actually points
+/// into is owned by the last field.
 pub struct ServingPack {
     search: SemanticSearch<'static>,
     qa: ScenarioQa<'static>,
     recommend: CognitiveRecommender<'static>,
     relevance: RelevanceScorer<'static>,
     /// Declared after the engines: dropped last, so the `'static`
-    /// borrows above never dangle.
+    /// borrow above never dangles.
     kg: Arc<AliCoCo>,
 }
 
 impl ServingPack {
-    /// Build every engine over `kg`, registering metrics in `metrics`.
-    pub fn build(kg: Arc<AliCoCo>, cfg: &EngineConfig, metrics: &Registry) -> Arc<Self> {
-        Self::build_with_ann(kg, None, cfg, metrics)
-    }
-
-    /// [`build`](Self::build) with an optional retrieval bundle: when a
-    /// snapshot carries the `AVOC`/`ACON`/`AITM` trailer, every engine
-    /// gets the bundle attached and serves hybrid (lexical ∪ vector)
-    /// candidates. The bundle owns its vectors — it never borrows the
-    /// net, so attaching it adds nothing to the self-referential block
-    /// below.
+    /// Build one retriever over `kg` — the pack's only `QueryIndex` —
+    /// and the four engines that share it, registering their metrics in
+    /// `metrics`. When the snapshot carried the `AVOC`/`ACON`/`AITM`
+    /// trailer, pass its bundle as `ann` and every engine serves hybrid
+    /// (lexical ∪ vector) candidates. The bundle owns its vectors — it
+    /// never borrows the net, so it adds nothing to the self-referential
+    /// block below.
     pub fn build_with_ann(
         kg: Arc<AliCoCo>,
         ann: Option<Arc<AnnBundle>>,
@@ -63,25 +62,17 @@ impl ServingPack {
             // the `kg` field of the pack under construction. The
             // allocation's address is stable (`Arc` contents never
             // move), the net is immutable for the pack's whole life,
-            // and field order guarantees every engine drops before the
+            // and field order guarantees every engine — and with the
+            // last of them the retriever they share — drops before the
             // `Arc` it borrows from. The fabricated `'static` never
             // escapes: all accessors shrink it back to `&self`.
             unsafe { &*Arc::as_ptr(&kg) };
-        let mut search = SemanticSearch::with_metrics(graph, cfg.search, metrics);
-        let mut qa = ScenarioQa::with_metrics(graph, metrics);
-        let mut recommend = CognitiveRecommender::with_metrics(graph, cfg.recommend, metrics);
-        let mut relevance = RelevanceScorer::with_metrics(graph, metrics);
-        if let Some(bundle) = ann {
-            search = search.with_ann(Arc::clone(&bundle));
-            qa = qa.with_ann(Arc::clone(&bundle));
-            recommend = recommend.with_ann(Arc::clone(&bundle));
-            relevance = relevance.with_ann(bundle);
-        }
+        let retriever = Retriever::new(QueryIndex::build(graph), ann);
         Arc::new(ServingPack {
-            search,
-            qa,
-            recommend,
-            relevance,
+            search: SemanticSearch::new(Arc::clone(&retriever), cfg.search, metrics),
+            qa: ScenarioQa::new(Arc::clone(&retriever), metrics),
+            recommend: CognitiveRecommender::new(Arc::clone(&retriever), cfg.recommend, metrics),
+            relevance: RelevanceScorer::new(retriever, metrics),
             kg,
         })
     }
@@ -156,6 +147,10 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 mod tests {
     use super::*;
 
+    fn pack_of(kg: Arc<AliCoCo>, reg: &Registry) -> Arc<ServingPack> {
+        ServingPack::build_with_ann(kg, None, &EngineConfig::default(), reg)
+    }
+
     fn tiny_net() -> AliCoCo {
         let mut kg = AliCoCo::new();
         let root = kg.add_class("concept", None);
@@ -172,7 +167,7 @@ mod tests {
     fn pack_serves_after_the_building_scope_ends() {
         let pack = {
             let kg = Arc::new(tiny_net());
-            ServingPack::build(kg, &EngineConfig::default(), &Registry::new())
+            pack_of(kg, &Registry::new())
         };
         let cards = pack.search().search("barbecue");
         assert_eq!(cards.len(), 1);
@@ -180,16 +175,21 @@ mod tests {
     }
 
     #[test]
+    fn engines_share_one_index() {
+        let pack = pack_of(Arc::new(tiny_net()), &Registry::new());
+        let index = pack.search().index();
+        assert!(std::ptr::eq(index, pack.qa().index()));
+        assert!(std::ptr::eq(index, pack.recommender().index()));
+        assert!(std::ptr::eq(index.kg(), pack.graph()));
+    }
+
+    #[test]
     fn swap_leaves_old_clones_serving() {
         let reg = Registry::new();
-        let slot = PackSlot::new(ServingPack::build(
-            Arc::new(tiny_net()),
-            &EngineConfig::default(),
-            &reg,
-        ));
+        let slot = PackSlot::new(pack_of(Arc::new(tiny_net()), &reg));
         let old = slot.get();
         let empty = Arc::new(AliCoCo::new());
-        let prev = slot.swap(ServingPack::build(empty, &EngineConfig::default(), &reg));
+        let prev = slot.swap(pack_of(empty, &reg));
         // The old handle still answers even though the slot moved on.
         assert_eq!(old.search().search("barbecue").len(), 1);
         assert_eq!(prev.graph().num_items(), 1);
@@ -198,11 +198,7 @@ mod tests {
 
     #[test]
     fn packs_cross_threads() {
-        let pack = ServingPack::build(
-            Arc::new(tiny_net()),
-            &EngineConfig::default(),
-            &Registry::new(),
-        );
+        let pack = pack_of(Arc::new(tiny_net()), &Registry::new());
         let p = Arc::clone(&pack);
         let n = std::thread::spawn(move || p.search().search("barbecue").len())
             .join()

@@ -60,7 +60,7 @@ pub fn start_server(cfg: ServeConfig) -> Server {
 /// Start a server over a given net.
 pub fn start_server_on(kg: Arc<AliCoCo>, cfg: ServeConfig) -> Server {
     let metrics = Registry::new();
-    let pack = ServingPack::build(kg, &EngineConfig::default(), &metrics);
+    let pack = ServingPack::build_with_ann(kg, None, &EngineConfig::default(), &metrics);
     let slot = Arc::new(PackSlot::new(pack));
     Server::start(slot, cfg, metrics).expect("bind test server")
 }

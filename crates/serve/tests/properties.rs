@@ -237,7 +237,12 @@ proptest! {
         query in query_strategy(),
     ) {
         let kg = build_world(&spec);
-        let pack = ServingPack::build(Arc::new(kg), &EngineConfig::default(), &Registry::new());
+        let pack = ServingPack::build_with_ann(
+            Arc::new(kg),
+            None,
+            &EngineConfig::default(),
+            &Registry::new(),
+        );
         let cards = pack.search().search(&query);
         prop_assert_eq!(json::render_search(&cards), json::render_search(&cards));
         let again = pack.search().search(&query);
@@ -274,7 +279,7 @@ proptest! {
     ) {
         let kg = Arc::new(build_world(&spec));
         let server = common::start_server_on(Arc::clone(&kg), common::test_cfg());
-        let pack = ServingPack::build(kg, &EngineConfig::default(), &Registry::new());
+        let pack = ServingPack::build_with_ann(kg, None, &EngineConfig::default(), &Registry::new());
         let reply = common::get(
             &server,
             &format!("/search?q={}&k={k}", query.replace(' ', "+")),

@@ -30,10 +30,12 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
+use std::sync::Arc;
 
+use alicoco::query::QueryIndex;
 use alicoco::{store, AliCoCo, Stats};
 use alicoco_apps::{
-    CognitiveRecommender, RecommendConfig, RelevanceScorer, ScenarioQa, SearchConfig,
+    CognitiveRecommender, RecommendConfig, RelevanceScorer, Retriever, ScenarioQa, SearchConfig,
     SemanticSearch,
 };
 use alicoco_corpus::{Dataset, WorldConfig};
@@ -217,10 +219,15 @@ fn cmd_stats(args: &[String], metrics: &Registry) -> CliResult {
     Ok(())
 }
 
+/// The lexical retriever the one-shot commands serve from.
+fn retriever(kg: &AliCoCo) -> Arc<Retriever<'_>> {
+    Retriever::new(QueryIndex::build(kg), None)
+}
+
 fn cmd_search(args: &[String], metrics: &Registry) -> CliResult {
     let kg = load_net(require(args, 0, "snapshot path")?, metrics)?;
     let query = require(args, 1, "query")?;
-    let engine = SemanticSearch::with_metrics(&kg, SearchConfig::default(), metrics);
+    let engine = SemanticSearch::new(retriever(&kg), SearchConfig::default(), metrics);
     let cards = engine.search(query);
     if cards.is_empty() {
         println!("no concept card for {query:?}; keyword items:");
@@ -244,7 +251,7 @@ fn cmd_search(args: &[String], metrics: &Registry) -> CliResult {
 fn cmd_qa(args: &[String], metrics: &Registry) -> CliResult {
     let kg = load_net(require(args, 0, "snapshot path")?, metrics)?;
     let question = require(args, 1, "question")?;
-    match ScenarioQa::with_metrics(&kg, metrics).answer(question) {
+    match ScenarioQa::new(retriever(&kg), metrics).answer(question) {
         Some(a) => {
             println!("for \"{}\" you will need:", a.concept_name);
             for e in &a.checklist {
@@ -271,7 +278,7 @@ fn cmd_recommend(args: &[String], metrics: &Registry) -> CliResult {
     for &i in &history {
         println!("  viewed {}", kg.item(i).title.join(" "));
     }
-    let rec = CognitiveRecommender::with_metrics(&kg, RecommendConfig::default(), metrics);
+    let rec = CognitiveRecommender::new(retriever(&kg), RecommendConfig::default(), metrics);
     for r in rec.recommend(&history) {
         println!("[{:.2}] {}", r.affinity, r.name);
         println!("    {}", r.reason.text(&kg, &r.name));
@@ -337,8 +344,9 @@ fn demo_net() -> AliCoCo {
 /// exported registry contains a sample of each metric family.
 fn cmd_demo(metrics: &Registry) -> CliResult {
     let kg = demo_net();
+    let shared = retriever(&kg);
 
-    let search = SemanticSearch::with_metrics(&kg, SearchConfig::default(), metrics);
+    let search = SemanticSearch::new(Arc::clone(&shared), SearchConfig::default(), metrics);
     let mut cards = 0;
     for q in ["barbecue outdoor", "outdoor", "indoor yoga"] {
         cards += search.search(q).len();
@@ -350,18 +358,18 @@ fn cmd_demo(metrics: &Registry) -> CliResult {
         .sum::<usize>();
     println!("search: {cards} concept cards over 5 queries");
 
-    let qa = ScenarioQa::with_metrics(&kg, metrics);
+    let qa = ScenarioQa::new(Arc::clone(&shared), metrics);
     let answered = ["What should I prepare for a barbecue?", "Quiet evening?"]
         .iter()
         .filter(|q| qa.answer(q).is_some())
         .count();
     println!("qa: {answered} of 2 questions answered");
 
-    let rec = CognitiveRecommender::with_metrics(&kg, RecommendConfig::default(), metrics);
+    let rec = CognitiveRecommender::new(Arc::clone(&shared), RecommendConfig::default(), metrics);
     let history: Vec<alicoco::ItemId> = kg.item_ids().take(1).collect();
     println!("recommend: {} cards", rec.recommend(&history).len());
 
-    let scorer = RelevanceScorer::with_metrics(&kg, metrics);
+    let scorer = RelevanceScorer::new(shared, metrics);
     let hits = scorer.top_items_expanded(&["barbecue".to_string()], 5);
     println!("relevance: {} items after isA expansion", hits.len());
 

@@ -7,10 +7,12 @@
 //! cargo run --release -p alicoco-suite --example cognitive_recommendation
 //! ```
 
+use alicoco::query::QueryIndex;
 use alicoco::ItemId;
-use alicoco_apps::{CognitiveRecommender, RecommendConfig};
+use alicoco_apps::{CognitiveRecommender, RecommendConfig, Retriever};
 use alicoco_corpus::Dataset;
 use alicoco_mining::pipeline::{build_alicoco, PipelineConfig};
+use alicoco_obs::Registry;
 
 fn main() {
     println!("building AliCoCo (tiny world)...");
@@ -32,7 +34,11 @@ fn main() {
         println!("  viewed: {}", kg.item(i).title.join(" "));
     }
 
-    let recommender = CognitiveRecommender::new(&kg, RecommendConfig::default());
+    let recommender = CognitiveRecommender::new(
+        Retriever::new(QueryIndex::build(&kg), None),
+        RecommendConfig::default(),
+        &Registry::new(),
+    );
     println!("\nrecommended concept cards:");
     for rec in recommender.recommend(&history) {
         println!("\n┌─ \"{}\"  (affinity {:.2})", rec.name, rec.affinity);

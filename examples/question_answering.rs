@@ -7,9 +7,11 @@
 //!     "what should i prepare for hosting next week's barbecue?"
 //! ```
 
-use alicoco_apps::ScenarioQa;
+use alicoco::query::QueryIndex;
+use alicoco_apps::{Retriever, ScenarioQa};
 use alicoco_corpus::Dataset;
 use alicoco_mining::pipeline::{build_alicoco, PipelineConfig};
+use alicoco_obs::Registry;
 
 fn main() {
     let question = std::env::args()
@@ -27,7 +29,10 @@ fn main() {
         ..Default::default()
     };
     let (kg, _) = build_alicoco(&ds, &cfg);
-    let qa = ScenarioQa::new(&kg);
+    let qa = ScenarioQa::new(
+        Retriever::new(QueryIndex::build(&kg), None),
+        &Registry::new(),
+    );
 
     println!("\nQ: {question}");
     match qa.answer(&question) {

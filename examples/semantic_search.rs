@@ -6,9 +6,11 @@
 //! cargo run --release -p alicoco-suite --example semantic_search -- "barbecue outdoor"
 //! ```
 
-use alicoco_apps::{SearchConfig, SemanticSearch};
+use alicoco::query::QueryIndex;
+use alicoco_apps::{Retriever, SearchConfig, SemanticSearch};
 use alicoco_corpus::Dataset;
 use alicoco_mining::pipeline::{build_alicoco, PipelineConfig};
+use alicoco_obs::Registry;
 
 fn main() {
     let query = std::env::args()
@@ -17,7 +19,8 @@ fn main() {
     println!("building AliCoCo (tiny world)...");
     let ds = Dataset::tiny();
     let (kg, _) = build_alicoco(&ds, &PipelineConfig::default());
-    let engine = SemanticSearch::new(&kg, SearchConfig::default());
+    let retriever = Retriever::new(QueryIndex::build(&kg), None);
+    let engine = SemanticSearch::new(retriever, SearchConfig::default(), &Registry::new());
 
     println!("\nsearch: {query:?}\n");
     let cards = engine.search(&query);

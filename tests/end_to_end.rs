@@ -156,8 +156,15 @@ fn built_net_is_structurally_valid_and_serves_applications() {
         "pipeline output invalid: {violations:?}"
     );
 
-    // §8.1 semantic search on the real build.
-    let engine = alicoco_apps::SemanticSearch::new(kg, alicoco_apps::SearchConfig::default());
+    // §8.1 semantic search on the real build; both engines share one
+    // retriever, as they do in a serving pack.
+    let retriever = alicoco_apps::Retriever::new(alicoco::query::QueryIndex::build(kg), None);
+    let reg = alicoco_obs::Registry::new();
+    let engine = alicoco_apps::SemanticSearch::new(
+        std::sync::Arc::clone(&retriever),
+        alicoco_apps::SearchConfig::default(),
+        &reg,
+    );
     let stocked = kg
         .concept_ids()
         .find(|&c| !kg.concept(c).items.is_empty())
@@ -173,7 +180,11 @@ fn built_net_is_structurally_valid_and_serves_applications() {
         .filter(|&i| !kg.concepts_for_item(i).is_empty())
         .take(2)
         .collect();
-    let rec = alicoco_apps::CognitiveRecommender::new(kg, alicoco_apps::RecommendConfig::default());
+    let rec = alicoco_apps::CognitiveRecommender::new(
+        retriever,
+        alicoco_apps::RecommendConfig::default(),
+        &reg,
+    );
     let out = rec.recommend(&history);
     assert!(!out.is_empty(), "no recommendations from linked history");
     // Reasons render to non-empty text.
