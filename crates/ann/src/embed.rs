@@ -137,6 +137,23 @@ mod tests {
         assert_eq!(a.items().len(), kg.num_items());
     }
 
+    /// The default bundle of the sample world, byte for byte what commit
+    /// 37f4a0a built (FNV-1a of the vocab, concept-index and item-index
+    /// payloads): embeddings and both graphs are pinned across changes to
+    /// the HNSW walk's scratch.
+    #[test]
+    fn default_bundle_encodes_to_the_golden_bytes() {
+        let fnv = |bytes: Vec<u8>| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let (vocab, concepts, items) = build_default_bundle(&sample_kg()).encode();
+        assert_eq!(fnv(vocab), 0xdc4f_b883_f75c_c73e);
+        assert_eq!(fnv(concepts), 0x6574_b703_5c5b_8a06);
+        assert_eq!(fnv(items), 0x4b1a_ee78_5b83_60bf);
+    }
+
     #[test]
     fn item_title_tokens_reach_their_concepts() {
         // "charcoal" appears only in an item title, never in a concept

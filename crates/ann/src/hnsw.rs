@@ -16,18 +16,25 @@
 //!   always [`encode`](Hnsw::encode)s to the same bytes — asserted by the
 //!   determinism tests and relied on by the snapshot codec.
 //!
+//! The graph walk keeps its working set — the visited marks and the two
+//! heaps of `Hnsw::search_layer` — in a per-thread scratch that outlives
+//! the call, so neither `insert` nor `knn` hashes or allocates per node
+//! visited. The scratch is not part of the index: it changes how set
+//! membership is stored, never which nodes are members, so the built graph
+//! and its bytes do not depend on it.
+//!
 //! Similarity is the dot product of stored vectors. [`Hnsw::insert`]
 //! L2-normalizes the copy it stores, so with normalized queries the score
 //! is cosine similarity. [`Hnsw::scan_knn`] is the exact brute-force
 //! oracle the approximate [`Hnsw::knn`] is recall-gated against (same
 //! oracle pattern as `SemanticSearch::search_scan`).
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use alicoco::snapshot::LoadError;
 use alicoco_nn::rank::{self, Ranked, TopK};
-use alicoco_nn::util::FxHashSet;
 
 /// Hard cap on assigned levels; with `m ≥ 4` the geometric level
 /// distribution makes reaching it astronomically unlikely, but the cap
@@ -79,6 +86,54 @@ pub struct Hnsw {
     /// `links[id][level]` = neighbor ids of `id` at `level`
     /// (`levels[id] + 1` lists per node).
     links: Vec<Vec<Vec<u32>>>,
+}
+
+/// The working set of one [`Hnsw::search_layer`] call, kept per thread and
+/// reused by every index searched on it (a serving worker walks the concept
+/// and the item index alternately).
+#[derive(Default)]
+struct SearchScratch {
+    /// `stamps[id] == generation` ⇔ `id` was visited by the current search.
+    /// Grown to the largest index seen; never shrunk.
+    stamps: Vec<u32>,
+    /// Bumped per search, which un-visits every node at once.
+    generation: u32,
+    /// Max-heap root = worst kept result (`Ord` *is* the ranking order).
+    results: BinaryHeap<Ranked<u32, f32>>,
+    /// `Reverse` ⇒ pops the rank-best unexplored candidate first.
+    frontier: BinaryHeap<Reverse<Ranked<u32, f32>>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<SearchScratch> = RefCell::default();
+}
+
+impl SearchScratch {
+    /// Start a search over an index of `n` nodes with nothing visited.
+    fn begin(&mut self, n: usize) {
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: a stamp left by search 1 would read as visited now.
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+        self.results.clear();
+        self.frontier.clear();
+    }
+
+    /// Mark `id` visited; `true` the first time in this search.
+    fn visit(&mut self, id: u32) -> bool {
+        match self.stamps.get_mut(id as usize) {
+            Some(stamp) if *stamp != self.generation => {
+                *stamp = self.generation;
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// L2-normalize in place; zero vectors stay zero.
@@ -217,50 +272,52 @@ impl Hnsw {
     /// `ef` results best-first under the ranking order.
     fn search_layer(&self, q: &[f32], eps: &[u32], ef: usize, level: usize) -> Vec<(u32, f32)> {
         let ef = ef.max(1);
-        let mut visited: FxHashSet<u32> = FxHashSet::default();
-        // Max-heap root = worst kept result (Ord *is* the ranking order).
-        let mut results: BinaryHeap<Ranked<u32, f32>> = BinaryHeap::new();
-        // Reverse ⇒ pops the rank-best unexplored candidate first.
-        let mut frontier: BinaryHeap<Reverse<Ranked<u32, f32>>> = BinaryHeap::new();
-        for &e in eps {
-            if visited.insert(e) {
-                let s = self.sim_to(e, q);
-                results.push(Ranked(e, s));
-                frontier.push(Reverse(Ranked(e, s)));
-            }
-        }
-        while results.len() > ef {
-            results.pop();
-        }
-        while let Some(Reverse(cand)) = frontier.pop() {
-            if results.len() >= ef {
-                match results.peek() {
-                    Some(worst) if cand > *worst => break,
-                    _ => {}
+        SCRATCH.with_borrow_mut(|scratch| {
+            scratch.begin(self.len());
+            for &e in eps {
+                if scratch.visit(e) {
+                    let s = self.sim_to(e, q);
+                    scratch.results.push(Ranked(e, s));
+                    scratch.frontier.push(Reverse(Ranked(e, s)));
                 }
             }
-            for &nb in self.neighbors(cand.0, level) {
-                if !visited.insert(nb) {
-                    continue;
+            while scratch.results.len() > ef {
+                scratch.results.pop();
+            }
+            while let Some(Reverse(cand)) = scratch.frontier.pop() {
+                if scratch.results.len() >= ef {
+                    match scratch.results.peek() {
+                        Some(worst) if cand > *worst => break,
+                        _ => {}
+                    }
                 }
-                let s = self.sim_to(nb, q);
-                let keep =
-                    results.len() < ef || results.peek().is_none_or(|worst| Ranked(nb, s) < *worst);
-                if keep {
-                    frontier.push(Reverse(Ranked(nb, s)));
-                    results.push(Ranked(nb, s));
-                    if results.len() > ef {
-                        results.pop();
+                for &nb in self.neighbors(cand.0, level) {
+                    if !scratch.visit(nb) {
+                        continue;
+                    }
+                    let s = self.sim_to(nb, q);
+                    let keep = scratch.results.len() < ef
+                        || scratch
+                            .results
+                            .peek()
+                            .is_none_or(|worst| Ranked(nb, s) < *worst);
+                    if keep {
+                        scratch.frontier.push(Reverse(Ranked(nb, s)));
+                        scratch.results.push(Ranked(nb, s));
+                        if scratch.results.len() > ef {
+                            scratch.results.pop();
+                        }
                     }
                 }
             }
-        }
-        // Ascending under the ranking Ord = best-first.
-        results
-            .into_sorted_vec()
-            .into_iter()
-            .map(|r| (r.0, r.1))
-            .collect()
+            // Ascending under the ranking Ord = best-first. The emptied buffer
+            // goes back so the next search starts with its capacity.
+            let mut sorted = std::mem::take(&mut scratch.results).into_sorted_vec();
+            let out = sorted.iter().map(|r| (r.0, r.1)).collect();
+            sorted.clear();
+            scratch.results = sorted.into();
+            out
+        })
     }
 
     /// The HNSW neighbor-selection heuristic, made deterministic: walk
@@ -641,6 +698,7 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alicoco_nn::util::FxHashSet;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -800,6 +858,57 @@ mod tests {
         }
         let recall = hit as f64 / total as f64;
         assert!(recall >= 0.9, "recall@10 {recall} below the gate floor");
+    }
+
+    /// `knn` on a thread whose scratch nothing has touched yet.
+    fn knn_on_fresh_thread(h: &Hnsw, q: &[f32], k: usize, ef: usize) -> Vec<(u32, f32)> {
+        std::thread::scope(|s| s.spawn(|| h.knn(q, k, ef)).join().unwrap())
+    }
+
+    #[test]
+    fn one_scratch_serves_indexes_of_different_sizes() {
+        // A serving worker walks the concept and the item index in turn:
+        // marks left by a search of the big index must not read as visited
+        // in the small one, or the other way round.
+        let big = build(&random_vectors(300, 8, 31), HnswConfig::default());
+        let small = build(&random_vectors(40, 8, 32), HnswConfig::default());
+        let queries = random_vectors(12, 8, 33);
+        for q in &queries {
+            assert_eq!(big.knn(q, 10, 64), knn_on_fresh_thread(&big, q, 10, 64));
+            assert_eq!(small.knn(q, 10, 64), knn_on_fresh_thread(&small, q, 10, 64));
+        }
+    }
+
+    #[test]
+    fn generation_wraparound_unvisits_everything() {
+        let vectors = random_vectors(80, 8, 41);
+        let h = build(&vectors, HnswConfig::default());
+        // What a generation-1 search that visited every node leaves behind,
+        // with the counter about to wrap back onto it.
+        SCRATCH.with_borrow_mut(|s| {
+            s.begin(h.len());
+            s.stamps.fill(1);
+            s.generation = u32::MAX;
+        });
+        for q in vectors.iter().take(6) {
+            assert_eq!(h.knn(q, 10, 80), h.scan_knn(q, 10));
+        }
+        SCRATCH.with_borrow(|s| assert_eq!(s.generation, 6, "the counter wrapped"));
+    }
+
+    #[test]
+    fn knn_sees_nodes_inserted_after_the_scratch_was_sized() {
+        let vectors = random_vectors(120, 8, 51);
+        let mut h = build(&vectors[..30], HnswConfig::default());
+        assert_eq!(h.knn(&vectors[3], 5, 30), h.scan_knn(&vectors[3], 5));
+        for v in &vectors[30..] {
+            h.insert(v);
+        }
+        for (qi, q) in vectors.iter().enumerate().skip(30).step_by(17) {
+            let got = h.knn(q, 10, 120);
+            assert_eq!(got, h.scan_knn(q, 10), "query {qi}");
+            assert_eq!(got.first().map(|&(id, _)| id), Some(qi as u32));
+        }
     }
 
     #[test]

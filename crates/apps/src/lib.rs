@@ -20,11 +20,15 @@
 //!
 //! The four engines are views over **one** [`retrieve::Retriever`]: the
 //! net's single `QueryIndex`, its optional ANN bundle, and the one hybrid
-//! fusion (lexical ∪ HNSW proposals → exact rescoring → top-`k`). Each
-//! engine has one constructor, `Engine::new(retriever, cfg-if-any,
-//! &Registry)`; its fusion weights are constants beside its scoring
-//! formula, and its metric handles are always registered — a caller that
-//! does not read them passes `&Registry::new()`.
+//! fusion (lexical ∪ HNSW proposals → exact rescoring → top-`k`). Search
+//! and QA also share its one lexical scorer, [`Retriever::rank_concepts`]:
+//! two weight sets over the integer match counts the index's posting merge
+//! yields, so no concept or primitive name is read while a request is
+//! scored (the string scans survive as the oracles `search_scan` and
+//! `resolve_scan`). Each engine has one constructor,
+//! `Engine::new(retriever, cfg-if-any, &Registry)`; its fusion weights are
+//! constants beside its scoring formula, and its metric handles are always
+//! registered — a caller that does not read them passes `&Registry::new()`.
 
 pub mod qa;
 pub mod recommend;

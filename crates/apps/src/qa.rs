@@ -11,7 +11,7 @@ use alicoco_ann::AnnBundle;
 use alicoco_nn::util::FxHashSet;
 use alicoco_obs::{Counter, Histogram, Registry, SpanTimer};
 
-use crate::retrieve::{Fusion, Retriever};
+use crate::retrieve::{Fusion, LexicalWeights, Retriever};
 
 /// QA's fusion constants: a full cosine is worth half a surface word, and
 /// the index proposes 8 concepts per question — resolution wants one
@@ -21,6 +21,16 @@ use crate::retrieve::{Fusion, Retriever};
 const FUSION: Fusion = Fusion {
     vector_weight: 0.5,
     ann_k: 8,
+};
+
+/// QA's weights over a concept's match counts: one per surface word, half
+/// per named primitive, then vectors, then `+0.25` for a stocked concept
+/// so it wins ties.
+const WEIGHTS: LexicalWeights = LexicalWeights {
+    surface_coverage: false,
+    primitive_weight: 0.5,
+    stocked_bonus: 0.25,
+    stock_before_vectors: false,
 };
 
 /// Pre-registered `qa.*` metric handles.
@@ -77,8 +87,9 @@ const QUESTION_WORDS: &[&str] = &[
 /// The QA engine: strips question scaffolding, resolves remaining content
 /// words against the concept layer (via primitives, so "barbecue" resolves
 /// even when the concept is "outdoor barbecue"). Resolution scores only
-/// the concepts on the content words' posting lists — the full concept
-/// layer is never scanned.
+/// the concepts on the content words' posting lists, from the integer
+/// facts the index keeps beside them ([`Retriever::rank_concepts`]) — the
+/// full concept layer is never scanned and no name is read.
 pub struct ScenarioQa<'kg> {
     retriever: Arc<Retriever<'kg>>,
     metrics: QaMetrics,
@@ -109,20 +120,6 @@ impl<'kg> ScenarioQa<'kg> {
             .collect()
     }
 
-    /// Score one concept against the question's content words.
-    fn match_score(&self, cid: ConceptId, word_set: &FxHashSet<&str>) -> f64 {
-        let kg = self.index().kg();
-        let c = kg.concept(cid);
-        let surf: FxHashSet<&str> = c.name.split(' ').collect();
-        let overlap = word_set.intersection(&surf).count() as f64;
-        let prim = c
-            .primitives
-            .iter()
-            .filter(|&&p| word_set.contains(kg.primitive(p).name.as_str()))
-            .count() as f64;
-        overlap + 0.5 * prim
-    }
-
     /// Answer a scenario question, if a concept resolves.
     ///
     /// Resolution prefers concepts with suggested items; when the best match
@@ -139,40 +136,83 @@ impl<'kg> ScenarioQa<'kg> {
         out
     }
 
-    fn answer_impl(&self, question: &str) -> Option<Answer> {
-        let words = Self::content_words(question);
+    /// The scenario concept the content words resolve to.
+    ///
+    /// Only concepts on the content words' posting lists can have a
+    /// positive lexical score; with a bundle attached the HNSW nearest
+    /// concepts of the embedded question join the candidate union and
+    /// everything is scored lexical + vector. The single best is kept
+    /// (ties resolve to the lowest concept id, as a full in-order scan
+    /// would).
+    fn resolve(&self, words: &[String]) -> Option<ConceptId> {
         if words.is_empty() {
             return None;
         }
-        let kg = self.index().kg();
-        let word_set: FxHashSet<&str> = words.iter().map(String::as_str).collect();
-        // Only concepts on the content words' posting lists can have a
-        // positive lexical score; with a bundle attached the HNSW nearest
-        // concepts of the embedded question join the candidate union and
-        // everything is scored lexical + vector. Keep the single best
-        // (ties resolve to the lowest concept id, as a full in-order scan
-        // would).
-        let (lexical, _) = self.retriever.concept_candidates(&word_set);
         let qvec = self.retriever.embed(&words.join(" "));
-        let best = self.retriever.fuse(
-            lexical.iter().map(|c| (c.index() as u32, ())),
-            AnnBundle::concepts,
+        let (best, _) = self.retriever.rank_concepts(
+            words.iter().map(String::as_str),
             qvec.as_deref(),
+            &WEIGHTS,
             FUSION,
             1,
-            |slot, _, bonus| {
-                let cid = ConceptId::from_index(slot as usize);
-                let base = self.match_score(cid, &word_set) + bonus;
-                (base > 0.0).then(|| {
-                    // Stocked concepts get a bonus so they win ties.
-                    let stocked = !kg.concept(cid).items.is_empty();
-                    base + if stocked { 0.25 } else { 0.0 }
-                })
-            },
         );
         self.metrics.candidates.add(best.examined as u64);
         let (slot, _) = best.top.into_sorted_vec().into_iter().next()?;
-        let cid = ConceptId::from_index(slot as usize);
+        Some(ConceptId::from_index(slot as usize))
+    }
+
+    /// The oracle's score of one concept, from its strings.
+    fn match_score(&self, cid: ConceptId, word_set: &FxHashSet<&str>) -> f64 {
+        let kg = self.index().kg();
+        let c = kg.concept(cid);
+        let surf: FxHashSet<&str> = c.name.split(' ').collect();
+        let overlap = word_set.intersection(&surf).count() as f64;
+        let prim = c
+            .primitives
+            .iter()
+            .filter(|&&p| word_set.contains(kg.primitive(p).name.as_str()))
+            .count() as f64;
+        overlap + 0.5 * prim
+    }
+
+    /// Reference resolution: score every concept in the net from its name
+    /// and primitive names, plus the exact vector bonus when a bundle is
+    /// attached, and keep the best (lowest id on ties). The oracle of the
+    /// concept [`answer`](Self::answer) resolves to; on a hybrid pack the
+    /// two can differ only by an HNSW proposal miss.
+    pub fn resolve_scan(&self, question: &str) -> Option<ConceptId> {
+        let words = Self::content_words(question);
+        let word_set: FxHashSet<&str> = words.iter().map(String::as_str).collect();
+        if word_set.is_empty() {
+            return None;
+        }
+        let kg = self.index().kg();
+        let qvec = self.retriever.embed(&words.join(" "));
+        let mut best: Option<(ConceptId, f64)> = None;
+        for cid in kg.concept_ids() {
+            let bonus = self.retriever.bonus(
+                AnnBundle::concepts,
+                cid.index() as u32,
+                qvec.as_deref(),
+                FUSION.vector_weight,
+            );
+            let base = self.match_score(cid, &word_set) + bonus;
+            if base <= 0.0 {
+                continue;
+            }
+            let stocked = !kg.concept(cid).items.is_empty();
+            let score = base + if stocked { 0.25 } else { 0.0 };
+            if best.is_none_or(|(_, s)| score > s) {
+                best = Some((cid, score));
+            }
+        }
+        best.map(|(cid, _)| cid)
+    }
+
+    fn answer_impl(&self, question: &str) -> Option<Answer> {
+        let words = Self::content_words(question);
+        let kg = self.index().kg();
+        let cid = self.resolve(&words)?;
         let mut items = kg.items_for_concept(cid);
         if items.is_empty() {
             self.metrics.sibling_fallbacks.inc();
@@ -185,7 +225,7 @@ impl<'kg> ScenarioQa<'kg> {
                 .primitives
                 .iter()
                 .copied()
-                .filter(|&p| word_set.contains(kg.primitive(p).name.as_str()))
+                .filter(|&p| words.contains(&kg.primitive(p).name))
                 .collect();
             if prims.is_empty() {
                 prims = kg.concept(cid).primitives.iter().copied().collect();

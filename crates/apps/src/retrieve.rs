@@ -3,14 +3,19 @@
 //! holds the one copy of the hybrid fusion — lexical candidates ∪ HNSW
 //! proposals → dedup → exact `sim_to` rescoring → [`TopK`]. The approximate
 //! index only proposes; scores come from the **exact stored vector**.
+//!
+//! It also holds the one lexical concept scorer, [`Retriever::rank_concepts`]:
+//! search and QA are two [`LexicalWeights`] over the integer match counts
+//! `QueryIndex::concept_matches` streams off the posting lists — no concept
+//! name or primitive name is read while a request is scored.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
-use alicoco::query::QueryIndex;
+use alicoco::query::{ConceptMatch, QueryIndex};
 use alicoco::rank::TopK;
 use alicoco::ConceptId;
 use alicoco_ann::{AnnBundle, Hnsw};
-use alicoco_nn::util::FxHashSet;
 
 /// `ef` beam width of every HNSW proposal search.
 pub const ANN_EF: usize = 64;
@@ -23,6 +28,56 @@ pub struct Fusion {
     /// Neighbours proposed per query (raised to the caller's `k`, so a
     /// wide page never starves the union).
     pub ann_k: usize,
+}
+
+/// How an engine weighs a concept's integer match counts. The two engines
+/// differ in weights and in where the vector bonus enters the sum, and each
+/// keeps the operation order its string scorer had, so scores are
+/// bit-identical to a scan over names.
+#[derive(Clone, Copy, Debug)]
+pub struct LexicalWeights {
+    /// Surface hits count as a share of the concept's distinct surface
+    /// words (search's coverage) rather than one each (QA).
+    pub surface_coverage: bool,
+    /// Weight of each primitive a query word names.
+    pub primitive_weight: f64,
+    /// Bonus of a concept that has items to show.
+    pub stocked_bonus: f64,
+    /// The stocked bonus needs a positive *lexical* score and is added
+    /// before the vector bonus (search); otherwise it needs a positive
+    /// *fused* score and is added after it (QA).
+    pub stock_before_vectors: bool,
+}
+
+impl LexicalWeights {
+    /// The fused score of a concept with `surface_len` distinct surface
+    /// words, or `None` when it is not positive.
+    fn score(
+        &self,
+        surface_hits: u32,
+        primitive_hits: u32,
+        surface_len: usize,
+        stocked: bool,
+        bonus: f64,
+    ) -> Option<f64> {
+        let mut score = f64::from(surface_hits);
+        if self.surface_coverage {
+            score /= surface_len.max(1) as f64;
+        }
+        score += self.primitive_weight * f64::from(primitive_hits);
+        if self.stock_before_vectors {
+            if score > 0.0 && stocked {
+                score += self.stocked_bonus;
+            }
+            score += bonus;
+        } else {
+            score += bonus;
+            if score > 0.0 && stocked {
+                score += self.stocked_bonus;
+            }
+        }
+        (score > 0.0).then_some(score)
+    }
 }
 
 /// The bundle index a fusion proposes from and rescores against:
@@ -59,13 +114,6 @@ impl<'kg> Retriever<'kg> {
         &self.index
     }
 
-    /// The distinct concepts on the posting lists of `words` — the only
-    /// ones a token-overlap score can rank above zero — and the posting
-    /// entries touched to collect them.
-    pub fn concept_candidates(&self, words: &FxHashSet<&str>) -> (Vec<ConceptId>, usize) {
-        self.index.concept_candidates_counted(words.iter().copied())
-    }
-
     /// The attached bundle, if any.
     pub fn ann(&self) -> Option<&AnnBundle> {
         self.ann.as_deref()
@@ -86,40 +134,53 @@ impl<'kg> Retriever<'kg> {
     }
 
     /// The fusion. `lexical` yields distinct `(slot, carried lexical
-    /// score)` pairs; the `max(fusion.ann_k, k)` nearest stored vectors of
-    /// `qvec` on `side` join them. `score` sees every candidate once — its
-    /// slot, its carried score (`None` for a pure proposal) and its vector
-    /// bonus — and returns the fused score, or `None` to drop it.
+    /// score)` pairs in any order; the `max(fusion.ann_k, k)` nearest
+    /// stored vectors of `qvec` on `side` join them. `score` sees every
+    /// candidate once — its slot, its carried score (`None` for a pure
+    /// proposal) and its vector bonus — and returns the fused score, or
+    /// `None` to drop it.
     ///
-    /// Without a bundle or an embedded query nothing is proposed, so no
-    /// dedup set is built and the lexical candidates are scored as is.
+    /// Dedup is against the proposals, a list no longer than a page: each
+    /// lexical candidate is looked up in it, never the reverse. Without a
+    /// bundle or an embedded query the list is empty.
     pub fn fuse<L>(
         &self,
-        lexical: impl Iterator<Item = (u32, L)> + Clone,
+        lexical: impl Iterator<Item = (u32, L)>,
         side: Side,
         qvec: Option<&[f32]>,
         fusion: Fusion,
         k: usize,
         score: impl Fn(u32, Option<L>, f64) -> Option<f64>,
     ) -> Fused {
-        let proposals = match (&self.ann, qvec) {
-            (Some(bundle), Some(q)) => side(bundle).knn(q, fusion.ann_k.max(k), ANN_EF),
+        // Ascending slots, each with "a lexical candidate held it": what
+        // is still unheld once the lexical pass is over is novel.
+        let mut proposals: Vec<(u32, Cell<bool>)> = match (&self.ann, qvec) {
+            (Some(bundle), Some(q)) => side(bundle)
+                .knn(q, fusion.ann_k.max(k), ANN_EF)
+                .into_iter()
+                .map(|(slot, _)| (slot, Cell::new(false)))
+                .collect(),
             _ => Vec::new(),
         };
-        let mut held = FxHashSet::default();
-        if !proposals.is_empty() {
-            held.extend(lexical.clone().map(|(slot, _)| slot));
-        }
-        let novel = proposals
-            .iter()
-            .filter(|(slot, _)| !held.contains(slot))
-            .map(|&(slot, _)| (slot, None));
+        proposals.sort_unstable_by_key(|&(slot, _)| slot);
         let mut fused = Fused {
             top: TopK::new(k),
             proposed: proposals.len(),
             examined: 0,
         };
-        for (slot, carried) in lexical.map(|(slot, l)| (slot, Some(l))).chain(novel) {
+        let lexical = lexical.map(|(slot, carried)| {
+            let at = proposals.binary_search_by_key(&slot, |&(proposed, _)| proposed);
+            if let Some((_, held)) = at.ok().and_then(|i| proposals.get(i)) {
+                held.set(true);
+            }
+            (slot, Some(carried))
+        });
+        let novel = proposals
+            .iter()
+            .filter(|(_, held)| !held.get())
+            .map(|&(slot, _)| (slot, None));
+        // One loop over both, so the scoring body is compiled once, inline.
+        for (slot, carried) in lexical.chain(novel) {
             fused.examined += 1;
             let bonus = self.bonus(side, slot, qvec, fusion.vector_weight);
             if let Some(score) = score(slot, carried, bonus) {
@@ -127,5 +188,41 @@ impl<'kg> Retriever<'kg> {
             }
         }
         fused
+    }
+
+    /// The one lexical concept ranking, shared by search and QA: merge the
+    /// posting lists of `words`, fuse the matches with the HNSW proposals
+    /// for `qvec`, and score each candidate from its integer counts under
+    /// `weights`. Returns the fusion and the posting entries walked.
+    pub fn rank_concepts<'w>(
+        &self,
+        words: impl IntoIterator<Item = &'w str>,
+        qvec: Option<&[f32]>,
+        weights: &LexicalWeights,
+        fusion: Fusion,
+        k: usize,
+    ) -> (Fused, usize) {
+        let matches = self.index.concept_matches(words);
+        let postings = matches.postings();
+        let fused = self.fuse(
+            matches.map(|m| (m.concept.index() as u32, m)),
+            AnnBundle::concepts,
+            qvec,
+            fusion,
+            k,
+            |slot, m: Option<ConceptMatch>, bonus| {
+                let cid = ConceptId::from_index(slot as usize);
+                let (surface_hits, primitive_hits) =
+                    m.map_or((0, 0), |m| (m.surface_hits, m.primitive_hits));
+                weights.score(
+                    surface_hits,
+                    primitive_hits,
+                    self.index.surface_len(cid),
+                    self.index.is_stocked(cid),
+                    bonus,
+                )
+            },
+        );
+        (fused, postings)
     }
 }

@@ -6,9 +6,12 @@
 //! every concept-surface token and interpreting-primitive surface to its
 //! concepts, so a query only scores the union of its words' posting lists
 //! (the exact set of concepts that can score above zero) and keeps the
-//! best `k` in a bounded heap. [`SemanticSearch::search_scan`] retains the
-//! original full-scan ranking as the reference implementation; property
-//! tests assert the two agree card-for-card.
+//! best `k` in a bounded heap. Scoring reads integers only: the lists are
+//! merged by id and each entry already says whether its token is a surface
+//! word and how many primitives it names ([`Retriever::rank_concepts`]).
+//! [`SemanticSearch::search_scan`] retains the original string-based
+//! full-scan ranking as the reference implementation; property tests
+//! assert the two agree card-for-card, score bits included.
 //!
 //! ## Hybrid retrieval
 //!
@@ -31,7 +34,7 @@ use alicoco_ann::AnnBundle;
 use alicoco_nn::util::FxHashSet;
 use alicoco_obs::{Counter, Histogram, Registry, StageClock};
 
-use crate::retrieve::{Fusion, Retriever};
+use crate::retrieve::{Fusion, LexicalWeights, Retriever};
 
 /// Search's fusion constants: vectors weigh 0.6 of a full surface match,
 /// and the index proposes 16 concepts per query.
@@ -145,7 +148,62 @@ impl<'kg> SemanticSearch<'kg> {
         self.index().kg()
     }
 
-    /// Lexical score of a single concept against query words.
+    /// The configured weights over a concept's match counts: surface
+    /// coverage plus `primitive_weight` per named primitive, then the
+    /// stocked bonus on a positive lexical score, then vectors.
+    fn weights(&self) -> LexicalWeights {
+        LexicalWeights {
+            surface_coverage: true,
+            primitive_weight: self.cfg.primitive_weight,
+            stocked_bonus: self.cfg.stocked_bonus,
+            stock_before_vectors: true,
+        }
+    }
+
+    /// Retrieve concept cards for a keyword query.
+    ///
+    /// Only concepts on the posting lists of the query's words are scored
+    /// — any other concept has zero surface overlap and zero primitive
+    /// hits, so it cannot score above zero — and the best `k` are kept in
+    /// a bounded heap (`O(c log k)` over `c` candidates).
+    pub fn search(&self, query: &str) -> Vec<ConceptCard> {
+        self.search_top(query, self.cfg.k)
+    }
+
+    /// [`search`](Self::search) with a per-call result cap instead of the
+    /// configured `cfg.k` — the HTTP layer maps its `k=` query parameter
+    /// here so one shared engine serves callers with different page
+    /// sizes. `search_top(q, cfg.k)` is exactly `search(q)`.
+    pub fn search_top(&self, query: &str, k: usize) -> Vec<ConceptCard> {
+        let m = &self.metrics;
+        let mut clock = StageClock::started(true);
+        let qvec = self.retriever.embed(query);
+        clock.lap(&m.retrieve_ns);
+        let (fused, postings) = self.retriever.rank_concepts(
+            query.split_whitespace(),
+            qvec.as_deref(),
+            &self.weights(),
+            FUSION,
+            k,
+        );
+        m.requests.inc();
+        m.postings_hit.add(postings as u64);
+        m.ann_candidates.add(fused.proposed as u64);
+        m.candidates_examined.add(fused.examined as u64);
+        clock.lap(&m.score_ns);
+        let cards = fused
+            .top
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(slot, score)| self.card(ConceptId::from_index(slot as usize), score))
+            .collect();
+        clock.lap(&m.rank_ns);
+        cards
+    }
+
+    /// The oracle's lexical score of one concept: the formula of
+    /// [`weights`](Self::weights), computed from the concept's name and its
+    /// primitives' names instead of posting facts.
     fn score_concept(&self, cid: ConceptId, words: &FxHashSet<&str>) -> f64 {
         let kg = self.kg();
         let c = kg.concept(cid);
@@ -164,64 +222,21 @@ impl<'kg> SemanticSearch<'kg> {
         score
     }
 
-    /// Retrieve concept cards for a keyword query.
-    ///
-    /// Only concepts on the posting lists of the query's words are scored
-    /// — any other concept has zero surface overlap and zero primitive
-    /// hits, so it cannot score above zero — and the best `k` are kept in
-    /// a bounded heap (`O(c log k)` over `c` candidates).
-    pub fn search(&self, query: &str) -> Vec<ConceptCard> {
-        self.search_top(query, self.cfg.k)
-    }
-
-    /// [`search`](Self::search) with a per-call result cap instead of the
-    /// configured `cfg.k` — the HTTP layer maps its `k=` query parameter
-    /// here so one shared engine serves callers with different page
-    /// sizes. `search_top(q, cfg.k)` is exactly `search(q)`.
-    pub fn search_top(&self, query: &str, k: usize) -> Vec<ConceptCard> {
-        let words: FxHashSet<&str> = query.split_whitespace().collect();
-        if words.is_empty() {
-            return Vec::new();
-        }
-        let m = &self.metrics;
-        let mut clock = StageClock::started(true);
-        let (lexical, postings) = self.retriever.concept_candidates(&words);
-        let qvec = self.retriever.embed(query);
-        clock.lap(&m.retrieve_ns);
-        let fused = self.retriever.fuse(
-            lexical.iter().map(|c| (c.index() as u32, ())),
-            AnnBundle::concepts,
-            qvec.as_deref(),
-            FUSION,
-            k,
-            |slot, _, bonus| {
-                let cid = ConceptId::from_index(slot as usize);
-                let score = self.score_concept(cid, &words) + bonus;
-                (score > 0.0).then_some(score)
-            },
-        );
-        m.requests.inc();
-        m.postings_hit.add(postings as u64);
-        m.ann_candidates.add(fused.proposed as u64);
-        m.candidates_examined.add(fused.examined as u64);
-        clock.lap(&m.score_ns);
-        let cards = fused
-            .top
-            .into_sorted_vec()
-            .into_iter()
-            .map(|(slot, score)| self.card(ConceptId::from_index(slot as usize), score))
-            .collect();
-        clock.lap(&m.rank_ns);
-        cards
-    }
-
     /// Reference ranking: score every concept in the net with the **full
     /// fused score** (lexical + vector bonus when a bundle is attached),
     /// sort, truncate. This is the exact oracle the hybrid
     /// [`search`](Self::search) is recall-gated against: the only way the
     /// two can disagree is the HNSW index failing to propose a concept
-    /// whose fused score makes the top `k`.
+    /// whose fused score makes the top `k`. It shares nothing with the
+    /// request path but the formula — it reads names, not postings — so a
+    /// wrong posting fact cannot hide from it.
     pub fn search_scan(&self, query: &str) -> Vec<ConceptCard> {
+        self.search_scan_top(query, self.cfg.k)
+    }
+
+    /// [`search_scan`](Self::search_scan) at a per-call page size: the
+    /// oracle of [`search_top`](Self::search_top).
+    pub fn search_scan_top(&self, query: &str, k: usize) -> Vec<ConceptCard> {
         let words: FxHashSet<&str> = query.split_whitespace().collect();
         if words.is_empty() {
             return Vec::new();
@@ -242,7 +257,7 @@ impl<'kg> SemanticSearch<'kg> {
             .filter(|&(_, s)| s > 0.0)
             .collect();
         scored.sort_by(alicoco::rank::by_score_then_id);
-        scored.truncate(self.cfg.k);
+        scored.truncate(k);
         scored
             .into_iter()
             .map(|(cid, score)| self.card(cid, score))
@@ -479,21 +494,55 @@ mod tests {
         let kg = sample_kg();
         let reg = Registry::new();
         let wired = engine_in(&kg, SearchConfig::default(), &reg);
-        for q in ["barbecue outdoor", "indoor", "", "nothing here"] {
+        for q in ["barbecue outdoor", "indoor", "", " \t", "nothing here"] {
             assert_eq!(wired.search(q), wired.search_scan(q), "query {q:?}");
         }
-        // Empty queries short-circuit before the request counter.
-        assert_eq!(reg.counter("search.requests").get(), 3);
+        // Regression: the empty and the whitespace-only query used to return
+        // before the counter and the stage laps, so `search.requests` fell
+        // behind the served `/search` count.
+        assert_eq!(reg.counter("search.requests").get(), 5);
         assert!(reg.counter("search.candidates_examined").get() > 0);
         assert!(reg.counter("search.postings_hit").get() > 0);
-        assert_eq!(reg.histogram("search.retrieve_ns").count(), 3);
-        assert_eq!(reg.histogram("search.score_ns").count(), 3);
-        assert_eq!(reg.histogram("search.rank_ns").count(), 3);
+        assert_eq!(reg.histogram("search.retrieve_ns").count(), 5);
+        assert_eq!(reg.histogram("search.score_ns").count(), 5);
+        assert_eq!(reg.histogram("search.rank_ns").count(), 5);
         let batch = wired.search_batch(&["barbecue", "outdoor"]);
         assert_eq!(batch.len(), 2);
         assert_eq!(reg.counter("search.batch_queries").get(), 2);
         assert_eq!(reg.histogram("search.batch_ns").count(), 1);
-        assert_eq!(reg.counter("search.requests").get(), 5);
+        assert_eq!(reg.counter("search.requests").get(), 7);
+    }
+
+    #[test]
+    fn repeated_query_word_scores_and_counts_once() {
+        let kg = sample_kg();
+        let (once, twice) = (Registry::new(), Registry::new());
+        let a = engine_in(&kg, SearchConfig::default(), &once).search("barbecue");
+        let b = engine_in(&kg, SearchConfig::default(), &twice).search("barbecue  barbecue");
+        assert_eq!(a, b);
+        assert!(!a.is_empty());
+        for counter in ["search.postings_hit", "search.candidates_examined"] {
+            assert_eq!(once.counter(counter).get(), twice.counter(counter).get());
+        }
+    }
+
+    /// The merge holds one cursor per distinct query word; a query as long
+    /// as the HTTP target limit admits must still rank as the scan does.
+    #[test]
+    fn three_hundred_word_query_matches_the_scan() {
+        let mut kg = sample_kg();
+        let words: Vec<String> = (0..300).map(|i| format!("w{i}")).collect();
+        for (i, w) in words.iter().enumerate() {
+            kg.add_concept(&format!("{w} barbecue"));
+            kg.add_concept(&format!("{w} {}", words[(i * 7 + 1) % words.len()]));
+        }
+        let s = engine(&kg, SearchConfig::default());
+        let query = words.join(" ");
+        let cards = s.search_top(&query, 50);
+        assert_eq!(cards.len(), 50);
+        assert_eq!(cards, s.search_scan_top(&query, 50));
+        // The two-query-word names cover fully and lead the page.
+        assert!(cards.iter().all(|c| c.score == 1.0), "{cards:?}");
     }
 
     #[test]

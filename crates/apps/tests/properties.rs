@@ -3,6 +3,9 @@
 //! of the reference full-scan ranking, sharded batch search must be
 //! indistinguishable from searching each query on its own, and the one
 //! hybrid fusion must rank exactly as a brute-force scan of its formula.
+//! On worlds a few hundred concepts wide — the size at which a page of ten
+//! is a real cut — search and QA, which score on posting-list integers,
+//! must agree score bit for score bit with their string-scan oracles.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -12,10 +15,13 @@ use alicoco::query::QueryIndex;
 use alicoco::rank::by_score_then_id;
 use alicoco::AliCoCo;
 use alicoco_ann::{AnnBundle, Hnsw, HnswConfig, TokenTable};
+use alicoco_apps::qa::ScenarioQa;
 use alicoco_apps::retrieve::{Fusion, Retriever};
 use alicoco_apps::search::{SearchConfig, SemanticSearch};
 use alicoco_obs::Registry;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Shared vocabulary so random queries actually collide with random
 /// concept surfaces, primitive names, and item titles.
@@ -117,6 +123,148 @@ fn render_query(q: &[u8]) -> String {
         })
         .collect::<Vec<_>>()
         .join(" ")
+}
+
+/// Vocabulary of the wide worlds: enough words for a few hundred distinct
+/// one- to three-word names, few enough that a query word's posting list
+/// runs to dozens of concepts. None is a QA question word.
+const WIDE_VOCAB: &[&str] = &[
+    "outdoor", "barbecue", "summer", "beach", "grill", "party", "yoga", "indoor", "camping",
+    "picnic", "winter", "gift", "garden", "brunch", "kids", "office", "travel", "retro", "vegan",
+    "rainy", "wedding", "school", "fishing", "hiking",
+];
+
+#[derive(Clone, Debug)]
+struct WideWorldSpec {
+    /// `(word, class)`: one name can be a primitive in several classes.
+    primitives: Vec<(u8, u8)>,
+    /// Name words (a word may repeat: "grill grill"), primitive indices,
+    /// and whether the concept has an item.
+    concepts: Vec<(Vec<u8>, Vec<u8>, bool)>,
+}
+
+fn wide_world_strategy() -> impl Strategy<Value = WideWorldSpec> {
+    (
+        prop::collection::vec((0u8..24, 0u8..4), 8..40),
+        prop::collection::vec(
+            (
+                prop::collection::vec(0u8..24, 1..4),
+                prop::collection::vec(0u8..40, 0..4),
+                any::<bool>(),
+            ),
+            260..700,
+        ),
+    )
+        .prop_map(|(primitives, concepts)| WideWorldSpec {
+            primitives,
+            concepts,
+        })
+}
+
+/// Names that collide collapse into one concept (with the union of their
+/// links), so a world ends up a little under its spec's length.
+fn build_wide_world(spec: &WideWorldSpec) -> AliCoCo {
+    let mut kg = AliCoCo::new();
+    let root = kg.add_class("concept", None);
+    let classes: Vec<_> = (0..4)
+        .map(|i| kg.add_class(&format!("domain{i}"), Some(root)))
+        .collect();
+    let prims: Vec<_> = spec
+        .primitives
+        .iter()
+        .map(|&(w, c)| kg.add_primitive(WIDE_VOCAB[w as usize], classes[c as usize]))
+        .collect();
+    let items: Vec<_> = (0..8)
+        .map(|i| kg.add_item(&[WIDE_VOCAB[i].to_string(), WIDE_VOCAB[i + 8].to_string()]))
+        .collect();
+    for (i, (name, links, stocked)) in spec.concepts.iter().enumerate() {
+        let name: Vec<&str> = name.iter().map(|&w| WIDE_VOCAB[w as usize]).collect();
+        let c = kg.add_concept(&name.join(" "));
+        for &p in links {
+            kg.link_concept_primitive(c, prims[p as usize % prims.len()]);
+        }
+        if *stocked {
+            kg.link_concept_item(c, items[i % items.len()], 0.5 + (i % 50) as f32 / 100.0);
+        }
+    }
+    kg
+}
+
+/// One to five query words, repeats likely; indices past the vocabulary
+/// are words no concept knows.
+fn wide_query_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(0u8..27, 1..6).prop_map(|q| {
+        let words: Vec<&str> = q
+            .iter()
+            .map(|&i| WIDE_VOCAB.get(i as usize).copied().unwrap_or("unrelated"))
+            .collect();
+        words.join(" ")
+    })
+}
+
+/// A bundle of seeded random 4-d vectors: one per vocabulary word, one per
+/// concept, no items.
+fn random_bundle(kg: &AliCoCo, seed: u64) -> AnnBundle {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut vector = || -> Vec<f32> { (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
+    let tokens = TokenTable::new(4, WIDE_VOCAB.iter().map(|w| (w.to_string(), vector())));
+    let mut concepts = Hnsw::new(4, HnswConfig::default());
+    for _ in 0..kg.num_concepts() {
+        concepts.insert(&vector());
+    }
+    AnnBundle::new(tokens, concepts, Hnsw::new(4, HnswConfig::default()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Search at the page sizes traffic uses: the posting-merge ranking is
+    /// the string scan's, card for card and score bit for score bit. The
+    /// hybrid engine is asked for a page as long as the layer, which makes
+    /// the index propose every stored vector — the one setting in which
+    /// fused search and the fused scan must agree exactly.
+    #[test]
+    fn search_top_equals_scan_top_at_every_page_size(
+        spec in wide_world_strategy(),
+        query in wide_query_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let kg = build_wide_world(&spec);
+        prop_assert!(kg.num_concepts() >= 200, "{} concepts", kg.num_concepts());
+        let lexical = engine(&kg, SearchConfig::default());
+        for k in [1, 3, 10, 50] {
+            let (got, want) = (lexical.search_top(&query, k), lexical.search_scan_top(&query, k));
+            prop_assert_eq!(got, want, "lexical, k {}, query {:?}", k, query);
+        }
+        let bundle = Arc::new(random_bundle(&kg, seed));
+        let hybrid = SemanticSearch::new(
+            Retriever::new(QueryIndex::build(&kg), Some(bundle)),
+            SearchConfig::default(),
+            &Registry::new(),
+        );
+        let all = kg.num_concepts();
+        let (got, want) = (hybrid.search_top(&query, all), hybrid.search_scan_top(&query, all));
+        prop_assert_eq!(got, want, "hybrid, query {:?}", query);
+    }
+
+    /// QA resolves to the concept a string scan of the layer resolves to:
+    /// the first missing oracle of the serving layer.
+    #[test]
+    fn qa_resolves_to_the_scan_oracles_concept(
+        spec in wide_world_strategy(),
+        query in wide_query_strategy(),
+    ) {
+        let kg = build_wide_world(&spec);
+        let qa = ScenarioQa::new(Retriever::new(QueryIndex::build(&kg), None), &Registry::new());
+        let question = format!("what do i need for a {query}?");
+        match (qa.answer(&question), qa.resolve_scan(&question)) {
+            (Some(answer), scan) => prop_assert_eq!(Some(answer.concept), scan, "{:?}", question),
+            // No checklist: nothing resolved, or an unstocked concept did
+            // and no sibling could lend it items.
+            (None, Some(c)) => prop_assert!(kg.concept(c).items.is_empty(), "{:?}", question),
+            (None, None) => {}
+        }
+    }
 }
 
 proptest! {

@@ -314,6 +314,33 @@ mod tests {
         assert_eq!(resp.body, expected.into_bytes());
     }
 
+    /// Regression: a `/search` that answers 200 is one `search.requests`,
+    /// whatever its query — the blank ones used to go uncounted.
+    #[test]
+    fn every_answered_search_is_an_engine_request() {
+        let engines = Registry::new();
+        let pack = ServingPack::build_with_ann(
+            Arc::new(AliCoCo::new()),
+            None,
+            &EngineConfig::default(),
+            &engines,
+        );
+        let targets = [
+            "/search?q=barbecue",
+            "/search?q=%20",
+            "/search?q=",
+            "/search?q=+&k=5",
+        ];
+        for target in targets {
+            let (_, resp) = handle(&get(target), &pack, &Registry::new());
+            assert_eq!(resp.status, 200, "{target}");
+        }
+        assert_eq!(
+            engines.counter("search.requests").get(),
+            targets.len() as u64
+        );
+    }
+
     #[test]
     fn typed_route_failures() {
         let pack = demo_pack();
