@@ -114,6 +114,13 @@ const SERVING_SCOPE: &[&str] = &[
     "crates/serve/src/",
 ];
 
+/// Files inside [`SERVING_SCOPE`] whose public functions run when a
+/// snapshot is *built*, never while a request is served (word2vec training
+/// and HNSW construction behind `alicoco build --embeddings`): not AL007
+/// entry points. Only the roots are excluded — AL001 still polices direct
+/// panic sites in these files and AL009's sink roots are unchanged.
+const BUILD_TIME: &[&str] = &["crates/ann/src/embed.rs"];
+
 /// Serialization files — AL005's jurisdiction for direct sites, and AL009
 /// sink roots for transitive ones.
 const SERIALIZATION_SCOPE: &[&str] = &[
@@ -349,7 +356,10 @@ impl<'a> CallGraph<'a> {
             .filter(|&id| {
                 let f = self.fn_info(id);
                 let path = self.fn_path(id);
-                f.is_pub && !f.is_test && SERVING_SCOPE.iter().any(|s| path.contains(s))
+                f.is_pub
+                    && !f.is_test
+                    && SERVING_SCOPE.iter().any(|s| path.contains(s))
+                    && !BUILD_TIME.iter().any(|s| path.ends_with(s))
             })
             .collect()
     }

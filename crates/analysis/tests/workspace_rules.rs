@@ -74,6 +74,32 @@ fn al007_leaves_serving_crate_panic_sites_to_al001() {
     );
 }
 
+#[test]
+fn al007_does_not_root_at_build_time_files() {
+    // `crates/ann/src/embed.rs` trains embeddings when a snapshot is built;
+    // its public functions are not serving entry points.
+    let trainer = "pub fn build_bundle(v: &[u32]) -> u32 { first_row(v) }";
+    let helper = "pub fn first_row(v: &[u32]) -> u32 { v[0] }";
+    assert!(rules_for(&[
+        ("crates/ann/src/embed.rs", trainer),
+        ("crates/text/src/util.rs", helper),
+    ])
+    .is_empty());
+    // The same function one file over is a serving API and fires.
+    assert_eq!(
+        rules_for(&[
+            ("crates/ann/src/bundle.rs", trainer),
+            ("crates/text/src/util.rs", helper),
+        ]),
+        vec!["AL007"]
+    );
+    // Only the roots are excluded: a direct site in the file is still AL001's.
+    assert_eq!(
+        rules_for(&[("crates/ann/src/embed.rs", helper)]),
+        vec!["AL001"]
+    );
+}
+
 // ---------------------------------------------------------------- AL008
 
 #[test]

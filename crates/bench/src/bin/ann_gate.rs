@@ -34,8 +34,8 @@ use std::time::Instant;
 use alicoco::query::QueryIndex;
 use alicoco_ann::AnnBundle;
 use alicoco_apps::{Retriever, SearchConfig, SemanticSearch};
-use alicoco_bench::json::Json;
 use alicoco_bench::scale_world;
+use alicoco_obs::json::Json;
 use alicoco_obs::Registry;
 
 const K: usize = 10;

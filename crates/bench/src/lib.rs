@@ -1,8 +1,5 @@
 //! Shared helpers for the experiment runner and criterion benches.
 
-pub mod compare;
-pub mod json;
-
 use alicoco_corpus::{Dataset, WorldConfig};
 use alicoco_mining::resources::{Resources, ResourcesConfig};
 use std::time::Instant;

@@ -918,44 +918,6 @@ impl<'a> SnapshotView<'a> {
             .collect())
     }
 
-    /// Zero-copy point lookup: the ascending concept-id posting list for
-    /// one token, decoding only the bytes up to that token's entry (the
-    /// section stores tokens in lexicographic order, so the walk
-    /// early-stops past the probe). This is the cold serving path: a
-    /// freshly opened snapshot answers a keyword probe without
-    /// materializing the graph or building an index.
-    pub fn concept_posting_for(&self, token: &str) -> Result<Option<Vec<ConceptId>>, LoadError> {
-        Ok(posting_for(
-            self.pstc,
-            self.arena,
-            self.concepts.count,
-            "concept postings",
-            token,
-        )?
-        .map(|ids| {
-            ids.into_iter()
-                .map(|i| ConceptId::from_index(i as usize))
-                .collect()
-        }))
-    }
-
-    /// Zero-copy point lookup into the item token postings; see
-    /// [`concept_posting_for`](Self::concept_posting_for).
-    pub fn item_posting_for(&self, token: &str) -> Result<Option<Vec<ItemId>>, LoadError> {
-        Ok(posting_for(
-            self.psti,
-            self.arena,
-            self.items.count,
-            "item postings",
-            token,
-        )?
-        .map(|ids| {
-            ids.into_iter()
-                .map(|i| ItemId::from_index(i as usize))
-                .collect()
-        }))
-    }
-
     /// Decode the persisted item token postings.
     pub fn item_postings(&self) -> Result<Vec<(&'a str, Vec<ItemId>)>, LoadError> {
         let raw = decode_postings(self.psti, self.arena, self.items.count, "item postings")?;
@@ -1149,35 +1111,6 @@ fn decode_postings<'a>(
     Ok(out)
 }
 
-/// Point lookup of one token's posting list without materializing the
-/// rest of the section. Tokens are stored in strictly ascending
-/// lexicographic order (canonical form, enforced by `decode_postings`),
-/// so the walk early-stops at the first token past the probe.
-fn posting_for(
-    sec: &[u8],
-    arena: &str,
-    n: usize,
-    section: &'static str,
-    token: &str,
-) -> Result<Option<Vec<u32>>, LoadError> {
-    let mut cur = Cursor::new(sec, section);
-    let tokens = cur.varint()?;
-    if tokens > sec.len() as u64 {
-        return Err(corrupt(section, "token count exceeds section size"));
-    }
-    for _ in 0..tokens {
-        let tok = posting_token(&mut cur, arena, section)?;
-        if tok == token {
-            return posting_ids(&mut cur, n, section).map(Some);
-        }
-        if tok > token {
-            return Ok(None);
-        }
-        cur.skip_list(false)?;
-    }
-    Ok(None)
-}
-
 /// Open + materialize in one call — the cold-load entry point stores use.
 pub fn load(bytes: &[u8]) -> Result<AliCoCo, LoadError> {
     SnapshotView::open(bytes)?.to_graph()
@@ -1253,24 +1186,6 @@ mod tests {
             .map(|(t, ids)| (t, ids.to_vec()))
             .collect();
         assert_eq!(view.item_postings().unwrap(), expect_items);
-    }
-
-    #[test]
-    fn posting_point_lookups_match_the_full_decode() {
-        let bytes = sample_bytes();
-        let view = SnapshotView::open(&bytes).unwrap();
-        for (tok, ids) in &view.concept_postings().unwrap() {
-            assert_eq!(view.concept_posting_for(tok).unwrap().as_ref(), Some(ids));
-        }
-        for (tok, ids) in &view.item_postings().unwrap() {
-            assert_eq!(view.item_posting_for(tok).unwrap().as_ref(), Some(ids));
-        }
-        // Probes below, between, and above the stored token range all
-        // resolve to a clean miss via the early-stop walk.
-        assert_eq!(view.concept_posting_for("").unwrap(), None);
-        assert_eq!(view.concept_posting_for("outdoorz").unwrap(), None);
-        assert_eq!(view.concept_posting_for("zzzz").unwrap(), None);
-        assert_eq!(view.item_posting_for("zzzz").unwrap(), None);
     }
 
     #[test]

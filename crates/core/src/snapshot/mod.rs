@@ -10,18 +10,17 @@
 //! byte buffer. The [`crate::store`] module wraps both behind a common
 //! `Store` trait with format auto-detection.
 //!
-//! The free functions here ([`save`], [`load`], and their instrumented
-//! twins) keep the historical TSV-snapshot API: ids are written in arena
-//! order, so loading reproduces identical ids, and re-saving a loaded net
-//! reproduces the input byte for byte.
+//! The free functions here ([`save`], [`load`]) keep the historical
+//! TSV-snapshot API: ids are written in arena order, so loading reproduces
+//! identical ids, and re-saving a loaded net reproduces the input byte for
+//! byte. Timed variants live in [`crate::store`], one family for both
+//! codecs.
 
 pub mod binary;
 pub mod records;
 pub mod tsv;
 
 use std::io::{self, BufRead, Write};
-
-use alicoco_obs::{Registry, Stopwatch};
 
 use crate::graph::AliCoCo;
 
@@ -108,68 +107,16 @@ pub(crate) fn check_name<'a>(kind: &'static str, s: &'a str) -> Result<&'a str, 
     Ok(s)
 }
 
-/// A pass-through writer that counts emitted records (newlines). Names
-/// cannot contain `\n` (rejected on save), so the newline count is exactly
-/// the record count.
-struct LineCountWriter<'a, W> {
-    inner: &'a mut W,
-    lines: u64,
-}
-
-impl<W: Write> Write for LineCountWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.lines += buf.iter().take(n).filter(|&&b| b == b'\n').count() as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// Serialize the graph to a writer in the canonical TSV format.
 pub fn save<W: Write>(kg: &AliCoCo, w: &mut W) -> Result<(), SaveError> {
     tsv::save(kg, w)
-}
-
-/// [`save`] plus metrics: wall-clock time into the `snapshot.save_ns`
-/// histogram and the record count onto the `snapshot.save_records`
-/// counter. The uninstrumented [`save`] pays nothing for this path.
-pub fn save_instrumented<W: Write>(
-    kg: &AliCoCo,
-    w: &mut W,
-    metrics: &Registry,
-) -> Result<(), SaveError> {
-    let watch = Stopwatch::start();
-    let mut counted = LineCountWriter { inner: w, lines: 0 };
-    save(kg, &mut counted)?;
-    let records = counted.lines;
-    metrics
-        .histogram("snapshot.save_ns")
-        .record_duration(watch.elapsed());
-    metrics.counter("snapshot.save_records").add(records);
-    Ok(())
 }
 
 /// Deserialize a graph from a TSV reader. Every field access is
 /// bounds-checked, so truncated or malformed records of any type yield a
 /// [`LoadError::Parse`] rather than a panic.
 pub fn load<R: BufRead>(r: &mut R) -> Result<AliCoCo, LoadError> {
-    tsv::load_counted(r).map(|(kg, _)| kg)
-}
-
-/// [`load`] plus metrics: wall-clock time into the `snapshot.load_ns`
-/// histogram and the record count onto the `snapshot.load_records`
-/// counter.
-pub fn load_instrumented<R: BufRead>(r: &mut R, metrics: &Registry) -> Result<AliCoCo, LoadError> {
-    let watch = Stopwatch::start();
-    let (kg, records) = tsv::load_counted(r)?;
-    metrics
-        .histogram("snapshot.load_ns")
-        .record_duration(watch.elapsed());
-    metrics.counter("snapshot.load_records").add(records);
-    Ok(kg)
+    tsv::load(r)
 }
 
 #[cfg(test)]
@@ -229,23 +176,6 @@ mod tests {
         assert_eq!(loaded.primitives_by_name("grill").len(), 1);
         // Full structural equality, not just statistics.
         assert_eq!(loaded, kg);
-    }
-
-    #[test]
-    fn instrumented_roundtrip_counts_records() {
-        let kg = build_sample();
-        let reg = Registry::new();
-        let mut buf = Vec::new();
-        save_instrumented(&kg, &mut buf, &reg).unwrap();
-        let saved = reg.counter("snapshot.save_records").get();
-        let lines = buf.iter().filter(|&&b| b == b'\n').count() as u64;
-        assert_eq!(saved, lines, "one record per line");
-        assert!(saved > 0);
-        let loaded = load_instrumented(&mut buf.as_slice(), &reg).unwrap();
-        assert_eq!(loaded.num_concepts(), kg.num_concepts());
-        assert_eq!(reg.counter("snapshot.load_records").get(), saved);
-        assert_eq!(reg.histogram("snapshot.save_ns").count(), 1);
-        assert_eq!(reg.histogram("snapshot.load_ns").count(), 1);
     }
 
     #[test]

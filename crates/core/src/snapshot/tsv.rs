@@ -193,25 +193,18 @@ pub fn parse_line<'a>(ln: usize, line: &'a str) -> Result<Record<'a>, LoadError>
     })
 }
 
-/// Shared load core returning the graph and the number of records parsed.
-pub(crate) fn load_counted<R: BufRead>(r: &mut R) -> Result<(AliCoCo, u64), LoadError> {
-    let mut records = 0u64;
+/// Deserialize a graph from a TSV reader.
+pub fn load<R: BufRead>(r: &mut R) -> Result<AliCoCo, LoadError> {
     let mut builder = GraphBuilder::new();
     for (ln, line) in r.lines().enumerate() {
         let line = line?;
         if line.is_empty() {
             continue;
         }
-        records += 1;
         let rec = parse_line(ln, &line)?;
         builder.apply(ln, &rec)?;
     }
-    Ok((builder.finish(), records))
-}
-
-/// Deserialize a graph from a TSV reader.
-pub fn load<R: BufRead>(r: &mut R) -> Result<AliCoCo, LoadError> {
-    load_counted(r).map(|(kg, _)| kg)
+    Ok(builder.finish())
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
-//! A minimal JSON reader for the `BENCH_*.json` files the benches emit —
-//! enough of RFC 8259 for our own output (objects, arrays, strings with
-//! basic escapes, numbers, booleans, null) with no external dependency.
+//! The workspace's JSON helpers, with no external dependency: the one
+//! string escaper every JSON-writing crate calls ([`push_escaped`] /
+//! [`push_string`]), and a minimal reader — enough of RFC 8259 for our own
+//! output (objects, arrays, strings with basic escapes, numbers, booleans,
+//! null): the `/metrics` export and the `BENCH_*.json` files.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,7 +78,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => render_num(out, *n),
-            Json::Str(s) => render_str(out, s),
+            Json::Str(s) => push_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -107,7 +109,7 @@ impl Json {
                     }
                     out.push('\n');
                     indent(out, depth + 1);
-                    render_str(out, key);
+                    push_string(out, key);
                     out.push_str(": ");
                     value.render_into(out, depth + 1);
                 }
@@ -134,8 +136,10 @@ fn render_num(out: &mut String, n: f64) {
     }
 }
 
-fn render_str(out: &mut String, s: &str) {
-    out.push('"');
+/// Append `s` with JSON string escapes applied (`"`, `\` and control
+/// bytes), without the surrounding quotes.
+#[inline]
+pub fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -147,6 +151,13 @@ fn render_str(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+}
+
+/// Append `s` as a quoted JSON string literal.
+#[inline]
+pub fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    push_escaped(out, s);
     out.push('"');
 }
 

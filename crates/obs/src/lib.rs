@@ -35,9 +35,12 @@
 //!   elapsed nanoseconds into a histogram,
 //! - [`Stopwatch`] — raw elapsed-ns reader for call sites that aggregate
 //!   timings themselves; the only sanctioned clock access outside this
-//!   crate (enforced by the AL009 lint).
+//!   crate (enforced by the AL009 lint),
+//! - [`json`] — the workspace's one JSON string escaper and a small
+//!   reader for the documents the export and the benches emit.
 
 mod histogram;
+pub mod json;
 mod metric;
 mod registry;
 mod span;

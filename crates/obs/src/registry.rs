@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::histogram::Histogram;
+use crate::json::push_string;
 use crate::metric::{Counter, Gauge};
 use crate::span::SpanTimer;
 
@@ -108,7 +109,7 @@ impl Registry {
             for (i, (name, c)) in map.iter().enumerate() {
                 push_sep(&mut out, i);
                 out.push_str("    ");
-                push_json_string(&mut out, name);
+                push_string(&mut out, name);
                 out.push_str(&format!(": {}", c.get()));
             }
             close_obj(&mut out, map.is_empty());
@@ -119,7 +120,7 @@ impl Registry {
             for (i, (name, g)) in map.iter().enumerate() {
                 push_sep(&mut out, i);
                 out.push_str("    ");
-                push_json_string(&mut out, name);
+                push_string(&mut out, name);
                 out.push_str(&format!(": {}", json_f64(g.get())));
             }
             close_obj(&mut out, map.is_empty());
@@ -131,7 +132,7 @@ impl Registry {
                 push_sep(&mut out, i);
                 let s = h.snapshot();
                 out.push_str("    ");
-                push_json_string(&mut out, name);
+                push_string(&mut out, name);
                 out.push_str(&format!(
                     ": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
                      \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
@@ -182,23 +183,6 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Append a JSON string literal (quotes, `\`, and control bytes escaped).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,9 +228,43 @@ mod tests {
     }
 
     #[test]
+    fn export_parses_back_to_the_recorded_values() {
+        use crate::json::Json;
+        let reg = Registry::new();
+        let names = [
+            "plain.hits",
+            "quo\"te",
+            "back\\slash",
+            "new\nline\ttab",
+            "bell\u{7}",
+        ];
+        for (i, name) in names.iter().enumerate() {
+            reg.counter(name).add(i as u64 + 1);
+            reg.gauge(name).set(i as f64 + 0.5);
+            reg.histogram(name).record(100 * (i as u64 + 1));
+        }
+        reg.gauge("whole").set(2.0);
+        reg.gauge("unset-level").set(f64::NAN);
+        let doc = Json::parse(&reg.export_json()).expect("export must be valid JSON");
+        let family = |f: &str| doc.get(f).unwrap_or_else(|| panic!("{f} section"));
+        for (i, name) in names.iter().enumerate() {
+            let n = i as f64 + 1.0;
+            assert_eq!(family("counters").get(name).unwrap().as_num(), Some(n));
+            assert_eq!(family("gauges").get(name).unwrap().as_num(), Some(n - 0.5));
+            let h = family("histograms").get(name).unwrap();
+            assert_eq!(h.get("count").unwrap().as_num(), Some(1.0));
+            for stat in ["sum", "min", "max", "p50"] {
+                assert_eq!(h.get(stat).unwrap().as_num(), Some(100.0 * n), "{stat}");
+            }
+        }
+        assert_eq!(family("gauges").get("whole").unwrap().as_num(), Some(2.0));
+        assert_eq!(family("gauges").get("unset-level"), Some(&Json::Null));
+    }
+
+    #[test]
     fn json_escaping_handles_specials() {
         let mut s = String::new();
-        push_json_string(&mut s, "a\"b\\c\nd");
+        push_string(&mut s, "a\"b\\c\nd");
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_f64(2.0), "2.0");
         assert_eq!(json_f64(f64::NAN), "null");

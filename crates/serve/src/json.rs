@@ -9,25 +9,7 @@ use alicoco::AliCoCo;
 use alicoco_apps::qa::Answer;
 use alicoco_apps::recommend::Recommendation;
 use alicoco_apps::search::ConceptCard;
-
-/// Escape and quote a string.
-fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+use alicoco_obs::json::push_string;
 
 /// One formatter for every float on the wire; non-finite becomes `null`.
 fn push_f64(out: &mut String, v: f64) {
@@ -54,9 +36,9 @@ pub fn render_search(cards: &[ConceptCard]) -> String {
                 o.push(',');
             }
             o.push('[');
-            push_str_lit(&mut o, domain);
+            push_string(&mut o, domain);
             o.push(',');
-            push_str_lit(&mut o, surface);
+            push_string(&mut o, surface);
             o.push(']');
         }
         o.push_str("],\"items\":[");
@@ -71,7 +53,7 @@ pub fn render_search(cards: &[ConceptCard]) -> String {
             o.push(']');
         }
         o.push_str("],\"name\":");
-        push_str_lit(&mut o, &card.name);
+        push_string(&mut o, &card.name);
         o.push_str(",\"score\":");
         push_f64(&mut o, card.score);
         o.push('}');
@@ -97,13 +79,13 @@ pub fn render_qa(answer: Option<&Answer>) -> String {
                 o.push_str(",\"item\":");
                 o.push_str(&entry.item.index().to_string());
                 o.push_str(",\"title\":");
-                push_str_lit(&mut o, &entry.title);
+                push_string(&mut o, &entry.title);
                 o.push('}');
             }
             o.push_str("],\"concept\":");
             o.push_str(&a.concept.index().to_string());
             o.push_str(",\"concept_name\":");
-            push_str_lit(&mut o, &a.concept_name);
+            push_string(&mut o, &a.concept_name);
             o.push('}');
         }
     }
@@ -135,9 +117,9 @@ pub fn render_recommend(kg: &AliCoCo, recs: &[Recommendation]) -> String {
             o.push(']');
         }
         o.push_str("],\"name\":");
-        push_str_lit(&mut o, &rec.name);
+        push_string(&mut o, &rec.name);
         o.push_str(",\"reason\":");
-        push_str_lit(&mut o, &rec.reason.text(kg, &rec.name));
+        push_string(&mut o, &rec.reason.text(kg, &rec.name));
         o.push('}');
     }
     o.push_str("]}");
@@ -156,7 +138,7 @@ pub fn render_relevance(kg: &AliCoCo, hits: &[(alicoco::ItemId, f64)]) -> String
         o.push_str(",\"score\":");
         push_f64(&mut o, *score);
         o.push_str(",\"title\":");
-        push_str_lit(&mut o, &kg.item(*item).title.join(" "));
+        push_string(&mut o, &kg.item(*item).title.join(" "));
         o.push('}');
     }
     o.push_str("]}");
@@ -166,7 +148,7 @@ pub fn render_relevance(kg: &AliCoCo, hits: &[(alicoco::ItemId, f64)]) -> String
 /// `{"error":…,"status":…}` — the body of every non-2xx response.
 pub fn render_error(status: u16, message: &str) -> String {
     let mut o = String::from("{\"error\":");
-    push_str_lit(&mut o, message);
+    push_string(&mut o, message);
     o.push_str(",\"status\":");
     o.push_str(&status.to_string());
     o.push('}');
@@ -185,7 +167,7 @@ mod tests {
     #[test]
     fn strings_are_escaped() {
         let mut o = String::new();
-        push_str_lit(&mut o, "a\"b\\c\nd\u{1}");
+        push_string(&mut o, "a\"b\\c\nd\u{1}");
         assert_eq!(o, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 

@@ -7,7 +7,7 @@ mod common;
 use std::io::{Read, Write};
 use std::time::Duration;
 
-use alicoco_bench::json::Json;
+use alicoco_obs::json::Json;
 use alicoco_serve::ServeConfig;
 use common::{connect, get, read_reply, start_server, test_cfg};
 

@@ -29,6 +29,7 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -107,11 +108,51 @@ fn write_metrics(path: &str, metrics: &Registry) -> CliResult {
     Ok(())
 }
 
-/// Load a net from either codec, sniffed by magic. The TSV path keeps the
-/// legacy `snapshot.load_*` metric names; binary snapshots record the
-/// per-backend `snapshot.binary.*` family.
+/// Load a net from either codec, sniffed by magic, recording the
+/// per-backend `snapshot.<fmt>.*` metric family.
 fn load_net(path: &str, metrics: &Registry) -> Result<AliCoCo, Box<dyn std::error::Error>> {
-    Ok(store::load_file(std::path::Path::new(path), metrics)?)
+    Ok(store::load_file(Path::new(path), metrics)?)
+}
+
+/// Replace `path` with `bytes` without ever exposing a partial file: the
+/// bytes go to a temp file beside the destination, are synced, and only
+/// then renamed over it. On error the temp file is removed and whatever
+/// was at `path` stays as it was.
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.tmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let written = (|| {
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename is durable once its directory entry is.
+        File::open(dir)?.sync_all()
+    })();
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    written
+}
+
+/// Encode `kg` with `backend`, then replace `path` atomically; returns the
+/// snapshot size. The destination is not touched unless the encode
+/// succeeded.
+fn save_net(
+    path: &str,
+    kg: &AliCoCo,
+    backend: &dyn store::Store,
+    metrics: &Registry,
+) -> Result<usize, Box<dyn std::error::Error>> {
+    let mut out = Vec::new();
+    store::save_instrumented(backend, kg, &mut out, metrics)?;
+    write_atomic(Path::new(path), &out)?;
+    Ok(out.len())
 }
 
 fn require<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a str, String> {
@@ -142,7 +183,7 @@ fn cmd_build(args: &[String], metrics: &Registry) -> CliResult {
         let bundle = alicoco_ann::build_default_bundle(&kg);
         let mut out = Vec::new();
         alicoco_ann::save_snapshot_with_bundle(&kg, &bundle, &mut out)?;
-        std::fs::write(path, &out)?;
+        write_atomic(Path::new(path), &out)?;
         eprintln!(
             "bundle: {} tokens (dim {}), {} concept vectors, {} item vectors",
             bundle.tokens().len(),
@@ -151,12 +192,9 @@ fn cmd_build(args: &[String], metrics: &Registry) -> CliResult {
             bundle.items().len()
         );
     } else if binary {
-        let mut out = Vec::new();
-        store::save_instrumented(&store::BinaryStore, &kg, &mut out, metrics)?;
-        std::fs::write(path, &out)?;
+        save_net(path, &kg, &store::BinaryStore, metrics)?;
     } else {
-        let file = File::create(path)?;
-        alicoco::snapshot::save_instrumented(&kg, &mut BufWriter::new(file), metrics)?;
+        save_net(path, &kg, &store::TsvStore, metrics)?;
     }
     eprintln!("saved {path}");
     Ok(())
@@ -173,14 +211,11 @@ fn cmd_snapshot(args: &[String], metrics: &Registry) -> CliResult {
             let from = store::detect(&bytes);
             let kg = store::load_instrumented(from, &bytes, metrics)?;
             let to = store::store_for(from.format().other());
-            let mut out = Vec::new();
-            store::save_instrumented(to, &kg, &mut out, metrics)?;
-            std::fs::write(output, &out)?;
+            let written = save_net(output, &kg, to, metrics)?;
             eprintln!(
-                "converted {input} ({} bytes, {}) -> {output} ({} bytes, {})",
+                "converted {input} ({} bytes, {}) -> {output} ({written} bytes, {})",
                 bytes.len(),
                 from.format(),
-                out.len(),
                 to.format()
             );
             Ok(())
@@ -374,8 +409,8 @@ fn cmd_demo(metrics: &Registry) -> CliResult {
     println!("relevance: {} items after isA expansion", hits.len());
 
     let mut buf: Vec<u8> = Vec::new();
-    alicoco::snapshot::save_instrumented(&kg, &mut buf, metrics)?;
-    let reloaded = alicoco::snapshot::load_instrumented(&mut buf.as_slice(), metrics)?;
+    store::save_instrumented(&store::TsvStore, &kg, &mut buf, metrics)?;
+    let reloaded = store::load_instrumented(&store::TsvStore, &buf, metrics)?;
     println!(
         "snapshot: roundtripped {} concepts / {} items",
         reloaded.num_concepts(),
@@ -502,6 +537,44 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_save_leaves_the_destination_alone_and_a_good_one_replaces_it() {
+        let dir = scratch_dir("atomic");
+        let path = dir.join("net.tsv");
+        std::fs::write(&path, b"previous snapshot").unwrap();
+        let reg = Registry::new();
+        let tmp_siblings = || {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .filter(|name| name.ends_with(".tmp"))
+                .count()
+        };
+
+        // The encode fails (no codec can persist a tab in a name): the
+        // destination is never opened.
+        let mut bad = demo_net();
+        bad.add_class("bad\tname", None);
+        for backend in [&store::TsvStore as &dyn store::Store, &store::BinaryStore] {
+            assert!(save_net(path.to_str().unwrap(), &bad, backend, &reg).is_err());
+        }
+        // The write fails (a directory is in the way of the rename): the
+        // temp file is cleaned up.
+        let blocked = dir.join("blocked");
+        std::fs::create_dir(&blocked).unwrap();
+        assert!(write_atomic(&blocked, b"new").is_err());
+        assert!(blocked.is_dir());
+        assert_eq!(std::fs::read(&path).unwrap(), b"previous snapshot");
+        assert_eq!(tmp_siblings(), 0);
+
+        let kg = demo_net();
+        let written = save_net(path.to_str().unwrap(), &kg, &store::TsvStore, &reg).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap().len(), written);
+        assert_eq!(load_net(path.to_str().unwrap(), &reg).unwrap(), kg);
+        assert_eq!(tmp_siblings(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn build_with_embeddings_writes_a_hybrid_snapshot() {
         let dir = scratch_dir("embed-build");
         let path = dir.join("net.alcc");
@@ -536,8 +609,8 @@ mod tests {
         }
         assert!(reg.counter("search.requests").get() >= 5);
         assert_eq!(
-            reg.counter("snapshot.save_records").get(),
-            reg.counter("snapshot.load_records").get()
+            reg.counter("snapshot.tsv.saved_bytes").get(),
+            reg.counter("snapshot.tsv.loaded_bytes").get()
         );
     }
 }
