@@ -38,10 +38,10 @@ pub struct EmbedConfig {
 fn concept_doc(kg: &AliCoCo, id: alicoco::ids::ConceptId) -> Vec<String> {
     let node = kg.concept(id);
     let mut doc: Vec<String> = node.name.split_whitespace().map(str::to_string).collect();
-    for &p in &node.primitives {
+    for &p in node.primitives {
         doc.extend(kg.primitive(p).name.split_whitespace().map(str::to_string));
     }
-    for &(item, _) in &node.items {
+    for &(item, _) in node.items {
         doc.extend(kg.item(item).title.iter().cloned());
     }
     doc

@@ -265,7 +265,7 @@ impl<'kg> ScenarioQa<'kg> {
             .collect();
         Some(Answer {
             concept: cid,
-            concept_name: kg.concept(cid).name.clone(),
+            concept_name: kg.concept(cid).name.to_string(),
             checklist,
         })
     }

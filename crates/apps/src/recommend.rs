@@ -227,7 +227,7 @@ impl<'kg> CognitiveRecommender<'kg> {
                     .collect();
                 Recommendation {
                     concept: cid,
-                    name: kg.concept(cid).name.clone(),
+                    name: kg.concept(cid).name.to_string(),
                     affinity,
                     reason,
                     items,

@@ -274,7 +274,7 @@ impl<'kg> SemanticSearch<'kg> {
         items.truncate(self.cfg.items_per_card);
         ConceptCard {
             concept: cid,
-            name: c.name.clone(),
+            name: c.name.to_string(),
             interpretation,
             items,
             score,

@@ -173,7 +173,7 @@ fn main() -> ExitCode {
         .concept_ids()
         .step_by(stride)
         .take(opts.queries)
-        .map(|c| kg.concept(c).name.clone())
+        .map(|c| kg.concept(c).name.to_string())
         .collect();
 
     // 1. Index recall@10 vs the exact scan oracle, plus knn latency.

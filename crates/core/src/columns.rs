@@ -1,0 +1,435 @@
+//! The e-commerce concept layer, stored in columns (DESIGN.md §9).
+//!
+//! A net holds millions of concepts, each a short phrase with a handful of
+//! edges: a struct per concept would cost four heap allocations each (a
+//! name and three edge lists) plus a second copy of the name as a map key.
+//! The layer is a few large buffers instead:
+//!
+//! - every name in one `String`, found through its end offset;
+//! - every list of one edge kind (interpreting primitives, isA hypernyms,
+//!   weighted items) in one shared buffer, with a `(start, len, cap)`
+//!   [`Span`] per concept;
+//! - the name index an open-addressed table of `u32` ids ([`IdTable`]),
+//!   keyed by the name's hash and resolved against the name column.
+//!
+//! Mutators keep working in any order: a list with spare capacity grows in
+//! its slot, a full list that ends the buffer grows in place, and any
+//! other full list moves to the end with doubled capacity (its old slot
+//! becomes dead space). A net decoded from a snapshot fills every buffer
+//! in concept order, so its lists sit back to back with no slack at all.
+
+use std::fmt;
+use std::hash::Hasher;
+
+use alicoco_nn::util::FxHasher;
+
+use crate::graph::ConceptRef;
+use crate::ids::{ConceptId, ItemId, PrimitiveId};
+
+/// Capacity a list gets the first time it has to move.
+const MIN_MOVED_CAP: usize = 2;
+
+/// Where one list lives inside an [`EdgeLists`] buffer.
+#[derive(Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// One list per concept, all in one shared buffer.
+pub(crate) struct EdgeLists<T> {
+    data: Vec<T>,
+    spans: Vec<Span>,
+}
+
+impl<T> Default for EdgeLists<T> {
+    fn default() -> Self {
+        Self {
+            data: Vec::new(),
+            spans: Vec::new(),
+        }
+    }
+}
+
+/// Narrow a buffer position or concept id to the `u32` the columns store
+/// it in (`u32::MAX` itself is the [`IdTable`]'s empty-slot marker).
+fn to_u32(n: usize) -> u32 {
+    assert!(n < u32::MAX as usize, "concept layer exceeds u32 range");
+    n as u32
+}
+
+impl<T: Copy> EdgeLists<T> {
+    /// Room for `lists` lists without reallocating the span column.
+    fn with_capacity(lists: usize) -> Self {
+        Self {
+            data: Vec::new(),
+            spans: Vec::with_capacity(lists),
+        }
+    }
+
+    /// Open an empty list at the end of the buffer.
+    fn add_list(&mut self) {
+        self.spans.push(Span {
+            start: to_u32(self.data.len()),
+            len: 0,
+            cap: 0,
+        });
+    }
+
+    /// Append a list holding exactly the entries `fill` pushes onto the
+    /// buffer — the bulk path snapshot decoding takes, one list after
+    /// another with no slack between them.
+    pub(crate) fn push_list<E>(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<T>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let start = self.data.len();
+        fill(&mut self.data)?;
+        let len = to_u32(self.data.len() - start);
+        self.spans.push(Span {
+            start: to_u32(start),
+            len,
+            cap: len,
+        });
+        Ok(())
+    }
+
+    /// Release the growth slack of the buffers after a bulk fill.
+    fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
+        self.spans.shrink_to_fit();
+    }
+
+    /// The list of concept `c`.
+    fn get(&self, c: ConceptId) -> &[T] {
+        let span = self.spans[c.index()];
+        self.data.get(span.range()).unwrap_or(&[])
+    }
+
+    /// The list of concept `c`, mutably (for in-place updates only).
+    fn get_mut(&mut self, c: ConceptId) -> &mut [T] {
+        let span = self.spans[c.index()];
+        self.data.get_mut(span.range()).unwrap_or(&mut [])
+    }
+
+    /// Append `v` to the list of concept `c`.
+    fn push(&mut self, c: ConceptId, v: T) {
+        let Self { data, spans } = self;
+        let span = &mut spans[c.index()];
+        let start = span.start as usize;
+        let len = span.len as usize;
+        if span.len < span.cap {
+            if let Some(slot) = data.get_mut(start + len) {
+                *slot = v;
+            }
+        } else if start + span.cap as usize == data.len() {
+            data.push(v);
+            span.cap = to_u32(data.len() - start);
+        } else {
+            let moved = data.len();
+            let cap = (2 * len).max(MIN_MOVED_CAP);
+            data.extend_from_within(start..start + len);
+            // `v` doubles as the filler of the spare capacity.
+            data.resize(moved + cap, v);
+            span.start = to_u32(moved);
+            span.cap = to_u32(cap);
+        }
+        span.len += 1;
+    }
+
+    /// Total entries over every list.
+    fn total_len(&self) -> usize {
+        self.spans.iter().map(|s| s.len as usize).sum()
+    }
+}
+
+/// The FxHash of a string's bytes — the key [`IdTable`] users probe with.
+pub(crate) fn str_hash(s: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(s);
+    h.finish()
+}
+
+/// Slot marker for "no id here".
+const EMPTY: u32 = u32::MAX;
+
+/// An open-addressed hash table of `u32` ids whose keys live elsewhere
+/// (a name column, a string arena): callers hash the key, and the table
+/// asks them whether the id in a slot has that key. Linear probing, load
+/// factor at most one half, no deletion.
+#[derive(Default)]
+pub(crate) struct IdTable {
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl IdTable {
+    /// A table that holds `n` ids without growing.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let mut t = Self::default();
+        if n > 0 {
+            t.slots = vec![EMPTY; (2 * n).next_power_of_two()];
+        }
+        t
+    }
+
+    /// Home slot of `hash`: its top bits, which multiplicative hashes mix
+    /// best.
+    fn home(&self, hash: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        if bits == 0 {
+            return 0;
+        }
+        (hash >> (64 - bits)) as usize
+    }
+
+    /// The slot holding an id whose key `is_key` accepts, or else the
+    /// empty slot that ends the probe. `None` only for an empty table.
+    fn probe(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> Option<(usize, bool)> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut at = self.home(hash);
+        loop {
+            match self.slots.get(at) {
+                Some(&EMPTY) | None => return Some((at, false)),
+                Some(&id) if is_key(id) => return Some((at, true)),
+                Some(_) => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The id whose key hashes to `hash` and is accepted by `is_key`.
+    pub(crate) fn find(&self, hash: u64, is_key: impl FnMut(u32) -> bool) -> Option<u32> {
+        match self.probe(hash, is_key)? {
+            (at, true) => self.slots.get(at).copied(),
+            _ => None,
+        }
+    }
+
+    /// Insert `id` under `hash`, replacing the id whose key `is_key`
+    /// accepts if there is one. `hash_of` rehashes the stored ids when the
+    /// table grows.
+    pub(crate) fn insert(
+        &mut self,
+        hash: u64,
+        id: u32,
+        is_key: impl FnMut(u32) -> bool,
+        hash_of: impl Fn(u32) -> u64,
+    ) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow(hash_of);
+        }
+        if let Some((at, found)) = self.probe(hash, is_key) {
+            if let Some(slot) = self.slots.get_mut(at) {
+                *slot = id;
+            }
+            if !found {
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Double the slot count and re-place every id.
+    fn grow(&mut self, hash_of: impl Fn(u32) -> u64) {
+        let old = std::mem::take(&mut self.slots);
+        self.slots = vec![EMPTY; (2 * old.len()).max(8)];
+        for id in old.into_iter().filter(|&id| id != EMPTY) {
+            // Ids in the old table are distinct, so nothing matches.
+            if let Some((at, _)) = self.probe(hash_of(id), |_| false) {
+                if let Some(slot) = self.slots.get_mut(at) {
+                    *slot = id;
+                }
+            }
+        }
+    }
+}
+
+/// The concept layer of a net, in columns (see the module docs).
+#[derive(Default)]
+pub(crate) struct ConceptColumns {
+    /// Every name, back to back.
+    text: String,
+    /// End offset of each concept's name in `text`.
+    ends: Vec<u32>,
+    /// Name → id.
+    by_name: IdTable,
+    pub(crate) primitives: EdgeLists<PrimitiveId>,
+    pub(crate) hypernyms: EdgeLists<ConceptId>,
+    pub(crate) items: EdgeLists<(ItemId, f32)>,
+}
+
+impl ConceptColumns {
+    /// Room for `n` concepts whose names take `name_bytes` bytes; the name
+    /// index is left empty until [`finish_bulk`](Self::finish_bulk).
+    pub(crate) fn with_capacity(n: usize, name_bytes: usize) -> Self {
+        Self {
+            text: String::with_capacity(name_bytes),
+            ends: Vec::with_capacity(n),
+            by_name: IdTable::default(),
+            primitives: EdgeLists::with_capacity(n),
+            hypernyms: EdgeLists::with_capacity(n),
+            items: EdgeLists::with_capacity(n),
+        }
+    }
+
+    /// Number of concepts.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Name of concept `i` (`""` outside the layer).
+    fn name_at(&self, i: usize) -> &str {
+        name_in(&self.text, &self.ends, i)
+    }
+
+    /// The view of concept `c`; panics on an id from another net, like
+    /// every typed-id lookup.
+    pub(crate) fn get(&self, c: ConceptId) -> ConceptRef<'_> {
+        ConceptRef {
+            name: self.name_at(c.index()),
+            primitives: self.primitives.get(c),
+            hypernyms: self.hypernyms.get(c),
+            items: self.items.get(c),
+        }
+    }
+
+    /// Every concept, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ConceptRef<'_>> {
+        (0..self.len()).map(|i| self.get(ConceptId::from_index(i)))
+    }
+
+    /// The concept named `name`.
+    pub(crate) fn find(&self, name: &str) -> Option<ConceptId> {
+        self.by_name
+            .find(str_hash(name.as_bytes()), |id| {
+                self.name_at(id as usize) == name
+            })
+            .map(|id| ConceptId::from_index(id as usize))
+    }
+
+    /// Append a concept named `name` with empty lists, leaving the name
+    /// index alone (bulk callers index once at the end).
+    pub(crate) fn push_name(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(to_u32(self.text.len()));
+    }
+
+    /// Finish a layer filled by [`push_name`](Self::push_name) and
+    /// [`EdgeLists::push_list`]: build the name index (when a name repeats,
+    /// the last concept carrying it wins) and release growth slack.
+    pub(crate) fn finish_bulk(&mut self) {
+        let mut by_name = IdTable::with_capacity(self.len());
+        for i in 0..self.len() {
+            let name = self.name_at(i);
+            by_name.insert(
+                str_hash(name.as_bytes()),
+                to_u32(i),
+                |id| self.name_at(id as usize) == name,
+                |id| str_hash(self.name_at(id as usize).as_bytes()),
+            );
+        }
+        self.by_name = by_name;
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.primitives.shrink_to_fit();
+        self.hypernyms.shrink_to_fit();
+        self.items.shrink_to_fit();
+    }
+
+    /// The concept named `name`, added with empty lists if there is none.
+    pub(crate) fn add(&mut self, name: &str) -> ConceptId {
+        if let Some(id) = self.find(name) {
+            return id;
+        }
+        let id = self.len();
+        self.push_name(name);
+        self.primitives.add_list();
+        self.hypernyms.add_list();
+        self.items.add_list();
+        let Self {
+            text,
+            ends,
+            by_name,
+            ..
+        } = self;
+        let name_of = |id: u32| name_in(text, ends, id as usize);
+        by_name.insert(
+            str_hash(name.as_bytes()),
+            to_u32(id),
+            |_| false,
+            |id| str_hash(name_of(id).as_bytes()),
+        );
+        ConceptId::from_index(id)
+    }
+
+    /// Link `c` to primitive `p` unless it already is.
+    pub(crate) fn link_primitive(&mut self, c: ConceptId, p: PrimitiveId) {
+        if !self.primitives.get(c).contains(&p) {
+            self.primitives.push(c, p);
+        }
+    }
+
+    /// Add hypernym `h` to `c` unless it is already there.
+    pub(crate) fn add_hypernym(&mut self, c: ConceptId, h: ConceptId) {
+        if !self.hypernyms.get(c).contains(&h) {
+            self.hypernyms.push(c, h);
+        }
+    }
+
+    /// Set the weight of the `c → item` edge, adding the edge if it is
+    /// new; returns whether it was.
+    pub(crate) fn link_item(&mut self, c: ConceptId, item: ItemId, weight: f32) -> bool {
+        if let Some(e) = self.items.get_mut(c).iter_mut().find(|(i, _)| *i == item) {
+            e.1 = weight;
+            return false;
+        }
+        self.items.push(c, (item, weight));
+        true
+    }
+
+    /// Total isA edges between concepts.
+    pub(crate) fn num_hypernym_edges(&self) -> usize {
+        self.hypernyms.total_len()
+    }
+
+    /// Total concept–primitive edges.
+    pub(crate) fn num_primitive_edges(&self) -> usize {
+        self.primitives.total_len()
+    }
+
+    /// Total concept–item edges.
+    pub(crate) fn num_item_edges(&self) -> usize {
+        self.items.total_len()
+    }
+}
+
+/// Name `i` of a name column given as its parts (for closures that must
+/// not borrow the whole layer).
+fn name_in<'a>(text: &'a str, ends: &[u32], i: usize) -> &'a str {
+    let start = i
+        .checked_sub(1)
+        .and_then(|p| ends.get(p))
+        .map_or(0, |&e| e as usize);
+    let end = ends.get(i).map_or(start, |&e| e as usize);
+    text.get(start..end).unwrap_or("")
+}
+
+/// Content equality: the same concepts with the same names and lists in
+/// the same order, however the buffers happen to be laid out.
+impl PartialEq for ConceptColumns {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for ConceptColumns {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}

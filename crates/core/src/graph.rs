@@ -14,6 +14,7 @@
 
 use alicoco_nn::util::FxHashMap;
 
+use crate::columns::ConceptColumns;
 use crate::ids::{ClassId, ConceptId, ItemId, PrimitiveId};
 
 /// A taxonomy class.
@@ -40,18 +41,20 @@ pub struct PrimitiveNode {
     pub hyponyms: Vec<PrimitiveId>,
 }
 
-/// An e-commerce concept: a conceptualized user need.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConceptNode {
+/// An e-commerce concept: a conceptualized user need. A borrowed view
+/// into the net's concept columns ([`AliCoCo::concept`]); the layer
+/// itself stores no per-concept struct.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ConceptRef<'a> {
     /// Surface form, tokens joined by spaces.
-    pub name: String,
+    pub name: &'a str,
     /// Interpreting primitive concepts (§5.3).
-    pub primitives: Vec<PrimitiveId>,
+    pub primitives: &'a [PrimitiveId],
     /// isA edges between e-commerce concepts.
-    pub hypernyms: Vec<ConceptId>,
+    pub hypernyms: &'a [ConceptId],
     /// Associated items with probability weights (§6; weights are
     /// future-work item 2 of §10).
-    pub items: Vec<(ItemId, f32)>,
+    pub items: &'a [(ItemId, f32)],
 }
 
 /// An item node.
@@ -92,17 +95,18 @@ pub struct PrimitiveRelation {
 ///
 /// Equality compares the full structure — node arenas, edge lists (in
 /// order), relations, and the derived name indices — which is what the
-/// snapshot round-trip tests mean by "the same net".
+/// snapshot round-trip tests mean by "the same net". The concept layer is
+/// compared by content, not by how its columns happen to be laid out.
 #[derive(Debug, Default, PartialEq)]
 pub struct AliCoCo {
     classes: Vec<ClassNode>,
     primitives: Vec<PrimitiveNode>,
-    concepts: Vec<ConceptNode>,
+    /// The e-commerce concept layer, with its name index.
+    concepts: ConceptColumns,
     items: Vec<ItemNode>,
     class_by_name: FxHashMap<String, ClassId>,
     /// Surface form -> all primitive senses (disambiguation).
     primitives_by_name: FxHashMap<String, Vec<PrimitiveId>>,
-    concept_by_name: FxHashMap<String, ConceptId>,
     schema: Vec<SchemaRelation>,
     primitive_relations: Vec<PrimitiveRelation>,
 }
@@ -124,7 +128,7 @@ impl AliCoCo {
     pub(crate) fn from_parts(
         mut classes: Vec<ClassNode>,
         mut primitives: Vec<PrimitiveNode>,
-        concepts: Vec<ConceptNode>,
+        mut concepts: ConceptColumns,
         mut items: Vec<ItemNode>,
         schema: Vec<SchemaRelation>,
         primitive_relations: Vec<PrimitiveRelation>,
@@ -160,22 +164,22 @@ impl AliCoCo {
         for (hyper, hypo) in hyper_edges {
             primitives[hyper.index()].hyponyms.push(hypo);
         }
-        let mut concept_by_name =
-            FxHashMap::with_capacity_and_hasher(concepts.len(), Default::default());
-        for (i, c) in concepts.iter().enumerate() {
-            concept_by_name.insert(c.name.clone(), ConceptId::from_index(i));
+        concepts.finish_bulk();
+        // Reverse links sized exactly: count each item's concepts, then
+        // fill in concept order.
+        let mut degree = vec![0usize; items.len()];
+        for c in concepts.iter() {
+            for &(item, _) in c.items {
+                degree[item.index()] += 1;
+            }
         }
-        let item_edges: Vec<(ItemId, ConceptId)> = concepts
-            .iter()
-            .enumerate()
-            .flat_map(|(i, c)| {
-                c.items
-                    .iter()
-                    .map(move |&(item, _)| (item, ConceptId::from_index(i)))
-            })
-            .collect();
-        for (item, concept) in item_edges {
-            items[item.index()].concepts.push(concept);
+        for (item, d) in items.iter_mut().zip(degree) {
+            item.concepts.reserve_exact(d);
+        }
+        for (i, c) in concepts.iter().enumerate() {
+            for &(item, _) in c.items {
+                items[item.index()].concepts.push(ConceptId::from_index(i));
+            }
         }
         Self {
             classes,
@@ -184,7 +188,6 @@ impl AliCoCo {
             items,
             class_by_name,
             primitives_by_name,
-            concept_by_name,
             schema,
             primitive_relations,
         }
@@ -389,28 +392,17 @@ impl AliCoCo {
 
     /// Add an e-commerce concept (idempotent by surface form).
     pub fn add_concept(&mut self, name: &str) -> ConceptId {
-        if let Some(&id) = self.concept_by_name.get(name) {
-            return id;
-        }
-        let id = ConceptId::from_index(self.concepts.len());
-        self.concepts.push(ConceptNode {
-            name: name.to_string(),
-            primitives: Vec::new(),
-            hypernyms: Vec::new(),
-            items: Vec::new(),
-        });
-        self.concept_by_name.insert(name.to_string(), id);
-        id
+        self.concepts.add(name)
     }
 
     /// Concept.
-    pub fn concept(&self, id: ConceptId) -> &ConceptNode {
-        &self.concepts[id.index()]
+    pub fn concept(&self, id: ConceptId) -> ConceptRef<'_> {
+        self.concepts.get(id)
     }
 
     /// Concept by name.
     pub fn concept_by_name(&self, name: &str) -> Option<ConceptId> {
-        self.concept_by_name.get(name).copied()
+        self.concepts.find(name)
     }
 
     /// Number of concepts.
@@ -420,18 +412,13 @@ impl AliCoCo {
 
     /// Link a concept to an interpreting primitive (§5.3).
     pub fn link_concept_primitive(&mut self, concept: ConceptId, primitive: PrimitiveId) {
-        let c = &mut self.concepts[concept.index()];
-        if !c.primitives.contains(&primitive) {
-            c.primitives.push(primitive);
-        }
+        self.concepts.link_primitive(concept, primitive);
     }
 
     /// Record `hyponym isA hypernym` between e-commerce concepts.
     pub fn add_concept_is_a(&mut self, hyponym: ConceptId, hypernym: ConceptId) {
         assert_ne!(hyponym, hypernym, "isA self-loop");
-        if !self.concepts[hyponym.index()].hypernyms.contains(&hypernym) {
-            self.concepts[hyponym.index()].hypernyms.push(hypernym);
-        }
+        self.concepts.add_hypernym(hyponym, hypernym);
     }
 
     /// Record `hyponym isA hypernym` between concepts unless the edge
@@ -449,12 +436,12 @@ impl AliCoCo {
     /// Transitive hypernym closure of a concept (BFS order, no dups).
     pub fn concept_ancestors(&self, id: ConceptId) -> Vec<ConceptId> {
         let mut seen = alicoco_nn::util::FxHashSet::default();
-        let mut queue: Vec<ConceptId> = self.concepts[id.index()].hypernyms.clone();
+        let mut queue: Vec<ConceptId> = self.concept(id).hypernyms.to_vec();
         let mut out = Vec::new();
         while let Some(c) = queue.pop() {
             if seen.insert(c) {
                 out.push(c);
-                queue.extend(self.concepts[c.index()].hypernyms.iter().copied());
+                queue.extend_from_slice(self.concept(c).hypernyms);
             }
         }
         out
@@ -462,7 +449,7 @@ impl AliCoCo {
 
     /// Number of concept is a.
     pub fn num_concept_is_a(&self) -> usize {
-        self.concepts.iter().map(|c| c.hypernyms.len()).sum()
+        self.concepts.num_hypernym_edges()
     }
 
     // ---- items -------------------------------------------------------------
@@ -506,30 +493,30 @@ impl AliCoCo {
             (0.0..=1.0).contains(&weight),
             "weight must be a probability"
         );
-        let c = &mut self.concepts[concept.index()];
-        if let Some(e) = c.items.iter_mut().find(|(i, _)| *i == item) {
-            e.1 = weight;
-        } else {
-            c.items.push((item, weight));
-            self.items[item.index()].concepts.push(concept);
+        // The item is looked up first, so a bad id leaves the net as it was.
+        let back = &mut self.items[item.index()].concepts;
+        if self.concepts.link_item(concept, item, weight) {
+            back.push(concept);
         }
     }
 
     /// Items suggested for a concept, highest weight first.
     pub fn items_for_concept(&self, concept: ConceptId) -> Vec<(ItemId, f32)> {
-        let mut v = self.concepts[concept.index()].items.clone();
+        let mut v = self.concept(concept).items.to_vec();
         v.sort_by(crate::rank::by_score_then_id);
         v
     }
 
-    /// Concepts that suggest an item.
+    /// Concepts that suggest an item, in the order the edges were made.
+    /// Snapshots do not store this order: a decoded net lists them
+    /// ascending.
     pub fn concepts_for_item(&self, item: ItemId) -> &[ConceptId] {
         &self.items[item.index()].concepts
     }
 
     /// Total concept–item edges.
     pub fn num_concept_item_links(&self) -> usize {
-        self.concepts.iter().map(|c| c.items.len()).sum()
+        self.concepts.num_item_edges()
     }
 
     /// Total item–primitive edges.
@@ -539,7 +526,7 @@ impl AliCoCo {
 
     /// Total concept–primitive edges.
     pub fn num_concept_primitive_links(&self) -> usize {
-        self.concepts.iter().map(|c| c.primitives.len()).sum()
+        self.concepts.num_primitive_edges()
     }
 
     // ---- iteration ---------------------------------------------------------
@@ -556,7 +543,7 @@ impl AliCoCo {
 
     /// Concept identifiers.
     pub fn concept_ids(&self) -> impl Iterator<Item = ConceptId> {
-        (0..self.concepts.len()).map(ConceptId::from_index)
+        (0..self.num_concepts()).map(ConceptId::from_index)
     }
 
     /// Item identifiers.

@@ -59,7 +59,7 @@ pub fn mine_implications(kg: &AliCoCo, cfg: &InferConfig) -> Vec<Implication> {
     let mut single: FxHashMap<PrimitiveId, usize> = FxHashMap::default();
     let mut pair: FxHashMap<(PrimitiveId, PrimitiveId), usize> = FxHashMap::default();
     for c in kg.concept_ids() {
-        let prims = &kg.concept(c).primitives;
+        let prims = kg.concept(c).primitives;
         for &p in prims {
             *single.entry(p).or_insert(0) += 1;
         }

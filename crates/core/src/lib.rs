@@ -72,6 +72,7 @@
 //! assert!(alicoco::validate::validate(&loaded).is_empty());
 //! ```
 
+mod columns;
 pub mod coverage;
 pub mod graph;
 pub mod ids;
@@ -87,6 +88,6 @@ pub mod validate;
 /// crate) ranks under the same total order.
 pub use alicoco_nn::rank;
 
-pub use graph::{AliCoCo, ClassNode, ConceptNode, ItemNode, PrimitiveNode};
+pub use graph::{AliCoCo, ClassNode, ConceptRef, ItemNode, PrimitiveNode};
 pub use ids::{ClassId, ConceptId, ItemId, PrimitiveId};
 pub use stats::Stats;

@@ -1,6 +1,6 @@
 //! Read-side query helpers over a built concept net: inverted lookups,
-//! degree statistics, path explanations, and subgraph extraction — the
-//! serving-layer API downstream applications compose.
+//! degree statistics, and path explanations — the serving-layer API
+//! downstream applications compose.
 //!
 //! Keyword retrieval scores on ids, not strings. Beside each concept
 //! posting entry the index keeps one byte — is the token a *surface word*
@@ -208,7 +208,7 @@ impl<'kg> QueryIndex<'kg> {
         let mut concepts_by_primitive: FxHashMap<PrimitiveId, Vec<ConceptId>> =
             FxHashMap::default();
         for c in kg.concept_ids() {
-            for &p in &kg.concept(c).primitives {
+            for &p in kg.concept(c).primitives {
                 concepts_by_primitive.entry(p).or_default().push(c);
             }
         }
@@ -572,59 +572,6 @@ pub fn item_primitive_degrees(kg: &AliCoCo) -> DegreeStats {
     degree_stats(kg.item_ids().map(|i| kg.item(i).primitives.len()))
 }
 
-/// Extract the neighbourhood subgraph of a concept (its primitives, items,
-/// hypernyms, and the item titles) as a new standalone net — useful for
-/// debugging one concept card or shipping a card's data to a client.
-pub fn concept_subgraph(kg: &AliCoCo, concept: ConceptId) -> AliCoCo {
-    let mut out = AliCoCo::new();
-    let src = kg.concept(concept);
-    // Classes along each primitive's ancestor chain.
-    let mut class_map: FxHashMap<ClassId, ClassId> = FxHashMap::default();
-    let mut add_class_chain = |kg: &AliCoCo, out: &mut AliCoCo, class: ClassId| -> ClassId {
-        // Insert ancestors root-first, then `class` itself — mapping the
-        // final link outside the loop keeps the return value total without
-        // an "empty chain" panic path.
-        let mut chain = kg.class_ancestors(class);
-        chain.reverse();
-        let mut parent: Option<ClassId> = None;
-        for c in chain {
-            let id = match class_map.get(&c) {
-                Some(&id) => id,
-                None => {
-                    let id = out.add_class(&kg.class(c).name, parent);
-                    class_map.insert(c, id);
-                    id
-                }
-            };
-            parent = Some(id);
-        }
-        match class_map.get(&class) {
-            Some(&id) => id,
-            None => {
-                let id = out.add_class(&kg.class(class).name, parent);
-                class_map.insert(class, id);
-                id
-            }
-        }
-    };
-    let new_concept = out.add_concept(&src.name);
-    for &p in &src.primitives {
-        let prim = kg.primitive(p);
-        let class = add_class_chain(kg, &mut out, prim.class);
-        let np = out.add_primitive(&prim.name, class);
-        out.link_concept_primitive(new_concept, np);
-    }
-    for &(item, w) in &src.items {
-        let ni = out.add_item(&kg.item(item).title);
-        out.link_concept_item(new_concept, ni, w);
-    }
-    for &h in &src.hypernyms {
-        let nh = out.add_concept(&kg.concept(h).name);
-        out.add_concept_is_a(new_concept, nh);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,25 +828,5 @@ mod tests {
         assert!(postings
             .iter()
             .all(|(_, ids)| ids.windows(2).all(|w| w[0] < w[1])));
-    }
-
-    #[test]
-    fn subgraph_contains_the_concept_neighbourhood() {
-        let (kg, c, _, _) = sample();
-        let sub = concept_subgraph(&kg, c);
-        assert_eq!(sub.num_concepts(), 2); // concept + hypernym
-        assert_eq!(sub.num_primitives(), 2);
-        assert_eq!(sub.num_items(), 1);
-        let nc = sub.concept_by_name("outdoor barbecue").unwrap();
-        assert_eq!(sub.concept(nc).primitives.len(), 2);
-        assert_eq!(sub.concept(nc).items.len(), 1);
-        assert_eq!(sub.concept(nc).hypernyms.len(), 1);
-        // Classes were carried over with their hierarchy.
-        let event = sub.class_by_name("Event").unwrap();
-        assert!(sub.class(event).parent.is_some());
-        // And the subgraph snapshots cleanly.
-        let mut buf = Vec::new();
-        crate::snapshot::save(&sub, &mut buf).unwrap();
-        assert!(crate::snapshot::load(&mut buf.as_slice()).is_ok());
     }
 }

@@ -44,11 +44,10 @@
 
 use std::io;
 
-use alicoco_nn::util::FxHashMap;
-
 use super::{check_name, LoadError, SaveError};
+use crate::columns::{str_hash, ConceptColumns, IdTable};
 use crate::graph::{
-    AliCoCo, ClassNode, ConceptNode, ItemNode, PrimitiveNode, PrimitiveRelation, SchemaRelation,
+    AliCoCo, ClassNode, ItemNode, PrimitiveNode, PrimitiveRelation, SchemaRelation,
 };
 use crate::ids::{ClassId, ConceptId, ItemId, PrimitiveId};
 use crate::query::QueryIndex;
@@ -142,26 +141,70 @@ fn corrupt(section: &'static str, msg: impl Into<String>) -> LoadError {
 
 /// Deduplicating string arena builder. Interning order is deterministic
 /// (first use wins), which is part of what makes re-saves byte-identical.
+/// The dedup table keys on the arena's own bytes, so interning allocates
+/// nothing per string: a new string is appended, looked up as the arena's
+/// tail, and either kept or cut off again.
 #[derive(Default)]
 struct Arena {
     bytes: Vec<u8>,
-    seen: FxHashMap<String, (u32, u32)>,
+    /// `(offset, len)` of every distinct string, in interning order.
+    refs: Vec<(u32, u32)>,
+    /// Indices into `refs`, keyed by content.
+    seen: IdTable,
 }
 
 impl Arena {
     fn intern(&mut self, s: &str) -> Result<(u32, u32), SaveError> {
-        if let Some(&r) = self.seen.get(s) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(s.as_bytes());
+        self.keep_tail(start)
+    }
+
+    /// Intern tokens joined by single spaces (an item title) without
+    /// building the joined string.
+    fn intern_joined(&mut self, tokens: &[String]) -> Result<(u32, u32), SaveError> {
+        let start = self.bytes.len();
+        for (i, tok) in tokens.iter().enumerate() {
+            if i > 0 {
+                self.bytes.push(b' ');
+            }
+            self.bytes.extend_from_slice(tok.as_bytes());
+        }
+        self.keep_tail(start)
+    }
+
+    /// The bytes from `start` to the end were just appended: return the
+    /// reference of an earlier copy (dropping the new one), or register
+    /// them as a new string.
+    fn keep_tail(&mut self, start: usize) -> Result<(u32, u32), SaveError> {
+        let Arena { bytes, refs, seen } = self;
+        let text = |(off, len): (u32, u32)| {
+            bytes
+                .get(off as usize..off as usize + len as usize)
+                .unwrap_or(&[])
+        };
+        let tail = bytes.get(start..).unwrap_or(&[]);
+        let hash = str_hash(tail);
+        let same = |i: u32| refs.get(i as usize).is_some_and(|&r| text(r) == tail);
+        if let Some(r) = seen.find(hash, same).and_then(|i| refs.get(i as usize)) {
+            let r = *r;
+            bytes.truncate(start);
             return Ok(r);
         }
-        let off = self.bytes.len();
-        if off + s.len() > u32::MAX as usize {
+        if bytes.len() > u32::MAX as usize {
             return Err(SaveError::Io(io::Error::other(
                 "string arena exceeds 4 GiB",
             )));
         }
-        self.bytes.extend_from_slice(s.as_bytes());
-        let r = (off as u32, s.len() as u32);
-        self.seen.insert(s.to_string(), r);
+        let r = (start as u32, (bytes.len() - start) as u32);
+        let id = count_u32(refs.len(), "string")?;
+        refs.push(r);
+        seen.insert(
+            hash,
+            id,
+            |_| false,
+            |i| str_hash(refs.get(i as usize).map_or(&[], |&r| text(r))),
+        );
         Ok(r)
     }
 }
@@ -186,19 +229,22 @@ fn encode_deltas(sec: &mut Vec<u8>, ids: &mut dyn ExactSizeIterator<Item = usize
     }
 }
 
-fn encode_postings(
+/// One postings section: tokens in the order given, each with its
+/// strictly ascending id list gap-coded.
+fn encode_postings<I: Copy>(
     sec: &mut Vec<u8>,
     arena: &mut Arena,
-    postings: &[(&str, Vec<usize>)],
+    postings: &[(&str, &[I])],
+    index: impl Fn(I) -> usize,
 ) -> Result<(), SaveError> {
     write_varint(sec, postings.len() as u64);
-    for (tok, ids) in postings {
+    for &(tok, ids) in postings {
         let (off, len) = arena.intern(tok)?;
         write_varint(sec, u64::from(off));
         write_varint(sec, u64::from(len));
         write_varint(sec, ids.len() as u64);
         let mut prev: Option<usize> = None;
-        for &id in ids {
+        for id in ids.iter().map(|&i| index(i)) {
             match prev {
                 None => write_varint(sec, id as u64),
                 Some(p) => {
@@ -248,14 +294,17 @@ pub fn save_with_ann(
     for id in kg.concept_ids() {
         push_str_ref(
             &mut conc,
-            arena.intern(check_name("concept", &kg.concept(id).name)?)?,
+            arena.intern(check_name("concept", kg.concept(id).name)?)?,
         );
     }
     let mut item = Vec::new();
     item.extend_from_slice(&count_u32(kg.num_items(), "item")?.to_le_bytes());
     for id in kg.item_ids() {
-        let joined = kg.item(id).title.join(" ");
-        push_str_ref(&mut item, arena.intern(check_name("item title", &joined)?)?);
+        let title = &kg.item(id).title;
+        if title.iter().any(|t| check_name("item title", t).is_err()) {
+            check_name("item title", &title.join(" "))?;
+        }
+        push_str_ref(&mut item, arena.intern_joined(title)?);
     }
     let mut ppia = Vec::new();
     for id in kg.primitive_ids() {
@@ -271,7 +320,7 @@ pub fn save_with_ann(
         encode_deltas(&mut cpri, &mut c.primitives.iter().map(|p| p.index()));
         write_varint(&mut citm, c.items.len() as u64);
         let mut prev = 0i64;
-        for &(i, w) in &c.items {
+        for &(i, w) in c.items {
             let v = i.index() as i64;
             write_varint(&mut citm, zigzag(v - prev));
             prev = v;
@@ -306,20 +355,22 @@ pub fn save_with_ann(
         prel.extend_from_slice(&(r.to.index() as u32).to_le_bytes());
     }
     let index = QueryIndex::build(kg);
-    let concept_postings: Vec<(&str, Vec<usize>)> = index
-        .sorted_concept_postings()
-        .into_iter()
-        .map(|(t, ids)| (t, ids.iter().map(|c| c.index()).collect()))
-        .collect();
-    let item_postings: Vec<(&str, Vec<usize>)> = index
-        .sorted_item_postings()
-        .into_iter()
-        .map(|(t, ids)| (t, ids.iter().map(|i| i.index()).collect()))
-        .collect();
     let mut pstc = Vec::new();
-    encode_postings(&mut pstc, &mut arena, &concept_postings)?;
+    encode_postings(
+        &mut pstc,
+        &mut arena,
+        &index.sorted_concept_postings(),
+        ConceptId::index,
+    )?;
     let mut psti = Vec::new();
-    encode_postings(&mut psti, &mut arena, &item_postings)?;
+    encode_postings(
+        &mut psti,
+        &mut arena,
+        &index.sorted_item_postings(),
+        ItemId::index,
+    )?;
+    // The largest thing a save holds; free it before the file is assembled.
+    drop(index);
 
     let sections: [Vec<u8>; 14] = [
         arena.bytes,
@@ -475,38 +526,44 @@ impl<'a> Cursor<'a> {
         Ok(deg as usize)
     }
 
-    /// One zigzag-delta-coded id list, every id checked against `n`.
-    fn id_list(&mut self, n: usize) -> Result<Vec<u32>, LoadError> {
+    /// One zigzag-delta-coded id list, every id checked against `n`,
+    /// appended to `out` as `id(index)`.
+    fn ids_into<T>(
+        &mut self,
+        n: usize,
+        out: &mut Vec<T>,
+        id: impl Fn(usize) -> T,
+    ) -> Result<(), LoadError> {
         let deg = self.degree()?;
-        let mut out = Vec::with_capacity(deg);
+        out.reserve(deg);
         let mut prev = 0i64;
         for _ in 0..deg {
-            let delta = unzigzag(self.varint()?);
-            prev = prev
-                .checked_add(delta)
-                .ok_or_else(|| corrupt(self.section, "id delta overflows"))?;
-            if prev < 0 || prev >= n as i64 {
-                return Err(corrupt(self.section, "id out of range"));
-            }
-            out.push(prev as u32);
+            prev = self.next_id(prev, n)?;
+            out.push(id(prev as usize));
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// One id list with an f32 weight per entry (the `CITM` coding);
-    /// weights must be finite probabilities.
-    fn weighted_list(&mut self, n: usize) -> Result<Vec<(u32, f32)>, LoadError> {
+    /// The id after `prev` in a zigzag-delta-coded list, checked against `n`.
+    fn next_id(&mut self, prev: i64, n: usize) -> Result<i64, LoadError> {
+        let delta = unzigzag(self.varint()?);
+        let id = prev
+            .checked_add(delta)
+            .ok_or_else(|| corrupt(self.section, "id delta overflows"))?;
+        if id < 0 || id >= n as i64 {
+            return Err(corrupt(self.section, "id out of range"));
+        }
+        Ok(id)
+    }
+
+    /// One id list with an f32 weight per entry (the `CITM` coding),
+    /// appended to `out`; weights must be finite probabilities.
+    fn weighted_into(&mut self, n: usize, out: &mut Vec<(ItemId, f32)>) -> Result<(), LoadError> {
         let deg = self.degree()?;
-        let mut out = Vec::with_capacity(deg);
+        out.reserve(deg);
         let mut prev = 0i64;
         for _ in 0..deg {
-            let delta = unzigzag(self.varint()?);
-            prev = prev
-                .checked_add(delta)
-                .ok_or_else(|| corrupt(self.section, "id delta overflows"))?;
-            if prev < 0 || prev >= n as i64 {
-                return Err(corrupt(self.section, "id out of range"));
-            }
+            prev = self.next_id(prev, n)?;
             let bytes = self
                 .buf
                 .get(self.pos..self.pos + 4)
@@ -517,9 +574,9 @@ impl<'a> Cursor<'a> {
             if !w.is_finite() || !(0.0..=1.0).contains(&w) {
                 return Err(corrupt(self.section, "weight must be a probability"));
             }
-            out.push((prev as u32, w));
+            out.push((ItemId::from_index(prev as usize), w));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Skip one list, returning its degree (used for record counting).
@@ -807,11 +864,8 @@ impl<'a> SnapshotView<'a> {
         let mut prim_isa = Cursor::new(self.ppia, "primitive-isA");
         let mut primitives = Vec::with_capacity(n_prim);
         for i in 0..n_prim {
-            let hypernyms = prim_isa
-                .id_list(n_prim)?
-                .into_iter()
-                .map(|p| PrimitiveId::from_index(p as usize))
-                .collect();
+            let mut hypernyms = Vec::new();
+            prim_isa.ids_into(n_prim, &mut hypernyms, PrimitiveId::from_index)?;
             primitives.push(PrimitiveNode {
                 name: self.primitive_name(i).to_string(),
                 class: ClassId::from_index(self.primitive_class(i)),
@@ -820,32 +874,24 @@ impl<'a> SnapshotView<'a> {
             });
         }
         prim_isa.expect_end()?;
+        // The concept layer is columns: names into one string, each edge
+        // kind into one buffer — nothing allocated per concept.
+        let name_bytes = (0..n_conc).map(|i| self.concept_name(i).len()).sum();
+        let mut concepts = ConceptColumns::with_capacity(n_conc, name_bytes);
         let mut isa = Cursor::new(self.ccia, "concept-isA");
         let mut interp = Cursor::new(self.cpri, "concept-primitive");
         let mut sugg = Cursor::new(self.citm, "concept-item");
-        let mut concepts = Vec::with_capacity(n_conc);
         for i in 0..n_conc {
-            let hypernyms = isa
-                .id_list(n_conc)?
-                .into_iter()
-                .map(|c| ConceptId::from_index(c as usize))
-                .collect();
-            let prims = interp
-                .id_list(n_prim)?
-                .into_iter()
-                .map(|p| PrimitiveId::from_index(p as usize))
-                .collect();
-            let items = sugg
-                .weighted_list(n_item)?
-                .into_iter()
-                .map(|(id, w)| (ItemId::from_index(id as usize), w))
-                .collect();
-            concepts.push(ConceptNode {
-                name: self.concept_name(i).to_string(),
-                primitives: prims,
-                hypernyms,
-                items,
-            });
+            concepts.push_name(self.concept_name(i));
+            concepts
+                .hypernyms
+                .push_list(|out| isa.ids_into(n_conc, out, ConceptId::from_index))?;
+            concepts
+                .primitives
+                .push_list(|out| interp.ids_into(n_prim, out, PrimitiveId::from_index))?;
+            concepts
+                .items
+                .push_list(|out| sugg.weighted_into(n_item, out))?;
         }
         isa.expect_end()?;
         interp.expect_end()?;
@@ -857,13 +903,12 @@ impl<'a> SnapshotView<'a> {
             let title = if joined.is_empty() {
                 Vec::new()
             } else {
-                joined.split(' ').map(String::from).collect()
+                let mut title = Vec::with_capacity(joined.split(' ').count());
+                title.extend(joined.split(' ').map(String::from));
+                title
             };
-            let primitives = props
-                .id_list(n_prim)?
-                .into_iter()
-                .map(|p| PrimitiveId::from_index(p as usize))
-                .collect();
+            let mut primitives = Vec::new();
+            props.ids_into(n_prim, &mut primitives, PrimitiveId::from_index)?;
             items.push(ItemNode {
                 title,
                 primitives,

@@ -123,7 +123,7 @@ pub fn stream(kg: &AliCoCo) -> impl Iterator<Item = Record<'_>> + '_ {
     });
     let concepts = kg.concept_ids().map(move |id| Record::Concept {
         id: id.index() as u32,
-        name: &kg.concept(id).name,
+        name: kg.concept(id).name,
     });
     let items = kg.item_ids().map(move |id| Record::Item {
         id: id.index() as u32,

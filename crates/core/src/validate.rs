@@ -130,7 +130,7 @@ pub fn validate(kg: &AliCoCo) -> Vec<Violation> {
             let mut stack: Vec<(ConceptId, usize)> = vec![(start, 0)];
             state[start.index()] = 1;
             while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-                let hypernyms = &kg.concept(node).hypernyms;
+                let hypernyms = kg.concept(node).hypernyms;
                 if let Some(&child) = hypernyms.get(*next) {
                     *next += 1;
                     match state[child.index()] {
@@ -151,7 +151,7 @@ pub fn validate(kg: &AliCoCo) -> Vec<Violation> {
 
     // Weights and reciprocal concept<->item links.
     for c in kg.concept_ids() {
-        for &(item, w) in &kg.concept(c).items {
+        for &(item, w) in kg.concept(c).items {
             if !w.is_finite() || !(0.0..=1.0).contains(&w) {
                 out.push(Violation::BadWeight {
                     concept: c,

@@ -146,10 +146,7 @@ mod tests {
         let n = 240 * 240 + 500;
         let kg = scale_world(n);
         assert_eq!(kg.num_concepts(), n);
-        let last = kg
-            .concept(alicoco::ids::ConceptId::from_index(n - 1))
-            .name
-            .clone();
+        let last = kg.concept(alicoco::ids::ConceptId::from_index(n - 1)).name;
         assert_eq!(last.split(' ').count(), 3, "{last}");
     }
 

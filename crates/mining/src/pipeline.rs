@@ -417,7 +417,7 @@ pub fn build_alicoco_instrumented(
     // 22M-edge isA structure.
     let mut by_text: FxHashMap<String, alicoco::ConceptId> = admitted_specs
         .iter()
-        .map(|&c| (kg.concept(c).name.clone(), c))
+        .map(|&c| (kg.concept(c).name.to_string(), c))
         .collect();
     let concept_texts: Vec<String> = by_text.keys().cloned().collect();
     for text in &concept_texts {
@@ -561,13 +561,7 @@ pub fn build_alicoco_instrumented(
     // "winter coat" card can show what "british-style winter coat" sells.
     let is_a_pairs: Vec<(alicoco::ConceptId, alicoco::ConceptId)> = kg
         .concept_ids()
-        .flat_map(|c| {
-            kg.concept(c)
-                .hypernyms
-                .clone()
-                .into_iter()
-                .map(move |h| (c, h))
-        })
+        .flat_map(|c| kg.concept(c).hypernyms.iter().map(move |&h| (c, h)))
         .collect();
     for (hypo, hyper) in is_a_pairs {
         for (item, w) in kg.items_for_concept(hypo) {

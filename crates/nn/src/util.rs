@@ -32,12 +32,13 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            self.add_to_hash(u64::from_le_bytes(c.try_into().unwrap()));
+            // Every chunk is eight bytes; the fallback never runs.
+            self.add_to_hash(u64::from_le_bytes(c.try_into().unwrap_or([0; 8])));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
+            buf.iter_mut().zip(rem).for_each(|(b, &r)| *b = r);
             self.add_to_hash(u64::from_le_bytes(buf));
         }
     }

@@ -121,10 +121,14 @@ fn graceful_shutdown_drains_in_flight_and_refuses_new_connections() {
 
 #[test]
 fn metrics_route_reconciles_with_the_final_report() {
+    // No step waits on a clock. The single worker is known to hold A
+    // because it answered A, and to have left the queue empty because it
+    // answered B; the read deadline is far longer than the few socket
+    // operations that must fit inside it, even on a loaded machine.
     let server = start_server(ServeConfig {
         workers: 1,
         queue_capacity: 1,
-        read_timeout: Duration::from_millis(200),
+        read_timeout: Duration::from_secs(1),
         ..test_cfg()
     });
     // A mixed workload: two clean requests...
@@ -138,15 +142,21 @@ fn metrics_route_reconciles_with_the_final_report() {
     loris.write_all(b"GET /sl").unwrap();
     assert_eq!(read_reply(&mut loris).unwrap().status, 408);
     drop(loris);
-    // ...and one queue rejection.
+    // ...and one queue rejection. Once A's first request is answered, the
+    // single worker is serving A: B fills the queue and C is bounced.
     let mut a = connect(&server);
+    a.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    assert_eq!(read_reply(&mut a).unwrap().status, 200);
     a.write_all(b"GET /he").unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-    let _b = connect(&server);
+    let mut b = connect(&server);
     let mut c = connect(&server);
     assert_eq!(read_reply(&mut c).unwrap().status, 503);
-    // Let A's stall shed too, then read the metrics route itself.
+    // Let A's stall shed too and B be served, so the queue is empty when
+    // the metrics route itself is read.
     assert_eq!(read_reply(&mut a).unwrap().status, 408);
+    b.write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .unwrap();
+    assert_eq!(read_reply(&mut b).unwrap().status, 200);
     let body = get(&server, "/metrics").body_text();
     let doc = Json::parse(&body).expect("/metrics must be valid JSON");
     let _ = &doc;

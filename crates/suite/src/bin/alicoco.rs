@@ -333,12 +333,12 @@ fn cmd_concept(args: &[String], metrics: &Registry) -> CliResult {
     let c = kg.concept(cid);
     println!("concept: {}", c.name);
     println!("interpreted by:");
-    for &p in &c.primitives {
+    for &p in c.primitives {
         let prim = kg.primitive(p);
         let domain = kg.class(kg.class_domain(prim.class)).name.clone();
         println!("  <{domain}: {}>", prim.name);
     }
-    for &h in &c.hypernyms {
+    for &h in c.hypernyms {
         println!("isA: {}", kg.concept(h).name);
     }
     println!("items ({}):", c.items.len());

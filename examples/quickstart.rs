@@ -40,7 +40,7 @@ fn main() {
         let items = kg.items_for_concept(cid);
         if items.len() >= 3 {
             println!("\n  [{}]", concept.name);
-            for pid in &concept.primitives {
+            for pid in concept.primitives {
                 let p = kg.primitive(*pid);
                 let domain = kg.class(kg.class_domain(p.class)).name.clone();
                 println!("    interpreted by <{}: {}>", domain, p.name);

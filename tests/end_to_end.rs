@@ -169,8 +169,8 @@ fn built_net_is_structurally_valid_and_serves_applications() {
         .concept_ids()
         .find(|&c| !kg.concept(c).items.is_empty())
         .expect("a stocked concept");
-    let name = kg.concept(stocked).name.clone();
-    let cards = engine.search(&name);
+    let name = kg.concept(stocked).name;
+    let cards = engine.search(name);
     assert!(!cards.is_empty(), "search cannot find {name:?}");
     assert!(cards.iter().any(|c| c.name == name));
 
