@@ -7,18 +7,40 @@
 //! It also holds the one lexical concept scorer, [`Retriever::rank_concepts`]:
 //! search and QA are two [`LexicalWeights`] over the integer match counts
 //! `QueryIndex::concept_matches` streams off the posting lists — no concept
-//! name or primitive name is read while a request is scored.
+//! name or primitive name is read while a request is scored. Once the page
+//! is full its k-th score prunes: the merge steps over posting blocks that
+//! cannot reach it, and a candidate that cannot reach it even with the
+//! largest vector bonus is dropped before its `sim_to` (DESIGN.md §13.6).
 
 use std::cell::Cell;
 use std::sync::Arc;
 
-use alicoco::query::{ConceptMatch, QueryIndex};
+use alicoco::query::{Ceiling, ConceptMatch, ConceptMatches, Floor, QueryIndex};
 use alicoco::rank::TopK;
 use alicoco::ConceptId;
 use alicoco_ann::{AnnBundle, Hnsw};
 
 /// `ef` beam width of every HNSW proposal search.
 pub const ANN_EF: usize = 64;
+
+/// The largest `sim_to` a query embedding can have with a stored vector,
+/// so `vector_weight · COS_CEIL` bounds the vector half of a fused score.
+///
+/// Both vectors are L2-normalised in `f32` by `hnsw::normalize` (in
+/// `Hnsw::insert` and in the query embedding; a snapshot carries the
+/// vectors its writer normalised). With unit roundoff `u = 2⁻²⁴` and
+/// `γ_d = d·u / (1 − d·u)`, the sum of squares is off by at most a factor
+/// `1 ± γ_d`, the square root and each division by `1 ± u`, so each norm
+/// is at most `1 + γ_d/2 + 2u` to first order. The `f32` dot product of
+/// `d` terms is within `γ_d · Σ|aᵢbᵢ| ≤ γ_d‖a‖‖b‖` of the exact one.
+/// Together `sim_to ≤ 1 + 2γ_d + 4u ≈ 1 + (2d + 4)·2⁻²⁴`: at the stored
+/// dimension of 32 that is `1 + 4·10⁻⁶`, and the excess stays under
+/// `2⁻¹⁰` up to [`COS_CEIL_MAX_DIM`] (the widest the snapshot decoder
+/// accepts), beyond which nothing is pruned on a vector bound.
+const COS_CEIL: f64 = 1.0 + 1.0 / 1024.0;
+
+/// The widest vectors [`COS_CEIL`] is derived for.
+const COS_CEIL_MAX_DIM: usize = 4096;
 
 /// An engine's fusion constants.
 #[derive(Clone, Copy, Debug)]
@@ -50,9 +72,15 @@ pub struct LexicalWeights {
 }
 
 impl LexicalWeights {
+    /// Whether [`score`](Self::score) can only rise with the counts, the
+    /// stocked bit and the bonus — what lets a bound on them prune.
+    fn monotone(&self) -> bool {
+        self.primitive_weight >= 0.0 && self.stocked_bonus >= 0.0
+    }
+
     /// The fused score of a concept with `surface_len` distinct surface
     /// words, or `None` when it is not positive.
-    fn score(
+    pub fn score(
         &self,
         surface_hits: u32,
         primitive_hits: u32,
@@ -92,6 +120,15 @@ pub struct Fused {
     pub proposed: usize,
     /// Distinct candidates scored.
     pub examined: usize,
+}
+
+/// What the posting merge of one ranking walked.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Walked {
+    /// Entries on the merged posting lists, read or not.
+    pub postings: usize,
+    /// Times a list stepped over part of a block without reading it.
+    pub blocks_skipped: usize,
 }
 
 /// The shared retrieval state of one concept net.
@@ -143,13 +180,33 @@ impl<'kg> Retriever<'kg> {
     /// Dedup is against the proposals, a list no longer than a page: each
     /// lexical candidate is looked up in it, never the reverse. Without a
     /// bundle or an embedded query the list is empty.
-    pub fn fuse<L>(
+    pub fn fuse<L: Copy>(
         &self,
         lexical: impl Iterator<Item = (u32, L)>,
         side: Side,
         qvec: Option<&[f32]>,
         fusion: Fusion,
         k: usize,
+        score: impl Fn(u32, Option<L>, f64) -> Option<f64>,
+    ) -> Fused {
+        self.fuse_above(lexical, side, qvec, fusion, k, None, score)
+    }
+
+    /// [`fuse`](Self::fuse), given a `floor` and the largest bonus `score`
+    /// can be handed: once the page is full, `floor` holds its k-th score
+    /// for the `lexical` stream to prune against, and a candidate whose
+    /// score with that bonus is strictly below it is dropped without its
+    /// `sim_to`. For a `score` that never falls as its bonus rises, whose
+    /// true score can then only be lower.
+    #[allow(clippy::too_many_arguments)]
+    fn fuse_above<L: Copy>(
+        &self,
+        lexical: impl Iterator<Item = (u32, L)>,
+        side: Side,
+        qvec: Option<&[f32]>,
+        fusion: Fusion,
+        k: usize,
+        floor: Option<(&Floor, f64)>,
         score: impl Fn(u32, Option<L>, f64) -> Option<f64>,
     ) -> Fused {
         // Ascending slots, each with "a lexical candidate held it": what
@@ -179,12 +236,29 @@ impl<'kg> Retriever<'kg> {
             .iter()
             .filter(|(_, held)| !held.get())
             .map(|&(slot, _)| (slot, None));
+        // Only a real `sim_to` is worth a second call to `score`.
+        let vectors = self.ann.is_some() && qvec.is_some();
+        let bonus_ceiling = floor.filter(|_| vectors).map(|(_, bonus)| bonus);
+        // The page's k-th score, as last handed to `floor` (`-inf` until
+        // the page is full): only a push scoring above it can move it.
+        let mut kth = f64::NEG_INFINITY;
         // One loop over both, so the scoring body is compiled once, inline.
         for (slot, carried) in lexical.chain(novel) {
             fused.examined += 1;
+            if let Some(bonus) = bonus_ceiling.filter(|_| kth > f64::NEG_INFINITY) {
+                if score(slot, carried, bonus).is_none_or(|best| best < kth) {
+                    continue;
+                }
+            }
             let bonus = self.bonus(side, slot, qvec, fusion.vector_weight);
             if let Some(score) = score(slot, carried, bonus) {
                 fused.top.push(slot, score);
+                if let Some((floor, _)) = floor.filter(|_| score > kth) {
+                    if let Some(top) = fused.top.threshold() {
+                        kth = top;
+                        floor.raise(top);
+                    }
+                }
             }
         }
         fused
@@ -193,7 +267,10 @@ impl<'kg> Retriever<'kg> {
     /// The one lexical concept ranking, shared by search and QA: merge the
     /// posting lists of `words`, fuse the matches with the HNSW proposals
     /// for `qvec`, and score each candidate from its integer counts under
-    /// `weights`. Returns the fusion and the posting entries walked.
+    /// `weights`. Once the page is full, posting blocks and candidates
+    /// whose best possible score is strictly below its k-th are skipped;
+    /// the page, scores included, is what scoring everything would give.
+    /// Returns the fusion and what the merge walked.
     pub fn rank_concepts<'w>(
         &self,
         words: impl IntoIterator<Item = &'w str>,
@@ -201,28 +278,91 @@ impl<'kg> Retriever<'kg> {
         weights: &LexicalWeights,
         fusion: Fusion,
         k: usize,
-    ) -> (Fused, usize) {
+    ) -> (Fused, Walked) {
+        // Pruning needs a scorer monotone in every input and the largest
+        // vector bonus a candidate can get.
+        let vectors = self.ann.is_some() && qvec.is_some();
+        let bonus_ceiling = match &self.ann {
+            _ if !(weights.monotone() && fusion.vector_weight >= 0.0) => None,
+            Some(bundle) if vectors => (bundle.concepts().dim() <= COS_CEIL_MAX_DIM)
+                .then_some(fusion.vector_weight * COS_CEIL),
+            _ => Some(0.0),
+        };
         let matches = self.index.concept_matches(words);
         let postings = matches.postings();
-        let fused = self.fuse(
-            matches.map(|m| (m.concept.index() as u32, m)),
-            AnnBundle::concepts,
-            qvec,
-            fusion,
-            k,
-            |slot, m: Option<ConceptMatch>, bonus| {
-                let cid = ConceptId::from_index(slot as usize);
-                let (surface_hits, primitive_hits) =
-                    m.map_or((0, 0), |m| (m.surface_hits, m.primitive_hits));
-                weights.score(
-                    surface_hits,
-                    primitive_hits,
-                    self.index.surface_len(cid),
-                    self.index.is_stocked(cid),
-                    bonus,
-                )
-            },
-        );
-        (fused, postings)
+        // Both halves of the pruning have a fixed cost: a short merge with
+        // no vectors to rescore stays the plain fusion, inline.
+        let (fused, blocks_skipped) =
+            match bonus_ceiling.filter(|_| vectors || matches.worth_pruning()) {
+                None => {
+                    let lexical = matches.map(|m| (m.concept.index() as u32, m));
+                    let score = |slot, m, bonus| self.score_match(weights, slot, m, bonus);
+                    let fused = self.fuse(lexical, AnnBundle::concepts, qvec, fusion, k, score);
+                    (fused, 0)
+                }
+                Some(bonus) => self.fuse_pruned(matches, qvec, weights, fusion, k, bonus),
+            };
+        let walked = Walked {
+            postings,
+            blocks_skipped,
+        };
+        (fused, walked)
+    }
+
+    /// The score under `weights` of the concept in `slot`, from its match
+    /// (`None` for a pure proposal) and its vector bonus.
+    #[inline(always)]
+    fn score_match(
+        &self,
+        weights: &LexicalWeights,
+        slot: u32,
+        m: Option<ConceptMatch>,
+        bonus: f64,
+    ) -> Option<f64> {
+        let cid = ConceptId::from_index(slot as usize);
+        let (surface_hits, primitive_hits) =
+            m.map_or((0, 0), |m| (m.surface_hits, m.primitive_hits));
+        weights.score(
+            surface_hits,
+            primitive_hits,
+            self.index.surface_len(cid),
+            self.index.is_stocked(cid),
+            bonus,
+        )
+    }
+
+    /// [`rank_concepts`](Self::rank_concepts) with pruning, given the
+    /// largest vector bonus: the merge skips blocks when it is long enough
+    /// to pay, and the fusion skips `sim_to`s. Out of line, so the plain
+    /// fusion beside it stays as small as it was. Returns the fusion and
+    /// the blocks skipped.
+    #[inline(never)]
+    fn fuse_pruned(
+        &self,
+        matches: ConceptMatches<'_>,
+        qvec: Option<&[f32]>,
+        weights: &LexicalWeights,
+        fusion: Fusion,
+        k: usize,
+        bonus_ceiling: f64,
+    ) -> (Fused, usize) {
+        let floor = Floor::default();
+        let ceiling = |c: Ceiling| {
+            let (hits, prims) = (c.surface_hits, c.primitive_hits);
+            weights.score(hits, prims, c.surface_len, c.stocked, bonus_ceiling)
+        };
+        let floor_and_bonus = Some((&floor, bonus_ceiling));
+        let score = |slot, m, bonus| self.score_match(weights, slot, m, bonus);
+        let slot = |m: ConceptMatch| (m.concept.index() as u32, m);
+        let fused = if matches.worth_pruning() {
+            let lexical = matches.pruned(&floor, &ceiling).map(slot);
+            let side = AnnBundle::concepts;
+            self.fuse_above(lexical, side, qvec, fusion, k, floor_and_bonus, score)
+        } else {
+            let lexical = matches.map(slot);
+            let side = AnnBundle::concepts;
+            self.fuse_above(lexical, side, qvec, fusion, k, floor_and_bonus, score)
+        };
+        (fused, floor.blocks_skipped())
     }
 }

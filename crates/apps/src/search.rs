@@ -38,7 +38,7 @@ use crate::retrieve::{Fusion, LexicalWeights, Retriever};
 
 /// Search's fusion constants: vectors weigh 0.6 of a full surface match,
 /// and the index proposes 16 concepts per query.
-const FUSION: Fusion = Fusion {
+pub const FUSION: Fusion = Fusion {
     vector_weight: 0.6,
     ann_k: 16,
 };
@@ -50,6 +50,7 @@ struct SearchMetrics {
     requests: Arc<Counter>,
     candidates_examined: Arc<Counter>,
     postings_hit: Arc<Counter>,
+    blocks_skipped: Arc<Counter>,
     ann_candidates: Arc<Counter>,
     retrieve_ns: Arc<Histogram>,
     score_ns: Arc<Histogram>,
@@ -62,6 +63,7 @@ impl SearchMetrics {
             requests: reg.counter("search.requests"),
             candidates_examined: reg.counter("search.candidates_examined"),
             postings_hit: reg.counter("search.postings_hit"),
+            blocks_skipped: reg.counter("search.blocks_skipped"),
             ann_candidates: reg.counter("search.ann_candidates"),
             retrieve_ns: reg.histogram("search.retrieve_ns"),
             score_ns: reg.histogram("search.score_ns"),
@@ -144,7 +146,7 @@ impl<'kg> SemanticSearch<'kg> {
     /// The configured weights over a concept's match counts: surface
     /// coverage plus `primitive_weight` per named primitive, then the
     /// stocked bonus on a positive lexical score, then vectors.
-    fn weights(&self) -> LexicalWeights {
+    pub fn weights(&self) -> LexicalWeights {
         LexicalWeights {
             surface_coverage: true,
             primitive_weight: self.cfg.primitive_weight,
@@ -172,7 +174,7 @@ impl<'kg> SemanticSearch<'kg> {
         let mut clock = StageClock::started(true);
         let qvec = self.retriever.embed(query);
         clock.lap(&m.retrieve_ns);
-        let (fused, postings) = self.retriever.rank_concepts(
+        let (fused, walked) = self.retriever.rank_concepts(
             query.split_whitespace(),
             qvec.as_deref(),
             &self.weights(),
@@ -180,7 +182,8 @@ impl<'kg> SemanticSearch<'kg> {
             k,
         );
         m.requests.inc();
-        m.postings_hit.add(postings as u64);
+        m.postings_hit.add(walked.postings as u64);
+        m.blocks_skipped.add(walked.blocks_skipped as u64);
         m.ann_candidates.add(fused.proposed as u64);
         m.candidates_examined.add(fused.examined as u64);
         clock.lap(&m.score_ns);
@@ -501,6 +504,22 @@ mod tests {
         assert_eq!(cards, s.search_scan_top(&query, 50));
         // The two-query-word names cover fully and lead the page.
         assert!(cards.iter().all(|c| c.score == 1.0), "{cards:?}");
+    }
+
+    /// A name with more distinct words than the per-concept fact byte
+    /// counts (127) is covered by its true length, as the scan covers it.
+    #[test]
+    fn a_name_longer_than_the_fact_byte_scores_as_the_scan_does() {
+        let mut kg = sample_kg();
+        let words: Vec<String> = (0..130).map(|i| format!("w{i}")).collect();
+        let long = kg.add_concept(&words.join(" "));
+        let s = engine(&kg, SearchConfig::default());
+        assert_eq!(s.index().surface_len(long), 130);
+        for q in ["w0", "w7 w129", "w3 barbecue"] {
+            let cards = s.search_top(q, 5);
+            assert_eq!(cards, s.search_scan_top(q, 5), "query {q:?}");
+        }
+        assert_eq!(s.search("w0")[0].score, 1.0 / 130.0);
     }
 
     #[test]

@@ -4,19 +4,22 @@
 //! exactly as a brute-force scan of its formula.
 //! On worlds a few hundred concepts wide — the size at which a page of ten
 //! is a real cut — search and QA, which score on posting-list integers,
-//! must agree score bit for score bit with their string-scan oracles.
+//! must agree score bit for score bit with their string-scan oracles; and
+//! on a 120k-concept scale world, where query lists span many posting
+//! blocks and the page's k-th score prunes, they must still agree.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use alicoco::query::QueryIndex;
+use alicoco::query::{ConceptMatch, QueryIndex};
 use alicoco::rank::by_score_then_id;
-use alicoco::AliCoCo;
+use alicoco::{AliCoCo, ConceptId};
 use alicoco_ann::{AnnBundle, Hnsw, HnswConfig, TokenTable};
 use alicoco_apps::qa::ScenarioQa;
 use alicoco_apps::retrieve::{Fusion, Retriever};
-use alicoco_apps::search::{SearchConfig, SemanticSearch};
+use alicoco_apps::search::{self, SearchConfig, SemanticSearch};
+use alicoco_corpus::scale::{scale_vocab, scale_world};
 use alicoco_obs::Registry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -214,6 +217,84 @@ fn random_bundle(kg: &AliCoCo, seed: u64) -> AnnBundle {
     AnnBundle::new(tokens, concepts, Hnsw::new(4, HnswConfig::default()))
 }
 
+/// The 120k-concept scale world and engines over it, built once per test
+/// binary: its query words' posting lists run to dozens of blocks, so a
+/// full page's k-th score skips blocks (DESIGN.md §13.6).
+struct ScaleWorld {
+    lexical: SemanticSearch<'static>,
+    lexical_metrics: Registry,
+    qa: ScenarioQa<'static>,
+    hybrid: SemanticSearch<'static>,
+    hybrid_metrics: Registry,
+    hybrid_retriever: Arc<Retriever<'static>>,
+    vocab: Vec<String>,
+}
+
+fn scale() -> &'static ScaleWorld {
+    static WORLD: OnceLock<ScaleWorld> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        let kg: &'static AliCoCo = Box::leak(Box::new(scale_world(120_000)));
+        let vocab = scale_vocab();
+        let lexical_metrics = Registry::new();
+        let retriever = Retriever::new(QueryIndex::build(kg), None);
+        let lexical = SemanticSearch::new(
+            Arc::clone(&retriever),
+            SearchConfig::default(),
+            &lexical_metrics,
+        );
+        let qa = ScenarioQa::new(retriever, &Registry::new());
+        // Seeded random 4-d vectors; a sparse graph is enough, since the
+        // oracle fuses exactly the proposals the engine gets.
+        let mut rng = StdRng::seed_from_u64(120);
+        let mut vector = || -> Vec<f32> { (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
+        let tokens = TokenTable::new(4, vocab.iter().map(|w| (w.clone(), vector())));
+        let cfg = HnswConfig {
+            m: 4,
+            ef_construction: 8,
+            ..HnswConfig::default()
+        };
+        let mut concepts = Hnsw::new(4, cfg);
+        for _ in 0..kg.num_concepts() {
+            concepts.insert(&vector());
+        }
+        let bundle = AnnBundle::new(tokens, concepts, Hnsw::new(4, cfg));
+        let hybrid_retriever = Retriever::new(QueryIndex::build(kg), Some(Arc::new(bundle)));
+        let hybrid_metrics = Registry::new();
+        let hybrid = SemanticSearch::new(
+            Arc::clone(&hybrid_retriever),
+            SearchConfig::default(),
+            &hybrid_metrics,
+        );
+        ScaleWorld {
+            lexical,
+            lexical_metrics,
+            qa,
+            hybrid,
+            hybrid_metrics,
+            hybrid_retriever,
+            vocab,
+        }
+    })
+}
+
+impl ScaleWorld {
+    /// A query of two distinct words of the vocabulary: the `a`-th and the
+    /// one `step` further on. One word's lists hold under 1 024 entries
+    /// here, a merge too short to prune (`ConceptMatches::worth_pruning`).
+    fn query(&self, (a, step): (usize, usize)) -> String {
+        let b = (a + step) % self.vocab.len();
+        format!("{} {}", self.vocab[a], self.vocab[b])
+    }
+}
+
+fn scale_query_strategy() -> impl Strategy<Value = (usize, usize)> {
+    (0usize..240, 1usize..240)
+}
+
+fn blocks_skipped(metrics: &Registry) -> u64 {
+    metrics.counter("search.blocks_skipped").get()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -227,6 +308,7 @@ proptest! {
         spec in wide_world_strategy(),
         query in wide_query_strategy(),
         seed in any::<u64>(),
+        scale_query in scale_query_strategy(),
     ) {
         let kg = build_wide_world(&spec);
         prop_assert!(kg.num_concepts() >= 200, "{} concepts", kg.num_concepts());
@@ -244,6 +326,47 @@ proptest! {
         let all = kg.num_concepts();
         let (got, want) = (hybrid.search_top(&query, all), hybrid.search_scan_top(&query, all));
         prop_assert_eq!(got, want, "hybrid, query {:?}", query);
+
+        // At scale, where the page's k-th score skips posting blocks.
+        let world = scale();
+        let query = world.query(scale_query);
+        let before = blocks_skipped(&world.lexical_metrics);
+        for k in [1, 3, 10] {
+            let lexical = &world.lexical;
+            let (got, want) = (lexical.search_top(&query, k), lexical.search_scan_top(&query, k));
+            prop_assert_eq!(got, want, "scale lexical, k {}, query {:?}", k, query);
+        }
+        let skipped = blocks_skipped(&world.lexical_metrics) > before;
+        prop_assert!(skipped, "scale lexical, {:?} skipped nothing", query);
+        // Hybrid pages are cut by what HNSW proposes, so the oracle is the
+        // same fusion over the unpruned merge, under the engine's weights.
+        let before = blocks_skipped(&world.hybrid_metrics);
+        let (retriever, index) = (&world.hybrid_retriever, world.hybrid_retriever.index());
+        let weights = world.hybrid.weights();
+        let qvec = retriever.embed(&query);
+        for k in [1, 10] {
+            let unpruned = retriever.fuse(
+                index.concept_matches(query.split_whitespace()).map(|m| (m.concept.index() as u32, m)),
+                AnnBundle::concepts,
+                qvec.as_deref(),
+                search::FUSION,
+                k,
+                |slot, m: Option<ConceptMatch>, bonus| {
+                    let c = ConceptId::from_index(slot as usize);
+                    let (hits, prims) = m.map_or((0, 0), |m| (m.surface_hits, m.primitive_hits));
+                    weights.score(hits, prims, index.surface_len(c), index.is_stocked(c), bonus)
+                },
+            );
+            let want: Vec<_> = unpruned
+                .top
+                .into_sorted_vec()
+                .into_iter()
+                .map(|(slot, score)| world.hybrid.card(ConceptId::from_index(slot as usize), score))
+                .collect();
+            prop_assert_eq!(world.hybrid.search_top(&query, k), want, "scale hybrid, k {}, query {:?}", k, query);
+        }
+        let skipped = blocks_skipped(&world.hybrid_metrics) > before;
+        prop_assert!(skipped, "scale hybrid, {:?} skipped nothing", query);
     }
 
     /// QA resolves to the concept a string scan of the layer resolves to:
@@ -252,16 +375,22 @@ proptest! {
     fn qa_resolves_to_the_scan_oracles_concept(
         spec in wide_world_strategy(),
         query in wide_query_strategy(),
+        scale_query in scale_query_strategy(),
     ) {
         let kg = build_wide_world(&spec);
         let qa = ScenarioQa::new(Retriever::new(QueryIndex::build(&kg), None), &Registry::new());
+        let world = scale();
+        let scale_question = format!("what do i need for {}?", world.query(scale_query));
         let question = format!("what do i need for a {query}?");
-        match (qa.answer(&question), qa.resolve_scan(&question)) {
-            (Some(answer), scan) => prop_assert_eq!(Some(answer.concept), scan, "{:?}", question),
-            // No checklist: nothing resolved, or an unstocked concept did
-            // and no sibling could lend it items.
-            (None, Some(c)) => prop_assert!(kg.concept(c).items.is_empty(), "{:?}", question),
-            (None, None) => {}
+        for (qa, question) in [(&qa, question), (&world.qa, scale_question)] {
+            let kg = qa.index().kg();
+            match (qa.answer(&question), qa.resolve_scan(&question)) {
+                (Some(answer), scan) => prop_assert_eq!(Some(answer.concept), scan, "{:?}", question),
+                // No checklist: nothing resolved, or an unstocked concept did
+                // and no sibling could lend it items.
+                (None, Some(c)) => prop_assert!(kg.concept(c).items.is_empty(), "{:?}", question),
+                (None, None) => {}
+            }
         }
     }
 }

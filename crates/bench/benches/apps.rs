@@ -131,6 +131,7 @@ fn bench_search_at_scale(c: &mut Criterion) {
             "index diverged on {q:?}"
         );
     }
+    pruned_search_equals_scan_at_120k(&queries);
 
     c.bench_function("scale/search_linear_scan_50k", |b| {
         b.iter(|| black_box(engine.search_scan(black_box(refs[0]))))
@@ -154,6 +155,35 @@ fn bench_search_at_scale(c: &mut Criterion) {
         indexed * 1e3,
         scan * 1e3,
     );
+}
+
+/// The same gate where the page's k-th score prunes: on a 120k-concept
+/// world the query words' posting lists span dozens of blocks, and a page
+/// of ten skips most of them. Prints the candidates scored against the
+/// posting entries on the merged lists.
+fn pruned_search_equals_scan_at_120k(queries: &[String]) {
+    let kg = scale_world(120_000);
+    let reg = Registry::new();
+    let cfg = SearchConfig {
+        k: 10,
+        ..SearchConfig::default()
+    };
+    let engine = SemanticSearch::new(Retriever::new(QueryIndex::build(&kg), None), cfg, &reg);
+    for q in queries {
+        assert_eq!(
+            engine.search(q),
+            engine.search_scan(q),
+            "pruned search diverged on {q:?}"
+        );
+    }
+    let count = |name| reg.counter(name).get() as f64 / queries.len() as f64;
+    println!(
+        "scale/pruning_120k: {:.0} candidates scored of {:.0} posting entries per query, {:.0} block runs skipped",
+        count("search.candidates_examined"),
+        count("search.postings_hit"),
+        count("search.blocks_skipped"),
+    );
+    assert!(count("search.blocks_skipped") > 0.0, "nothing was skipped");
 }
 
 criterion_group! {

@@ -9,7 +9,13 @@
 //! whether it is stocked. [`QueryIndex::concept_matches`] merges the query
 //! tokens' id-sorted posting lists and sums those bytes per concept, so a
 //! lexical scorer needs nothing but integers (DESIGN.md §13).
+//!
+//! Each list is also summarised in blocks of [`BLOCK`] entries — the most
+//! any entry of the block can contribute — so a merge told the page's
+//! current k-th score steps over runs of blocks whose best possible score
+//! is strictly below it, reading none of their facts (DESIGN.md §13.6).
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
@@ -29,20 +35,128 @@ const ONE_PRIMITIVE: u8 = 2;
 /// primitive per class, so real nets stay far below it).
 const MAX_PRIMITIVE_HITS: u8 = u8::MAX >> 1;
 /// Bit 0 of a per-concept fact byte: the concept has items. The other
-/// seven bits hold its distinct surface-word count, saturating (a concept
-/// name is a phrase, not a document).
+/// seven bits hold its distinct surface-word count, saturating at
+/// [`MAX_SURFACE_LEN`] (a concept name is a phrase, not a document; the
+/// exact count of a longer one is kept aside).
 const STOCKED: u8 = 1;
 const MAX_SURFACE_LEN: usize = (u8::MAX >> 1) as usize;
+
+/// Entries per posting block: the unit a pruning merge proves cannot reach
+/// the page. A block's summary is 8 bytes beside its 256 bytes of ids, and
+/// a block skipped spares up to 64 merge steps and their fact and
+/// concept-byte reads.
+const BLOCK: usize = 64;
+
+/// Fewest posting entries for which pruning a merge pays (see
+/// [`ConceptMatches::worth_pruning`]): on the 50k world, whose two-word
+/// queries merge at most ~900 entries, pruning made search ~1.2× slower.
+const MIN_PRUNED_POSTINGS: usize = 16 * BLOCK;
 
 /// One token's concept posting list: strictly ascending ids and, aligned
 /// with them, the fact byte of each `(token, concept)` entry. `facts` may
 /// stop short of `ids` — only for postings handed to
 /// [`QueryIndex::from_postings`] whose tail lists concepts that do not
-/// carry the token — and a missing fact reads as no evidence.
+/// carry the token — and a missing fact reads as no evidence. `blocks`
+/// summarises each run of [`BLOCK`] entries; it is derived, never stored.
 #[derive(Default)]
 struct ConceptPostings {
     ids: Vec<ConceptId>,
     facts: Vec<u8>,
+    blocks: Vec<BlockMax>,
+}
+
+/// An empty list, for a cursor with nothing to walk.
+static NO_POSTINGS: ConceptPostings = ConceptPostings {
+    ids: Vec::new(),
+    facts: Vec::new(),
+    blocks: Vec::new(),
+};
+
+/// The most one posting block can contribute to any concept on it.
+#[derive(Clone, Copy)]
+struct BlockMax {
+    /// The block's last id.
+    last: ConceptId,
+    /// A fact byte of maxima: the surface bit if any entry has it, and the
+    /// largest primitive count (a missing fact counts as zero).
+    fact: u8,
+    /// A concept byte of extremes: stocked if any concept of the block
+    /// is, and the smallest surface-word count.
+    concept: u8,
+}
+
+impl ConceptPostings {
+    /// Summarise `ids` block by block against the per-concept bytes.
+    fn summarise(&mut self, concept_facts: &ConceptFacts) {
+        let facts = self.facts.chunks(BLOCK).chain(std::iter::repeat(&[][..]));
+        self.blocks = self
+            .ids
+            .chunks(BLOCK)
+            .zip(facts)
+            .filter_map(|(ids, facts)| {
+                let (mut surface, mut primitives) = (0, 0);
+                for f in facts {
+                    surface |= f & SURFACE;
+                    primitives = primitives.max(f >> 1);
+                }
+                let (mut stocked, mut shortest) = (0, u8::MAX);
+                for &c in ids {
+                    let byte = concept_facts.byte(c);
+                    stocked |= byte & STOCKED;
+                    shortest = shortest.min(byte >> 1);
+                }
+                Some(BlockMax {
+                    last: *ids.last()?,
+                    fact: (primitives << 1) | surface,
+                    concept: (shortest << 1) | stocked,
+                })
+            })
+            .collect();
+    }
+}
+
+/// Per concept: one byte holding the distinct surface-word count and the
+/// stocked bit, and — for the rare name with more distinct words than the
+/// byte holds — the exact count kept aside, ascending by id.
+#[derive(Default)]
+struct ConceptFacts {
+    bytes: Vec<u8>,
+    long_names: Vec<(ConceptId, usize)>,
+}
+
+impl ConceptFacts {
+    fn with_capacity(concepts: usize) -> Self {
+        ConceptFacts {
+            bytes: Vec::with_capacity(concepts),
+            long_names: Vec::new(),
+        }
+    }
+
+    /// Record the next concept, `c`, in id order.
+    fn push(&mut self, c: ConceptId, surface_len: usize, stocked: bool) {
+        if surface_len >= MAX_SURFACE_LEN {
+            self.long_names.push((c, surface_len));
+        }
+        let len = surface_len.min(MAX_SURFACE_LEN) as u8;
+        self.bytes.push((len << 1) | u8::from(stocked));
+    }
+
+    /// The byte of `c`; zero for an id outside the net.
+    fn byte(&self, c: ConceptId) -> u8 {
+        self.bytes.get(c.index()).copied().unwrap_or(0)
+    }
+
+    /// The distinct surface-word count of `c`; zero for an id outside the
+    /// net.
+    fn surface_len(&self, c: ConceptId) -> usize {
+        let len = usize::from(self.byte(c) >> 1);
+        if len < MAX_SURFACE_LEN {
+            return len;
+        }
+        self.long_names
+            .binary_search_by_key(&c, |&(id, _)| id)
+            .map_or(len, |at| self.long_names.get(at).map_or(len, |&(_, n)| n))
+    }
 }
 
 /// Inverted indices built once over a net for fast serving-side queries.
@@ -62,14 +176,19 @@ pub struct QueryIndex<'kg> {
     primitives_by_domain: FxHashMap<ClassId, Vec<PrimitiveId>>,
     concepts_by_token: FxHashMap<String, ConceptPostings>,
     items_by_token: FxHashMap<String, Vec<ItemId>>,
-    /// Per concept: distinct surface-word count and the stocked bit.
-    concept_facts: Vec<u8>,
+    concept_facts: ConceptFacts,
 }
 
 /// The distinct tokens that evidence concept `c`, each with its fact byte,
-/// into `out`; returns the concept's own fact. Sorting groups a word that
-/// is a surface word and a primitive name, or names several primitives.
-fn concept_tokens<'kg>(kg: &'kg AliCoCo, c: ConceptId, out: &mut Vec<(&'kg str, u8)>) -> u8 {
+/// into `out`, and the concept's own facts into `facts`. Sorting groups a
+/// word that is a surface word and a primitive name, or names several
+/// primitives.
+fn concept_tokens<'kg>(
+    kg: &'kg AliCoCo,
+    c: ConceptId,
+    out: &mut Vec<(&'kg str, u8)>,
+    facts: &mut ConceptFacts,
+) {
     let node = kg.concept(c);
     out.clear();
     out.extend(node.name.split(' ').map(|w| (w, SURFACE)));
@@ -89,7 +208,7 @@ fn concept_tokens<'kg>(kg: &'kg AliCoCo, c: ConceptId, out: &mut Vec<(&'kg str, 
         same
     });
     let surface_len = out.iter().filter(|(_, f)| f & SURFACE != 0).count();
-    ((surface_len.min(MAX_SURFACE_LEN) as u8) << 1) | u8::from(!node.items.is_empty())
+    facts.push(c, surface_len, !node.items.is_empty());
 }
 
 /// Run `f` on the posting list of `tok`, allocating the key only the first
@@ -118,13 +237,13 @@ impl<'kg> QueryIndex<'kg> {
     /// Build all inverted indices (one pass over each layer).
     pub fn build(kg: &'kg AliCoCo) -> Self {
         let mut concepts_by_token: FxHashMap<String, ConceptPostings> = FxHashMap::default();
-        let mut concept_facts = Vec::with_capacity(kg.num_concepts());
+        let mut concept_facts = ConceptFacts::with_capacity(kg.num_concepts());
         let mut tokens = Vec::new();
         for c in kg.concept_ids() {
             // One posting entry per distinct token: surface words plus the
             // full surface of every interpreting primitive (a primitive
             // match is what makes retrieval order-free, §8.1).
-            concept_facts.push(concept_tokens(kg, c, &mut tokens));
+            concept_tokens(kg, c, &mut tokens, &mut concept_facts);
             for &(tok, fact) in &tokens {
                 with_posting(&mut concepts_by_token, tok, |list| {
                     list.ids.push(c);
@@ -165,12 +284,13 @@ impl<'kg> QueryIndex<'kg> {
         for (tok, mut ids) in concept_postings {
             normalize(&mut ids);
             let facts = Vec::with_capacity(ids.len());
-            concepts_by_token.insert(tok, ConceptPostings { ids, facts });
+            let blocks = Vec::new();
+            concepts_by_token.insert(tok, ConceptPostings { ids, facts, blocks });
         }
-        let mut concept_facts = Vec::with_capacity(kg.num_concepts());
+        let mut concept_facts = ConceptFacts::with_capacity(kg.num_concepts());
         let mut tokens = Vec::new();
         for c in kg.concept_ids() {
-            concept_facts.push(concept_tokens(kg, c, &mut tokens));
+            concept_tokens(kg, c, &mut tokens, &mut concept_facts);
             for &(tok, fact) in &tokens {
                 let Some(list) = concepts_by_token.get_mut(tok) else {
                     continue;
@@ -195,7 +315,7 @@ impl<'kg> QueryIndex<'kg> {
         kg: &'kg AliCoCo,
         mut concepts_by_token: FxHashMap<String, ConceptPostings>,
         mut items_by_token: FxHashMap<String, Vec<ItemId>>,
-        concept_facts: Vec<u8>,
+        concept_facts: ConceptFacts,
     ) -> Self {
         // Every list here grew by doubling. Giving the slack back — each
         // map's before the next one allocates — is what pays for the fact
@@ -203,6 +323,7 @@ impl<'kg> QueryIndex<'kg> {
         for list in concepts_by_token.values_mut() {
             list.ids.shrink_to_fit();
             list.facts.shrink_to_fit();
+            list.summarise(&concept_facts);
         }
         items_by_token.values_mut().for_each(Vec::shrink_to_fit);
         let mut concepts_by_primitive: FxHashMap<PrimitiveId, Vec<ConceptId>> =
@@ -324,13 +445,8 @@ impl<'kg> QueryIndex<'kg> {
         }
         lists.sort_unstable_by_key(|&(w, _)| w);
         lists.dedup_by_key(|&mut (w, _)| w);
-        let mut rest: BinaryHeap<Cursor<'a>> = lists
-            .iter()
-            .map(|&(_, list)| Cursor {
-                ids: &list.ids,
-                facts: &list.facts,
-            })
-            .collect();
+        let mut rest: BinaryHeap<Cursor<'a>> =
+            lists.iter().map(|&(_, list)| Cursor::new(list)).collect();
         ConceptMatches {
             postings: lists.iter().map(|(_, list)| list.ids.len()).sum(),
             front: rest.pop().unwrap_or_default(),
@@ -354,14 +470,12 @@ impl<'kg> QueryIndex<'kg> {
     /// Distinct surface words of a concept's name — the denominator of
     /// search's surface-coverage score. `0` for an id outside the net.
     pub fn surface_len(&self, c: ConceptId) -> usize {
-        usize::from(self.concept_facts.get(c.index()).map_or(0, |f| f >> 1))
+        self.concept_facts.surface_len(c)
     }
 
     /// Whether a concept has items to show.
     pub fn is_stocked(&self, c: ConceptId) -> bool {
-        self.concept_facts
-            .get(c.index())
-            .is_some_and(|f| f & STOCKED != 0)
+        self.concept_facts.byte(c) & STOCKED != 0
     }
 
     /// The net this index serves.
@@ -412,16 +526,78 @@ pub struct ConceptMatch {
     pub primitive_hits: u32,
 }
 
+/// The most a run of posting blocks can give any one concept on it: the
+/// ceilings of [`ConceptMatch`]'s counts summed over the lists, the
+/// smallest surface-word count and whether any of its concepts is stocked.
+/// A scorer that never falls as counts or stock rise, nor rises as the
+/// surface length does, bounds every concept of the run by scoring this.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ceiling {
+    /// Most query words that can be surface words of one concept.
+    pub surface_hits: u32,
+    /// Most primitives of one concept the query words can name.
+    pub primitive_hits: u32,
+    /// Fewest distinct surface words of a concept in the run.
+    pub surface_len: usize,
+    /// Whether any concept in the run is stocked.
+    pub stocked: bool,
+}
+
+impl Ceiling {
+    /// Nothing yet: the sum's identity.
+    const NONE: Ceiling = Ceiling {
+        surface_hits: 0,
+        primitive_hits: 0,
+        surface_len: usize::MAX,
+        stocked: false,
+    };
+
+    /// The ceiling of a run covered by the blocks of both.
+    fn plus(self, other: Ceiling) -> Ceiling {
+        Ceiling {
+            surface_hits: self.surface_hits + other.surface_hits,
+            primitive_hits: self.primitive_hits + other.primitive_hits,
+            surface_len: self.surface_len.min(other.surface_len),
+            stocked: self.stocked || other.stocked,
+        }
+    }
+}
+
 /// What is left of one posting list during a merge: ids and, aligned with
-/// them, their fact bytes. Ordered by head id, *smallest greatest* (so a
-/// max-heap pops the smallest head), an exhausted list smallest of all.
-#[derive(Clone, Copy, Default)]
+/// them, their fact bytes, and the list they are the tail of. Ordered by
+/// head id, *smallest greatest* (so a max-heap pops the smallest head), an
+/// exhausted list smallest of all.
+#[derive(Clone, Copy)]
 struct Cursor<'a> {
     ids: &'a [ConceptId],
     facts: &'a [u8],
+    list: &'a ConceptPostings,
 }
 
-impl Cursor<'_> {
+impl Default for Cursor<'_> {
+    fn default() -> Self {
+        Cursor::new(&NO_POSTINGS)
+    }
+}
+
+impl<'a> Cursor<'a> {
+    fn new(list: &'a ConceptPostings) -> Self {
+        Cursor {
+            ids: &list.ids,
+            facts: &list.facts,
+            list,
+        }
+    }
+
+    /// The head id, if any entry is left.
+    fn first(&self) -> Option<ConceptId> {
+        self.ids.first().copied()
+    }
+
+    fn is_done(&self) -> bool {
+        self.ids.is_empty()
+    }
+
     /// The head id as a sort key; an exhausted list sorts after every id.
     fn head(&self) -> usize {
         self.ids.first().map_or(usize::MAX, |c| c.index())
@@ -435,6 +611,68 @@ impl Cursor<'_> {
             self.facts = rest;
         }
         self.ids = self.ids.get(1..).unwrap_or(&[]);
+    }
+
+    /// Index of the head entry in its list.
+    fn at(&self) -> usize {
+        self.list.ids.len() - self.ids.len()
+    }
+
+    /// Step over what is left of the head block.
+    fn skip_block(&mut self) {
+        self.advance(BLOCK - self.at() % BLOCK);
+    }
+
+    /// Step over `n` entries.
+    fn advance(&mut self, n: usize) {
+        self.ids = self.ids.get(n..).unwrap_or(&[]);
+        self.facts = self.facts.get(n..).unwrap_or(&[]);
+    }
+
+    /// The summary of the head's block; `None` once exhausted.
+    fn block(&self) -> Option<&'a BlockMax> {
+        if self.is_done() {
+            return None;
+        }
+        self.list.blocks.get(self.at() / BLOCK)
+    }
+
+    /// The head block's ceiling.
+    fn ceiling(&self) -> Ceiling {
+        self.block().map_or(Ceiling::NONE, |b| Ceiling {
+            surface_hits: u32::from(b.fact & SURFACE),
+            primitive_hits: u32::from(b.fact >> 1),
+            surface_len: usize::from(b.concept >> 1),
+            stocked: b.concept & STOCKED != 0,
+        })
+    }
+
+    /// The rest of the head block.
+    fn block_ids(&self) -> &'a [ConceptId] {
+        let left = BLOCK - self.at() % BLOCK;
+        self.ids.get(..left).unwrap_or(self.ids)
+    }
+
+    /// How many entries of the head block have an id of at most `end`.
+    fn entries_through(&self, end: usize) -> usize {
+        self.block_ids().partition_point(|c| c.index() <= end)
+    }
+
+    /// Move to the first entry whose id is not below `id`, which must not
+    /// lie past the head block: a gallop from the head, then a binary
+    /// search, inside the block and without a fact read. Returns whether
+    /// the cursor moved.
+    fn seek(&mut self, id: usize) -> bool {
+        let block = self.block_ids();
+        let mut reach = 1;
+        while block.get(reach - 1).is_some_and(|c| c.index() < id) {
+            reach *= 2;
+        }
+        let from = reach / 2;
+        let span = block.get(from..reach.min(block.len())).unwrap_or(&[]);
+        let step = from + span.partition_point(|c| c.index() < id);
+        self.advance(step);
+        step > 0
     }
 }
 
@@ -471,10 +709,47 @@ pub struct ConceptMatches<'a> {
     postings: usize,
 }
 
-impl ConceptMatches<'_> {
+impl<'a> ConceptMatches<'a> {
     /// Total length of the merged posting lists.
     pub fn postings(&self) -> usize {
         self.postings
+    }
+
+    /// Whether [`pruned`](Self::pruned) can pay for itself: a window costs
+    /// about what merging a few dozen entries does, so a merge of fewer
+    /// than 16 blocks gains less than its bookkeeping costs.
+    pub fn worth_pruning(&self) -> bool {
+        self.postings >= MIN_PRUNED_POSTINGS
+    }
+
+    /// The same merge yielding only what can still reach the page: the
+    /// caller raises `floor` to the page's k-th score as it consumes the
+    /// stream, and `ceiling` is its score applied to a [`Ceiling`]. A
+    /// concept is left out only when its best possible score is strictly
+    /// below the floor, so with a scorer monotone in the way [`Ceiling`]
+    /// asks, every concept whose score can still enter the page — a tie
+    /// included — is yielded, with all its evidence.
+    pub fn pruned(
+        mut self,
+        floor: &'a Floor,
+        ceiling: &'a dyn Fn(Ceiling) -> Option<f64>,
+    ) -> PrunedMatches<'a> {
+        let mut lists = vec![std::mem::take(&mut self.front)];
+        lists.extend(std::iter::from_fn(|| self.rest.pop()));
+        lists.retain(|c| !c.is_done());
+        PrunedMatches {
+            front: Cursor::default(),
+            rest: self.rest,
+            bypass: 0,
+            windows: Windows {
+                end: 0,
+                probed: Vec::new(),
+                drop_unprobed: false,
+                floor,
+                ceiling,
+                lists,
+            },
+        }
     }
 }
 
@@ -485,32 +760,252 @@ impl Iterator for ConceptMatches<'_> {
     // candidate with the cursors in memory, which doubles the merge's cost.
     #[inline(always)]
     fn next(&mut self) -> Option<ConceptMatch> {
-        let mut found = ConceptMatch {
-            concept: *self.front.ids.first()?,
-            surface_hits: 0,
-            primitive_hits: 0,
-        };
-        let head = self.front.head();
-        self.front.take_head(&mut found);
-        while let Some(mut other) = self.rest.peek_mut() {
-            if other.head() != head {
-                // Ids ascend, so this one is larger: hand over when the
-                // front list has moved past it (or ended).
-                if other.head() < self.front.head() {
-                    std::mem::swap(&mut self.front, &mut *other);
-                    if other.ids.is_empty() {
-                        PeekMut::pop(other);
+        merge_step(&mut self.front, &mut self.rest)
+    }
+}
+
+/// What a pruning merge and the ranking consuming it share: the page's
+/// k-th score so far, which the ranking raises as the page fills, and how
+/// many times a list stepped over part of a block unread.
+#[derive(Debug)]
+pub struct Floor {
+    kth: Cell<f64>,
+    blocks_skipped: Cell<usize>,
+}
+
+impl Default for Floor {
+    fn default() -> Self {
+        Floor {
+            kth: Cell::new(f64::NEG_INFINITY),
+            blocks_skipped: Cell::new(0),
+        }
+    }
+}
+
+impl Floor {
+    /// Record the page's k-th score: nothing strictly below it is yielded
+    /// from then on. `-inf` until the page is full.
+    pub fn raise(&self, kth: f64) {
+        self.kth.set(kth);
+    }
+
+    /// Block runs stepped over so far.
+    pub fn blocks_skipped(&self) -> usize {
+        self.blocks_skipped.get()
+    }
+
+    fn skipped(&self, runs: usize) {
+        self.blocks_skipped.set(self.blocks_skipped.get() + runs);
+    }
+}
+
+/// [`ConceptMatches::pruned`]: the merge walking the id space in
+/// *windows*. A window ends at the first block end of any list, so inside
+/// it every list is one block, and the blocks' summed [`Ceiling`] bounds
+/// every concept in it. When that bound is strictly below the page's k-th
+/// score the window is stepped over unread. Otherwise the lists whose
+/// blocks together still cannot reach it are only *probed* — looked up at
+/// the ids the others yield — and a concept they alone hold is never
+/// yielded (MaxScore, per window); nor is one no probed list holds when the
+/// merged lists' blocks alone cannot reach the floor.
+pub struct PrunedMatches<'a> {
+    /// The merged list whose head is the smallest id not yet yielded.
+    front: Cursor<'a>,
+    /// The other merged lists of the window, smallest head on top.
+    rest: BinaryHeap<Cursor<'a>>,
+    /// The plain merge yields heads below this: past the window's end, or
+    /// none at all while lists are probed.
+    bypass: usize,
+    windows: Windows<'a>,
+}
+
+/// The window state of a pruning merge, apart from the cursors it merges:
+/// calls into it never see the front cursor, which stays in registers.
+struct Windows<'a> {
+    /// Last id of the open window: a head past it opens the next one.
+    end: usize,
+    /// Lists of the open window looked up, not merged.
+    probed: Vec<Cursor<'a>>,
+    /// Whether a concept none of the probed lists holds falls short of the
+    /// floor: the merged lists' blocks together cannot reach it.
+    drop_unprobed: bool,
+    floor: &'a Floor,
+    /// The best score a [`Ceiling`] allows, `None` when not positive.
+    ceiling: &'a dyn Fn(Ceiling) -> Option<f64>,
+    /// Every unexhausted cursor, while between windows.
+    lists: Vec<Cursor<'a>>,
+}
+
+impl<'a> Windows<'a> {
+    /// Close the window — `front` and `rest` are past it — and open the
+    /// next one that can hold a candidate, returning its front cursor with
+    /// its other merged lists in `rest` and the id the plain merge may run
+    /// up to; `None` when the lists are exhausted.
+    fn open(
+        &mut self,
+        front: Cursor<'a>,
+        rest: &mut BinaryHeap<Cursor<'a>>,
+    ) -> Option<(Cursor<'a>, usize)> {
+        let lists = &mut self.lists;
+        // The probed lists step over what is left of the window unread.
+        lists.push(front);
+        lists.extend(std::iter::from_fn(|| rest.pop()));
+        for mut c in self.probed.drain(..) {
+            if c.seek(self.end.saturating_add(1)) {
+                self.floor.skipped(1);
+            }
+            lists.push(c);
+        }
+        lists.retain(|c| !c.is_done());
+        loop {
+            let end = lists
+                .iter()
+                .filter_map(Cursor::block)
+                .map(|b| b.last)
+                .min()?;
+            let end = end.index();
+            // The lists with entries in the window come first, most entries
+            // first; greedily, each is left out of the merge — probed — if
+            // the lists left out with it still cannot reach the floor.
+            lists.sort_unstable_by_key(|c| std::cmp::Reverse(c.entries_through(end)));
+            let inside = lists.iter().take_while(|c| c.head() <= end).count();
+            let floor = self.floor.kth.get();
+            let below = |bound: Ceiling| (self.ceiling)(bound).is_none_or(|best| best < floor);
+            let mut left_out = Ceiling::NONE;
+            let mut probed = 0;
+            for i in 0..inside {
+                let Some(with) = lists.get(i).map(|c| left_out.plus(c.ceiling())) else {
+                    break;
+                };
+                if below(with) {
+                    left_out = with;
+                    lists.swap(i, probed);
+                    probed += 1;
+                }
+            }
+            if probed < inside {
+                self.end = end;
+                let merged = lists.iter().take(inside).skip(probed);
+                self.drop_unprobed =
+                    below(merged.fold(Ceiling::NONE, |sum, c| sum.plus(c.ceiling())));
+                self.probed.extend(lists.drain(..probed));
+                rest.extend(lists.drain(..));
+                let bypass = if probed == 0 { end + 1 } else { 0 };
+                return rest.pop().map(|front| (front, bypass));
+            }
+            for c in lists.iter_mut().take(inside) {
+                c.seek(end.saturating_add(1));
+            }
+            self.floor.skipped(inside);
+            if inside == 1 {
+                // A lone list goes on stepping over whole blocks that end
+                // before any other list's head, while each alone falls short.
+                let others = lists.iter().skip(1).map(Cursor::head).min();
+                let others = others.unwrap_or(usize::MAX);
+                if let Some(c) = lists.first_mut() {
+                    while c.block().is_some_and(|b| b.last.index() < others) && below(c.ceiling()) {
+                        c.skip_block();
+                        self.floor.skipped(1);
                     }
                 }
-                break;
             }
-            other.take_head(&mut found);
-            if other.ids.is_empty() {
-                PeekMut::pop(other);
+            lists.retain(|c| !c.is_done());
+        }
+    }
+
+    /// The next candidate at or past the end of the open window, or in a
+    /// window with probed lists, with the front cursor after it and the id
+    /// the plain merge may run up to.
+    #[cold]
+    #[inline(never)]
+    fn step(
+        &mut self,
+        mut front: Cursor<'a>,
+        rest: &mut BinaryHeap<Cursor<'a>>,
+        mut bypass: usize,
+    ) -> (Cursor<'a>, usize, Option<ConceptMatch>) {
+        loop {
+            if front.head() > self.end {
+                match self.open(front, rest) {
+                    Some(opened) => (front, bypass) = opened,
+                    None => return (Cursor::default(), usize::MAX, None),
+                }
+            }
+            let Some(mut found) = merge_step(&mut front, rest) else {
+                return (front, bypass, None);
+            };
+            if self.probed.is_empty() || self.probe(&mut found) {
+                return (front, bypass, Some(found));
             }
         }
-        Some(found)
     }
+
+    /// Add the probed lists' evidence to `found`; whether it can still
+    /// reach the floor.
+    fn probe(&mut self, found: &mut ConceptMatch) -> bool {
+        let head = found.concept.index();
+        let mut held = false;
+        for c in &mut self.probed {
+            c.seek(head);
+            if c.head() == head {
+                c.take_head(found);
+                held = true;
+            }
+        }
+        held || !self.drop_unprobed
+    }
+}
+
+impl Iterator for PrunedMatches<'_> {
+    type Item = ConceptMatch;
+
+    // Inline as the plain merge is; the window work is out of line and
+    // takes the front cursor by value, so nothing on the plain path can
+    // see it.
+    #[inline(always)]
+    fn next(&mut self) -> Option<ConceptMatch> {
+        if self.front.head() >= self.bypass {
+            let front = std::mem::take(&mut self.front);
+            let (front, bypass, found) = self.windows.step(front, &mut self.rest, self.bypass);
+            (self.front, self.bypass) = (front, bypass);
+            return found;
+        }
+        merge_step(&mut self.front, &mut self.rest)
+    }
+}
+
+/// Yield the smallest head of `front` and `rest` with the evidence of every
+/// list holding it, keeping the smallest remaining head in `front`.
+#[inline(always)]
+fn merge_step<'a>(
+    front: &mut Cursor<'a>,
+    rest: &mut BinaryHeap<Cursor<'a>>,
+) -> Option<ConceptMatch> {
+    let mut found = ConceptMatch {
+        concept: front.first()?,
+        surface_hits: 0,
+        primitive_hits: 0,
+    };
+    let head = front.head();
+    front.take_head(&mut found);
+    while let Some(mut other) = rest.peek_mut() {
+        if other.head() != head {
+            // Ids ascend, so this one is larger: hand over when the front
+            // list has moved past it (or ended).
+            if other.head() < front.head() {
+                std::mem::swap(front, &mut *other);
+                if other.is_done() {
+                    PeekMut::pop(other);
+                }
+            }
+            break;
+        }
+        other.take_head(&mut found);
+        if other.is_done() {
+            PeekMut::pop(other);
+        }
+    }
+    Some(found)
 }
 
 /// Why an item relates to a concept.
@@ -817,6 +1312,117 @@ mod tests {
                 4
             )
         );
+    }
+
+    /// A net whose word lists run to many blocks: 6 000 one- to
+    /// three-word names over six words (plus one word of their own), half
+    /// of them interpreted by a primitive named one of the first three
+    /// words, every fourth stocked.
+    fn long_lists() -> AliCoCo {
+        let mut kg = AliCoCo::new();
+        let root = kg.add_class("concept", None);
+        let class = kg.add_class("Event", Some(root));
+        let words = ["w0", "w1", "w2", "w3", "w4", "w5"];
+        let prims: Vec<PrimitiveId> = words.iter().map(|w| kg.add_primitive(w, class)).collect();
+        let item = kg.add_item(&["thing".into()]);
+        let mut x: u64 = 7;
+        let mut next = |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((x >> 33) % n) as usize
+        };
+        for i in 0..6_000 {
+            let len = 1 + next(3);
+            let name: Vec<&str> = (0..len).map(|_| words[next(6)]).collect();
+            let c = kg.add_concept(&format!("{} c{i}", name.join(" ")));
+            if next(2) == 0 {
+                kg.link_concept_primitive(c, prims[next(3)]);
+            }
+            if i % 4 == 0 {
+                kg.link_concept_item(c, item, 0.5);
+            }
+        }
+        kg
+    }
+
+    /// The pruned merge yields every concept whose score can still reach
+    /// the floor — a tie included — with the plain merge's exact counts,
+    /// and nothing the plain merge does not; also on `from_postings` lists
+    /// padded with ids that carry no fact.
+    #[test]
+    fn pruned_merge_keeps_everything_that_can_reach_the_floor() {
+        let kg = long_lists();
+        let built = QueryIndex::build(&kg);
+        let padded: Vec<(String, Vec<ConceptId>)> = built
+            .sorted_concept_postings()
+            .into_iter()
+            .map(|(t, ids)| {
+                let mut ids = ids.to_vec();
+                if t == "w0" {
+                    ids.extend((0..kg.num_concepts()).step_by(5).map(ConceptId::from_index));
+                }
+                (t.to_string(), ids)
+            })
+            .collect();
+        let restored = QueryIndex::from_postings(&kg, padded, []);
+        let score = |hits: u32, prims: u32, len: usize, stocked: bool| {
+            let mut s = f64::from(hits) / len.max(1) as f64 + 0.3 * f64::from(prims);
+            if s > 0.0 && stocked {
+                s += 0.1;
+            }
+            (s > 0.0).then_some(s)
+        };
+        let ceiling =
+            |c: Ceiling| score(c.surface_hits, c.primitive_hits, c.surface_len, c.stocked);
+        let mut skipped = 0;
+        for q in [&built, &restored] {
+            for words in [
+                &["w0"][..],
+                &["w1", "w4"],
+                &["w0", "w3", "w5"],
+                &["w4", "w4"],
+            ] {
+                let plain: Vec<ConceptMatch> = q.concept_matches(words.iter().copied()).collect();
+                let exact = |m: &ConceptMatch| {
+                    let c = m.concept;
+                    score(
+                        m.surface_hits,
+                        m.primitive_hits,
+                        q.surface_len(c),
+                        q.is_stocked(c),
+                    )
+                };
+                // Fixed floors, and one that rises as the stream is read.
+                for floor_at in [0.3, 0.45, 0.6, 0.75, 0.9, 1.1, 1.4, f64::NAN] {
+                    let floor = Floor::default();
+                    let mut pruned = Vec::new();
+                    for m in q
+                        .concept_matches(words.iter().copied())
+                        .pruned(&floor, &ceiling)
+                    {
+                        pruned.push(m);
+                        let kth = if floor_at.is_nan() {
+                            pruned.len() as f64 / 400.0
+                        } else {
+                            floor_at
+                        };
+                        floor.raise(kth);
+                    }
+                    let last = floor.kth.get();
+                    assert!(
+                        pruned.iter().all(|m| plain.contains(m)),
+                        "{words:?} {floor_at}"
+                    );
+                    let reach = plain.iter().filter(|m| exact(m).is_some_and(|s| s >= last));
+                    for m in reach {
+                        assert!(pruned.contains(m), "{words:?} {floor_at}: {m:?} dropped");
+                    }
+                    skipped += floor.blocks_skipped();
+                }
+            }
+        }
+        assert!(skipped > 0, "no block was ever skipped");
     }
 
     #[test]

@@ -135,6 +135,16 @@ impl<I: Ord, S: Score> TopK<I, S> {
         }
     }
 
+    /// The k-th best score once `k` entries are kept: a candidate scoring
+    /// strictly below it can no longer enter (an equal one still can, on a
+    /// lower id). `None` while there is room.
+    pub fn threshold(&self) -> Option<S> {
+        if self.heap.len() < self.k {
+            return None;
+        }
+        self.heap.peek().map(|worst| worst.0 .1)
+    }
+
     /// Number of entries currently kept.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -215,6 +225,22 @@ mod tests {
         rev.push(std::cmp::Reverse(Ranked(7u32, 0.2f32)));
         rev.push(std::cmp::Reverse(Ranked(5, 0.8)));
         assert_eq!(rev.pop().map(|r| r.0 .0), Some(5));
+    }
+
+    #[test]
+    fn threshold_is_the_kth_score_once_full() {
+        let mut heap = TopK::new(2);
+        assert_eq!(heap.threshold(), None);
+        heap.push(1u32, 0.5f64);
+        assert_eq!(heap.threshold(), None);
+        heap.push(2, 0.9);
+        assert_eq!(heap.threshold(), Some(0.5));
+        heap.push(3, 0.7);
+        assert_eq!(heap.threshold(), Some(0.7));
+        heap.push(0, 0.7);
+        assert_eq!(heap.threshold(), Some(0.7), "a tie on a lower id enters");
+        assert_eq!(heap.into_sorted_vec(), vec![(2, 0.9), (0, 0.7)]);
+        assert_eq!(TopK::<u32, f64>::new(0).threshold(), None);
     }
 
     #[test]
