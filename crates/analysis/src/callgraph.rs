@@ -133,7 +133,7 @@ const SERIALIZATION_SCOPE: &[&str] = &[
 
 /// Crates allowed to read the clock: the observability layer owns wall
 /// time, and the benchmarking harnesses exist to measure it.
-const CLOCK_EXEMPT: &[&str] = &["obs", "bench", "criterion"];
+const CLOCK_EXEMPT: &[&str] = &["obs", "bench"];
 
 /// Function-name prefixes treated as serialization sinks wherever they
 /// live (their output is an artifact or user-visible document).

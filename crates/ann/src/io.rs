@@ -163,6 +163,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A trailer does not change how the header is read: a snapshot of
+    /// another version is refused before anything is decoded.
+    #[test]
+    fn other_versions_are_refused_by_number() {
+        let kg = sample_kg();
+        let mut bytes = Vec::new();
+        save_snapshot_with_bundle(&kg, &build_default_bundle(&kg), &mut bytes).unwrap();
+        for version in [0, 1, binary::VERSION + 1, u32::MAX] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            match load_snapshot_with_bundle(&bytes) {
+                Err(LoadError::Corrupt("header", msg)) => {
+                    assert_eq!(msg, format!("unsupported version {version}"));
+                }
+                other => panic!("version {version} loaded: {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
     #[test]
     fn file_loader_records_metrics_and_types_errors() {
         let dir = std::env::temp_dir().join(format!("alicoco-ann-io-{}", std::process::id()));

@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use alicoco::query::QueryIndex;
 use alicoco::rank::by_score_then_id;
 use alicoco::{ConceptId, ItemId};
 use alicoco_ann::AnnBundle;
@@ -90,24 +89,24 @@ const QUESTION_WORDS: &[&str] = &[
 /// the concepts on the content words' posting lists, from the integer
 /// facts the index keeps beside them ([`Retriever::rank_concepts`]) — the
 /// full concept layer is never scanned and no name is read.
-pub struct ScenarioQa<'kg> {
-    retriever: Arc<Retriever<'kg>>,
+pub struct ScenarioQa {
+    retriever: Arc<Retriever>,
     metrics: QaMetrics,
 }
 
-impl<'kg> ScenarioQa<'kg> {
+impl ScenarioQa {
     /// Build the engine over the pack's shared retriever, recording
     /// `qa.*` metrics into `metrics`.
-    pub fn new(retriever: Arc<Retriever<'kg>>, metrics: &Registry) -> Self {
+    pub fn new(retriever: Arc<Retriever>, metrics: &Registry) -> Self {
         ScenarioQa {
             retriever,
             metrics: QaMetrics::register(metrics),
         }
     }
 
-    /// The token index questions resolve against.
-    pub fn index(&self) -> &QueryIndex<'kg> {
-        self.retriever.index()
+    /// The retriever the engine shares with the pack's other engines.
+    pub fn retriever(&self) -> &Arc<Retriever> {
+        &self.retriever
     }
 
     /// Extract content words from a natural question.
@@ -163,7 +162,7 @@ impl<'kg> ScenarioQa<'kg> {
 
     /// The oracle's score of one concept, from its strings.
     fn match_score(&self, cid: ConceptId, word_set: &FxHashSet<&str>) -> f64 {
-        let kg = self.index().kg();
+        let kg = self.retriever.kg();
         let c = kg.concept(cid);
         let surf: FxHashSet<&str> = c.name.split(' ').collect();
         let overlap = word_set.intersection(&surf).count() as f64;
@@ -186,7 +185,7 @@ impl<'kg> ScenarioQa<'kg> {
         if word_set.is_empty() {
             return None;
         }
-        let kg = self.index().kg();
+        let kg = self.retriever.kg();
         let qvec = self.retriever.embed(&words.join(" "));
         let mut best: Option<(ConceptId, f64)> = None;
         for cid in kg.concept_ids() {
@@ -211,7 +210,7 @@ impl<'kg> ScenarioQa<'kg> {
 
     fn answer_impl(&self, question: &str) -> Option<Answer> {
         let words = Self::content_words(question);
-        let kg = self.index().kg();
+        let kg = self.retriever.kg();
         let cid = self.resolve(&words)?;
         let mut items = kg.items_for_concept(cid);
         if items.is_empty() {
@@ -235,7 +234,13 @@ impl<'kg> ScenarioQa<'kg> {
             let mut siblings: Vec<ConceptId> = {
                 let mut set: FxHashSet<ConceptId> = FxHashSet::default();
                 for &p in &prims {
-                    set.extend(self.index().concepts_by_primitive(p).iter().copied());
+                    set.extend(
+                        self.retriever
+                            .index()
+                            .concepts_by_primitive(p)
+                            .iter()
+                            .copied(),
+                    );
                 }
                 set.remove(&cid);
                 set.into_iter().collect()
@@ -276,11 +281,11 @@ mod tests {
     use super::*;
     use alicoco::AliCoCo;
 
-    fn engine_in<'kg>(kg: &'kg AliCoCo, reg: &Registry) -> ScenarioQa<'kg> {
-        ScenarioQa::new(Retriever::new(QueryIndex::build(kg), None), reg)
+    fn engine_in(kg: &Arc<AliCoCo>, reg: &Registry) -> ScenarioQa {
+        ScenarioQa::new(Retriever::new(Arc::clone(kg), None), reg)
     }
 
-    fn engine(kg: &AliCoCo) -> ScenarioQa<'_> {
+    fn engine(kg: &Arc<AliCoCo>) -> ScenarioQa {
         engine_in(kg, &Registry::new())
     }
 
@@ -307,7 +312,7 @@ mod tests {
 
     #[test]
     fn barbecue_question_yields_checklist() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let qa = engine(&kg);
         let a = qa
             .answer("What should I prepare for hosting next week's barbecue?")
@@ -321,7 +326,7 @@ mod tests {
 
     #[test]
     fn unresolvable_question_returns_none() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let qa = engine(&kg);
         assert!(qa
             .answer("what should i buy for quantum entanglement?")
@@ -333,6 +338,7 @@ mod tests {
     fn concepts_without_items_or_siblings_cannot_answer() {
         let mut kg = sample_kg();
         kg.add_concept("indoor knitting");
+        let kg = Arc::new(kg);
         let qa = engine(&kg);
         assert!(qa.answer("what do i need for indoor knitting?").is_none());
     }
@@ -344,6 +350,7 @@ mod tests {
         let beach = kg.add_concept("beach barbecue");
         kg.link_concept_primitive(beach, bbq);
         let reg = Registry::new();
+        let kg = Arc::new(kg);
         let wired = engine_in(&kg, &reg);
         let answers = [
             "what should i prepare for a barbecue?",
@@ -366,7 +373,7 @@ mod tests {
     /// through the vector candidates.
     #[test]
     fn lexical_miss_question_resolves_via_vectors() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let plain = engine(&kg);
         assert!(
             plain.answer("what do i need for charcoal?").is_none(),
@@ -374,7 +381,7 @@ mod tests {
         );
         let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
         let qa = ScenarioQa::new(
-            Retriever::new(QueryIndex::build(&kg), Some(bundle)),
+            Retriever::new(Arc::clone(&kg), Some(bundle)),
             &Registry::new(),
         );
         let a = qa
@@ -404,6 +411,7 @@ mod tests {
         let bbq = kg.primitives_by_name("barbecue")[0];
         let beach = kg.add_concept("beach barbecue");
         kg.link_concept_primitive(beach, bbq);
+        let kg = Arc::new(kg);
         let qa = engine(&kg);
         let a = qa
             .answer("what do i need for a beach barbecue?")

@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use alicoco::query::QueryIndex;
 use alicoco::rank::TopK;
 use alicoco::{AliCoCo, ConceptId, ItemId, PrimitiveId};
 use alicoco_nn::util::{FxHashMap, FxHashSet};
@@ -134,17 +133,17 @@ impl Default for RecommendConfig {
 }
 
 /// The user-needs recommender.
-pub struct CognitiveRecommender<'kg> {
-    retriever: Arc<Retriever<'kg>>,
+pub struct CognitiveRecommender {
+    retriever: Arc<Retriever>,
     cfg: RecommendConfig,
     metrics: RecommendMetrics,
 }
 
-impl<'kg> CognitiveRecommender<'kg> {
+impl CognitiveRecommender {
     /// Build the engine over the pack's shared retriever (its primitive →
     /// concepts postings and, on a hybrid snapshot, its bundle), recording
     /// `recommend.*` metrics into `metrics`.
-    pub fn new(retriever: Arc<Retriever<'kg>>, cfg: RecommendConfig, metrics: &Registry) -> Self {
+    pub fn new(retriever: Arc<Retriever>, cfg: RecommendConfig, metrics: &Registry) -> Self {
         CognitiveRecommender {
             retriever,
             cfg,
@@ -152,14 +151,14 @@ impl<'kg> CognitiveRecommender<'kg> {
         }
     }
 
-    /// The index whose primitive postings the recommender votes over.
-    pub fn index(&self) -> &QueryIndex<'kg> {
-        self.retriever.index()
+    /// The retriever the engine shares with the pack's other engines.
+    pub fn retriever(&self) -> &Arc<Retriever> {
+        &self.retriever
     }
 
     /// Recommend concept cards for a browsing history.
     pub fn recommend(&self, history: &[ItemId]) -> Vec<Recommendation> {
-        let kg = self.index().kg();
+        let kg = self.retriever.kg();
         let _span = SpanTimer::new(Arc::clone(&self.metrics.total_ns));
         self.metrics.requests.inc();
         self.metrics.history_items.add(history.len() as u64);
@@ -173,7 +172,7 @@ impl<'kg> CognitiveRecommender<'kg> {
                 direct_trigger.entry(cid).or_insert(item);
             }
             for &p in &kg.item(item).primitives {
-                for &cid in self.index().concepts_by_primitive(p) {
+                for &cid in self.retriever.index().concepts_by_primitive(p) {
                     *votes.entry(cid).or_insert(0.0) += self.cfg.shared_weight;
                     shared.entry(cid).or_default().insert(p);
                 }
@@ -241,8 +240,8 @@ impl<'kg> CognitiveRecommender<'kg> {
 mod tests {
     use super::*;
 
-    fn engine(kg: &AliCoCo) -> CognitiveRecommender<'_> {
-        let retriever = Retriever::new(QueryIndex::build(kg), None);
+    fn engine(kg: &Arc<AliCoCo>) -> CognitiveRecommender {
+        let retriever = Retriever::new(Arc::clone(kg), None);
         CognitiveRecommender::new(retriever, RecommendConfig::default(), &Registry::new())
     }
 
@@ -264,6 +263,7 @@ mod tests {
     #[test]
     fn direct_link_triggers_recommendation_with_reason() {
         let (kg, grill, charcoal, c) = sample_kg();
+        let kg = Arc::new(kg);
         let rec = engine(&kg);
         let out = rec.recommend(&[grill]);
         assert_eq!(out.len(), 1);
@@ -285,6 +285,7 @@ mod tests {
         let bbq = kg.primitives_by_name("barbecue")[0];
         let skewers = kg.add_item(&["skewers".into()]);
         kg.link_item_primitive(skewers, bbq);
+        let kg = Arc::new(kg);
         let rec = engine(&kg);
         let out = rec.recommend(&[skewers]);
         assert_eq!(out.len(), 1);
@@ -298,6 +299,7 @@ mod tests {
     #[test]
     fn empty_history_yields_nothing() {
         let (kg, _, _, _) = sample_kg();
+        let kg = Arc::new(kg);
         let rec = engine(&kg);
         assert!(rec.recommend(&[]).is_empty());
     }
@@ -306,7 +308,8 @@ mod tests {
     fn instrumented_recommendations_match_and_count() {
         let (kg, grill, _, c) = sample_kg();
         let reg = Registry::new();
-        let retriever = Retriever::new(QueryIndex::build(&kg), None);
+        let kg = Arc::new(kg);
+        let retriever = Retriever::new(Arc::clone(&kg), None);
         let rec = CognitiveRecommender::new(retriever, RecommendConfig::default(), &reg);
         let out = rec.recommend(&[grill]);
         assert_eq!(out.len(), 1);
@@ -328,13 +331,14 @@ mod tests {
         // corpus co-occurrence only: no link, no primitive.
         let skewers = kg.add_item(&["charcoal".into(), "skewers".into()]);
         let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
+        let kg = Arc::new(kg);
         let plain = engine(&kg);
         assert!(
             plain.recommend(&[skewers]).is_empty(),
             "graph-only recommender has no evidence for this history"
         );
         let rec = CognitiveRecommender::new(
-            Retriever::new(QueryIndex::build(&kg), Some(bundle)),
+            Retriever::new(Arc::clone(&kg), Some(bundle)),
             RecommendConfig::default(),
             &Registry::new(),
         );
@@ -358,6 +362,7 @@ mod tests {
         let c_indirect = kg.add_concept("park picnic");
         kg.link_concept_primitive(c_indirect, picnic);
         kg.link_item_primitive(grill, picnic);
+        let kg = Arc::new(kg);
         let rec = engine(&kg);
         let out = rec.recommend(&[grill]);
         assert!(out.len() >= 2);

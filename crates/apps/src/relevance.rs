@@ -44,19 +44,19 @@ impl RelevanceMetrics {
 }
 
 /// A relevance scorer over item titles with optional isA expansion.
-pub struct RelevanceScorer<'kg> {
-    retriever: Arc<Retriever<'kg>>,
+pub struct RelevanceScorer {
+    retriever: Arc<Retriever>,
     vocab: Vocab,
     index: Bm25Index,
     metrics: RelevanceMetrics,
 }
 
-impl<'kg> RelevanceScorer<'kg> {
+impl RelevanceScorer {
     /// Build the BM25 title index over all items in the retriever's net,
     /// recording `relevance.*` (and the underlying `bm25.*`) metrics into
     /// `metrics`.
-    pub fn new(retriever: Arc<Retriever<'kg>>, metrics: &Registry) -> Self {
-        let kg = retriever.index().kg();
+    pub fn new(retriever: Arc<Retriever>, metrics: &Registry) -> Self {
+        let kg = retriever.kg();
         let mut vocab = Vocab::new();
         let mut docs: Vec<Vec<TokenId>> = Vec::with_capacity(kg.num_items());
         for iid in kg.item_ids() {
@@ -73,8 +73,13 @@ impl<'kg> RelevanceScorer<'kg> {
         }
     }
 
-    fn kg(&self) -> &'kg AliCoCo {
-        self.retriever.index().kg()
+    /// The retriever the engine shares with the pack's other engines.
+    pub fn retriever(&self) -> &Arc<Retriever> {
+        &self.retriever
+    }
+
+    fn kg(&self) -> &AliCoCo {
+        self.retriever.kg()
     }
 
     fn encode(&self, words: &[String]) -> Vec<TokenId> {
@@ -178,17 +183,16 @@ impl<'kg> RelevanceScorer<'kg> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alicoco::query::QueryIndex;
 
-    fn scorer_in<'kg>(
-        kg: &'kg AliCoCo,
+    fn scorer_in(
+        kg: &Arc<AliCoCo>,
         bundle: Option<Arc<AnnBundle>>,
         reg: &Registry,
-    ) -> RelevanceScorer<'kg> {
-        RelevanceScorer::new(Retriever::new(QueryIndex::build(kg), bundle), reg)
+    ) -> RelevanceScorer {
+        RelevanceScorer::new(Retriever::new(Arc::clone(kg), bundle), reg)
     }
 
-    fn scorer(kg: &AliCoCo) -> RelevanceScorer<'_> {
+    fn scorer(kg: &Arc<AliCoCo>) -> RelevanceScorer {
         scorer_in(kg, None, &Registry::new())
     }
 
@@ -211,7 +215,7 @@ mod tests {
 
     #[test]
     fn expansion_adds_hyponyms() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let scorer = scorer(&kg);
         let expanded = scorer.expand_query(&["top".to_string()]);
         assert!(expanded.contains(&"jacket".to_string()));
@@ -221,7 +225,7 @@ mod tests {
 
     #[test]
     fn expanded_query_reaches_hyponym_titled_items() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let scorer = scorer(&kg);
         let q = vec!["top".to_string()];
         let jacket_item = kg.item_ids().next().unwrap();
@@ -238,7 +242,7 @@ mod tests {
 
     #[test]
     fn expansion_does_not_leak_to_unrelated_items() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let scorer = scorer(&kg);
         let q = vec!["top".to_string()];
         let pot_item = kg.item_ids().nth(2).unwrap();
@@ -247,7 +251,7 @@ mod tests {
 
     #[test]
     fn top_items_retrieval_agrees_with_per_item_scores() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let scorer = scorer(&kg);
         let q = vec!["top".to_string()];
         // Keyword-only: no item titled "top" exists, nothing retrieved.
@@ -265,7 +269,7 @@ mod tests {
 
     #[test]
     fn instrumented_scorer_matches_and_counts() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let reg = Registry::new();
         let wired = scorer_in(&kg, None, &reg);
         assert_eq!(wired.top_items_expanded(&["top".to_string()], 5).len(), 2);
@@ -297,6 +301,7 @@ mod tests {
         kg.link_concept_item(c2, mat, 0.8);
         let q = vec!["barbecue".to_string()];
         // "barbecue" titles no item: keyword BM25 retrieves nothing.
+        let kg = Arc::new(kg);
         let plain = scorer(&kg);
         assert!(plain.top_items(&q, 5).is_empty());
         let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
@@ -330,6 +335,7 @@ mod tests {
             kg.add_item(&title.map(String::from));
         }
         let q = vec!["lamp".to_string()];
+        let kg = Arc::new(kg);
         let plain = scorer(&kg);
         let lexical = plain.top_items(&q, 10);
         assert_eq!(lexical.len(), 3, "three titles contain the word");
@@ -351,6 +357,7 @@ mod tests {
         let coat = kg.add_primitive("trench coat", cat);
         let top = kg.primitives_by_name("top")[0];
         kg.add_primitive_is_a(coat, top);
+        let kg = Arc::new(kg);
         let scorer = scorer(&kg);
         let expanded = scorer.expand_query(&["top".to_string()]);
         assert!(expanded.contains(&"trench".to_string()));

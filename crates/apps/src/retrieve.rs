@@ -1,5 +1,5 @@
 //! The one retrieval core under the four §8 engines: a [`Retriever`] owns
-//! the net's single [`QueryIndex`] and its optional [`AnnBundle`], and
+//! the net, its single [`QueryIndex`] and its optional [`AnnBundle`], and
 //! holds the one copy of the hybrid fusion — lexical candidates ∪ HNSW
 //! proposals → dedup → exact `sim_to` rescoring → [`TopK`]. The approximate
 //! index only proposes; scores come from the **exact stored vector**.
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use alicoco::query::{Ceiling, ConceptMatch, ConceptMatches, Floor, QueryIndex};
 use alicoco::rank::TopK;
-use alicoco::ConceptId;
+use alicoco::{AliCoCo, ConceptId};
 use alicoco_ann::{AnnBundle, Hnsw};
 
 /// `ef` beam width of every HNSW proposal search.
@@ -132,22 +132,27 @@ pub struct Walked {
 }
 
 /// The shared retrieval state of one concept net.
-pub struct Retriever<'kg> {
-    index: QueryIndex<'kg>,
+pub struct Retriever {
+    kg: Arc<AliCoCo>,
+    index: QueryIndex,
     ann: Option<Arc<AnnBundle>>,
 }
 
-impl<'kg> Retriever<'kg> {
-    /// Wrap a prebuilt index (`QueryIndex::build`, or a snapshot's postings
-    /// through `QueryIndex::from_postings`) and the snapshot's bundle, if
-    /// it carries one. The engines share the result.
-    pub fn new(index: QueryIndex<'kg>, ann: Option<Arc<AnnBundle>>) -> Arc<Self> {
-        Arc::new(Retriever { index, ann })
+impl Retriever {
+    /// Build the net's one index and hold it with the net and the
+    /// snapshot's bundle, if it carries one. The engines share the result.
+    pub fn new(kg: Arc<AliCoCo>, ann: Option<Arc<AnnBundle>>) -> Arc<Self> {
+        let index = QueryIndex::build(&kg);
+        Arc::new(Retriever { kg, index, ann })
     }
 
-    /// The postings every engine retrieves from (and, through
-    /// [`QueryIndex::kg`], the net itself).
-    pub fn index(&self) -> &QueryIndex<'kg> {
+    /// The net every engine serves.
+    pub fn kg(&self) -> &AliCoCo {
+        &self.kg
+    }
+
+    /// The postings every engine retrieves from.
+    pub fn index(&self) -> &QueryIndex {
         &self.index
     }
 

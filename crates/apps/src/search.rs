@@ -27,7 +27,6 @@
 
 use std::sync::Arc;
 
-use alicoco::query::QueryIndex;
 use alicoco::rank::TopK;
 use alicoco::{AliCoCo, ConceptId, ItemId};
 use alicoco_ann::AnnBundle;
@@ -115,18 +114,18 @@ impl Default for SearchConfig {
 /// The semantic-search engine: retrieval is order-free over concept surfaces
 /// and their interpreting primitives, which is what makes the query
 /// "barbecue outdoor" trigger the concept "outdoor barbecue" (Figure 2a).
-pub struct SemanticSearch<'kg> {
-    retriever: Arc<Retriever<'kg>>,
+pub struct SemanticSearch {
+    retriever: Arc<Retriever>,
     cfg: SearchConfig,
     metrics: SearchMetrics,
 }
 
-impl<'kg> SemanticSearch<'kg> {
+impl SemanticSearch {
     /// Build the engine over the pack's shared retriever, recording
     /// `search.*` metrics into `metrics`. Handles are registered here,
     /// once; per-query instrumentation is a handful of relaxed atomics and
     /// three clock reads (DESIGN.md §8).
-    pub fn new(retriever: Arc<Retriever<'kg>>, cfg: SearchConfig, metrics: &Registry) -> Self {
+    pub fn new(retriever: Arc<Retriever>, cfg: SearchConfig, metrics: &Registry) -> Self {
         SemanticSearch {
             retriever,
             cfg,
@@ -134,13 +133,13 @@ impl<'kg> SemanticSearch<'kg> {
         }
     }
 
-    /// The token index the engine retrieves from.
-    pub fn index(&self) -> &QueryIndex<'kg> {
-        self.retriever.index()
+    /// The retriever the engine shares with the pack's other engines.
+    pub fn retriever(&self) -> &Arc<Retriever> {
+        &self.retriever
     }
 
-    fn kg(&self) -> &'kg AliCoCo {
-        self.index().kg()
+    fn kg(&self) -> &AliCoCo {
+        self.retriever.kg()
     }
 
     /// The configured weights over a concept's match counts: surface
@@ -292,7 +291,7 @@ impl<'kg> SemanticSearch<'kg> {
         let mut seen: FxHashSet<ItemId> = FxHashSet::default();
         let mut top = TopK::new(k);
         for &w in &words {
-            for &i in self.index().items_by_token(w) {
+            for &i in self.retriever.index().items_by_token(w) {
                 if seen.insert(i) {
                     let title = &self.kg().item(i).title;
                     let hits = words
@@ -312,17 +311,17 @@ mod tests {
     use super::*;
 
     /// A lexical engine over a fresh index, metrics into `reg`.
-    fn engine_in<'kg>(kg: &'kg AliCoCo, cfg: SearchConfig, reg: &Registry) -> SemanticSearch<'kg> {
-        SemanticSearch::new(Retriever::new(QueryIndex::build(kg), None), cfg, reg)
+    fn engine_in(kg: &Arc<AliCoCo>, cfg: SearchConfig, reg: &Registry) -> SemanticSearch {
+        SemanticSearch::new(Retriever::new(Arc::clone(kg), None), cfg, reg)
     }
 
-    fn engine(kg: &AliCoCo, cfg: SearchConfig) -> SemanticSearch<'_> {
+    fn engine(kg: &Arc<AliCoCo>, cfg: SearchConfig) -> SemanticSearch {
         engine_in(kg, cfg, &Registry::new())
     }
 
-    fn hybrid<'kg>(kg: &'kg AliCoCo, reg: &Registry) -> SemanticSearch<'kg> {
+    fn hybrid(kg: &Arc<AliCoCo>, reg: &Registry) -> SemanticSearch {
         let bundle = Arc::new(alicoco_ann::build_default_bundle(kg));
-        let retriever = Retriever::new(QueryIndex::build(kg), Some(bundle));
+        let retriever = Retriever::new(Arc::clone(kg), Some(bundle));
         SemanticSearch::new(retriever, SearchConfig::default(), reg)
     }
 
@@ -347,7 +346,7 @@ mod tests {
 
     #[test]
     fn order_free_query_triggers_concept_card() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let s = engine(&kg, SearchConfig::default());
         let cards = s.search("barbecue outdoor");
         assert_eq!(cards.len(), 1);
@@ -362,7 +361,7 @@ mod tests {
 
     #[test]
     fn search_top_with_cfg_k_is_search() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let cfg = SearchConfig::default();
         let s = engine(&kg, cfg);
         assert_eq!(
@@ -377,7 +376,7 @@ mod tests {
 
     #[test]
     fn partial_match_still_scores() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let s = engine(&kg, SearchConfig::default());
         let cards = s.search("barbecue");
         assert_eq!(cards.len(), 1);
@@ -386,7 +385,7 @@ mod tests {
 
     #[test]
     fn unrelated_query_returns_nothing() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let s = engine(&kg, SearchConfig::default());
         assert!(s.search("quantum physics").is_empty());
         assert!(s.search("").is_empty());
@@ -394,7 +393,7 @@ mod tests {
 
     #[test]
     fn indexed_search_matches_reference_scan() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let s = engine(&kg, SearchConfig::default());
         for q in [
             "barbecue outdoor",
@@ -409,7 +408,7 @@ mod tests {
 
     #[test]
     fn keyword_fallback_matches_titles() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let s = engine(&kg, SearchConfig::default());
         let items = s.keyword_items("charcoal", 10);
         assert_eq!(items.len(), 1);
@@ -427,6 +426,7 @@ mod tests {
         let mut kg = sample_kg();
         // Earlier-arena items each match one word; this one matches both.
         let both = kg.add_item(&["best".into(), "grill".into()]);
+        let kg = Arc::new(kg);
         let items = engine(&kg, SearchConfig::default()).keyword_items("best grill", 2);
         assert_eq!(items[0], both, "two-word match must rank first");
         assert_eq!(items.len(), 2);
@@ -445,6 +445,7 @@ mod tests {
         for i in 0..10 {
             kg.add_concept(&format!("barbecue idea {i}"));
         }
+        let kg = Arc::new(kg);
         let s = engine(
             &kg,
             SearchConfig {
@@ -457,7 +458,7 @@ mod tests {
 
     #[test]
     fn instrumented_search_returns_identical_cards() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let reg = Registry::new();
         let wired = engine_in(&kg, SearchConfig::default(), &reg);
         for q in ["barbecue outdoor", "indoor", "", " \t", "nothing here"] {
@@ -476,7 +477,7 @@ mod tests {
 
     #[test]
     fn repeated_query_word_scores_and_counts_once() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let (once, twice) = (Registry::new(), Registry::new());
         let a = engine_in(&kg, SearchConfig::default(), &once).search("barbecue");
         let b = engine_in(&kg, SearchConfig::default(), &twice).search("barbecue  barbecue");
@@ -497,6 +498,7 @@ mod tests {
             kg.add_concept(&format!("{w} barbecue"));
             kg.add_concept(&format!("{w} {}", words[(i * 7 + 1) % words.len()]));
         }
+        let kg = Arc::new(kg);
         let s = engine(&kg, SearchConfig::default());
         let query = words.join(" ");
         let cards = s.search_top(&query, 50);
@@ -513,45 +515,14 @@ mod tests {
         let mut kg = sample_kg();
         let words: Vec<String> = (0..130).map(|i| format!("w{i}")).collect();
         let long = kg.add_concept(&words.join(" "));
+        let kg = Arc::new(kg);
         let s = engine(&kg, SearchConfig::default());
-        assert_eq!(s.index().surface_len(long), 130);
+        assert_eq!(s.retriever().index().surface_len(long), 130);
         for q in ["w0", "w7 w129", "w3 barbecue"] {
             let cards = s.search_top(q, 5);
             assert_eq!(cards, s.search_scan_top(q, 5), "query {q:?}");
         }
         assert_eq!(s.search("w0")[0].score, 1.0 / 130.0);
-    }
-
-    #[test]
-    fn engine_from_snapshot_postings_matches_fresh_build() {
-        let kg = sample_kg();
-        let mut bytes = Vec::new();
-        alicoco::snapshot::binary::save(&kg, &mut bytes).unwrap();
-        let view = alicoco::snapshot::binary::SnapshotView::open(&bytes).unwrap();
-        let index = QueryIndex::from_postings(
-            &kg,
-            view.concept_postings()
-                .unwrap()
-                .into_iter()
-                .map(|(t, ids)| (t.to_string(), ids)),
-            view.item_postings()
-                .unwrap()
-                .into_iter()
-                .map(|(t, ids)| (t.to_string(), ids)),
-        );
-        let fast = SemanticSearch::new(
-            Retriever::new(index, None),
-            SearchConfig::default(),
-            &Registry::new(),
-        );
-        let fresh = engine(&kg, SearchConfig::default());
-        for q in ["barbecue outdoor", "indoor", "grill", "nothing here", ""] {
-            assert_eq!(fast.search(q), fresh.search(q), "query {q:?}");
-        }
-        assert_eq!(
-            fast.keyword_items("charcoal grill", 5),
-            fresh.keyword_items("charcoal grill", 5)
-        );
     }
 
     /// The tentpole acceptance property: a query with **zero** token
@@ -567,6 +538,7 @@ mod tests {
         kg.link_concept_item(c2, mat, 0.7);
         // "charcoal" appears only in an item title: the lexical engine is
         // structurally blind to it…
+        let kg = Arc::new(kg);
         let lexical = engine(&kg, SearchConfig::default());
         assert!(lexical.search("charcoal").is_empty());
         // …but the fused union proposes the barbecue concept.
@@ -588,7 +560,7 @@ mod tests {
 
     #[test]
     fn hybrid_search_counts_ann_candidates() {
-        let kg = sample_kg();
+        let kg = Arc::new(sample_kg());
         let reg = Registry::new();
         let wired = hybrid(&kg, &reg);
         let _ = wired.search("charcoal");

@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use alicoco::query::{ConceptMatch, QueryIndex};
+use alicoco::query::ConceptMatch;
 use alicoco::rank::by_score_then_id;
 use alicoco::{AliCoCo, ConceptId};
 use alicoco_ann::{AnnBundle, Hnsw, HnswConfig, TokenTable};
@@ -102,12 +102,8 @@ fn build_world(spec: &WorldSpec) -> AliCoCo {
 }
 
 /// A lexical engine over a fresh index of `kg`.
-fn engine(kg: &AliCoCo, cfg: SearchConfig) -> SemanticSearch<'_> {
-    SemanticSearch::new(
-        Retriever::new(QueryIndex::build(kg), None),
-        cfg,
-        &Registry::new(),
-    )
+fn engine(kg: &Arc<AliCoCo>, cfg: SearchConfig) -> SemanticSearch {
+    SemanticSearch::new(Retriever::new(Arc::clone(kg), None), cfg, &Registry::new())
 }
 
 fn query_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -221,22 +217,22 @@ fn random_bundle(kg: &AliCoCo, seed: u64) -> AnnBundle {
 /// binary: its query words' posting lists run to dozens of blocks, so a
 /// full page's k-th score skips blocks (DESIGN.md §13.6).
 struct ScaleWorld {
-    lexical: SemanticSearch<'static>,
+    lexical: SemanticSearch,
     lexical_metrics: Registry,
-    qa: ScenarioQa<'static>,
-    hybrid: SemanticSearch<'static>,
+    qa: ScenarioQa,
+    hybrid: SemanticSearch,
     hybrid_metrics: Registry,
-    hybrid_retriever: Arc<Retriever<'static>>,
+    hybrid_retriever: Arc<Retriever>,
     vocab: Vec<String>,
 }
 
 fn scale() -> &'static ScaleWorld {
     static WORLD: OnceLock<ScaleWorld> = OnceLock::new();
     WORLD.get_or_init(|| {
-        let kg: &'static AliCoCo = Box::leak(Box::new(scale_world(120_000)));
+        let kg = Arc::new(scale_world(120_000));
         let vocab = scale_vocab();
         let lexical_metrics = Registry::new();
-        let retriever = Retriever::new(QueryIndex::build(kg), None);
+        let retriever = Retriever::new(Arc::clone(&kg), None);
         let lexical = SemanticSearch::new(
             Arc::clone(&retriever),
             SearchConfig::default(),
@@ -258,7 +254,7 @@ fn scale() -> &'static ScaleWorld {
             concepts.insert(&vector());
         }
         let bundle = AnnBundle::new(tokens, concepts, Hnsw::new(4, cfg));
-        let hybrid_retriever = Retriever::new(QueryIndex::build(kg), Some(Arc::new(bundle)));
+        let hybrid_retriever = Retriever::new(kg, Some(Arc::new(bundle)));
         let hybrid_metrics = Registry::new();
         let hybrid = SemanticSearch::new(
             Arc::clone(&hybrid_retriever),
@@ -310,7 +306,7 @@ proptest! {
         seed in any::<u64>(),
         scale_query in scale_query_strategy(),
     ) {
-        let kg = build_wide_world(&spec);
+        let kg = Arc::new(build_wide_world(&spec));
         prop_assert!(kg.num_concepts() >= 200, "{} concepts", kg.num_concepts());
         let lexical = engine(&kg, SearchConfig::default());
         for k in [1, 3, 10, 50] {
@@ -319,7 +315,7 @@ proptest! {
         }
         let bundle = Arc::new(random_bundle(&kg, seed));
         let hybrid = SemanticSearch::new(
-            Retriever::new(QueryIndex::build(&kg), Some(bundle)),
+            Retriever::new(Arc::clone(&kg), Some(bundle)),
             SearchConfig::default(),
             &Registry::new(),
         );
@@ -377,13 +373,13 @@ proptest! {
         query in wide_query_strategy(),
         scale_query in scale_query_strategy(),
     ) {
-        let kg = build_wide_world(&spec);
-        let qa = ScenarioQa::new(Retriever::new(QueryIndex::build(&kg), None), &Registry::new());
+        let kg = Arc::new(build_wide_world(&spec));
+        let qa = ScenarioQa::new(Retriever::new(Arc::clone(&kg), None), &Registry::new());
         let world = scale();
         let scale_question = format!("what do i need for {}?", world.query(scale_query));
         let question = format!("what do i need for a {query}?");
         for (qa, question) in [(&qa, question), (&world.qa, scale_question)] {
-            let kg = qa.index().kg();
+            let kg = qa.retriever().kg();
             match (qa.answer(&question), qa.resolve_scan(&question)) {
                 (Some(answer), scan) => prop_assert_eq!(Some(answer.concept), scan, "{:?}", question),
                 // No checklist: nothing resolved, or an unstocked concept did
@@ -406,7 +402,7 @@ proptest! {
         query in query_strategy(),
         k in 1usize..6,
     ) {
-        let kg = build_world(&spec);
+        let kg = Arc::new(build_world(&spec));
         let s = engine(&kg, SearchConfig { k, ..Default::default() });
         let q = render_query(&query);
         prop_assert_eq!(s.search(&q), s.search_scan(&q), "query {:?}", q);
@@ -420,7 +416,7 @@ proptest! {
         query in query_strategy(),
         k in 1usize..6,
     ) {
-        let kg = build_world(&spec);
+        let kg = Arc::new(build_world(&spec));
         let s = engine(&kg, SearchConfig::default());
         let q = render_query(&query);
         let hits = s.keyword_items(&q, k);
@@ -479,10 +475,10 @@ proptest! {
             (score > 0.0).then_some(score)
         };
 
-        let kg = AliCoCo::new();
+        let kg = Arc::new(AliCoCo::new());
         let no_items = Hnsw::new(4, HnswConfig::default());
         let bundle = AnnBundle::new(TokenTable::default(), stored.clone(), no_items);
-        let hybrid = Retriever::new(QueryIndex::build(&kg), Some(Arc::new(bundle)));
+        let hybrid = Retriever::new(Arc::clone(&kg), Some(Arc::new(bundle)));
         let scored = RefCell::new(vec![0usize; n]);
         let fused = hybrid.fuse(
             lexical.iter().map(|(&slot, &score)| (slot, score)),
@@ -499,7 +495,7 @@ proptest! {
         prop_assert_eq!(fused.top.into_sorted_vec(), brute_force(&|slot| weight * cos(slot)));
         prop_assert!(scored.borrow().iter().all(|&times| times == 1));
 
-        let plain = Retriever::new(QueryIndex::build(&kg), None);
+        let plain = Retriever::new(Arc::clone(&kg), None);
         let fused = plain.fuse(
             lexical.iter().map(|(&slot, &score)| (slot, score)),
             AnnBundle::concepts,

@@ -1,11 +1,13 @@
 //! Serving-side latency of the §8 applications over a ground-truth-populated
 //! net: semantic search, recommendation, QA, and isA-expanded relevance —
 //! plus the retrieval-at-scale comparison (linear scan vs. inverted index)
-//! on a 50k-concept synthetic world.
+//! on a 50k-concept synthetic world. Its gates are `assert!`s: indexed
+//! search equals the scan at 50k, and again at 120k where pruning skips
+//! posting blocks. Timings are per-call medians, printed, not gated.
 
+use std::hint::black_box;
 use std::sync::Arc;
 
-use alicoco::query::QueryIndex;
 use alicoco::AliCoCo;
 use alicoco_apps::{
     CognitiveRecommender, RecommendConfig, RelevanceScorer, Retriever, ScenarioQa, SearchConfig,
@@ -14,7 +16,20 @@ use alicoco_apps::{
 use alicoco_bench::{median_secs, scale_vocab, scale_world};
 use alicoco_corpus::{concept_relevant_item, Dataset};
 use alicoco_obs::Registry;
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+
+/// Samples behind each printed median.
+const SAMPLES: usize = 15;
+
+/// Print the median microseconds of one call of `f`, timed over samples
+/// of `iters` calls each.
+fn report<R>(name: &str, iters: usize, mut f: impl FnMut() -> R) {
+    let secs = median_secs(SAMPLES, || {
+        for _ in 0..iters {
+            black_box(f());
+        }
+    });
+    println!("{name}: {:.2} µs", secs * 1e6 / iters as f64);
+}
 
 fn ground_truth_kg(ds: &Dataset) -> AliCoCo {
     let mut kg = AliCoCo::new();
@@ -51,15 +66,15 @@ fn ground_truth_kg(ds: &Dataset) -> AliCoCo {
     kg
 }
 
-fn bench_apps(c: &mut Criterion) {
+fn bench_apps() {
     let ds = Dataset::tiny();
-    let kg = ground_truth_kg(&ds);
+    let kg = Arc::new(ground_truth_kg(&ds));
 
     let reg = Registry::new();
-    let retriever = Retriever::new(QueryIndex::build(&kg), None);
+    let retriever = Retriever::new(Arc::clone(&kg), None);
     let search = SemanticSearch::new(Arc::clone(&retriever), SearchConfig::default(), &reg);
-    c.bench_function("apps/semantic_search", |b| {
-        b.iter(|| black_box(search.search(black_box("outdoor barbecue"))))
+    report("apps/semantic_search", 1000, || {
+        search.search(black_box("outdoor barbecue"))
     });
 
     let recommender =
@@ -69,33 +84,27 @@ fn bench_apps(c: &mut Criterion) {
         .filter(|&i| !kg.concepts_for_item(i).is_empty())
         .take(3)
         .collect();
-    c.bench_function("apps/recommend_3_item_history", |b| {
-        b.iter(|| black_box(recommender.recommend(black_box(&history))))
+    report("apps/recommend_3_item_history", 1000, || {
+        recommender.recommend(black_box(&history))
     });
-    c.bench_function("apps/recommender_index_build", |b| {
-        b.iter(|| {
-            let retriever = Retriever::new(QueryIndex::build(&kg), None);
-            black_box(CognitiveRecommender::new(
-                retriever,
-                RecommendConfig::default(),
-                &reg,
-            ))
-        })
+    report("apps/recommender_index_build", 10, || {
+        let retriever = Retriever::new(Arc::clone(&kg), None);
+        CognitiveRecommender::new(retriever, RecommendConfig::default(), &reg)
     });
 
     let qa = ScenarioQa::new(Arc::clone(&retriever), &reg);
-    c.bench_function("apps/question_answering", |b| {
-        b.iter(|| black_box(qa.answer(black_box("what do i need for hiking?"))))
+    report("apps/question_answering", 1000, || {
+        qa.answer(black_box("what do i need for hiking?"))
     });
 
     let scorer = RelevanceScorer::new(retriever, &reg);
     let q = vec!["top".to_string()];
     let item = kg.item_ids().next().unwrap();
-    c.bench_function("apps/relevance_plain", |b| {
-        b.iter(|| black_box(scorer.score_plain(black_box(&q), item)))
+    report("apps/relevance_plain", 1000, || {
+        scorer.score_plain(black_box(&q), item)
     });
-    c.bench_function("apps/relevance_isa_expanded", |b| {
-        b.iter(|| black_box(scorer.score_expanded(black_box(&q), item)))
+    report("apps/relevance_isa_expanded", 1000, || {
+        scorer.score_expanded(black_box(&q), item)
     });
 }
 
@@ -103,12 +112,12 @@ fn bench_apps(c: &mut Criterion) {
 /// the reference full scan over a 64-query batch. Results are asserted
 /// identical before anything is timed, so the speedup never comes from
 /// answer drift.
-fn bench_search_at_scale(c: &mut Criterion) {
+fn bench_search_at_scale() {
     const N_CONCEPTS: usize = 50_000;
     const BATCH: usize = 64;
-    let kg = scale_world(N_CONCEPTS);
+    let kg = Arc::new(scale_world(N_CONCEPTS));
     let reg = Registry::new();
-    let retriever = Retriever::new(QueryIndex::build(&kg), None);
+    let retriever = Retriever::new(kg, None);
     let engine = SemanticSearch::new(retriever, SearchConfig::default(), &reg);
 
     let vocab = scale_vocab();
@@ -133,11 +142,11 @@ fn bench_search_at_scale(c: &mut Criterion) {
     }
     pruned_search_equals_scan_at_120k(&queries);
 
-    c.bench_function("scale/search_linear_scan_50k", |b| {
-        b.iter(|| black_box(engine.search_scan(black_box(refs[0]))))
+    report("scale/search_linear_scan_50k", 3, || {
+        engine.search_scan(black_box(refs[0]))
     });
-    c.bench_function("scale/search_indexed_50k", |b| {
-        b.iter(|| black_box(engine.search(black_box(refs[0]))))
+    report("scale/search_indexed_50k", 100, || {
+        engine.search(black_box(refs[0]))
     });
 
     // Headline numbers: medians over fixed runs, printed as ratios.
@@ -162,13 +171,13 @@ fn bench_search_at_scale(c: &mut Criterion) {
 /// of ten skips most of them. Prints the candidates scored against the
 /// posting entries on the merged lists.
 fn pruned_search_equals_scan_at_120k(queries: &[String]) {
-    let kg = scale_world(120_000);
+    let kg = Arc::new(scale_world(120_000));
     let reg = Registry::new();
     let cfg = SearchConfig {
         k: 10,
         ..SearchConfig::default()
     };
-    let engine = SemanticSearch::new(Retriever::new(QueryIndex::build(&kg), None), cfg, &reg);
+    let engine = SemanticSearch::new(Retriever::new(kg, None), cfg, &reg);
     for q in queries {
         assert_eq!(
             engine.search(q),
@@ -186,9 +195,7 @@ fn pruned_search_equals_scan_at_120k(queries: &[String]) {
     assert!(count("search.blocks_skipped") > 0.0, "nothing was skipped");
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(30);
-    targets = bench_apps, bench_search_at_scale
+fn main() {
+    bench_apps();
+    bench_search_at_scale();
 }
-criterion_main!(benches);

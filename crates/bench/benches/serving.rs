@@ -13,9 +13,9 @@
 //! to end and per layer by `benchmark/run.sh` (BENCHMARK.json), not here.
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
-use alicoco::query::QueryIndex;
 use alicoco_ann::{Hnsw, HnswConfig};
 use alicoco_apps::{Retriever, SearchConfig, SemanticSearch};
 use alicoco_bench::{median_secs, scale_vocab, scale_world};
@@ -72,8 +72,7 @@ fn obs_calls_secs() -> f64 {
 
 /// Share of one search query spent in instrumentation, in percent.
 fn overhead_pct() -> f64 {
-    let kg = scale_world(N_CONCEPTS);
-    let retriever = Retriever::new(QueryIndex::build(&kg), None);
+    let retriever = Retriever::new(Arc::new(scale_world(N_CONCEPTS)), None);
     let engine = SemanticSearch::new(retriever, SearchConfig::default(), &Registry::new());
     let qs = queries(QUERIES);
     // Medians damp outlier rounds (cache warmup, frequency scaling).

@@ -31,7 +31,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use alicoco::query::QueryIndex;
 use alicoco_ann::AnnBundle;
 use alicoco_apps::{Retriever, SearchConfig, SemanticSearch};
 use alicoco_bench::scale_world;
@@ -156,7 +155,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let bundle = Arc::new(bundle);
+    let (kg, bundle) = (Arc::new(kg), Arc::new(bundle));
     println!(
         "ann-gate: {} concepts, {} items, {} token vectors (dim {})",
         bundle.concepts().len(),
@@ -212,7 +211,7 @@ fn main() -> ExitCode {
     // 2. Fused parity: hybrid search vs the exact fused-score scan.
     let reg = Registry::new();
     let hybrid = SemanticSearch::new(
-        Retriever::new(QueryIndex::build(&kg), Some(Arc::clone(&bundle))),
+        Retriever::new(Arc::clone(&kg), Some(Arc::clone(&bundle))),
         SearchConfig::default(),
         &reg,
     );
@@ -230,7 +229,7 @@ fn main() -> ExitCode {
     // concepts through the vector path that the purely lexical engine
     // cannot serve at all.
     let plain = SemanticSearch::new(
-        Retriever::new(QueryIndex::build(&kg), None),
+        Retriever::new(Arc::clone(&kg), None),
         SearchConfig::default(),
         &reg,
     );

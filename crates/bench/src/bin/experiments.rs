@@ -737,8 +737,9 @@ fn recommendation() {
     println!("*remaining* needed items each method recovers, and novelty.)\n");
     let ds = medium_dataset();
     let (kg, _) = build_alicoco(&ds, &PipelineConfig::default());
+    let kg = std::sync::Arc::new(kg);
     let recommender = alicoco_apps::CognitiveRecommender::new(
-        alicoco_apps::Retriever::new(alicoco::query::QueryIndex::build(&kg), None),
+        alicoco_apps::Retriever::new(std::sync::Arc::clone(&kg), None),
         alicoco_apps::RecommendConfig {
             k: 3,
             items_per_card: 10,

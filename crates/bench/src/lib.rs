@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment runner and criterion benches.
+//! Shared helpers for the experiment runner and the benches.
 
 use alicoco_corpus::{Dataset, WorldConfig};
 use alicoco_mining::resources::{Resources, ResourcesConfig};
@@ -8,11 +8,6 @@ use std::time::Instant;
 /// configuration — 3000 items, 1200 labeled concepts.
 pub fn medium_dataset() -> Dataset {
     Dataset::generate(WorldConfig::default())
-}
-
-/// A small dataset for fast benches.
-pub fn small_dataset() -> Dataset {
-    Dataset::tiny()
 }
 
 /// A concept-heavy world for the classification ablation (Table 4): more
@@ -42,7 +37,7 @@ pub fn f(x: f64) -> String {
 
 // The at-scale synthetic world generator lives in `alicoco_corpus::scale`
 // (streaming, 1M+ capable); re-exported here so benches keep their import.
-pub use alicoco_corpus::scale::{scale_vocab, scale_world, SCALE_BASE};
+pub use alicoco_corpus::scale::{scale_vocab, scale_world};
 
 /// Median wall-clock seconds of `runs` executions of `f`.
 pub fn median_secs<R>(runs: usize, mut f: impl FnMut() -> R) -> f64 {

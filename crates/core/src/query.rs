@@ -1,6 +1,6 @@
-//! Read-side query helpers over a built concept net: inverted lookups,
-//! degree statistics, and path explanations — the serving-layer API
-//! downstream applications compose.
+//! Read-side query helpers over a built concept net: inverted lookups and
+//! degree statistics — the serving-layer API downstream applications
+//! compose.
 //!
 //! Keyword retrieval scores on ids, not strings. Beside each concept
 //! posting entry the index keeps one byte — is the token a *surface word*
@@ -20,10 +20,10 @@ use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-use alicoco_nn::util::{FxHashMap, FxHashSet};
+use alicoco_nn::util::FxHashMap;
 
 use crate::graph::AliCoCo;
-use crate::ids::{ClassId, ConceptId, ItemId, PrimitiveId};
+use crate::ids::{ConceptId, ItemId, PrimitiveId};
 
 /// Bit 0 of a posting-entry fact byte: the token is a surface word of the
 /// concept. The other seven bits count the concept's primitives whose full
@@ -53,11 +53,8 @@ const BLOCK: usize = 64;
 const MIN_PRUNED_POSTINGS: usize = 16 * BLOCK;
 
 /// One token's concept posting list: strictly ascending ids and, aligned
-/// with them, the fact byte of each `(token, concept)` entry. `facts` may
-/// stop short of `ids` — only for postings handed to
-/// [`QueryIndex::from_postings`] whose tail lists concepts that do not
-/// carry the token — and a missing fact reads as no evidence. `blocks`
-/// summarises each run of [`BLOCK`] entries; it is derived, never stored.
+/// with them, the fact byte of each `(token, concept)` entry. `blocks`
+/// summarises each run of [`BLOCK`] entries.
 #[derive(Default)]
 struct ConceptPostings {
     ids: Vec<ConceptId>,
@@ -78,7 +75,7 @@ struct BlockMax {
     /// The block's last id.
     last: ConceptId,
     /// A fact byte of maxima: the surface bit if any entry has it, and the
-    /// largest primitive count (a missing fact counts as zero).
+    /// largest primitive count.
     fact: u8,
     /// A concept byte of extremes: stocked if any concept of the block
     /// is, and the smallest surface-word count.
@@ -88,11 +85,10 @@ struct BlockMax {
 impl ConceptPostings {
     /// Summarise `ids` block by block against the per-concept bytes.
     fn summarise(&mut self, concept_facts: &ConceptFacts) {
-        let facts = self.facts.chunks(BLOCK).chain(std::iter::repeat(&[][..]));
         self.blocks = self
             .ids
             .chunks(BLOCK)
-            .zip(facts)
+            .zip(self.facts.chunks(BLOCK))
             .filter_map(|(ids, facts)| {
                 let (mut surface, mut primitives) = (0, 0);
                 for f in facts {
@@ -161,21 +157,24 @@ impl ConceptFacts {
 
 /// Inverted indices built once over a net for fast serving-side queries.
 ///
-/// Besides the id-level lookups (`concepts_by_primitive`, …), the index
-/// carries *token-level* postings so keyword retrieval never scans a
-/// layer: [`concepts_by_token`](Self::concepts_by_token) maps every
+/// Besides the primitive → concepts lookup, the index carries
+/// *token-level* postings so keyword retrieval never scans a layer:
+/// [`concepts_by_token`](Self::concepts_by_token) maps every
 /// concept-surface token **and** every interpreting-primitive surface to
 /// the concepts it evidences (which is exactly the set of concepts a
 /// query word can give a non-zero retrieval score to, preserving
 /// order-free matching), and [`items_by_token`](Self::items_by_token)
-/// maps title tokens to items.
-pub struct QueryIndex<'kg> {
-    kg: &'kg AliCoCo,
-    concepts_by_primitive: FxHashMap<PrimitiveId, Vec<ConceptId>>,
-    items_by_primitive: FxHashMap<PrimitiveId, Vec<ItemId>>,
-    primitives_by_domain: FxHashMap<ClassId, Vec<PrimitiveId>>,
-    concepts_by_token: FxHashMap<String, ConceptPostings>,
-    items_by_token: FxHashMap<String, Vec<ItemId>>,
+/// maps title tokens to items. It owns everything it holds: the net it
+/// was built from is the caller's to keep.
+#[derive(Default)]
+pub struct QueryIndex {
+    /// Every concept-surface, primitive-name and title token, to its slot
+    /// in the two lists below.
+    slots: FxHashMap<String, usize>,
+    concepts_by_token: Vec<ConceptPostings>,
+    items_by_token: Vec<Vec<ItemId>>,
+    /// Indexed by primitive id.
+    concepts_by_primitive: Vec<Vec<ConceptId>>,
     concept_facts: ConceptFacts,
 }
 
@@ -183,10 +182,10 @@ pub struct QueryIndex<'kg> {
 /// into `out`, and the concept's own facts into `facts`. Sorting groups a
 /// word that is a surface word and a primitive name, or names several
 /// primitives.
-fn concept_tokens<'kg>(
-    kg: &'kg AliCoCo,
+fn concept_tokens<'a>(
+    kg: &'a AliCoCo,
     c: ConceptId,
-    out: &mut Vec<(&'kg str, u8)>,
+    out: &mut Vec<(&'a str, u8)>,
     facts: &mut ConceptFacts,
 ) {
     let node = kg.concept(c);
@@ -211,47 +210,36 @@ fn concept_tokens<'kg>(
     facts.push(c, surface_len, !node.items.is_empty());
 }
 
-/// Run `f` on the posting list of `tok`, allocating the key only the first
-/// time the token is seen (one `String` per token, not per entry).
-fn with_posting<V: Default>(map: &mut FxHashMap<String, V>, tok: &str, f: impl FnOnce(&mut V)) {
-    match map.get_mut(tok) {
-        Some(list) => f(list),
-        None => {
-            let mut list = V::default();
-            f(&mut list);
-            map.insert(tok.to_string(), list);
-        }
-    }
-}
-
-/// Sort and dedup a posting list unless it is already strictly ascending
-/// (the merge in [`QueryIndex::concept_matches`] assumes it is).
-fn normalize<I: Ord + Copy>(ids: &mut Vec<I>) {
-    if !ids.is_sorted_by(|a, b| a < b) {
-        ids.sort_unstable();
-        ids.dedup();
-    }
-}
-
-impl<'kg> QueryIndex<'kg> {
+impl QueryIndex {
     /// Build all inverted indices (one pass over each layer).
-    pub fn build(kg: &'kg AliCoCo) -> Self {
-        let mut concepts_by_token: FxHashMap<String, ConceptPostings> = FxHashMap::default();
-        let mut concept_facts = ConceptFacts::with_capacity(kg.num_concepts());
+    pub fn build(kg: &AliCoCo) -> Self {
+        let mut index = QueryIndex {
+            concept_facts: ConceptFacts::with_capacity(kg.num_concepts()),
+            concepts_by_primitive: vec![Vec::new(); kg.num_primitives()],
+            ..QueryIndex::default()
+        };
         let mut tokens = Vec::new();
         for c in kg.concept_ids() {
             // One posting entry per distinct token: surface words plus the
             // full surface of every interpreting primitive (a primitive
             // match is what makes retrieval order-free, §8.1).
-            concept_tokens(kg, c, &mut tokens, &mut concept_facts);
+            concept_tokens(kg, c, &mut tokens, &mut index.concept_facts);
             for &(tok, fact) in &tokens {
-                with_posting(&mut concepts_by_token, tok, |list| {
+                let slot = index.slot(tok);
+                if let Some(list) = index.concepts_by_token.get_mut(slot) {
                     list.ids.push(c);
                     list.facts.push(fact);
-                });
+                }
             }
         }
-        let mut items_by_token: FxHashMap<String, Vec<ItemId>> = FxHashMap::default();
+        // Every list here grew by doubling. Giving the slack back — each
+        // layer's before the next one allocates — is what pays for the fact
+        // bytes: resident memory stays where it was without them.
+        for list in &mut index.concepts_by_token {
+            list.ids.shrink_to_fit();
+            list.facts.shrink_to_fit();
+            list.summarise(&index.concept_facts);
+        }
         let mut title: Vec<&str> = Vec::new();
         for i in kg.item_ids() {
             title.clear();
@@ -259,171 +247,67 @@ impl<'kg> QueryIndex<'kg> {
             title.sort_unstable();
             title.dedup();
             for &tok in &title {
-                with_posting(&mut items_by_token, tok, |list| list.push(i));
-            }
-        }
-        Self::with_postings(kg, concepts_by_token, items_by_token, concept_facts)
-    }
-
-    /// Build the index from precomputed token postings — the fast-start
-    /// path for binary snapshots, which persist exactly the postings
-    /// [`build`](Self::build) would tokenize. Lists that are not strictly
-    /// ascending are sorted and deduplicated. The per-entry and
-    /// per-concept facts are not persisted: one id-order pass over the
-    /// concept layer fills them, each list's `facts.len()` serving as the
-    /// cursor into its ids (an id whose concept does not carry the token
-    /// gets a zero fact: it evidences nothing). The id-level inverted
-    /// indices are cheap single scans over edge lists and are always
-    /// rebuilt here.
-    pub fn from_postings(
-        kg: &'kg AliCoCo,
-        concept_postings: impl IntoIterator<Item = (String, Vec<ConceptId>)>,
-        item_postings: impl IntoIterator<Item = (String, Vec<ItemId>)>,
-    ) -> Self {
-        let mut concepts_by_token: FxHashMap<String, ConceptPostings> = FxHashMap::default();
-        for (tok, mut ids) in concept_postings {
-            normalize(&mut ids);
-            let facts = Vec::with_capacity(ids.len());
-            let blocks = Vec::new();
-            concepts_by_token.insert(tok, ConceptPostings { ids, facts, blocks });
-        }
-        let mut concept_facts = ConceptFacts::with_capacity(kg.num_concepts());
-        let mut tokens = Vec::new();
-        for c in kg.concept_ids() {
-            concept_tokens(kg, c, &mut tokens, &mut concept_facts);
-            for &(tok, fact) in &tokens {
-                let Some(list) = concepts_by_token.get_mut(tok) else {
-                    continue;
-                };
-                let behind = list.ids.get(list.facts.len()..).unwrap_or(&[]);
-                let skip = behind.iter().take_while(|&&id| id < c).count();
-                list.facts.resize(list.facts.len() + skip, 0);
-                if behind.get(skip) == Some(&c) {
-                    list.facts.push(fact);
+                let slot = index.slot(tok);
+                if let Some(list) = index.items_by_token.get_mut(slot) {
+                    list.push(i);
                 }
             }
         }
-        let mut items_by_token: FxHashMap<String, Vec<ItemId>> = FxHashMap::default();
-        for (tok, mut ids) in item_postings {
-            normalize(&mut ids);
-            items_by_token.insert(tok, ids);
-        }
-        Self::with_postings(kg, concepts_by_token, items_by_token, concept_facts)
-    }
-
-    fn with_postings(
-        kg: &'kg AliCoCo,
-        mut concepts_by_token: FxHashMap<String, ConceptPostings>,
-        mut items_by_token: FxHashMap<String, Vec<ItemId>>,
-        concept_facts: ConceptFacts,
-    ) -> Self {
-        // Every list here grew by doubling. Giving the slack back — each
-        // map's before the next one allocates — is what pays for the fact
-        // bytes: resident memory stays where it was without them.
-        for list in concepts_by_token.values_mut() {
-            list.ids.shrink_to_fit();
-            list.facts.shrink_to_fit();
-            list.summarise(&concept_facts);
-        }
-        items_by_token.values_mut().for_each(Vec::shrink_to_fit);
-        let mut concepts_by_primitive: FxHashMap<PrimitiveId, Vec<ConceptId>> =
-            FxHashMap::default();
+        index.items_by_token.iter_mut().for_each(Vec::shrink_to_fit);
         for c in kg.concept_ids() {
             for &p in kg.concept(c).primitives {
-                concepts_by_primitive.entry(p).or_default().push(c);
+                if let Some(list) = index.concepts_by_primitive.get_mut(p.index()) {
+                    list.push(c);
+                }
             }
         }
-        concepts_by_primitive
-            .values_mut()
+        index
+            .concepts_by_primitive
+            .iter_mut()
             .for_each(Vec::shrink_to_fit);
-        let mut items_by_primitive: FxHashMap<PrimitiveId, Vec<ItemId>> = FxHashMap::default();
-        for i in kg.item_ids() {
-            for &p in &kg.item(i).primitives {
-                items_by_primitive.entry(p).or_default().push(i);
-            }
-        }
-        items_by_primitive.values_mut().for_each(Vec::shrink_to_fit);
-        let mut primitives_by_domain: FxHashMap<ClassId, Vec<PrimitiveId>> = FxHashMap::default();
-        for p in kg.primitive_ids() {
-            let d = kg.class_domain(kg.primitive(p).class);
-            primitives_by_domain.entry(d).or_default().push(p);
-        }
-        QueryIndex {
-            kg,
-            concepts_by_primitive,
-            items_by_primitive,
-            primitives_by_domain,
-            concepts_by_token,
-            items_by_token,
-            concept_facts,
-        }
+        index
     }
 
-    /// Concept postings in lexicographic token order — the deterministic
-    /// view the binary snapshot codec serializes (AL005: hash-map postings
-    /// must be sorted before they touch a wire format).
-    pub fn sorted_concept_postings(&self) -> Vec<(&str, &[ConceptId])> {
-        let mut v: Vec<(&str, &[ConceptId])> = self
-            .concepts_by_token
-            .iter()
-            .map(|(t, list)| (t.as_str(), list.ids.as_slice()))
-            .collect();
-        v.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        v
-    }
-
-    /// Item postings in lexicographic token order (see
-    /// [`sorted_concept_postings`](Self::sorted_concept_postings)).
-    pub fn sorted_item_postings(&self) -> Vec<(&str, &[ItemId])> {
-        let mut v: Vec<(&str, &[ItemId])> = self
-            .items_by_token
-            .iter()
-            .map(|(t, ids)| (t.as_str(), ids.as_slice()))
-            .collect();
-        v.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        v
+    /// The slot of `tok`, given empty lists the first time the token is
+    /// seen (one `String` per token, not per entry).
+    fn slot(&mut self, tok: &str) -> usize {
+        if let Some(&slot) = self.slots.get(tok) {
+            return slot;
+        }
+        let slot = self.concepts_by_token.len();
+        self.slots.insert(tok.to_string(), slot);
+        self.concepts_by_token.push(ConceptPostings::default());
+        self.items_by_token.push(Vec::new());
+        slot
     }
 
     /// Concepts interpreted by a primitive ("which needs involve
     /// *barbecue*?").
     pub fn concepts_by_primitive(&self, p: PrimitiveId) -> &[ConceptId] {
         self.concepts_by_primitive
-            .get(&p)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .get(p.index())
+            .map_or(&[], Vec::as_slice)
     }
 
-    /// Items carrying a primitive property.
-    pub fn items_by_primitive(&self, p: PrimitiveId) -> &[ItemId] {
-        self.items_by_primitive
-            .get(&p)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// All primitives under a first-level domain class.
-    pub fn primitives_in_domain(&self, domain: ClassId) -> &[PrimitiveId] {
-        self.primitives_by_domain
-            .get(&domain)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// The concept posting list of `token`, if it has a slot.
+    fn concept_list(&self, token: &str) -> Option<&ConceptPostings> {
+        let slot = *self.slots.get(token)?;
+        self.concepts_by_token.get(slot)
     }
 
     /// Concepts a query token can evidence: every concept whose surface
     /// contains the token as a word, or that is interpreted by a primitive
     /// whose full surface equals the token. Ascending id order, no dups.
     pub fn concepts_by_token(&self, token: &str) -> &[ConceptId] {
-        self.concepts_by_token
-            .get(token)
+        self.concept_list(token)
             .map_or(&[], |list| list.ids.as_slice())
     }
 
     /// Items whose title contains the token. Ascending id order, no dups.
     pub fn items_by_token(&self, token: &str) -> &[ItemId] {
-        self.items_by_token
-            .get(token)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let slot = self.slots.get(token).copied();
+        slot.and_then(|slot| self.items_by_token.get(slot))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Merge the posting lists of `words` (repeats count once) into one
@@ -438,7 +322,7 @@ impl<'kg> QueryIndex<'kg> {
     ) -> ConceptMatches<'a> {
         let mut lists: Vec<(&'w str, &'a ConceptPostings)> = Vec::new();
         for w in words {
-            match self.concepts_by_token.get(w) {
+            match self.concept_list(w) {
                 Some(list) if !list.ids.is_empty() => lists.push((w, list)),
                 _ => {}
             }
@@ -476,42 +360,6 @@ impl<'kg> QueryIndex<'kg> {
     /// Whether a concept has items to show.
     pub fn is_stocked(&self, c: ConceptId) -> bool {
         self.concept_facts.byte(c) & STOCKED != 0
-    }
-
-    /// The net this index serves.
-    pub fn kg(&self) -> &'kg AliCoCo {
-        self.kg
-    }
-
-    /// Explain why an item is suggested for a concept: the direct edge
-    /// weight plus any primitives they share.
-    pub fn explain_suggestion(&self, concept: ConceptId, item: ItemId) -> Explanation {
-        let direct = self
-            .kg
-            .concept(concept)
-            .items
-            .iter()
-            .find(|&&(i, _)| i == item)
-            .map(|&(_, w)| w);
-        let cp: FxHashSet<PrimitiveId> = self
-            .kg
-            .concept(concept)
-            .primitives
-            .iter()
-            .copied()
-            .collect();
-        let shared: Vec<PrimitiveId> = self
-            .kg
-            .item(item)
-            .primitives
-            .iter()
-            .copied()
-            .filter(|p| cp.contains(p))
-            .collect();
-        Explanation {
-            direct_weight: direct,
-            shared_primitives: shared,
-        }
     }
 }
 
@@ -1008,16 +856,6 @@ fn merge_step<'a>(
     Some(found)
 }
 
-/// Why an item relates to a concept.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Explanation {
-    /// Weight of the direct suggestion edge, if present.
-    pub direct_weight: Option<f32>,
-    /// Primitive concepts on both the concept's interpretation and the
-    /// item's properties.
-    pub shared_primitives: Vec<PrimitiveId>,
-}
-
 /// Degree statistics of a layer's out-edges.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DegreeStats {
@@ -1091,12 +929,9 @@ mod tests {
 
     #[test]
     fn inverted_indices_answer_reverse_lookups() {
-        let (kg, c, grill, bbq) = sample();
+        let (kg, c, _, bbq) = sample();
         let q = QueryIndex::build(&kg);
         assert_eq!(q.concepts_by_primitive(bbq), &[c]);
-        assert_eq!(q.items_by_primitive(bbq), &[grill]);
-        let event = kg.class_by_name("Event").unwrap();
-        assert_eq!(q.primitives_in_domain(event), &[bbq]);
         let missing = PrimitiveId::from_index(999);
         assert!(q.concepts_by_primitive(missing).is_empty());
     }
@@ -1127,15 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn explanation_combines_direct_and_shared_evidence() {
-        let (kg, c, grill, bbq) = sample();
-        let q = QueryIndex::build(&kg);
-        let e = q.explain_suggestion(c, grill);
-        assert_eq!(e.direct_weight, Some(0.9));
-        assert_eq!(e.shared_primitives, vec![bbq]);
-    }
-
-    #[test]
     fn degree_stats_account_isolated_nodes() {
         let (mut kg, _, _, _) = sample();
         kg.add_concept("lonely concept");
@@ -1153,41 +979,7 @@ mod tests {
         assert_eq!(concept_item_degrees(&kg), DegreeStats::default());
     }
 
-    #[test]
-    fn from_postings_matches_a_fresh_build() {
-        let (kg, _, _, bbq) = sample();
-        let built = QueryIndex::build(&kg);
-        let concept_postings: Vec<(String, Vec<ConceptId>)> = built
-            .sorted_concept_postings()
-            .into_iter()
-            .map(|(t, ids)| (t.to_string(), ids.to_vec()))
-            .collect();
-        let item_postings: Vec<(String, Vec<ItemId>)> = built
-            .sorted_item_postings()
-            .into_iter()
-            .map(|(t, ids)| (t.to_string(), ids.to_vec()))
-            .collect();
-        let restored = QueryIndex::from_postings(&kg, concept_postings, item_postings);
-        assert_eq!(
-            built.sorted_concept_postings(),
-            restored.sorted_concept_postings()
-        );
-        assert_eq!(
-            built.sorted_item_postings(),
-            restored.sorted_item_postings()
-        );
-        // Id-level indices are rebuilt, not restored — check one.
-        assert_eq!(
-            built.concepts_by_primitive(bbq),
-            restored.concepts_by_primitive(bbq)
-        );
-        assert_eq!(
-            built.items_by_primitive(bbq),
-            restored.items_by_primitive(bbq)
-        );
-    }
-
-    fn matches(q: &QueryIndex<'_>, words: &[&str]) -> (Vec<ConceptMatch>, usize) {
+    fn matches(q: &QueryIndex, words: &[&str]) -> (Vec<ConceptMatch>, usize) {
         let merged = q.concept_matches(words.iter().copied());
         let postings = merged.postings();
         (merged.collect(), postings)
@@ -1234,86 +1026,6 @@ mod tests {
         assert_eq!(matches(&q, &["missing"]), (vec![], 0));
     }
 
-    /// The merge needs strictly ascending lists; `from_postings` takes any
-    /// iterator, so it must normalise what it is given.
-    #[test]
-    fn from_postings_sorts_and_dedups_what_it_is_given() {
-        let (mut kg, _, _, _) = sample();
-        for i in 0..40 {
-            kg.add_concept(&format!("barbecue idea{}", i % 7));
-            kg.add_concept(&format!("outdoor idea{i}"));
-        }
-        let built = QueryIndex::build(&kg);
-        // Reversed, rotated and with every id repeated.
-        let scramble = |ids: &[ConceptId]| {
-            let mut out: Vec<ConceptId> = ids.iter().rev().flat_map(|&c| [c, c]).collect();
-            let mid = out.len() / 3;
-            out.rotate_left(mid);
-            out
-        };
-        let concept_postings: Vec<(String, Vec<ConceptId>)> = built
-            .sorted_concept_postings()
-            .into_iter()
-            .map(|(t, ids)| (t.to_string(), scramble(ids)))
-            .collect();
-        let item_postings: Vec<(String, Vec<ItemId>)> = built
-            .sorted_item_postings()
-            .into_iter()
-            .map(|(t, ids)| {
-                (
-                    t.to_string(),
-                    ids.iter().rev().flat_map(|&i| [i, i]).collect(),
-                )
-            })
-            .collect();
-        let restored = QueryIndex::from_postings(&kg, concept_postings, item_postings);
-        assert_eq!(
-            built.sorted_concept_postings(),
-            restored.sorted_concept_postings()
-        );
-        assert_eq!(
-            built.sorted_item_postings(),
-            restored.sorted_item_postings()
-        );
-        for words in [
-            &["barbecue"][..],
-            &["outdoor", "barbecue"],
-            &["idea3", "barbecue", "outdoor", "idea39"],
-            &["missing"],
-        ] {
-            assert_eq!(
-                matches(&built, words),
-                matches(&restored, words),
-                "{words:?}"
-            );
-        }
-        // An id whose concept does not carry the token, mid-list or at the
-        // tail, is a candidate with no evidence.
-        let [c, hyper, outdoor_idea, barbecue_idea] = [0, 1, 3, 4].map(ConceptId::from_index);
-        let padded = vec![(
-            "outdoor".to_string(),
-            vec![c, hyper, outdoor_idea, barbecue_idea],
-        )];
-        let padded = QueryIndex::from_postings(&kg, padded, []);
-        let hit = |concept, surface_hits, primitive_hits| ConceptMatch {
-            concept,
-            surface_hits,
-            primitive_hits,
-        };
-        assert_eq!(
-            matches(&padded, &["outdoor"]),
-            (
-                vec![
-                    hit(c, 1, 1),
-                    hit(hyper, 0, 0),
-                    hit(outdoor_idea, 1, 0),
-                    hit(barbecue_idea, 0, 0)
-                ],
-                4
-            )
-        );
-    }
-
     /// A net whose word lists run to many blocks: 6 000 one- to
     /// three-word names over six words (plus one word of their own), half
     /// of them interpreted by a primitive named one of the first three
@@ -1348,24 +1060,11 @@ mod tests {
 
     /// The pruned merge yields every concept whose score can still reach
     /// the floor — a tie included — with the plain merge's exact counts,
-    /// and nothing the plain merge does not; also on `from_postings` lists
-    /// padded with ids that carry no fact.
+    /// and nothing the plain merge does not.
     #[test]
     fn pruned_merge_keeps_everything_that_can_reach_the_floor() {
         let kg = long_lists();
-        let built = QueryIndex::build(&kg);
-        let padded: Vec<(String, Vec<ConceptId>)> = built
-            .sorted_concept_postings()
-            .into_iter()
-            .map(|(t, ids)| {
-                let mut ids = ids.to_vec();
-                if t == "w0" {
-                    ids.extend((0..kg.num_concepts()).step_by(5).map(ConceptId::from_index));
-                }
-                (t.to_string(), ids)
-            })
-            .collect();
-        let restored = QueryIndex::from_postings(&kg, padded, []);
+        let q = QueryIndex::build(&kg);
         let score = |hits: u32, prims: u32, len: usize, stocked: bool| {
             let mut s = f64::from(hits) / len.max(1) as f64 + 0.3 * f64::from(prims);
             if s > 0.0 && stocked {
@@ -1376,63 +1075,50 @@ mod tests {
         let ceiling =
             |c: Ceiling| score(c.surface_hits, c.primitive_hits, c.surface_len, c.stocked);
         let mut skipped = 0;
-        for q in [&built, &restored] {
-            for words in [
-                &["w0"][..],
-                &["w1", "w4"],
-                &["w0", "w3", "w5"],
-                &["w4", "w4"],
-            ] {
-                let plain: Vec<ConceptMatch> = q.concept_matches(words.iter().copied()).collect();
-                let exact = |m: &ConceptMatch| {
-                    let c = m.concept;
-                    score(
-                        m.surface_hits,
-                        m.primitive_hits,
-                        q.surface_len(c),
-                        q.is_stocked(c),
-                    )
-                };
-                // Fixed floors, and one that rises as the stream is read.
-                for floor_at in [0.3, 0.45, 0.6, 0.75, 0.9, 1.1, 1.4, f64::NAN] {
-                    let floor = Floor::default();
-                    let mut pruned = Vec::new();
-                    for m in q
-                        .concept_matches(words.iter().copied())
-                        .pruned(&floor, &ceiling)
-                    {
-                        pruned.push(m);
-                        let kth = if floor_at.is_nan() {
-                            pruned.len() as f64 / 400.0
-                        } else {
-                            floor_at
-                        };
-                        floor.raise(kth);
-                    }
-                    let last = floor.kth.get();
-                    assert!(
-                        pruned.iter().all(|m| plain.contains(m)),
-                        "{words:?} {floor_at}"
-                    );
-                    let reach = plain.iter().filter(|m| exact(m).is_some_and(|s| s >= last));
-                    for m in reach {
-                        assert!(pruned.contains(m), "{words:?} {floor_at}: {m:?} dropped");
-                    }
-                    skipped += floor.blocks_skipped();
+        for words in [
+            &["w0"][..],
+            &["w1", "w4"],
+            &["w0", "w3", "w5"],
+            &["w4", "w4"],
+        ] {
+            let plain: Vec<ConceptMatch> = q.concept_matches(words.iter().copied()).collect();
+            let exact = |m: &ConceptMatch| {
+                let c = m.concept;
+                score(
+                    m.surface_hits,
+                    m.primitive_hits,
+                    q.surface_len(c),
+                    q.is_stocked(c),
+                )
+            };
+            // Fixed floors, and one that rises as the stream is read.
+            for floor_at in [0.3, 0.45, 0.6, 0.75, 0.9, 1.1, 1.4, f64::NAN] {
+                let floor = Floor::default();
+                let mut pruned = Vec::new();
+                for m in q
+                    .concept_matches(words.iter().copied())
+                    .pruned(&floor, &ceiling)
+                {
+                    pruned.push(m);
+                    let kth = if floor_at.is_nan() {
+                        pruned.len() as f64 / 400.0
+                    } else {
+                        floor_at
+                    };
+                    floor.raise(kth);
                 }
+                let last = floor.kth.get();
+                assert!(
+                    pruned.iter().all(|m| plain.contains(m)),
+                    "{words:?} {floor_at}"
+                );
+                let reach = plain.iter().filter(|m| exact(m).is_some_and(|s| s >= last));
+                for m in reach {
+                    assert!(pruned.contains(m), "{words:?} {floor_at}: {m:?} dropped");
+                }
+                skipped += floor.blocks_skipped();
             }
         }
         assert!(skipped > 0, "no block was ever skipped");
-    }
-
-    #[test]
-    fn sorted_postings_are_lexicographic_and_ascending() {
-        let (kg, _, _, _) = sample();
-        let q = QueryIndex::build(&kg);
-        let postings = q.sorted_concept_postings();
-        assert!(postings.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(postings
-            .iter()
-            .all(|(_, ids)| ids.windows(2).all(|w| w[0] < w[1])));
     }
 }

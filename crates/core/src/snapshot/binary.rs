@@ -30,10 +30,6 @@
 //! | `IPRI` | per item: property-primitive list                            |
 //! | `SCHM` | count u32, then per relation `off · len · from u32 · to u32` |
 //! | `PREL` | same, between primitives                                     |
-//! | `PSTC` | concept token postings: varint token count, then per token   |
-//! |        | (lexicographic) varint `off/len/degree`, first id absolute,  |
-//! |        | then gaps ≥ 1                                                |
-//! | `PSTI` | item token postings, same coding                             |
 //!
 //! `parent` uses `u32::MAX` as "none". String references are
 //! `offset/len` pairs into the arena. Every section is integrity-checked
@@ -50,13 +46,13 @@ use crate::graph::{
     AliCoCo, ClassNode, ItemNode, PrimitiveNode, PrimitiveRelation, SchemaRelation,
 };
 use crate::ids::{ClassId, ConceptId, ItemId, PrimitiveId};
-use crate::query::QueryIndex;
 
 /// First four bytes of every binary snapshot — what format auto-detection
 /// keys on.
 pub const MAGIC: [u8; 4] = *b"ALCC";
-/// Format version the codec reads and writes.
-pub const VERSION: u32 = 1;
+/// Format version the codec reads and writes. Version 1 also stored token
+/// postings; no reader loads them, so version 2 dropped them.
+pub const VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 12;
 const TABLE_ENTRY_LEN: usize = 28;
@@ -75,12 +71,10 @@ const SECTIONS: &[(&[u8; 4], &str)] = &[
     (b"IPRI", "item-primitive"),
     (b"SCHM", "schema relations"),
     (b"PREL", "primitive relations"),
-    (b"PSTC", "concept postings"),
-    (b"PSTI", "item postings"),
 ];
 
 /// `(tag, human name)` of the optional ANN trailer sections, in order.
-/// A snapshot carries either none of them (the bare 14-section layout,
+/// A snapshot carries either none of them (the bare 12-section layout,
 /// bytes unchanged from before ANN existed) or all three. Their payloads
 /// are opaque to this codec — the `alicoco-ann` crate defines and
 /// validates the formats — but they get the same table/checksum/bounds
@@ -229,37 +223,7 @@ fn encode_deltas(sec: &mut Vec<u8>, ids: &mut dyn ExactSizeIterator<Item = usize
     }
 }
 
-/// One postings section: tokens in the order given, each with its
-/// strictly ascending id list gap-coded.
-fn encode_postings<I: Copy>(
-    sec: &mut Vec<u8>,
-    arena: &mut Arena,
-    postings: &[(&str, &[I])],
-    index: impl Fn(I) -> usize,
-) -> Result<(), SaveError> {
-    write_varint(sec, postings.len() as u64);
-    for &(tok, ids) in postings {
-        let (off, len) = arena.intern(tok)?;
-        write_varint(sec, u64::from(off));
-        write_varint(sec, u64::from(len));
-        write_varint(sec, ids.len() as u64);
-        let mut prev: Option<usize> = None;
-        for id in ids.iter().map(|&i| index(i)) {
-            match prev {
-                None => write_varint(sec, id as u64),
-                Some(p) => {
-                    debug_assert!(id > p, "postings must be strictly ascending");
-                    write_varint(sec, (id - p) as u64);
-                }
-            }
-            prev = Some(id);
-        }
-    }
-    Ok(())
-}
-
-/// Serialize a net (plus its derived [`QueryIndex`] token postings) into
-/// `out` as one binary snapshot. Output is deterministic: the same net
+/// Serialize a net into `out` as one binary snapshot. Output is deterministic: the same net
 /// always produces the same bytes.
 pub fn save(kg: &AliCoCo, out: &mut Vec<u8>) -> Result<(), SaveError> {
     save_with_ann(kg, None, out)
@@ -354,25 +318,8 @@ pub fn save_with_ann(
         prel.extend_from_slice(&(r.from.index() as u32).to_le_bytes());
         prel.extend_from_slice(&(r.to.index() as u32).to_le_bytes());
     }
-    let index = QueryIndex::build(kg);
-    let mut pstc = Vec::new();
-    encode_postings(
-        &mut pstc,
-        &mut arena,
-        &index.sorted_concept_postings(),
-        ConceptId::index,
-    )?;
-    let mut psti = Vec::new();
-    encode_postings(
-        &mut psti,
-        &mut arena,
-        &index.sorted_item_postings(),
-        ItemId::index,
-    )?;
-    // The largest thing a save holds; free it before the file is assembled.
-    drop(index);
 
-    let sections: [Vec<u8>; 14] = [
+    let sections: [Vec<u8>; 12] = [
         arena.bytes,
         clas,
         prim,
@@ -385,8 +332,6 @@ pub fn save_with_ann(
         ipri,
         schm,
         prel,
-        pstc,
-        psti,
     ];
     let mut table: Vec<(&[u8; 4], &[u8])> = SECTIONS
         .iter()
@@ -620,8 +565,6 @@ pub struct SnapshotView<'a> {
     ipri: &'a [u8],
     schema: FixedSection<'a>,
     relations: FixedSection<'a>,
-    pstc: &'a [u8],
-    psti: &'a [u8],
     /// The three opaque ANN trailer payloads, when the snapshot carries
     /// them (checksummed and bounds-checked like every other section).
     ann: Option<[&'a [u8]; 3]>,
@@ -694,8 +637,8 @@ impl<'a> SnapshotView<'a> {
         } else {
             None
         };
-        let [stra, clas, prim, conc, item, ppia, ccia, cpri, citm, ipri, schm, prel, pstc, psti]: [&'a [u8];
-            14] = payloads
+        let [stra, clas, prim, conc, item, ppia, ccia, cpri, citm, ipri, schm, prel]: [&'a [u8];
+            12] = payloads
             .try_into()
             .map_err(|_| corrupt("section table", "wrong section count"))?;
         let arena =
@@ -713,8 +656,6 @@ impl<'a> SnapshotView<'a> {
             ipri,
             schema: FixedSection::parse(schm, 16, "schema relations")?,
             relations: FixedSection::parse(prel, 16, "primitive relations")?,
-            pstc,
-            psti,
             ann,
         };
         view.validate_fixed()?;
@@ -941,44 +882,6 @@ impl<'a> SnapshotView<'a> {
         ))
     }
 
-    /// Decode the persisted concept token postings (token → ascending
-    /// concept ids), tokens borrowed from the arena.
-    pub fn concept_postings(&self) -> Result<Vec<(&'a str, Vec<ConceptId>)>, LoadError> {
-        let raw = decode_postings(
-            self.pstc,
-            self.arena,
-            self.concepts.count,
-            "concept postings",
-        )?;
-        Ok(raw
-            .into_iter()
-            .map(|(t, ids)| {
-                (
-                    t,
-                    ids.into_iter()
-                        .map(|i| ConceptId::from_index(i as usize))
-                        .collect(),
-                )
-            })
-            .collect())
-    }
-
-    /// Decode the persisted item token postings.
-    pub fn item_postings(&self) -> Result<Vec<(&'a str, Vec<ItemId>)>, LoadError> {
-        let raw = decode_postings(self.psti, self.arena, self.items.count, "item postings")?;
-        Ok(raw
-            .into_iter()
-            .map(|(t, ids)| {
-                (
-                    t,
-                    ids.into_iter()
-                        .map(|i| ItemId::from_index(i as usize))
-                        .collect(),
-                )
-            })
-            .collect())
-    }
-
     /// Per-section `(name, payload bytes, record count)` — what
     /// `snapshot inspect` prints. Walks the varint sections to count
     /// records, so it also fully validates their framing.
@@ -1046,27 +949,6 @@ impl<'a> SnapshotView<'a> {
             fixed(&self.relations),
             self.relations.count as u64,
         ));
-        let count_postings = |sec: &'a [u8], name: &'static str| -> Result<u64, LoadError> {
-            let mut cur = Cursor::new(sec, name);
-            let tokens = cur.varint()?;
-            for _ in 0..tokens {
-                cur.varint()?;
-                cur.varint()?;
-                cur.skip_list(false)?;
-            }
-            cur.expect_end()?;
-            Ok(tokens)
-        };
-        out.push((
-            "concept postings",
-            self.pstc.len() as u64,
-            count_postings(self.pstc, "concept postings")?,
-        ));
-        out.push((
-            "item postings",
-            self.psti.len() as u64,
-            count_postings(self.psti, "item postings")?,
-        ));
         if let Some(payloads) = self.ann {
             for ((_, name), payload) in ANN_SECTIONS.iter().zip(payloads) {
                 // Opaque to this codec: byte length only, no record count.
@@ -1083,77 +965,6 @@ fn name_of(i: usize) -> &'static str {
         .or_else(|| ANN_SECTIONS.get(i.wrapping_sub(SECTIONS.len())))
         .map(|(_, name)| *name)
         .unwrap_or("section")
-}
-
-/// One token's arena reference at the cursor, resolved to its `&str`.
-fn posting_token<'a>(
-    cur: &mut Cursor<'_>,
-    arena: &'a str,
-    section: &'static str,
-) -> Result<&'a str, LoadError> {
-    let off = cur.varint()? as usize;
-    let len = cur.varint()? as usize;
-    off.checked_add(len)
-        .and_then(|end| arena.get(off..end))
-        .ok_or_else(|| corrupt(section, "token ref out of bounds"))
-}
-
-/// One gap-coded strictly-ascending posting list (the tail of a postings
-/// token entry), every id checked against `n`.
-fn posting_ids(
-    cur: &mut Cursor<'_>,
-    n: usize,
-    section: &'static str,
-) -> Result<Vec<u32>, LoadError> {
-    let deg = cur.degree()?;
-    let mut ids = Vec::with_capacity(deg);
-    let mut prev: Option<u64> = None;
-    for _ in 0..deg {
-        let v = cur.varint()?;
-        let id = match prev {
-            None => v,
-            Some(p) => {
-                if v == 0 {
-                    return Err(corrupt(section, "postings must be strictly ascending"));
-                }
-                p.checked_add(v)
-                    .ok_or_else(|| corrupt(section, "postings id overflows"))?
-            }
-        };
-        if id >= n as u64 {
-            return Err(corrupt(section, "postings id out of range"));
-        }
-        ids.push(id as u32);
-        prev = Some(id);
-    }
-    Ok(ids)
-}
-
-fn decode_postings<'a>(
-    sec: &'a [u8],
-    arena: &'a str,
-    n: usize,
-    section: &'static str,
-) -> Result<Vec<(&'a str, Vec<u32>)>, LoadError> {
-    let mut cur = Cursor::new(sec, section);
-    let tokens = cur.varint()?;
-    if tokens > sec.len() as u64 {
-        return Err(corrupt(section, "token count exceeds section size"));
-    }
-    let mut out: Vec<(&'a str, Vec<u32>)> = Vec::with_capacity(tokens as usize);
-    for _ in 0..tokens {
-        let tok = posting_token(&mut cur, arena, section)?;
-        if out.last().is_some_and(|(prev, _)| *prev >= tok) {
-            return Err(corrupt(
-                section,
-                "postings tokens must be strictly ascending",
-            ));
-        }
-        let ids = posting_ids(&mut cur, n, section)?;
-        out.push((tok, ids));
-    }
-    cur.expect_end()?;
-    Ok(out)
 }
 
 /// Open + materialize in one call — the cold-load entry point stores use.
@@ -1213,24 +1024,22 @@ mod tests {
         assert_eq!(loaded, AliCoCo::new());
     }
 
+    /// The header's version is the first thing checked after the magic:
+    /// a file of any other version — an older layout included — is
+    /// refused with a typed error naming it.
     #[test]
-    fn postings_match_a_fresh_index() {
-        let kg = build_sample();
+    fn other_versions_are_refused_by_number() {
         let bytes = sample_bytes();
-        let view = SnapshotView::open(&bytes).unwrap();
-        let index = QueryIndex::build(&kg);
-        let expect: Vec<(&str, Vec<ConceptId>)> = index
-            .sorted_concept_postings()
-            .into_iter()
-            .map(|(t, ids)| (t, ids.to_vec()))
-            .collect();
-        assert_eq!(view.concept_postings().unwrap(), expect);
-        let expect_items: Vec<(&str, Vec<ItemId>)> = index
-            .sorted_item_postings()
-            .into_iter()
-            .map(|(t, ids)| (t, ids.to_vec()))
-            .collect();
-        assert_eq!(view.item_postings().unwrap(), expect_items);
+        for version in [0, 1, VERSION + 1, u32::MAX] {
+            let mut b = bytes.clone();
+            b[4..8].copy_from_slice(&version.to_le_bytes());
+            match SnapshotView::open(&b) {
+                Err(LoadError::Corrupt("header", msg)) => {
+                    assert_eq!(msg, format!("unsupported version {version}"));
+                }
+                other => panic!("version {version} opened: {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]
@@ -1321,21 +1130,6 @@ mod tests {
         let view = SnapshotView::open(&bytes).unwrap();
         let err = view.to_graph().unwrap_err();
         assert!(matches!(err, LoadError::Corrupt("concept-item", _)));
-    }
-
-    #[test]
-    fn non_ascending_postings_are_rejected() {
-        // Hand-built postings section: one token (empty string at 0..0),
-        // two ids with a zero gap.
-        let mut sec = Vec::new();
-        write_varint(&mut sec, 1); // token count
-        write_varint(&mut sec, 0); // off
-        write_varint(&mut sec, 0); // len
-        write_varint(&mut sec, 2); // degree
-        write_varint(&mut sec, 5); // first id
-        write_varint(&mut sec, 0); // zero gap: duplicate id
-        let err = decode_postings(&sec, "", 100, "concept postings").unwrap_err();
-        assert!(matches!(err, LoadError::Corrupt(_, m) if m.contains("ascending")));
     }
 
     #[test]

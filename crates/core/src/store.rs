@@ -14,7 +14,6 @@ use alicoco_obs::{Registry, Stopwatch};
 
 use crate::graph::AliCoCo;
 use crate::snapshot::{self, binary, tsv, LoadError, SaveError};
-use crate::stats::Stats;
 
 /// The snapshot formats the storage layer knows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,12 +98,6 @@ pub trait Store {
 
     /// Inspect a snapshot's structure without building the graph.
     fn open(&self, bytes: &[u8]) -> Result<SnapshotInfo, LoadError>;
-
-    /// Table-2 statistics of the stored net. Backends may override with a
-    /// cheaper path; the default materializes via [`Store::load`].
-    fn stats(&self, bytes: &[u8]) -> Result<Stats, LoadError> {
-        Ok(Stats::compute(&self.load(bytes)?))
-    }
 }
 
 /// The TSV backend.
@@ -305,6 +298,7 @@ pub fn load_file(path: &std::path::Path, metrics: &Registry) -> Result<AliCoCo, 
 mod tests {
     use super::*;
     use crate::snapshot::test_support::build_sample;
+    use crate::stats::Stats;
 
     fn both() -> [&'static dyn Store; 2] {
         [&TsvStore, &BinaryStore]
@@ -368,7 +362,8 @@ mod tests {
         for store in both() {
             let mut bytes = Vec::new();
             store.save(&kg, &mut bytes).unwrap();
-            assert_eq!(store.stats(&bytes).unwrap(), expect, "{}", store.format());
+            let loaded = store.load(&bytes).unwrap();
+            assert_eq!(Stats::compute(&loaded), expect, "{}", store.format());
         }
     }
 

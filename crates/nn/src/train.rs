@@ -237,7 +237,7 @@ impl<'a> Trainer<'a> {
         )
     }
 
-    /// Train with an explicit stop criterion. Under
+    /// Train with an explicit [`StopCriterion`]. Under
     /// [`StopCriterion::BestSnapshot`] the `metric` closure is called after
     /// each epoch and must return `(key, secondary)` ordered so that larger
     /// tuples are better; the parameters of the best epoch are restored

@@ -9,7 +9,7 @@
 //!   protocol errors, deterministic response encoding;
 //! - [`router`] — one engine call and one sorted-key JSON body per
 //!   request ([`json`] renders it);
-//! - [`state`] — the self-referential engine pack and the swap slot;
+//! - [`state`] — the engine pack over one shared retriever and the swap slot;
 //! - [`server`] — accept loop, bounded dispatch queue, worker pool,
 //!   deadlines, and graceful drain.
 //!

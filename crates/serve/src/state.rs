@@ -7,7 +7,6 @@
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use alicoco::query::QueryIndex;
 use alicoco::AliCoCo;
 use alicoco_ann::AnnBundle;
 use alicoco_apps::qa::ScenarioQa;
@@ -27,20 +26,12 @@ pub struct EngineConfig {
 }
 
 /// An immutable net and the four serving engines over its one shared
-/// [`Retriever`].
-///
-/// The retriever's index borrows the net, so the struct is
-/// self-referential: the borrow is extended to `'static` at construction
-/// and shrunk back at every accessor, and the `Arc` it actually points
-/// into is owned by the last field.
+/// [`Retriever`], which owns the net through an `Arc`.
 pub struct ServingPack {
-    search: SemanticSearch<'static>,
-    qa: ScenarioQa<'static>,
-    recommend: CognitiveRecommender<'static>,
-    relevance: RelevanceScorer<'static>,
-    /// Declared after the engines: dropped last, so the `'static`
-    /// borrow above never dangles.
-    kg: Arc<AliCoCo>,
+    search: SemanticSearch,
+    qa: ScenarioQa,
+    recommend: CognitiveRecommender,
+    relevance: RelevanceScorer,
 }
 
 impl ServingPack {
@@ -48,57 +39,44 @@ impl ServingPack {
     /// and the four engines that share it, registering their metrics in
     /// `metrics`. When the snapshot carried the `AVOC`/`ACON`/`AITM`
     /// trailer, pass its bundle as `ann` and every engine serves hybrid
-    /// (lexical ∪ vector) candidates. The bundle owns its vectors — it
-    /// never borrows the net, so it adds nothing to the self-referential
-    /// block below.
+    /// (lexical ∪ vector) candidates.
     pub fn build_with_ann(
         kg: Arc<AliCoCo>,
         ann: Option<Arc<AnnBundle>>,
         cfg: &EngineConfig,
         metrics: &Registry,
     ) -> Arc<Self> {
-        let graph: &'static AliCoCo =
-            // SAFETY: `graph` points into the heap allocation owned by
-            // the `kg` field of the pack under construction. The
-            // allocation's address is stable (`Arc` contents never
-            // move), the net is immutable for the pack's whole life,
-            // and field order guarantees every engine — and with the
-            // last of them the retriever they share — drops before the
-            // `Arc` it borrows from. The fabricated `'static` never
-            // escapes: all accessors shrink it back to `&self`.
-            unsafe { &*Arc::as_ptr(&kg) };
-        let retriever = Retriever::new(QueryIndex::build(graph), ann);
+        let retriever = Retriever::new(kg, ann);
         Arc::new(ServingPack {
             search: SemanticSearch::new(Arc::clone(&retriever), cfg.search, metrics),
             qa: ScenarioQa::new(Arc::clone(&retriever), metrics),
             recommend: CognitiveRecommender::new(Arc::clone(&retriever), cfg.recommend, metrics),
             relevance: RelevanceScorer::new(retriever, metrics),
-            kg,
         })
     }
 
     /// The net itself.
     pub fn graph(&self) -> &AliCoCo {
-        &self.kg
+        self.search.retriever().kg()
     }
 
     /// Semantic-search engine.
-    pub fn search(&self) -> &SemanticSearch<'_> {
+    pub fn search(&self) -> &SemanticSearch {
         &self.search
     }
 
     /// Scenario question answering.
-    pub fn qa(&self) -> &ScenarioQa<'_> {
+    pub fn qa(&self) -> &ScenarioQa {
         &self.qa
     }
 
     /// Cognitive recommender.
-    pub fn recommender(&self) -> &CognitiveRecommender<'_> {
+    pub fn recommender(&self) -> &CognitiveRecommender {
         &self.recommend
     }
 
     /// isA-expanded relevance scorer.
-    pub fn relevance(&self) -> &RelevanceScorer<'_> {
+    pub fn relevance(&self) -> &RelevanceScorer {
         &self.relevance
     }
 }
@@ -176,11 +154,15 @@ mod tests {
 
     #[test]
     fn engines_share_one_index() {
-        let pack = pack_of(Arc::new(tiny_net()), &Registry::new());
-        let index = pack.search().index();
-        assert!(std::ptr::eq(index, pack.qa().index()));
-        assert!(std::ptr::eq(index, pack.recommender().index()));
-        assert!(std::ptr::eq(index.kg(), pack.graph()));
+        let kg = Arc::new(tiny_net());
+        let pack = pack_of(Arc::clone(&kg), &Registry::new());
+        let retriever = pack.search().retriever();
+        assert!(Arc::ptr_eq(retriever, pack.qa().retriever()));
+        assert!(Arc::ptr_eq(retriever, pack.recommender().retriever()));
+        assert!(Arc::ptr_eq(retriever, pack.relevance().retriever()));
+        assert!(std::ptr::eq(retriever.kg(), pack.graph()));
+        // The pack holds the caller's net, not a copy of it.
+        assert!(std::ptr::eq(pack.graph(), &*kg));
     }
 
     #[test]

@@ -33,7 +33,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use alicoco::query::QueryIndex;
 use alicoco::{store, AliCoCo, Stats};
 use alicoco_apps::{
     CognitiveRecommender, RecommendConfig, RelevanceScorer, Retriever, ScenarioQa, SearchConfig,
@@ -255,12 +254,12 @@ fn cmd_stats(args: &[String], metrics: &Registry) -> CliResult {
 }
 
 /// The lexical retriever the one-shot commands serve from.
-fn retriever(kg: &AliCoCo) -> Arc<Retriever<'_>> {
-    Retriever::new(QueryIndex::build(kg), None)
+fn retriever(kg: &Arc<AliCoCo>) -> Arc<Retriever> {
+    Retriever::new(Arc::clone(kg), None)
 }
 
 fn cmd_search(args: &[String], metrics: &Registry) -> CliResult {
-    let kg = load_net(require(args, 0, "snapshot path")?, metrics)?;
+    let kg = Arc::new(load_net(require(args, 0, "snapshot path")?, metrics)?);
     let query = require(args, 1, "query")?;
     let engine = SemanticSearch::new(retriever(&kg), SearchConfig::default(), metrics);
     let cards = engine.search(query);
@@ -284,7 +283,7 @@ fn cmd_search(args: &[String], metrics: &Registry) -> CliResult {
 }
 
 fn cmd_qa(args: &[String], metrics: &Registry) -> CliResult {
-    let kg = load_net(require(args, 0, "snapshot path")?, metrics)?;
+    let kg = Arc::new(load_net(require(args, 0, "snapshot path")?, metrics)?);
     let question = require(args, 1, "question")?;
     match ScenarioQa::new(retriever(&kg), metrics).answer(question) {
         Some(a) => {
@@ -299,7 +298,7 @@ fn cmd_qa(args: &[String], metrics: &Registry) -> CliResult {
 }
 
 fn cmd_recommend(args: &[String], metrics: &Registry) -> CliResult {
-    let kg = load_net(require(args, 0, "snapshot path")?, metrics)?;
+    let kg = Arc::new(load_net(require(args, 0, "snapshot path")?, metrics)?);
     let history: Vec<alicoco::ItemId> = kg
         .item_ids()
         .filter(|&i| !kg.concepts_for_item(i).is_empty())
@@ -378,7 +377,7 @@ fn demo_net() -> AliCoCo {
 /// Exercise every instrumented serving path against the demo net so the
 /// exported registry contains a sample of each metric family.
 fn cmd_demo(metrics: &Registry) -> CliResult {
-    let kg = demo_net();
+    let kg = Arc::new(demo_net());
     let shared = retriever(&kg);
 
     let search = SemanticSearch::new(Arc::clone(&shared), SearchConfig::default(), metrics);

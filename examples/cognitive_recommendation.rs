@@ -7,7 +7,8 @@
 //! cargo run --release -p alicoco-suite --example cognitive_recommendation
 //! ```
 
-use alicoco::query::QueryIndex;
+use std::sync::Arc;
+
 use alicoco::ItemId;
 use alicoco_apps::{CognitiveRecommender, RecommendConfig, Retriever};
 use alicoco_corpus::Dataset;
@@ -18,6 +19,7 @@ fn main() {
     println!("building AliCoCo (tiny world)...");
     let ds = Dataset::tiny();
     let (kg, _) = build_alicoco(&ds, &PipelineConfig::default());
+    let kg = Arc::new(kg);
 
     // Simulate a user who browsed a few items that belong to some scenario.
     let history: Vec<ItemId> = kg
@@ -35,7 +37,7 @@ fn main() {
     }
 
     let recommender = CognitiveRecommender::new(
-        Retriever::new(QueryIndex::build(&kg), None),
+        Retriever::new(Arc::clone(&kg), None),
         RecommendConfig::default(),
         &Registry::new(),
     );

@@ -7,7 +7,8 @@
 //!     "what should i prepare for hosting next week's barbecue?"
 //! ```
 
-use alicoco::query::QueryIndex;
+use std::sync::Arc;
+
 use alicoco_apps::{Retriever, ScenarioQa};
 use alicoco_corpus::Dataset;
 use alicoco_mining::pipeline::{build_alicoco, PipelineConfig};
@@ -29,10 +30,7 @@ fn main() {
         ..Default::default()
     };
     let (kg, _) = build_alicoco(&ds, &cfg);
-    let qa = ScenarioQa::new(
-        Retriever::new(QueryIndex::build(&kg), None),
-        &Registry::new(),
-    );
+    let qa = ScenarioQa::new(Retriever::new(Arc::new(kg), None), &Registry::new());
 
     println!("\nQ: {question}");
     match qa.answer(&question) {

@@ -6,7 +6,8 @@
 //! cargo run --release -p alicoco-suite --example semantic_search -- "barbecue outdoor"
 //! ```
 
-use alicoco::query::QueryIndex;
+use std::sync::Arc;
+
 use alicoco_apps::{Retriever, SearchConfig, SemanticSearch};
 use alicoco_corpus::Dataset;
 use alicoco_mining::pipeline::{build_alicoco, PipelineConfig};
@@ -19,7 +20,8 @@ fn main() {
     println!("building AliCoCo (tiny world)...");
     let ds = Dataset::tiny();
     let (kg, _) = build_alicoco(&ds, &PipelineConfig::default());
-    let retriever = Retriever::new(QueryIndex::build(&kg), None);
+    let kg = Arc::new(kg);
+    let retriever = Retriever::new(Arc::clone(&kg), None);
     let engine = SemanticSearch::new(retriever, SearchConfig::default(), &Registry::new());
 
     println!("\nsearch: {query:?}\n");

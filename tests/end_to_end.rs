@@ -2,6 +2,8 @@
 //! world and verify the resulting concept net supports the paper's
 //! downstream applications (§8).
 
+use std::sync::Arc;
+
 use alicoco::coverage::{evaluate, CpvVocabulary, FullVocabulary};
 use alicoco::Stats;
 use alicoco_corpus::{Dataset, Oracle};
@@ -14,8 +16,9 @@ use alicoco_mining::vocab_mining::VocabMinerConfig;
 
 /// The pipeline build is expensive; share one across all tests in this
 /// binary (they only read it).
-fn build() -> &'static (Dataset, alicoco::AliCoCo) {
-    static BUILT: std::sync::OnceLock<(Dataset, alicoco::AliCoCo)> = std::sync::OnceLock::new();
+fn build() -> &'static (Dataset, Arc<alicoco::AliCoCo>) {
+    static BUILT: std::sync::OnceLock<(Dataset, Arc<alicoco::AliCoCo>)> =
+        std::sync::OnceLock::new();
     BUILT.get_or_init(|| {
         let ds = Dataset::tiny();
         let cfg = PipelineConfig {
@@ -44,7 +47,7 @@ fn build() -> &'static (Dataset, alicoco::AliCoCo) {
             ..Default::default()
         };
         let (kg, _) = build_alicoco(&ds, &cfg);
-        (ds, kg)
+        (ds, Arc::new(kg))
     })
 }
 
@@ -158,10 +161,10 @@ fn built_net_is_structurally_valid_and_serves_applications() {
 
     // §8.1 semantic search on the real build; both engines share one
     // retriever, as they do in a serving pack.
-    let retriever = alicoco_apps::Retriever::new(alicoco::query::QueryIndex::build(kg), None);
+    let retriever = alicoco_apps::Retriever::new(Arc::clone(kg), None);
     let reg = alicoco_obs::Registry::new();
     let engine = alicoco_apps::SemanticSearch::new(
-        std::sync::Arc::clone(&retriever),
+        Arc::clone(&retriever),
         alicoco_apps::SearchConfig::default(),
         &reg,
     );
@@ -191,12 +194,6 @@ fn built_net_is_structurally_valid_and_serves_applications() {
     for r in &out {
         assert!(!r.reason.text(kg, &r.name).is_empty());
     }
-
-    // Query-index explanations agree with the stored edges.
-    let qi = alicoco::query::QueryIndex::build(kg);
-    let (item, w) = kg.items_for_concept(stocked)[0];
-    let e = qi.explain_suggestion(stocked, item);
-    assert_eq!(e.direct_weight, Some(w));
 }
 
 #[test]
