@@ -52,10 +52,10 @@ fn concept_doc(kg: &AliCoCo, id: alicoco::ids::ConceptId) -> Vec<String> {
 fn item_doc(kg: &AliCoCo, id: alicoco::ids::ItemId) -> Vec<String> {
     let node = kg.item(id);
     let mut doc: Vec<String> = node.title.clone();
-    for &c in &node.concepts {
+    for &c in node.concepts {
         doc.extend(kg.concept(c).name.split_whitespace().map(str::to_string));
     }
-    for &p in &node.primitives {
+    for &p in node.primitives {
         doc.extend(kg.primitive(p).name.split_whitespace().map(str::to_string));
     }
     doc

@@ -171,7 +171,7 @@ impl CognitiveRecommender {
                 *votes.entry(cid).or_insert(0.0) += self.cfg.direct_weight;
                 direct_trigger.entry(cid).or_insert(item);
             }
-            for &p in &kg.item(item).primitives {
+            for &p in kg.item(item).primitives {
                 for &cid in self.retriever.index().concepts_by_primitive(p) {
                     *votes.entry(cid).or_insert(0.0) += self.cfg.shared_weight;
                     shared.entry(cid).or_default().insert(p);

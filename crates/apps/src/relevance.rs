@@ -57,13 +57,19 @@ impl RelevanceScorer {
     /// `metrics`.
     pub fn new(retriever: Arc<Retriever>, metrics: &Registry) -> Self {
         let kg = retriever.kg();
+        // Every title token gets its id first, in item order; the index
+        // then encodes one title at a time rather than holding them all.
         let mut vocab = Vocab::new();
-        let mut docs: Vec<Vec<TokenId>> = Vec::with_capacity(kg.num_items());
         for iid in kg.item_ids() {
-            let doc = kg.item(iid).title.iter().map(|t| vocab.add(t)).collect();
-            docs.push(doc);
+            for t in kg.item(iid).title {
+                vocab.add(t);
+            }
         }
-        let mut index = Bm25Index::build(&docs, Bm25Params::default());
+        let title = |d: usize, out: &mut Vec<TokenId>| {
+            let item = kg.item(alicoco::ItemId::from_index(d));
+            out.extend(item.title.iter().map(|t| vocab.get_or_unk(t)));
+        };
+        let mut index = Bm25Index::build_from(kg.num_items(), title, Bm25Params::default());
         index.set_metrics(Bm25Metrics::register(metrics));
         RelevanceScorer {
             retriever,

@@ -413,7 +413,7 @@ mod tests {
         let items = s.keyword_items("charcoal", 10);
         assert_eq!(items.len(), 1);
         assert_eq!(
-            kg.item(items[0]).title,
+            *kg.item(items[0]).title,
             vec!["best".to_string(), "charcoal".to_string()]
         );
     }

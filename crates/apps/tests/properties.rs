@@ -14,9 +14,10 @@ use std::sync::{Arc, OnceLock};
 
 use alicoco::query::ConceptMatch;
 use alicoco::rank::by_score_then_id;
-use alicoco::{AliCoCo, ConceptId};
+use alicoco::{AliCoCo, ConceptId, ItemId, PrimitiveId};
 use alicoco_ann::{AnnBundle, Hnsw, HnswConfig, TokenTable};
 use alicoco_apps::qa::ScenarioQa;
+use alicoco_apps::relevance::RelevanceScorer;
 use alicoco_apps::retrieve::{Fusion, Retriever};
 use alicoco_apps::search::{self, SearchConfig, SemanticSearch};
 use alicoco_corpus::scale::{scale_vocab, scale_world};
@@ -211,6 +212,55 @@ fn random_bundle(kg: &AliCoCo, seed: u64) -> AnnBundle {
         concepts.insert(&vector());
     }
     AnnBundle::new(tokens, concepts, Hnsw::new(4, HnswConfig::default()))
+}
+
+/// Weight of `max(0, cos)` in a fused relevance score (the relevance
+/// engine's fusion constant).
+const RELEVANCE_VECTOR_WEIGHT: f64 = 0.5;
+
+/// A bundle of seeded random 4-d vectors: one per vocabulary word, one per
+/// item, no concepts.
+fn item_bundle(kg: &AliCoCo, seed: u64) -> AnnBundle {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut vector = || -> Vec<f32> { (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
+    let tokens = TokenTable::new(4, VOCAB.iter().map(|w| (w.to_string(), vector())));
+    let mut items = Hnsw::new(4, HnswConfig::default());
+    for _ in 0..kg.num_items() {
+        items.insert(&vector());
+    }
+    AnnBundle::new(tokens, Hnsw::new(4, HnswConfig::default()), items)
+}
+
+/// The relevance scan oracle: every item scored `bm25` (from `bm25_of`,
+/// a per-item scorer) plus the vector bonus of `query_words` on the
+/// scorer's retriever, positive scores only, ranked score descending and
+/// id ascending, cut at `k`.
+fn relevance_scan(
+    scorer: &RelevanceScorer,
+    query_words: &[String],
+    bm25_of: impl Fn(ItemId) -> f64,
+    k: usize,
+) -> Vec<(ItemId, f64)> {
+    let retriever = scorer.retriever();
+    let qvec = retriever.embed(&query_words.join(" "));
+    let mut all: Vec<(ItemId, f64)> = retriever
+        .kg()
+        .item_ids()
+        .map(|i| {
+            let slot = i.index() as u32;
+            let bonus = retriever.bonus(
+                AnnBundle::items,
+                slot,
+                qvec.as_deref(),
+                RELEVANCE_VECTOR_WEIGHT,
+            );
+            (i, bm25_of(i) + bonus)
+        })
+        .filter(|&(_, score)| score > 0.0)
+        .collect();
+    all.sort_by(by_score_then_id);
+    all.truncate(k);
+    all
 }
 
 /// The 120k-concept scale world and engines over it, built once per test
@@ -506,5 +556,44 @@ proptest! {
         );
         prop_assert_eq!((fused.proposed, fused.examined), (0, lexical.len()));
         prop_assert_eq!(fused.top.into_sorted_vec(), brute_force(&|_| 0.0));
+    }
+
+    /// The relevance engine's indexed retrieval is its per-item scan:
+    /// `top_items` ranks exactly as `score_plain` plus the vector bonus
+    /// over every item, and `top_items_expanded` as `score_expanded` plus
+    /// the bonus of the expanded query — lexically, and on a hybrid
+    /// retriever whose item index proposes every stored vector (worlds
+    /// hold fewer items than the engine's 16 proposals).
+    #[test]
+    fn relevance_top_items_equal_the_per_item_scan(
+        spec in world_strategy(),
+        is_a in prop::collection::vec((0u8..10, 0u8..10), 0..8),
+        query in query_strategy(),
+        k in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let mut kg = build_world(&spec);
+        let n_prims = kg.num_primitives();
+        for &(a, b) in &is_a {
+            let hypo = PrimitiveId::from_index(a as usize % n_prims);
+            let hyper = PrimitiveId::from_index(b as usize % n_prims);
+            kg.try_add_primitive_is_a(hypo, hyper);
+        }
+        let kg = Arc::new(kg);
+        let words: Vec<String> = render_query(&query)
+            .split(' ')
+            .map(String::from)
+            .collect();
+        let bundle = Arc::new(item_bundle(&kg, seed));
+        for ann in [None, Some(bundle)] {
+            let hybrid = ann.is_some();
+            let retriever = Retriever::new(Arc::clone(&kg), ann);
+            let scorer = RelevanceScorer::new(retriever, &Registry::new());
+            let plain = relevance_scan(&scorer, &words, |i| scorer.score_plain(&words, i), k);
+            prop_assert_eq!(scorer.top_items(&words, k), plain, "hybrid {}", hybrid);
+            let expanded = scorer.expand_query(&words);
+            let scan = relevance_scan(&scorer, &expanded, |i| scorer.score_expanded(&words, i), k);
+            prop_assert_eq!(scorer.top_items_expanded(&words, k), scan, "hybrid {}", hybrid);
+        }
     }
 }

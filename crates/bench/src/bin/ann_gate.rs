@@ -130,7 +130,7 @@ fn item_only_tokens(kg: &alicoco::AliCoCo) -> Vec<String> {
     }
     let mut item_only = std::collections::BTreeSet::new();
     for i in kg.item_ids() {
-        for t in &kg.item(i).title {
+        for t in kg.item(i).title {
             if !lexical.contains(t) {
                 item_only.insert(t.clone());
             }

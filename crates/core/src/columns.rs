@@ -1,76 +1,130 @@
-//! The e-commerce concept layer, stored in columns (DESIGN.md §9).
+//! The e-commerce concept and item layers, stored in columns (DESIGN.md
+//! §9).
 //!
-//! A net holds millions of concepts, each a short phrase with a handful of
-//! edges: a struct per concept would cost four heap allocations each (a
-//! name and three edge lists) plus a second copy of the name as a map key.
-//! The layer is a few large buffers instead:
+//! A net holds millions of concepts and items, each with a handful of
+//! edges: a struct per node would cost a heap allocation per edge list
+//! (and, for a concept, a name plus a second copy of it as a map key).
+//! The layers are a few large buffers instead:
 //!
-//! - every name in one `String`, found through its end offset;
-//! - every list of one edge kind (interpreting primitives, isA hypernyms,
-//!   weighted items) in one shared buffer, with a `(start, len, cap)`
-//!   [`Span`] per concept;
+//! - every concept name in one `String`, found through its end offset;
+//! - every list of one edge kind (a concept's interpreting primitives, isA
+//!   hypernyms and weighted items; an item's property primitives and the
+//!   concepts that suggest it) in one shared buffer, with an 8-byte
+//!   `(start, len)` [`Span`] per node;
 //! - the name index an open-addressed table of `u32` ids ([`IdTable`]),
 //!   keyed by the name's hash and resolved against the name column.
 //!
 //! Mutators keep working in any order: a list with spare capacity grows in
 //! its slot, a full list that ends the buffer grows in place, and any
-//! other full list moves to the end with doubled capacity (its old slot
-//! becomes dead space). A net decoded from a snapshot fills every buffer
-//! in concept order, so its lists sit back to back with no slack at all.
+//! other full list moves to the end with power-of-two capacity (its old
+//! slot becomes dead space). A net decoded from a snapshot fills every
+//! buffer in node order, so its lists sit back to back with no slack at
+//! all.
 
 use std::fmt;
 use std::hash::Hasher;
+use std::marker::PhantomData;
 
 use alicoco_nn::util::FxHasher;
 
-use crate::graph::ConceptRef;
+use crate::graph::{ConceptRef, ItemRef};
 use crate::ids::{ConceptId, ItemId, PrimitiveId};
 
 /// Capacity a list gets the first time it has to move.
 const MIN_MOVED_CAP: usize = 2;
 
-/// Where one list lives inside an [`EdgeLists`] buffer.
-#[derive(Clone, Copy)]
+/// Top bit of [`Span::len`]: the list has moved, and its capacity is
+/// [`moved_cap`] of its length. A list without it is packed: its
+/// capacity is its length.
+const MOVED: u32 = 1 << 31;
+
+/// Where one list lives inside an [`EdgeLists`] buffer. Its capacity is
+/// not stored: it follows from the length and the [`MOVED`] bit.
+#[derive(Clone, Copy, Default)]
 struct Span {
     start: u32,
+    /// Length, with [`MOVED`] as its top bit.
     len: u32,
-    cap: u32,
 }
 
 impl Span {
+    fn len(self) -> usize {
+        (self.len & !MOVED) as usize
+    }
+
+    fn cap(self) -> usize {
+        if self.len & MOVED == 0 {
+            self.len()
+        } else {
+            moved_cap(self.len())
+        }
+    }
+
     fn range(self) -> std::ops::Range<usize> {
-        self.start as usize..self.start as usize + self.len as usize
+        self.start as usize..self.start as usize + self.len()
     }
 }
 
-/// One list per concept, all in one shared buffer.
-pub(crate) struct EdgeLists<T> {
-    data: Vec<T>,
-    spans: Vec<Span>,
+/// Capacity of a moved list holding `len` entries: the next power of two,
+/// so a full moved list doubles when it moves again.
+fn moved_cap(len: usize) -> usize {
+    len.next_power_of_two().max(MIN_MOVED_CAP)
 }
 
-impl<T> Default for EdgeLists<T> {
+/// A node id that keys one list per node.
+pub(crate) trait ListKey: Copy {
+    /// The node's position among the lists.
+    fn index(self) -> usize;
+}
+
+impl ListKey for ConceptId {
+    fn index(self) -> usize {
+        ConceptId::index(self)
+    }
+}
+
+impl ListKey for ItemId {
+    fn index(self) -> usize {
+        ItemId::index(self)
+    }
+}
+
+/// One list of `T` per node of key type `K`, all in one shared buffer.
+pub(crate) struct EdgeLists<K, T> {
+    data: Vec<T>,
+    spans: Vec<Span>,
+    key: PhantomData<K>,
+}
+
+impl<K, T> Default for EdgeLists<K, T> {
     fn default() -> Self {
         Self {
             data: Vec::new(),
             spans: Vec::new(),
+            key: PhantomData,
         }
     }
 }
 
-/// Narrow a buffer position or concept id to the `u32` the columns store
-/// it in (`u32::MAX` itself is the [`IdTable`]'s empty-slot marker).
+/// Narrow a buffer position or node id to the `u32` the columns store it
+/// in (`u32::MAX` itself is the [`IdTable`]'s empty-slot marker).
 fn to_u32(n: usize) -> u32 {
-    assert!(n < u32::MAX as usize, "concept layer exceeds u32 range");
+    assert!(n < u32::MAX as usize, "node layer exceeds u32 range");
     n as u32
 }
 
-impl<T: Copy> EdgeLists<T> {
+/// Narrow a list length to the 31 bits a [`Span`] keeps for it.
+fn to_len(n: usize) -> u32 {
+    assert!(n < MOVED as usize, "edge list exceeds u31 range");
+    n as u32
+}
+
+impl<K: ListKey, T: Copy> EdgeLists<K, T> {
     /// Room for `lists` lists without reallocating the span column.
     fn with_capacity(lists: usize) -> Self {
         Self {
-            data: Vec::new(),
             spans: Vec::with_capacity(lists),
+            ..Self::default()
         }
     }
 
@@ -79,7 +133,6 @@ impl<T: Copy> EdgeLists<T> {
         self.spans.push(Span {
             start: to_u32(self.data.len()),
             len: 0,
-            cap: 0,
         });
     }
 
@@ -92,13 +145,52 @@ impl<T: Copy> EdgeLists<T> {
     ) -> Result<(), E> {
         let start = self.data.len();
         fill(&mut self.data)?;
-        let len = to_u32(self.data.len() - start);
         self.spans.push(Span {
             start: to_u32(start),
-            len,
-            cap: len,
+            len: to_len(self.data.len() - start),
         });
         Ok(())
+    }
+
+    /// `lists` packed lists, list `k` holding the values of the `(k, v)`
+    /// pairs `pairs` yields, in the order it yields them. `pairs` is
+    /// called twice — once to count, once to fill — and must yield the
+    /// same pairs both times, every key below `lists`.
+    pub(crate) fn grouped<I>(lists: usize, pairs: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (K, T)>,
+    {
+        let mut spans = vec![Span::default(); lists];
+        for (k, _) in pairs() {
+            if let Some(span) = spans.get_mut(k.index()) {
+                span.len = to_len(span.len() + 1);
+            }
+        }
+        // Each list's region begins where the previous one ends; its
+        // length counts back up from zero as it is filled.
+        let mut end = 0usize;
+        for span in &mut spans {
+            span.start = to_u32(end);
+            end += span.len();
+            span.len = 0;
+        }
+        let mut lists = Self {
+            data: Vec::new(),
+            spans,
+            key: PhantomData,
+        };
+        if let Some((_, first)) = pairs().next() {
+            lists.data = vec![first; end];
+        }
+        for (k, v) in pairs() {
+            if let Some(span) = lists.spans.get_mut(k.index()) {
+                if let Some(slot) = lists.data.get_mut(span.start as usize + span.len()) {
+                    *slot = v;
+                }
+                span.len += 1;
+            }
+        }
+        lists
     }
 
     /// Release the growth slack of the buffers after a bulk fill.
@@ -107,46 +199,48 @@ impl<T: Copy> EdgeLists<T> {
         self.spans.shrink_to_fit();
     }
 
-    /// The list of concept `c`.
-    fn get(&self, c: ConceptId) -> &[T] {
-        let span = self.spans[c.index()];
+    /// The list of node `k`.
+    fn get(&self, k: K) -> &[T] {
+        let span = self.spans[k.index()];
         self.data.get(span.range()).unwrap_or(&[])
     }
 
-    /// The list of concept `c`, mutably (for in-place updates only).
-    fn get_mut(&mut self, c: ConceptId) -> &mut [T] {
-        let span = self.spans[c.index()];
+    /// The list of node `k`, mutably (for in-place updates only).
+    fn get_mut(&mut self, k: K) -> &mut [T] {
+        let span = self.spans[k.index()];
         self.data.get_mut(span.range()).unwrap_or(&mut [])
     }
 
-    /// Append `v` to the list of concept `c`.
-    fn push(&mut self, c: ConceptId, v: T) {
-        let Self { data, spans } = self;
-        let span = &mut spans[c.index()];
-        let start = span.start as usize;
-        let len = span.len as usize;
-        if span.len < span.cap {
+    /// Append `v` to the list of node `k`.
+    fn push(&mut self, k: K, v: T) {
+        let Self { data, spans, .. } = self;
+        let span = &mut spans[k.index()];
+        let (start, len, cap) = (span.start as usize, span.len(), span.cap());
+        assert!(len + 1 < MOVED as usize, "edge list exceeds u31 range");
+        if len < cap {
             if let Some(slot) = data.get_mut(start + len) {
                 *slot = v;
             }
-        } else if start + span.cap as usize == data.len() {
-            data.push(v);
-            span.cap = to_u32(data.len() - start);
+        } else if start + cap == data.len() {
+            if span.len & MOVED == 0 {
+                data.push(v);
+            } else {
+                // `v` doubles as the filler of the spare capacity.
+                data.resize(start + moved_cap(len + 1), v);
+            }
         } else {
             let moved = data.len();
-            let cap = (2 * len).max(MIN_MOVED_CAP);
             data.extend_from_within(start..start + len);
-            // `v` doubles as the filler of the spare capacity.
-            data.resize(moved + cap, v);
+            data.resize(moved + moved_cap(len + 1), v);
             span.start = to_u32(moved);
-            span.cap = to_u32(cap);
+            span.len |= MOVED;
         }
         span.len += 1;
     }
 
     /// Total entries over every list.
     fn total_len(&self) -> usize {
-        self.spans.iter().map(|s| s.len as usize).sum()
+        self.spans.iter().map(|s| s.len()).sum()
     }
 }
 
@@ -259,9 +353,9 @@ pub(crate) struct ConceptColumns {
     ends: Vec<u32>,
     /// Name → id.
     by_name: IdTable,
-    pub(crate) primitives: EdgeLists<PrimitiveId>,
-    pub(crate) hypernyms: EdgeLists<ConceptId>,
-    pub(crate) items: EdgeLists<(ItemId, f32)>,
+    pub(crate) primitives: EdgeLists<ConceptId, PrimitiveId>,
+    pub(crate) hypernyms: EdgeLists<ConceptId, ConceptId>,
+    pub(crate) items: EdgeLists<ConceptId, (ItemId, f32)>,
 }
 
 impl ConceptColumns {
@@ -406,6 +500,110 @@ impl ConceptColumns {
     /// Total concept–item edges.
     pub(crate) fn num_item_edges(&self) -> usize {
         self.items.total_len()
+    }
+}
+
+/// The item layer of a net: an owned title per item, both edge lists in
+/// columns (see the module docs).
+#[derive(Default)]
+pub(crate) struct ItemColumns {
+    titles: Vec<Vec<String>>,
+    /// Property links into the primitive layer.
+    pub(crate) primitives: EdgeLists<ItemId, PrimitiveId>,
+    /// Reverse links to the concepts that suggest each item.
+    concepts: EdgeLists<ItemId, ConceptId>,
+}
+
+impl ItemColumns {
+    /// Room for `n` titles and property lists; the reverse links are
+    /// left for the bulk fill to replace.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self {
+            titles: Vec::with_capacity(n),
+            primitives: EdgeLists::with_capacity(n),
+            concepts: EdgeLists::default(),
+        }
+    }
+
+    /// Number of items.
+    pub(crate) fn len(&self) -> usize {
+        self.titles.len()
+    }
+
+    /// The view of item `i`; panics on an id from another net, like every
+    /// typed-id lookup.
+    pub(crate) fn get(&self, i: ItemId) -> ItemRef<'_> {
+        ItemRef {
+            title: &self.titles[i.index()],
+            primitives: self.primitives.get(i),
+            concepts: self.concepts.get(i),
+        }
+    }
+
+    /// Every item, in id order.
+    fn iter(&self) -> impl Iterator<Item = ItemRef<'_>> {
+        (0..self.len()).map(|i| self.get(ItemId::from_index(i)))
+    }
+
+    /// Append an item with empty lists.
+    pub(crate) fn add(&mut self, title: Vec<String>) -> ItemId {
+        let id = ItemId::from_index(self.len());
+        self.titles.push(title);
+        self.primitives.add_list();
+        self.concepts.add_list();
+        id
+    }
+
+    /// Append the title of the next item, leaving its lists to the bulk
+    /// fill: [`EdgeLists::push_list`] for its properties, then
+    /// [`finish_bulk`](Self::finish_bulk).
+    pub(crate) fn push_title(&mut self, title: Vec<String>) {
+        self.titles.push(title);
+    }
+
+    /// Finish a layer filled by [`push_title`](Self::push_title) and
+    /// [`EdgeLists::push_list`]: derive every item's reverse links from
+    /// the concept layer — packed, each in concept order — and release
+    /// growth slack. Every item id in `concepts` must be in range.
+    pub(crate) fn finish_bulk(&mut self, concepts: &ConceptColumns) {
+        self.concepts = EdgeLists::grouped(self.len(), || {
+            concepts.iter().enumerate().flat_map(|(i, c)| {
+                let id = ConceptId::from_index(i);
+                c.items.iter().map(move |&(item, _)| (item, id))
+            })
+        });
+        self.titles.shrink_to_fit();
+        self.primitives.shrink_to_fit();
+    }
+
+    /// Link `i` to primitive `p` unless it already is.
+    pub(crate) fn link_primitive(&mut self, i: ItemId, p: PrimitiveId) {
+        if !self.primitives.get(i).contains(&p) {
+            self.primitives.push(i, p);
+        }
+    }
+
+    /// Record that concept `c` suggests item `i`.
+    pub(crate) fn add_concept(&mut self, i: ItemId, c: ConceptId) {
+        self.concepts.push(i, c);
+    }
+
+    /// Total item–primitive edges.
+    pub(crate) fn num_primitive_edges(&self) -> usize {
+        self.primitives.total_len()
+    }
+}
+
+/// Content equality, as for [`ConceptColumns`].
+impl PartialEq for ItemColumns {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for ItemColumns {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 

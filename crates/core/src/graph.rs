@@ -14,7 +14,7 @@
 
 use alicoco_nn::util::FxHashMap;
 
-use crate::columns::ConceptColumns;
+use crate::columns::{ConceptColumns, ItemColumns};
 use crate::ids::{ClassId, ConceptId, ItemId, PrimitiveId};
 
 /// A taxonomy class.
@@ -57,15 +57,17 @@ pub struct ConceptRef<'a> {
     pub items: &'a [(ItemId, f32)],
 }
 
-/// An item node.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ItemNode {
+/// An item. A borrowed view into the net's item columns
+/// ([`AliCoCo::item`]): the title is owned per item, the two edge lists
+/// live in shared buffers.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ItemRef<'a> {
     /// Title tokens.
-    pub title: Vec<String>,
+    pub title: &'a Vec<String>,
     /// Property links into the primitive layer.
-    pub primitives: Vec<PrimitiveId>,
+    pub primitives: &'a [PrimitiveId],
     /// Reverse links to concepts that suggest this item.
-    pub concepts: Vec<ConceptId>,
+    pub concepts: &'a [ConceptId],
 }
 
 /// A schema relation between two classes ("suitable_when" etc., §2).
@@ -95,15 +97,17 @@ pub struct PrimitiveRelation {
 ///
 /// Equality compares the full structure — node arenas, edge lists (in
 /// order), relations, and the derived name indices — which is what the
-/// snapshot round-trip tests mean by "the same net". The concept layer is
-/// compared by content, not by how its columns happen to be laid out.
+/// snapshot round-trip tests mean by "the same net". The concept and item
+/// layers are compared by content, not by how their columns happen to be
+/// laid out.
 #[derive(Debug, Default, PartialEq)]
 pub struct AliCoCo {
     classes: Vec<ClassNode>,
     primitives: Vec<PrimitiveNode>,
     /// The e-commerce concept layer, with its name index.
     concepts: ConceptColumns,
-    items: Vec<ItemNode>,
+    /// The item layer.
+    items: ItemColumns,
     class_by_name: FxHashMap<String, ClassId>,
     /// Surface form -> all primitive senses (disambiguation).
     primitives_by_name: FxHashMap<String, Vec<PrimitiveId>>,
@@ -120,16 +124,17 @@ impl AliCoCo {
     /// Assemble a net directly from decoded node arenas — the bulk path the
     /// binary snapshot codec uses instead of replaying `add_*` calls one
     /// record at a time. Incoming nodes carry only their *forward* state
-    /// (parents, hypernyms, out-edges); all derived state — class children,
-    /// primitive hyponyms, item→concept reverse links, and the three name
-    /// indices — is rebuilt here in the same order the incremental builders
-    /// produce it, so a net built this way compares equal to one built
-    /// record by record. Callers must have range-checked every id.
+    /// (parents, hypernyms, out-edges; items their titles and properties);
+    /// all derived state — class children, primitive hyponyms, item→concept
+    /// reverse links, and the three name indices — is rebuilt here in the
+    /// same order the incremental builders produce it, so a net built this
+    /// way compares equal to one built record by record. Callers must have
+    /// range-checked every id.
     pub(crate) fn from_parts(
         mut classes: Vec<ClassNode>,
         mut primitives: Vec<PrimitiveNode>,
         mut concepts: ConceptColumns,
-        mut items: Vec<ItemNode>,
+        mut items: ItemColumns,
         schema: Vec<SchemaRelation>,
         primitive_relations: Vec<PrimitiveRelation>,
     ) -> Self {
@@ -165,22 +170,7 @@ impl AliCoCo {
             primitives[hyper.index()].hyponyms.push(hypo);
         }
         concepts.finish_bulk();
-        // Reverse links sized exactly: count each item's concepts, then
-        // fill in concept order.
-        let mut degree = vec![0usize; items.len()];
-        for c in concepts.iter() {
-            for &(item, _) in c.items {
-                degree[item.index()] += 1;
-            }
-        }
-        for (item, d) in items.iter_mut().zip(degree) {
-            item.concepts.reserve_exact(d);
-        }
-        for (i, c) in concepts.iter().enumerate() {
-            for &(item, _) in c.items {
-                items[item.index()].concepts.push(ConceptId::from_index(i));
-            }
-        }
+        items.finish_bulk(&concepts);
         Self {
             classes,
             primitives,
@@ -456,18 +446,12 @@ impl AliCoCo {
 
     /// Add item.
     pub fn add_item(&mut self, title: &[String]) -> ItemId {
-        let id = ItemId::from_index(self.items.len());
-        self.items.push(ItemNode {
-            title: title.to_vec(),
-            primitives: Vec::new(),
-            concepts: Vec::new(),
-        });
-        id
+        self.items.add(title.to_vec())
     }
 
     /// Item.
-    pub fn item(&self, id: ItemId) -> &ItemNode {
-        &self.items[id.index()]
+    pub fn item(&self, id: ItemId) -> ItemRef<'_> {
+        self.items.get(id)
     }
 
     /// Number of items.
@@ -477,10 +461,7 @@ impl AliCoCo {
 
     /// Link an item to a primitive-concept property.
     pub fn link_item_primitive(&mut self, item: ItemId, primitive: PrimitiveId) {
-        let it = &mut self.items[item.index()];
-        if !it.primitives.contains(&primitive) {
-            it.primitives.push(primitive);
-        }
+        self.items.link_primitive(item, primitive);
     }
 
     /// Associate an item with an e-commerce concept, with a confidence
@@ -493,10 +474,10 @@ impl AliCoCo {
             (0.0..=1.0).contains(&weight),
             "weight must be a probability"
         );
-        // The item is looked up first, so a bad id leaves the net as it was.
-        let back = &mut self.items[item.index()].concepts;
+        // The item is checked first, so a bad id leaves the net as it was.
+        assert!(item.index() < self.items.len(), "invalid item id");
         if self.concepts.link_item(concept, item, weight) {
-            back.push(concept);
+            self.items.add_concept(item, concept);
         }
     }
 
@@ -511,7 +492,7 @@ impl AliCoCo {
     /// Snapshots do not store this order: a decoded net lists them
     /// ascending.
     pub fn concepts_for_item(&self, item: ItemId) -> &[ConceptId] {
-        &self.items[item.index()].concepts
+        self.items.get(item).concepts
     }
 
     /// Total concept–item edges.
@@ -521,7 +502,7 @@ impl AliCoCo {
 
     /// Total item–primitive edges.
     pub fn num_item_primitive_links(&self) -> usize {
-        self.items.iter().map(|i| i.primitives.len()).sum()
+        self.items.num_primitive_edges()
     }
 
     /// Total concept–primitive edges.

@@ -88,6 +88,6 @@ pub mod validate;
 /// crate) ranks under the same total order.
 pub use alicoco_nn::rank;
 
-pub use graph::{AliCoCo, ClassNode, ConceptRef, ItemNode, PrimitiveNode};
+pub use graph::{AliCoCo, ClassNode, ConceptRef, ItemRef, PrimitiveNode};
 pub use ids::{ClassId, ConceptId, ItemId, PrimitiveId};
 pub use stats::Stats;

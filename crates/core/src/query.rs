@@ -52,22 +52,16 @@ const BLOCK: usize = 64;
 /// queries merge at most ~900 entries, pruning made search ~1.2× slower.
 const MIN_PRUNED_POSTINGS: usize = 16 * BLOCK;
 
-/// One token's concept posting list: strictly ascending ids and, aligned
-/// with them, the fact byte of each `(token, concept)` entry. `blocks`
-/// summarises each run of [`BLOCK`] entries.
-#[derive(Default)]
-struct ConceptPostings {
-    ids: Vec<ConceptId>,
-    facts: Vec<u8>,
-    blocks: Vec<BlockMax>,
+/// One token's concept posting list, borrowed from the index's arenas:
+/// strictly ascending ids and, aligned with them, the fact byte of each
+/// `(token, concept)` entry. `blocks` summarises each run of [`BLOCK`]
+/// entries.
+#[derive(Clone, Copy)]
+struct ConceptPostings<'a> {
+    ids: &'a [ConceptId],
+    facts: &'a [u8],
+    blocks: &'a [BlockMax],
 }
-
-/// An empty list, for a cursor with nothing to walk.
-static NO_POSTINGS: ConceptPostings = ConceptPostings {
-    ids: Vec::new(),
-    facts: Vec::new(),
-    blocks: Vec::new(),
-};
 
 /// The most one posting block can contribute to any concept on it.
 #[derive(Clone, Copy)]
@@ -82,32 +76,97 @@ struct BlockMax {
     concept: u8,
 }
 
-impl ConceptPostings {
-    /// Summarise `ids` block by block against the per-concept bytes.
-    fn summarise(&mut self, concept_facts: &ConceptFacts) {
-        self.blocks = self
-            .ids
-            .chunks(BLOCK)
-            .zip(self.facts.chunks(BLOCK))
-            .filter_map(|(ids, facts)| {
-                let (mut surface, mut primitives) = (0, 0);
-                for f in facts {
-                    surface |= f & SURFACE;
-                    primitives = primitives.max(f >> 1);
-                }
-                let (mut stocked, mut shortest) = (0, u8::MAX);
-                for &c in ids {
-                    let byte = concept_facts.byte(c);
-                    stocked |= byte & STOCKED;
-                    shortest = shortest.min(byte >> 1);
-                }
-                Some(BlockMax {
-                    last: *ids.last()?,
-                    fact: (primitives << 1) | surface,
-                    concept: (shortest << 1) | stocked,
-                })
-            })
-            .collect();
+impl BlockMax {
+    /// A placeholder for an arena slot not yet filled.
+    const EMPTY: BlockMax = BlockMax {
+        last: ConceptId(0),
+        fact: 0,
+        concept: 0,
+    };
+
+    /// The summary of one block: its ids and their fact bytes, read
+    /// against the per-concept bytes. `None` for an empty block.
+    fn of(ids: &[ConceptId], facts: &[u8], concept_facts: &ConceptFacts) -> Option<Self> {
+        let (mut surface, mut primitives) = (0, 0);
+        for f in facts {
+            surface |= f & SURFACE;
+            primitives = primitives.max(f >> 1);
+        }
+        let (mut stocked, mut shortest) = (0, u8::MAX);
+        for &c in ids {
+            let byte = concept_facts.byte(c);
+            stocked |= byte & STOCKED;
+            shortest = shortest.min(byte >> 1);
+        }
+        Some(BlockMax {
+            last: *ids.last()?,
+            fact: (primitives << 1) | surface,
+            concept: (shortest << 1) | stocked,
+        })
+    }
+}
+
+/// Lists laid out back to back in one arena: list `k` is
+/// `values[offsets[k]..offsets[k + 1]]`.
+struct Csr<T> {
+    offsets: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// Lists of the lengths `counts`, every entry `filler` until
+    /// [`fill`](Self::fill) writes it, and a write cursor per list.
+    fn sized(counts: &[u32], filler: T) -> (Self, Vec<u32>) {
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        let mut end = 0usize;
+        offsets.push(0);
+        for &n in counts {
+            end += n as usize;
+            offsets.push(to_u32(end));
+        }
+        let next = offsets.get(..counts.len()).unwrap_or(&[]).to_vec();
+        let values = vec![filler; end];
+        (Csr { offsets, values }, next)
+    }
+
+    /// Write `v` at list `k`'s cursor in `next` and advance it; returns
+    /// where it went. The lengths were counted from the same entries, so
+    /// no cursor runs past its list.
+    fn fill(&mut self, next: &mut [u32], k: usize, v: T) -> Option<usize> {
+        let at = next.get_mut(k)?;
+        let pos = *at as usize;
+        *self.values.get_mut(pos)? = v;
+        *at += 1;
+        Some(pos)
+    }
+
+    /// Where list `k` lies in the arena; empty past the last list.
+    fn range(&self, k: usize) -> std::ops::Range<usize> {
+        match (self.offsets.get(k), self.offsets.get(k + 1)) {
+            (Some(&start), Some(&end)) => start as usize..end as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// List `k`; empty past the last list.
+    fn get(&self, k: usize) -> &[T] {
+        self.values.get(self.range(k)).unwrap_or(&[])
+    }
+}
+
+/// Narrow an arena position to the `u32` an offsets table stores.
+fn to_u32(n: usize) -> u32 {
+    assert!(n <= u32::MAX as usize, "index arena exceeds u32 range");
+    n as u32
+}
+
+/// Count one more entry for list `k`, growing the counts to reach it.
+fn count(counts: &mut Vec<u32>, k: usize) {
+    if counts.len() <= k {
+        counts.resize(k + 1, 0);
+    }
+    if let Some(n) = counts.get_mut(k) {
+        *n += 1;
     }
 }
 
@@ -166,148 +225,219 @@ impl ConceptFacts {
 /// order-free matching), and [`items_by_token`](Self::items_by_token)
 /// maps title tokens to items. It owns everything it holds: the net it
 /// was built from is the caller's to keep.
-#[derive(Default)]
+///
+/// Every list kind lives in one arena with an offsets table ([`Csr`]),
+/// built to size: the build counts each list's entries first, then fills
+/// the arena once.
 pub struct QueryIndex {
     /// Every concept-surface, primitive-name and title token, to its slot
-    /// in the two lists below.
-    slots: FxHashMap<String, usize>,
-    concepts_by_token: Vec<ConceptPostings>,
-    items_by_token: Vec<Vec<ItemId>>,
+    /// in the per-token lists below.
+    slots: FxHashMap<String, u32>,
+    concepts_by_token: Csr<ConceptId>,
+    /// The fact byte of each `concepts_by_token` entry, at its offset.
+    entry_facts: Vec<u8>,
+    /// Per token, the summaries of its concept list's blocks.
+    blocks: Csr<BlockMax>,
+    items_by_token: Csr<ItemId>,
     /// Indexed by primitive id.
-    concepts_by_primitive: Vec<Vec<ConceptId>>,
+    concepts_by_primitive: Csr<ConceptId>,
     concept_facts: ConceptFacts,
 }
 
-/// The distinct tokens that evidence concept `c`, each with its fact byte,
-/// into `out`, and the concept's own facts into `facts`. Sorting groups a
-/// word that is a surface word and a primitive name, or names several
-/// primitives.
-fn concept_tokens<'a>(
+/// Marks a primitive whose name has no slot yet.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Token → slot during a build: every token in a hash map, slots numbered
+/// in first-seen order, and each primitive name's slot cached by
+/// primitive id so a concept's primitive entries cost no hashing.
+struct SlotTable<'a> {
     kg: &'a AliCoCo,
-    c: ConceptId,
-    out: &mut Vec<(&'a str, u8)>,
-    facts: &mut ConceptFacts,
-) {
-    let node = kg.concept(c);
-    out.clear();
-    out.extend(node.name.split(' ').map(|w| (w, SURFACE)));
-    out.extend(
-        node.primitives
-            .iter()
-            .map(|&p| (kg.primitive(p).name.as_str(), ONE_PRIMITIVE)),
-    );
-    out.sort_unstable();
-    // Equal tokens are now adjacent, surface entries first: a repeated
-    // surface word collapses, primitive names add up.
-    out.dedup_by(|later, kept| {
-        let same = later.0 == kept.0;
-        if same && later.1 == ONE_PRIMITIVE && kept.1 >> 1 < MAX_PRIMITIVE_HITS {
-            kept.1 += ONE_PRIMITIVE;
+    by_token: FxHashMap<String, u32>,
+    by_primitive: Vec<u32>,
+}
+
+impl<'a> SlotTable<'a> {
+    fn new(kg: &'a AliCoCo) -> Self {
+        SlotTable {
+            kg,
+            by_token: FxHashMap::default(),
+            by_primitive: vec![NO_SLOT; kg.num_primitives()],
         }
-        same
-    });
-    let surface_len = out.iter().filter(|(_, f)| f & SURFACE != 0).count();
-    facts.push(c, surface_len, !node.items.is_empty());
+    }
+
+    /// The slot of `tok`, numbered now if it has none.
+    fn word(&mut self, tok: &str) -> u32 {
+        if let Some(&slot) = self.by_token.get(tok) {
+            return slot;
+        }
+        let slot = to_u32(self.by_token.len());
+        self.by_token.insert(tok.to_string(), slot);
+        slot
+    }
+
+    /// The slot of primitive `p`'s full name.
+    fn primitive(&mut self, p: PrimitiveId) -> u32 {
+        match self.by_primitive.get(p.index()) {
+            Some(&slot) if slot != NO_SLOT => slot,
+            _ => {
+                let slot = self.word(&self.kg.primitive(p).name);
+                if let Some(cached) = self.by_primitive.get_mut(p.index()) {
+                    *cached = slot;
+                }
+                slot
+            }
+        }
+    }
+
+    /// The distinct tokens that evidence concept `c`, as `(slot, fact
+    /// byte)` pairs into `out`; returns how many are surface words.
+    /// Sorting groups a word that is a surface word and a primitive name,
+    /// or names several primitives.
+    fn concept_entries(&mut self, c: ConceptId, out: &mut Vec<(u32, u8)>) -> usize {
+        let node = self.kg.concept(c);
+        out.clear();
+        for w in node.name.split(' ') {
+            out.push((self.word(w), SURFACE));
+        }
+        for &p in node.primitives {
+            out.push((self.primitive(p), ONE_PRIMITIVE));
+        }
+        out.sort_unstable();
+        // Equal tokens are now adjacent, surface entries first: a repeated
+        // surface word collapses, primitive names add up.
+        out.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same && later.1 == ONE_PRIMITIVE && kept.1 >> 1 < MAX_PRIMITIVE_HITS {
+                kept.1 += ONE_PRIMITIVE;
+            }
+            same
+        });
+        out.iter().filter(|(_, f)| f & SURFACE != 0).count()
+    }
+
+    /// The distinct tokens of item `i`'s title, as slots into `out`.
+    fn title_entries(&mut self, i: ItemId, out: &mut Vec<u32>) {
+        out.clear();
+        for tok in self.kg.item(i).title {
+            out.push(self.word(tok));
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
 }
 
 impl QueryIndex {
-    /// Build all inverted indices (one pass over each layer).
+    /// Build all inverted indices: one pass over each layer counts every
+    /// list's entries, a second fills the arenas sized by the counts.
     pub fn build(kg: &AliCoCo) -> Self {
-        let mut index = QueryIndex {
-            concept_facts: ConceptFacts::with_capacity(kg.num_concepts()),
-            concepts_by_primitive: vec![Vec::new(); kg.num_primitives()],
-            ..QueryIndex::default()
-        };
-        let mut tokens = Vec::new();
+        let mut table = SlotTable::new(kg);
+        let mut concept_facts = ConceptFacts::with_capacity(kg.num_concepts());
+        let (mut per_token, mut per_title_token) = (Vec::new(), Vec::new());
+        let mut per_primitive = vec![0; kg.num_primitives()];
+        let (mut entries, mut title) = (Vec::new(), Vec::new());
         for c in kg.concept_ids() {
             // One posting entry per distinct token: surface words plus the
             // full surface of every interpreting primitive (a primitive
             // match is what makes retrieval order-free, §8.1).
-            concept_tokens(kg, c, &mut tokens, &mut index.concept_facts);
-            for &(tok, fact) in &tokens {
-                let slot = index.slot(tok);
-                if let Some(list) = index.concepts_by_token.get_mut(slot) {
-                    list.ids.push(c);
-                    list.facts.push(fact);
-                }
+            let surface_len = table.concept_entries(c, &mut entries);
+            concept_facts.push(c, surface_len, !kg.concept(c).items.is_empty());
+            for &(slot, _) in &entries {
+                count(&mut per_token, slot as usize);
             }
-        }
-        // Every list here grew by doubling. Giving the slack back — each
-        // layer's before the next one allocates — is what pays for the fact
-        // bytes: resident memory stays where it was without them.
-        for list in &mut index.concepts_by_token {
-            list.ids.shrink_to_fit();
-            list.facts.shrink_to_fit();
-            list.summarise(&index.concept_facts);
-        }
-        let mut title: Vec<&str> = Vec::new();
-        for i in kg.item_ids() {
-            title.clear();
-            title.extend(kg.item(i).title.iter().map(String::as_str));
-            title.sort_unstable();
-            title.dedup();
-            for &tok in &title {
-                let slot = index.slot(tok);
-                if let Some(list) = index.items_by_token.get_mut(slot) {
-                    list.push(i);
-                }
-            }
-        }
-        index.items_by_token.iter_mut().for_each(Vec::shrink_to_fit);
-        for c in kg.concept_ids() {
             for &p in kg.concept(c).primitives {
-                if let Some(list) = index.concepts_by_primitive.get_mut(p.index()) {
-                    list.push(c);
+                count(&mut per_primitive, p.index());
+            }
+        }
+        for i in kg.item_ids() {
+            table.title_entries(i, &mut title);
+            for &slot in &title {
+                count(&mut per_title_token, slot as usize);
+            }
+        }
+        let slots = table.by_token.len();
+        per_token.resize(slots, 0);
+        per_title_token.resize(slots, 0);
+
+        // Every token has its slot now: the second pass only looks up.
+        let (mut concepts_by_token, mut next) = Csr::sized(&per_token, ConceptId(0));
+        let mut entry_facts = vec![0; concepts_by_token.values.len()];
+        let (mut concepts_by_primitive, mut next_by_primitive) =
+            Csr::sized(&per_primitive, ConceptId(0));
+        for c in kg.concept_ids() {
+            table.concept_entries(c, &mut entries);
+            for &(slot, fact) in &entries {
+                let at = concepts_by_token.fill(&mut next, slot as usize, c);
+                if let Some(byte) = at.and_then(|at| entry_facts.get_mut(at)) {
+                    *byte = fact;
+                }
+            }
+            for &p in kg.concept(c).primitives {
+                concepts_by_primitive.fill(&mut next_by_primitive, p.index(), c);
+            }
+        }
+        let (mut items_by_token, mut next) = Csr::sized(&per_title_token, ItemId(0));
+        for i in kg.item_ids() {
+            table.title_entries(i, &mut title);
+            for &slot in &title {
+                items_by_token.fill(&mut next, slot as usize, i);
+            }
+        }
+
+        let per_list: Vec<u32> = per_token
+            .iter()
+            .map(|&n| n.div_ceil(BLOCK as u32))
+            .collect();
+        let (mut blocks, mut next) = Csr::sized(&per_list, BlockMax::EMPTY);
+        for slot in 0..per_token.len() {
+            let range = concepts_by_token.range(slot);
+            let ids = concepts_by_token.values.get(range.clone()).unwrap_or(&[]);
+            let facts = entry_facts.get(range).unwrap_or(&[]);
+            for (ids, facts) in ids.chunks(BLOCK).zip(facts.chunks(BLOCK)) {
+                if let Some(block) = BlockMax::of(ids, facts, &concept_facts) {
+                    blocks.fill(&mut next, slot, block);
                 }
             }
         }
-        index
-            .concepts_by_primitive
-            .iter_mut()
-            .for_each(Vec::shrink_to_fit);
-        index
-    }
-
-    /// The slot of `tok`, given empty lists the first time the token is
-    /// seen (one `String` per token, not per entry).
-    fn slot(&mut self, tok: &str) -> usize {
-        if let Some(&slot) = self.slots.get(tok) {
-            return slot;
+        QueryIndex {
+            slots: table.by_token,
+            concepts_by_token,
+            entry_facts,
+            blocks,
+            items_by_token,
+            concepts_by_primitive,
+            concept_facts,
         }
-        let slot = self.concepts_by_token.len();
-        self.slots.insert(tok.to_string(), slot);
-        self.concepts_by_token.push(ConceptPostings::default());
-        self.items_by_token.push(Vec::new());
-        slot
     }
 
     /// Concepts interpreted by a primitive ("which needs involve
     /// *barbecue*?").
     pub fn concepts_by_primitive(&self, p: PrimitiveId) -> &[ConceptId] {
-        self.concepts_by_primitive
-            .get(p.index())
-            .map_or(&[], Vec::as_slice)
+        self.concepts_by_primitive.get(p.index())
     }
 
     /// The concept posting list of `token`, if it has a slot.
-    fn concept_list(&self, token: &str) -> Option<&ConceptPostings> {
-        let slot = *self.slots.get(token)?;
-        self.concepts_by_token.get(slot)
+    fn concept_list(&self, token: &str) -> Option<ConceptPostings<'_>> {
+        let slot = *self.slots.get(token)? as usize;
+        let range = self.concepts_by_token.range(slot);
+        Some(ConceptPostings {
+            ids: self.concepts_by_token.values.get(range.clone())?,
+            facts: self.entry_facts.get(range)?,
+            blocks: self.blocks.get(slot),
+        })
     }
 
     /// Concepts a query token can evidence: every concept whose surface
     /// contains the token as a word, or that is interpreted by a primitive
     /// whose full surface equals the token. Ascending id order, no dups.
     pub fn concepts_by_token(&self, token: &str) -> &[ConceptId] {
-        self.concept_list(token)
-            .map_or(&[], |list| list.ids.as_slice())
+        self.concept_list(token).map_or(&[], |list| list.ids)
     }
 
     /// Items whose title contains the token. Ascending id order, no dups.
     pub fn items_by_token(&self, token: &str) -> &[ItemId] {
-        let slot = self.slots.get(token).copied();
-        slot.and_then(|slot| self.items_by_token.get(slot))
-            .map_or(&[], Vec::as_slice)
+        self.slots
+            .get(token)
+            .map_or(&[], |&slot| self.items_by_token.get(slot as usize))
     }
 
     /// Merge the posting lists of `words` (repeats count once) into one
@@ -320,7 +450,7 @@ impl QueryIndex {
         &'a self,
         words: impl IntoIterator<Item = &'w str>,
     ) -> ConceptMatches<'a> {
-        let mut lists: Vec<(&'w str, &'a ConceptPostings)> = Vec::new();
+        let mut lists: Vec<(&'w str, ConceptPostings<'a>)> = Vec::new();
         for w in words {
             match self.concept_list(w) {
                 Some(list) if !list.ids.is_empty() => lists.push((w, list)),
@@ -412,28 +542,24 @@ impl Ceiling {
 }
 
 /// What is left of one posting list during a merge: ids and, aligned with
-/// them, their fact bytes, and the list they are the tail of. Ordered by
-/// head id, *smallest greatest* (so a max-heap pops the smallest head), an
-/// exhausted list smallest of all.
-#[derive(Clone, Copy)]
+/// them, their fact bytes, with the block summaries and length of the list
+/// they are the tail of. Ordered by head id, *smallest greatest* (so a
+/// max-heap pops the smallest head), an exhausted list smallest of all.
+#[derive(Clone, Copy, Default)]
 struct Cursor<'a> {
     ids: &'a [ConceptId],
     facts: &'a [u8],
-    list: &'a ConceptPostings,
-}
-
-impl Default for Cursor<'_> {
-    fn default() -> Self {
-        Cursor::new(&NO_POSTINGS)
-    }
+    blocks: &'a [BlockMax],
+    len: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(list: &'a ConceptPostings) -> Self {
+    fn new(list: ConceptPostings<'a>) -> Self {
         Cursor {
-            ids: &list.ids,
-            facts: &list.facts,
-            list,
+            ids: list.ids,
+            facts: list.facts,
+            blocks: list.blocks,
+            len: list.ids.len(),
         }
     }
 
@@ -463,7 +589,7 @@ impl<'a> Cursor<'a> {
 
     /// Index of the head entry in its list.
     fn at(&self) -> usize {
-        self.list.ids.len() - self.ids.len()
+        self.len - self.ids.len()
     }
 
     /// Step over what is left of the head block.
@@ -482,7 +608,7 @@ impl<'a> Cursor<'a> {
         if self.is_done() {
             return None;
         }
-        self.list.blocks.get(self.at() / BLOCK)
+        self.blocks.get(self.at() / BLOCK)
     }
 
     /// The head block's ceiling.

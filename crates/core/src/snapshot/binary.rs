@@ -41,10 +41,8 @@
 use std::io;
 
 use super::{check_name, LoadError, SaveError};
-use crate::columns::{str_hash, ConceptColumns, IdTable};
-use crate::graph::{
-    AliCoCo, ClassNode, ItemNode, PrimitiveNode, PrimitiveRelation, SchemaRelation,
-};
+use crate::columns::{str_hash, ConceptColumns, IdTable, ItemColumns};
+use crate::graph::{AliCoCo, ClassNode, PrimitiveNode, PrimitiveRelation, SchemaRelation};
 use crate::ids::{ClassId, ConceptId, ItemId, PrimitiveId};
 
 /// First four bytes of every binary snapshot — what format auto-detection
@@ -837,8 +835,10 @@ impl<'a> SnapshotView<'a> {
         isa.expect_end()?;
         interp.expect_end()?;
         sugg.expect_end()?;
+        // Items keep an owned title each; their property lists go into
+        // one buffer like the concept layer's.
         let mut props = Cursor::new(self.ipri, "item-primitive");
-        let mut items = Vec::with_capacity(n_item);
+        let mut items = ItemColumns::with_capacity(n_item);
         for i in 0..n_item {
             let joined = self.item_title(i);
             let title = if joined.is_empty() {
@@ -848,13 +848,10 @@ impl<'a> SnapshotView<'a> {
                 title.extend(joined.split(' ').map(String::from));
                 title
             };
-            let mut primitives = Vec::new();
-            props.ids_into(n_prim, &mut primitives, PrimitiveId::from_index)?;
-            items.push(ItemNode {
-                title,
-                primitives,
-                concepts: Vec::new(),
-            });
+            items.push_title(title);
+            items
+                .primitives
+                .push_list(|out| props.ids_into(n_prim, out, PrimitiveId::from_index))?;
         }
         props.expect_end()?;
         let schema = (0..self.schema.count)

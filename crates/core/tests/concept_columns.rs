@@ -308,3 +308,96 @@ proptest! {
         prop_assert_eq!(&grown, &again);
     }
 }
+
+/// Length every list of the relocation test reaches: past 64, so a list
+/// that keeps moving does so at capacities 2, 4, 8, 16, 32, 64 and 128.
+const LONG: usize = 80;
+
+/// A net with `LONG` primitives, items and isA targets, and two growers
+/// whose lists the ops lengthen.
+fn long_base() -> (AliCoCo, [ConceptId; 2]) {
+    let mut kg = AliCoCo::new();
+    let root = kg.add_class("root", None);
+    let class = kg.add_class("Event", Some(root));
+    for n in 0..LONG {
+        kg.add_primitive(&format!("prim{n}"), class);
+        kg.add_item(&[format!("item{n}")]);
+    }
+    let growers = [kg.add_concept("grower 0"), kg.add_concept("grower 1")];
+    for n in 0..LONG {
+        kg.add_concept(&format!("target {n}"));
+    }
+    (kg, growers)
+}
+
+/// Append the next entry to list `list` (edge kind `list / 2` of grower
+/// `list % 2`), unless it is full; returns whether it grew.
+fn grow(kg: &mut AliCoCo, growers: [ConceptId; 2], lens: &mut [usize; 6], list: usize) -> bool {
+    let n = lens[list];
+    if n == LONG {
+        return false;
+    }
+    let c = growers[list % 2];
+    match list / 2 {
+        0 => kg.link_concept_primitive(c, PrimitiveId::from_index(n)),
+        1 => kg.add_concept_is_a(c, ConceptId::from_index(2 + n)),
+        _ => kg.link_concept_item(c, ItemId::from_index(n), n as f32 / LONG as f32),
+    }
+    lens[list] += 1;
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Two concepts' lists of every kind grown in a random interleaving,
+    /// then topped up in turn to `LONG`: each list moves whenever it fills
+    /// up behind the other's, past several powers of two, and keeps every
+    /// entry in order — in memory, in the saved bytes and after a reload.
+    #[test]
+    fn lists_relocated_past_a_power_of_two_keep_their_entries(
+        ops in prop::collection::vec(0usize..6, 0..400)
+    ) {
+        let (mut kg, growers) = long_base();
+        let mut lens = [0usize; 6];
+        for list in ops {
+            grow(&mut kg, growers, &mut lens, list);
+        }
+        // Top up in turn, one entry per list a round.
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for list in 0..6 {
+                grew |= grow(&mut kg, growers, &mut lens, list);
+            }
+        }
+        for (g, &c) in growers.iter().enumerate() {
+            let want_items: Vec<(ItemId, f32)> = (0..LONG)
+                .map(|n| (ItemId::from_index(n), n as f32 / LONG as f32))
+                .collect();
+            let want_prims: Vec<PrimitiveId> = (0..LONG).map(PrimitiveId::from_index).collect();
+            let want_hypers: Vec<ConceptId> =
+                (0..LONG).map(|n| ConceptId::from_index(2 + n)).collect();
+            let name = format!("grower {g}");
+            let want = ConceptRef {
+                name: &name,
+                primitives: &want_prims,
+                hypernyms: &want_hypers,
+                items: &want_items,
+            };
+            prop_assert_eq!(kg.concept(c), want);
+        }
+        for n in 0..LONG {
+            let item = ItemId::from_index(n);
+            prop_assert_eq!(kg.concepts_for_item(item).len(), 2);
+            prop_assert!(kg.concept(ConceptId::from_index(2 + n)).hypernyms.is_empty());
+        }
+        let bytes = binary_bytes(&kg);
+        let loaded = binary::SnapshotView::open(&bytes).unwrap().to_graph().unwrap();
+        for c in kg.concept_ids() {
+            prop_assert_eq!(loaded.concept(c), kg.concept(c));
+        }
+        prop_assert_eq!(binary_bytes(&loaded), bytes);
+        prop_assert_eq!(tsv_bytes(&loaded), tsv_bytes(&kg));
+    }
+}

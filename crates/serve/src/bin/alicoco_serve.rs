@@ -10,6 +10,11 @@
 //! gracefully when stdin reaches EOF — scriptable from CI and shells
 //! (`alicoco-serve net.bin --shutdown-on-stdin < fifo`); without it the
 //! server runs until killed.
+//!
+//! Where `/proc` exists, the process's resident and peak resident memory
+//! once the snapshot is loaded and once the serving pack is built go to
+//! the stderr "loaded" line and to `/metrics` as the
+//! `serve.startup.{load,pack}.{rss,hwm}_mb` gauges.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -60,15 +65,16 @@ fn run(args: &[String]) -> Result<(), String> {
     let metrics = Registry::new();
     let (kg, bundle) = alicoco_ann::load_file_with_bundle(std::path::Path::new(path), &metrics)
         .map_err(|e| format!("{path}: {e}"))?;
-    eprintln!(
-        "alicoco-serve: loaded {path}: {} concepts, {} items, retrieval={}",
+    let loaded = format!(
+        "alicoco-serve: loaded {path}: {} concepts, {} items, retrieval={}{}",
         kg.num_concepts(),
         kg.num_items(),
         if bundle.is_some() {
             "hybrid (lexical + vectors)"
         } else {
             "lexical"
-        }
+        },
+        record_memory(&metrics, "load"),
     );
     let pack = ServingPack::build_with_ann(
         Arc::new(kg),
@@ -76,6 +82,7 @@ fn run(args: &[String]) -> Result<(), String> {
         &EngineConfig::default(),
         &metrics,
     );
+    eprintln!("{loaded}{}", record_memory(&metrics, "pack"));
     let slot = Arc::new(PackSlot::new(pack));
     let server = Server::start(slot, cfg, metrics).map_err(|e| format!("bind: {e}"))?;
     eprintln!("alicoco-serve: listening on http://{}", server.local_addr());
@@ -99,6 +106,34 @@ fn run(args: &[String]) -> Result<(), String> {
             std::thread::park();
         }
     }
+}
+
+/// This process's resident and peak resident memory in MB (`VmRSS` and
+/// `VmHWM` of `/proc/self/status`); `None` where there is no `/proc`.
+fn memory_mb() -> Option<(f64, f64)> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let field = |name: &str| -> Option<f64> {
+        let value = status.lines().find_map(|l| l.strip_prefix(name))?;
+        let kb: f64 = value.trim().strip_suffix("kB")?.trim().parse().ok()?;
+        Some(kb / 1024.0)
+    };
+    Some((field("VmRSS:")?, field("VmHWM:")?))
+}
+
+/// Record the process's memory once start-up `stage` is done as the
+/// `serve.startup.<stage>.{rss,hwm}_mb` gauges, and describe it for the
+/// stderr "loaded" line; nothing where there is no `/proc`.
+fn record_memory(metrics: &Registry, stage: &str) -> String {
+    let Some((rss, hwm)) = memory_mb() else {
+        return String::new();
+    };
+    metrics
+        .gauge(&format!("serve.startup.{stage}.rss_mb"))
+        .set(rss);
+    metrics
+        .gauge(&format!("serve.startup.{stage}.hwm_mb"))
+        .set(hwm);
+    format!(", after {stage}: rss {rss:.1} MB, peak {hwm:.1} MB")
 }
 
 fn flag_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {

@@ -1,0 +1,113 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of the repo benchmark, the evidence every
+# performance claim in this repository rests on (ROADMAP.md ground rules).
+#
+#   scripts/bench-pairs.sh <parent-rev> [--workload W] [--pairs N]
+#
+# The change is this checkout's tracked files as they are now (HEAD plus
+# uncommitted edits); the parent is <parent-rev>. Each is exported into its
+# own directory under ${TMPDIR:-/tmp}/bench-pairs and built into its own
+# target directory, the way benchmark/run.sh builds. Then N pairs (default
+# 10) of untraced runs of workload W (default publish_1m) alternate, the
+# parent first on odd pairs and the change first on even ones, each run
+# from its own checkout, so each side's harness verifies its own server.
+#
+# Prints, per end-to-end metric of BENCHMARK.json: each side's median
+# [q1, q3], the change/parent ratio of the medians, and in how many pairs
+# the change was better. Leaves the change's runs in
+# ${TMPDIR:-/tmp}/bench-pairs/results.json and the parent's in
+# results-parent.json beside it, both in the shape scripts/bench-history.sh
+# reads.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage() {
+    echo "usage: $0 <parent-rev> [--workload W] [--pairs N]" >&2
+    exit 2
+}
+
+[ $# -ge 1 ] || usage
+parent_rev=$1
+shift
+workload=publish_1m
+pairs=10
+while [ $# -gt 0 ]; do
+    case $1 in
+        --workload) [ $# -ge 2 ] || usage; workload=$2; shift 2 ;;
+        --pairs) [ $# -ge 2 ] || usage; pairs=$2; shift 2 ;;
+        *) usage ;;
+    esac
+done
+
+parent_commit=$(git rev-parse --verify "$parent_rev^{commit}")
+# `git stash create` records the working tree without touching it; it
+# prints nothing when there is nothing uncommitted.
+change_commit=$(git stash create)
+change_commit=${change_commit:-$(git rev-parse HEAD)}
+
+work=${TMPDIR:-/tmp}/bench-pairs
+mkdir -p "$work"
+: > "$work/parent.jsonl"
+: > "$work/change.jsonl"
+
+for side in parent change; do
+    commit_var=${side}_commit
+    rm -rf "${work:?}/$side"
+    mkdir -p "$work/$side"
+    git archive "${!commit_var}" | tar -x -C "$work/$side"
+    echo "building $side (${!commit_var})" >&2
+    (
+        cd "$work/$side"
+        export CARGO_TARGET_DIR=$work/target-$side
+        cargo build --release --offline --locked -q -p alicoco-serve --bin alicoco-serve >&2
+        cargo build --release --offline -q --manifest-path benchmark/Cargo.toml >&2
+    )
+done
+
+run() {
+    local side=$1 pair=$2
+    local target=$work/target-$side
+    local results=$work/$side/benchmark/out/results.json
+    rm -f "$results"
+    (
+        cd "$work/$side"
+        "$target/release/alicoco-benchmark" --server "$target/release/alicoco-serve" \
+            --workload "$workload" --trace 0 > "$work/$side-$pair.log" 2>&1
+    ) || echo "pair $pair: the $side run failed (see $work/$side-$pair.log)" >&2
+    if [ -f "$results" ]; then
+        jq -c '.runs[]' "$results" >> "$work/$side.jsonl"
+    fi
+}
+
+for pair in $(seq 1 "$pairs"); do
+    if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        echo "pair $pair/$pairs: $side" >&2
+        run "$side" "$pair"
+    done
+done
+
+jq -s '{runs: .}' "$work/change.jsonl" > "$work/results.json"
+jq -s '{runs: .}' "$work/parent.jsonl" > "$work/results-parent.json"
+
+# Runs are in pair order on both sides, so run i of one side pairs with
+# run i of the other.
+jq -rn --slurpfile bench BENCHMARK.json \
+    --slurpfile parent "$work/parent.jsonl" --slurpfile change "$work/change.jsonl" '
+  def q(p): sort | .[((length - 1) * p | floor)] as $lo | .[((length - 1) * p | ceil)] as $hi
+            | $lo + ($hi - $lo) * ((length - 1) * p - ((length - 1) * p | floor));
+  def stats: "\(q(0.5) | . * 1000 | round / 1000) [\(q(0.25) | . * 1000 | round / 1000), \(q(0.75) | . * 1000 | round / 1000)]";
+  "workload \($change[0].stamp.workload // "?"): \($change | length) change runs, \($parent | length) parent runs",
+  "correct: change \([$change[] | .correct] | all), parent \([$parent[] | .correct] | all); failed: change \([$change[] | .failed] | add), parent \([$parent[] | .failed] | add)",
+  "metric\tparent median [q1, q3]\tchange median [q1, q3]\tratio\twins",
+  ($bench[0].end_to_end[] as $m
+   | [$parent[] | .metrics[$m.name]] as $p
+   | [$change[] | .metrics[$m.name]] as $c
+   | ([range(0; [$p, $c] | map(length) | min)]
+      | map(select(if $m.better == "lower" then $c[.] < $p[.] else $c[.] > $p[.] end))
+      | length) as $wins
+   | "\($m.name)\t\($p | stats)\t\($c | stats)\t\(($c | q(0.5)) / ($p | q(0.5)) | . * 1000 | round / 1000)\t\($wins)/\([$p, $c] | map(length) | min)")
+'
+echo "append to the trajectory with:" >&2
+echo "  scripts/bench-history.sh $work/results-parent.json $parent_commit" >&2
+echo "  scripts/bench-history.sh $work/results.json $parent_commit+<change>" >&2
