@@ -70,7 +70,8 @@ impl Default for HnswConfig {
     }
 }
 
-/// The index: vectors plus one adjacency list per `(node, level)`.
+/// The index: vectors plus one adjacency list per `(node, level)`, kept
+/// in two fixed-stride tables.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Hnsw {
     dim: usize,
@@ -83,9 +84,88 @@ pub struct Hnsw {
     levels: Vec<u32>,
     /// L2-normalized vectors, `n × dim`, row-major.
     vectors: Vec<f32>,
-    /// `links[id][level]` = neighbor ids of `id` at `level`
-    /// (`levels[id] + 1` lists per node).
-    links: Vec<Vec<Vec<u32>>>,
+    /// Level-0 neighbors: row `id`, `2·m` slots wide.
+    base: Rows,
+    /// Neighbors on levels ≥ 1, `m` slots wide: node `id`'s list at level
+    /// `l` is row `upper_at[id] + l − 1`.
+    upper: Rows,
+    /// First `upper` row of each node: the sum of the levels before it.
+    upper_at: Vec<u32>,
+}
+
+/// Neighbor lists as fixed-width rows of one buffer: row `r` holds its
+/// `lens[r]` ids at the front of `ids[r·width .. (r + 1)·width]` and zeros
+/// after them, so equal graphs compare equal however they were built.
+#[derive(Clone, Debug, PartialEq)]
+struct Rows {
+    width: usize,
+    ids: Vec<u32>,
+    lens: Vec<u32>,
+}
+
+impl Rows {
+    /// `rows` empty rows of `width` slots.
+    fn new(width: usize, rows: usize) -> Self {
+        Rows {
+            width,
+            ids: vec![0; rows * width],
+            lens: vec![0; rows],
+        }
+    }
+
+    /// Number of rows.
+    fn len(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// Append `count` empty rows.
+    fn grow(&mut self, count: usize) {
+        let rows = self.lens.len() + count;
+        self.ids.resize(rows * self.width, 0);
+        self.lens.resize(rows, 0);
+    }
+
+    /// The ids of row `r`; empty past the last row.
+    fn get(&self, r: usize) -> &[u32] {
+        let len = self.lens.get(r).map_or(0, |&len| len as usize);
+        let start = r * self.width;
+        self.ids.get(start..start + len).unwrap_or(&[])
+    }
+
+    /// Give row `r` `len` ids and return their slots, zeroed past the
+    /// old length; `None` when `len` exceeds the width or `r` the rows.
+    fn resize_row(&mut self, r: usize, len: usize) -> Option<&mut [u32]> {
+        let start = r * self.width;
+        let row = self.ids.get_mut(start..start + self.width)?;
+        let kept = self.lens.get_mut(r)?;
+        let (head, tail) = row.split_at_mut_checked(len)?;
+        tail.fill(0);
+        *kept = len as u32;
+        Some(head)
+    }
+
+    /// Replace row `r` with `ids`, which fit its width.
+    fn set(&mut self, r: usize, ids: &[u32]) {
+        if let Some(slots) = self.resize_row(r, ids.len()) {
+            slots.copy_from_slice(ids);
+        }
+    }
+
+    /// Append `id` to row `r`, which has a free slot.
+    fn push(&mut self, r: usize, id: u32) {
+        let len = self.lens.get(r).map_or(0, |&len| len as usize);
+        if let Some(last) = self.resize_row(r, len + 1).and_then(|row| row.last_mut()) {
+            *last = id;
+        }
+    }
+}
+
+/// The `upper` row of `id`'s list at `level ≥ 1`; `None` above the
+/// node's own level.
+fn upper_row(levels: &[u32], upper_at: &[u32], id: usize, level: usize) -> Option<usize> {
+    let own = *levels.get(id)? as usize;
+    let first = *upper_at.get(id)? as usize;
+    (1..=own).contains(&level).then(|| first + level - 1)
 }
 
 /// The working set of one [`Hnsw::search_layer`] call, kept per thread and
@@ -173,7 +253,9 @@ impl Hnsw {
             max_level: 0,
             levels: Vec::new(),
             vectors: Vec::new(),
-            links: Vec::new(),
+            base: Rows::new(2 * cfg.m, 0),
+            upper: Rows::new(cfg.m, 0),
+            upper_at: Vec::new(),
         }
     }
 
@@ -217,10 +299,20 @@ impl Hnsw {
     }
 
     fn neighbors(&self, id: u32, level: usize) -> &[u32] {
-        self.links
-            .get(id as usize)
-            .and_then(|per_node| per_node.get(level))
-            .map_or(&[], Vec::as_slice)
+        if level == 0 {
+            return self.base.get(id as usize);
+        }
+        upper_row(&self.levels, &self.upper_at, id as usize, level)
+            .map_or(&[], |row| self.upper.get(row))
+    }
+
+    /// The table and row holding `id`'s list at `level`, if it has one.
+    fn row_mut(&mut self, id: u32, level: usize) -> Option<(&mut Rows, usize)> {
+        if level == 0 {
+            return Some((&mut self.base, id as usize));
+        }
+        let row = upper_row(&self.levels, &self.upper_at, id as usize, level)?;
+        Some((&mut self.upper, row))
     }
 
     /// Similarity of stored node `id` to a query slice — the dot product
@@ -357,7 +449,9 @@ impl Hnsw {
         let level = self.level_for(id);
         self.vectors.extend_from_slice(&v);
         self.levels.push(level as u32);
-        self.links.push(vec![Vec::new(); level + 1]);
+        self.upper_at.push(self.upper.len() as u32);
+        self.base.grow(1);
+        self.upper.grow(level);
         let Some(mut ep) = self.entry else {
             self.entry = Some(id);
             self.max_level = level;
@@ -371,17 +465,16 @@ impl Hnsw {
         let mut eps = vec![ep];
         for l in (0..=level.min(self.max_level)).rev() {
             let cands = self.search_layer(&v, &eps, self.cfg.ef_construction, l);
-            let selected = self.select_neighbors(&cands, self.cfg.m);
-            let m_max = if l == 0 { self.cfg.m * 2 } else { self.cfg.m };
-            if let Some(slot) = self
-                .links
-                .get_mut(id as usize)
-                .and_then(|per_node| per_node.get_mut(l))
-            {
-                *slot = selected.iter().map(|&(c, _)| c).collect();
+            let selected: Vec<u32> = self
+                .select_neighbors(&cands, self.cfg.m)
+                .into_iter()
+                .map(|(c, _)| c)
+                .collect();
+            if let Some((rows, row)) = self.row_mut(id, l) {
+                rows.set(row, &selected);
             }
-            for &(nb, _) in &selected {
-                self.link_back(nb, id, l, m_max);
+            for &nb in &selected {
+                self.link_back(nb, id, l);
             }
             eps = cands.into_iter().map(|(c, _)| c).collect();
             if eps.is_empty() {
@@ -396,19 +489,21 @@ impl Hnsw {
     }
 
     /// Add the back-edge `nb → id` at `level`, re-selecting `nb`'s
-    /// neighbor list when it overflows `m_max`.
-    fn link_back(&mut self, nb: u32, id: u32, level: usize, m_max: usize) {
+    /// neighbor list when it overflows the level's width (`2·m` on level
+    /// 0, `m` above).
+    fn link_back(&mut self, nb: u32, id: u32, level: usize) {
+        let m_max = if level == 0 {
+            self.base.width
+        } else {
+            self.upper.width
+        };
         let current = self.neighbors(nb, level);
         if current.contains(&id) {
             return;
         }
         if current.len() < m_max {
-            if let Some(slot) = self
-                .links
-                .get_mut(nb as usize)
-                .and_then(|per_node| per_node.get_mut(level))
-            {
-                slot.push(id);
+            if let Some((rows, row)) = self.row_mut(nb, level) {
+                rows.push(row, id);
             }
             return;
         }
@@ -425,12 +520,8 @@ impl Hnsw {
             .into_iter()
             .map(|(c, _)| c)
             .collect();
-        if let Some(slot) = self
-            .links
-            .get_mut(nb as usize)
-            .and_then(|per_node| per_node.get_mut(level))
-        {
-            *slot = kept;
+        if let Some((rows, row)) = self.row_mut(nb, level) {
+            rows.set(row, &kept);
         }
     }
 
@@ -567,50 +658,59 @@ impl Hnsw {
             }
             vectors.push(x);
         }
-        let mut links: Vec<Vec<Vec<u32>>> = levels
-            .iter()
-            .map(|&l| vec![Vec::new(); l as usize + 1])
-            .collect();
-        if n > 0 {
-            for level in 0..=max_level {
-                let mut offsets = Vec::with_capacity(n + 1);
-                for _ in 0..=n {
-                    offsets.push(r.u32()? as usize);
+        // Each node's upper rows follow those of the nodes before it.
+        let mut upper_at = Vec::with_capacity(n);
+        let mut upper_rows = 0usize;
+        for &l in &levels {
+            let at = u32::try_from(upper_rows).map_err(|_| r.corrupt("too many upper rows"))?;
+            upper_at.push(at);
+            upper_rows += l as usize;
+        }
+        let mut base = Rows::new(2 * m, n);
+        let mut upper = Rows::new(m, upper_rows);
+        // One offsets buffer serves every level's CSR.
+        let mut offsets = Vec::with_capacity(if n > 0 { n + 1 } else { 0 });
+        for level in (0..=max_level).filter(|_| n > 0) {
+            offsets.clear();
+            for _ in 0..=n {
+                offsets.push(r.u32()? as usize);
+            }
+            if offsets.first() != Some(&0) {
+                return Err(r.corrupt("adjacency offsets must start at zero"));
+            }
+            let total = offsets.last().copied().unwrap_or(0);
+            if total > r.remaining() / 4 {
+                return Err(r.corrupt("adjacency longer than section"));
+            }
+            for id in 0..n {
+                let (start, end) = match (offsets.get(id), offsets.get(id + 1)) {
+                    (Some(&s), Some(&e)) if s <= e => (s, e),
+                    _ => return Err(r.corrupt("adjacency offsets must be non-decreasing")),
+                };
+                let degree = end - start;
+                if degree == 0 {
+                    continue;
                 }
-                if offsets.first() != Some(&0) {
-                    return Err(r.corrupt("adjacency offsets must start at zero"));
-                }
-                let total = offsets.last().copied().unwrap_or(0);
-                if total > r.remaining() / 4 {
-                    return Err(r.corrupt("adjacency longer than section"));
-                }
-                for id in 0..n {
-                    let (start, end) = match (offsets.get(id), offsets.get(id + 1)) {
-                        (Some(&s), Some(&e)) if s <= e => (s, e),
-                        _ => return Err(r.corrupt("adjacency offsets must be non-decreasing")),
-                    };
-                    let degree = end - start;
-                    let node_level = levels.get(id).copied().unwrap_or(0) as usize;
-                    if level > node_level && degree > 0 {
-                        return Err(r.corrupt("neighbors above the node's level"));
+                let (rows, row) = if level == 0 {
+                    (&mut base, id)
+                } else {
+                    match upper_row(&levels, &upper_at, id, level) {
+                        Some(row) => (&mut upper, row),
+                        None => return Err(r.corrupt("neighbors above the node's level")),
                     }
-                    let mut nbs = Vec::with_capacity(degree);
-                    for _ in 0..degree {
-                        let nb = r.u32()?;
-                        if nb as usize >= n || nb as usize == id {
-                            return Err(r.corrupt("neighbor id out of range"));
-                        }
-                        if levels.get(nb as usize).map_or(0, |&l| l as usize) < level {
-                            return Err(r.corrupt("neighbor below this level"));
-                        }
-                        nbs.push(nb);
+                };
+                let slots = rows
+                    .resize_row(row, degree)
+                    .ok_or_else(|| r.corrupt("more neighbors than the level holds"))?;
+                for slot in slots {
+                    let nb = r.u32()?;
+                    if nb as usize >= n || nb as usize == id {
+                        return Err(r.corrupt("neighbor id out of range"));
                     }
-                    if let Some(slot) = links
-                        .get_mut(id)
-                        .and_then(|per_node| per_node.get_mut(level))
-                    {
-                        *slot = nbs;
+                    if levels.get(nb as usize).map_or(0, |&l| l as usize) < level {
+                        return Err(r.corrupt("neighbor below this level"));
                     }
+                    *slot = nb;
                 }
             }
         }
@@ -626,7 +726,9 @@ impl Hnsw {
             max_level,
             levels,
             vectors,
-            links,
+            base,
+            upper,
+            upper_at,
         })
     }
 }
@@ -908,6 +1010,47 @@ mod tests {
             let got = h.knn(q, 10, 120);
             assert_eq!(got, h.scan_knn(q, 10), "query {qi}");
             assert_eq!(got.first().map(|&(id, _)| id), Some(qi as u32));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Whatever is inserted and whatever `m`, every list fits its row
+        /// — at most `2·m` on level 0 and `m` above —, holds distinct
+        /// nodes on its level other than its owner, and the bytes decode
+        /// to the same index.
+        #[test]
+        fn adjacency_fits_its_rows_and_round_trips(
+            m in 2usize..=8,
+            ef_construction in 1usize..24,
+            raw in proptest::collection::vec(proptest::collection::vec(-8i8..8, 4), 1..120),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let vectors: Vec<Vec<f32>> = raw
+                .iter()
+                .map(|v| v.iter().map(|&x| f32::from(x)).collect())
+                .collect();
+            let h = build(&vectors, HnswConfig { m, ef_construction, seed });
+            let n = h.len() as u32;
+            for id in 0..n {
+                let own = h.levels[id as usize] as usize;
+                for level in 0..=own {
+                    let nbs = h.neighbors(id, level);
+                    let width = if level == 0 { 2 * m } else { m };
+                    proptest::prop_assert!(nbs.len() <= width, "node {} level {}", id, level);
+                    proptest::prop_assert!(!nbs.contains(&id), "node {} lists itself", id);
+                    let distinct: FxHashSet<u32> = nbs.iter().copied().collect();
+                    proptest::prop_assert_eq!(distinct.len(), nbs.len());
+                    for &nb in nbs {
+                        proptest::prop_assert!(nb < n && h.levels[nb as usize] as usize >= level);
+                    }
+                }
+                proptest::prop_assert!(h.neighbors(id, own + 1).is_empty());
+            }
+            let mut bytes = Vec::new();
+            h.encode(&mut bytes);
+            proptest::prop_assert_eq!(Hnsw::decode(&bytes).unwrap(), h);
         }
     }
 

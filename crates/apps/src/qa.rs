@@ -10,7 +10,7 @@ use alicoco_ann::AnnBundle;
 use alicoco_nn::util::FxHashSet;
 use alicoco_obs::{Counter, Histogram, Registry, SpanTimer};
 
-use crate::retrieve::{Fusion, LexicalWeights, Retriever};
+use crate::retrieve::{Fusion, LexicalWeights, Proposals, Retriever};
 
 /// QA's fusion constants: a full cosine is worth half a surface word, and
 /// the index proposes 8 concepts per question — resolution wants one
@@ -39,6 +39,7 @@ struct QaMetrics {
     answered: Arc<Counter>,
     sibling_fallbacks: Arc<Counter>,
     candidates: Arc<Counter>,
+    ann_skipped: Arc<Counter>,
     answer_ns: Arc<Histogram>,
 }
 
@@ -49,6 +50,7 @@ impl QaMetrics {
             answered: reg.counter("qa.answered"),
             sibling_fallbacks: reg.counter("qa.sibling_fallbacks"),
             candidates: reg.counter("qa.candidates"),
+            ann_skipped: reg.counter("qa.ann_skipped"),
             answer_ns: reg.histogram("qa.answer_ns"),
         }
     }
@@ -156,6 +158,9 @@ impl ScenarioQa {
             1,
         );
         self.metrics.candidates.add(best.examined as u64);
+        if best.proposals == Proposals::Skipped {
+            self.metrics.ann_skipped.inc();
+        }
         let (slot, _) = best.top.into_sorted_vec().into_iter().next()?;
         Some(ConceptId::from_index(slot as usize))
     }

@@ -12,7 +12,7 @@ use alicoco_obs::{Counter, Histogram, Registry, SpanTimer};
 use alicoco_text::bm25::{Bm25Index, Bm25Metrics, Bm25Params};
 use alicoco_text::vocab::{TokenId, Vocab};
 
-use crate::retrieve::{Fusion, Retriever};
+use crate::retrieve::{Fusion, Proposals, Retriever};
 
 /// Relevance's fusion constants: a full cosine adds 0.5 to an item's BM25
 /// score, and the index proposes 16 items per query — so a query word
@@ -28,6 +28,7 @@ const FUSION: Fusion = Fusion {
 struct RelevanceMetrics {
     queries: Arc<Counter>,
     expanded_terms: Arc<Counter>,
+    ann_skipped: Arc<Counter>,
     expand_ns: Arc<Histogram>,
     retrieve_ns: Arc<Histogram>,
 }
@@ -37,6 +38,7 @@ impl RelevanceMetrics {
         RelevanceMetrics {
             queries: reg.counter("relevance.queries"),
             expanded_terms: reg.counter("relevance.expanded_terms"),
+            ann_skipped: reg.counter("relevance.ann_skipped"),
             expand_ns: reg.histogram("relevance.expand_ns"),
             retrieve_ns: reg.histogram("relevance.retrieve_ns"),
         }
@@ -153,23 +155,30 @@ impl RelevanceScorer {
     /// joined on a hybrid snapshot by the HNSW nearest items of the
     /// embedded query and scored `bm25 + FUSION.vector_weight · max(0,
     /// cos)`. Only positive scores are returned, in the workspace ranking
-    /// order (score descending, item id ascending).
+    /// order (score descending, item id ascending). A pure proposal scores
+    /// at most the largest bonus, so a page the BM25 hits fill above it
+    /// is final without asking HNSW.
     pub fn top_items(&self, words: &[String], k: usize) -> Vec<(alicoco::ItemId, f64)> {
         self.metrics.queries.inc();
         let _span = SpanTimer::new(Arc::clone(&self.metrics.retrieve_ns));
         let lexical = self.index.candidate_scores(&self.encode(words));
         let qvec = self.retriever.embed(&words.join(" "));
+        let side = AnnBundle::items;
         let fused = self.retriever.fuse(
             lexical.iter().map(|&(doc, bm25)| (doc as u32, bm25)),
-            AnnBundle::items,
+            side,
             qvec.as_deref(),
             FUSION,
             k,
-            |_, bm25, bonus| {
+            self.retriever.bonus_ceiling(side, FUSION.vector_weight),
+            |_, bm25: Option<f64>, bonus| {
                 let score = bm25.unwrap_or(0.0) + bonus;
                 (score > 0.0).then_some(score)
             },
         );
+        if fused.proposals == Proposals::Skipped {
+            self.metrics.ann_skipped.inc();
+        }
         fused
             .top
             .into_sorted_vec()

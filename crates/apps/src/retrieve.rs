@@ -1,8 +1,11 @@
 //! The one retrieval core under the four §8 engines: a [`Retriever`] owns
 //! the net, its single [`QueryIndex`] and its optional [`AnnBundle`], and
-//! holds the one copy of the hybrid fusion — lexical candidates ∪ HNSW
-//! proposals → dedup → exact `sim_to` rescoring → [`TopK`]. The approximate
-//! index only proposes; scores come from the **exact stored vector**.
+//! holds the one copy of the hybrid fusion — lexical candidates, then the
+//! HNSW proposals they did not hold → exact `sim_to` rescoring → [`TopK`].
+//! The approximate index only proposes; scores come from the **exact
+//! stored vector**. It is asked only when a proposal can still make the
+//! page: once the lexical candidates fill it with a k-th score above the
+//! best a pure proposal can reach, no proposal could enter.
 //!
 //! It also holds the one lexical concept scorer, [`Retriever::rank_concepts`]:
 //! search and QA are two [`LexicalWeights`] over the integer match counts
@@ -12,7 +15,6 @@
 //! cannot reach it, and a candidate that cannot reach it even with the
 //! largest vector bonus is dropped before its `sim_to` (DESIGN.md §13.6).
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use alicoco::query::{Ceiling, ConceptMatch, ConceptMatches, Floor, QueryIndex};
@@ -112,6 +114,18 @@ impl LexicalWeights {
 /// [`AnnBundle::concepts`] or [`AnnBundle::items`].
 pub type Side = fn(&AnnBundle) -> &Hnsw;
 
+/// Whether a fusion asked HNSW for proposals.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Proposals {
+    /// No bundle or no query vector: there was nothing to ask.
+    Off,
+    /// The lexical candidates filled the page with a k-th score strictly
+    /// above the best a pure proposal can reach, so HNSW was not asked.
+    Skipped,
+    /// HNSW was asked.
+    Asked,
+}
+
 /// What one fusion found.
 pub struct Fused {
     /// The best `k` slots with their fused scores.
@@ -120,6 +134,8 @@ pub struct Fused {
     pub proposed: usize,
     /// Distinct candidates scored.
     pub examined: usize,
+    /// Whether HNSW was asked.
+    pub proposals: Proposals,
 }
 
 /// What the posting merge of one ranking walked.
@@ -175,16 +191,31 @@ impl Retriever {
         }
     }
 
+    /// The largest vector bonus, `weight · max(0, cos)`, a candidate on
+    /// `side` can be handed; `None` when no bound holds — a negative
+    /// weight, or vectors wider than `COS_CEIL` is derived for.
+    pub fn bonus_ceiling(&self, side: Side, weight: f64) -> Option<f64> {
+        match &self.ann {
+            _ if weight.is_nan() || weight < 0.0 => None,
+            Some(bundle) => (side(bundle).dim() <= COS_CEIL_MAX_DIM).then_some(weight * COS_CEIL),
+            None => Some(0.0),
+        }
+    }
+
     /// The fusion. `lexical` yields distinct `(slot, carried lexical
-    /// score)` pairs in any order; the `max(fusion.ann_k, k)` nearest
-    /// stored vectors of `qvec` on `side` join them. `score` sees every
-    /// candidate once — its slot, its carried score (`None` for a pure
-    /// proposal) and its vector bonus — and returns the fused score, or
-    /// `None` to drop it.
+    /// score)` pairs in any order and is scored first; then the
+    /// `max(fusion.ann_k, k)` nearest stored vectors of `qvec` on `side`
+    /// that it did not yield are scored in ascending slot order. `score`
+    /// sees every candidate once — its slot, its carried score (`None` for
+    /// a pure proposal) and its vector bonus — and returns the fused
+    /// score, or `None` to drop it.
     ///
-    /// Dedup is against the proposals, a list no longer than a page: each
-    /// lexical candidate is looked up in it, never the reverse. Without a
-    /// bundle or an embedded query the list is empty.
+    /// `ceiling` is the best score `score` can give a pure proposal. When
+    /// the lexical candidates fill the page with a k-th score strictly
+    /// above it, no proposal could enter and HNSW is not asked: the page
+    /// is what asking would give. `None` always asks. Without a bundle or
+    /// an embedded query there is nothing to ask.
+    #[allow(clippy::too_many_arguments)]
     pub fn fuse<L: Copy>(
         &self,
         lexical: impl Iterator<Item = (u32, L)>,
@@ -192,9 +223,10 @@ impl Retriever {
         qvec: Option<&[f32]>,
         fusion: Fusion,
         k: usize,
+        ceiling: Option<f64>,
         score: impl Fn(u32, Option<L>, f64) -> Option<f64>,
     ) -> Fused {
-        self.fuse_above(lexical, side, qvec, fusion, k, None, score)
+        self.fuse_above(lexical, side, qvec, fusion, k, ceiling, None, score)
     }
 
     /// [`fuse`](Self::fuse), given a `floor` and the largest bonus `score`
@@ -206,49 +238,57 @@ impl Retriever {
     #[allow(clippy::too_many_arguments)]
     fn fuse_above<L: Copy>(
         &self,
-        lexical: impl Iterator<Item = (u32, L)>,
+        mut lexical: impl Iterator<Item = (u32, L)>,
         side: Side,
         qvec: Option<&[f32]>,
         fusion: Fusion,
         k: usize,
+        ceiling: Option<f64>,
         floor: Option<(&Floor, f64)>,
         score: impl Fn(u32, Option<L>, f64) -> Option<f64>,
     ) -> Fused {
-        // Ascending slots, each with "a lexical candidate held it": what
-        // is still unheld once the lexical pass is over is novel.
-        let mut proposals: Vec<(u32, Cell<bool>)> = match (&self.ann, qvec) {
-            (Some(bundle), Some(q)) => side(bundle)
-                .knn(q, fusion.ann_k.max(k), ANN_EF)
-                .into_iter()
-                .map(|(slot, _)| (slot, Cell::new(false)))
-                .collect(),
-            _ => Vec::new(),
-        };
-        proposals.sort_unstable_by_key(|&(slot, _)| slot);
         let mut fused = Fused {
             top: TopK::new(k),
-            proposed: proposals.len(),
+            proposed: 0,
             examined: 0,
+            proposals: Proposals::Off,
         };
-        let lexical = lexical.map(|(slot, carried)| {
-            let at = proposals.binary_search_by_key(&slot, |&(proposed, _)| proposed);
-            if let Some((_, held)) = at.ok().and_then(|i| proposals.get(i)) {
-                held.set(true);
-            }
-            (slot, Some(carried))
-        });
-        let novel = proposals
-            .iter()
-            .filter(|(_, held)| !held.get())
-            .map(|&(slot, _)| (slot, None));
-        // Only a real `sim_to` is worth a second call to `score`.
+        // Only a real `sim_to` is worth a second call to `score`, and only
+        // then can there be proposals to dedup against what was yielded.
         let vectors = self.ann.is_some() && qvec.is_some();
+        let mut yielded: Vec<u32> = Vec::new();
+        // The proposals the stream did not yield, once it has ended.
+        let mut novel: Option<std::vec::IntoIter<u32>> = None;
         let bonus_ceiling = floor.filter(|_| vectors).map(|(_, bonus)| bonus);
         // The page's k-th score, as last handed to `floor` (`-inf` until
         // the page is full): only a push scoring above it can move it.
         let mut kth = f64::NEG_INFINITY;
         // One loop over both, so the scoring body is compiled once, inline.
-        for (slot, carried) in lexical.chain(novel) {
+        loop {
+            let (slot, carried) = match &mut novel {
+                None => match lexical.next() {
+                    Some((slot, carried)) => {
+                        if vectors {
+                            yielded.push(slot);
+                        }
+                        (slot, Some(carried))
+                    }
+                    None => {
+                        let mut proposals =
+                            self.propose(side, qvec, fusion, k, ceiling, &mut fused);
+                        if !proposals.is_empty() {
+                            yielded.sort_unstable();
+                            proposals.retain(|slot| yielded.binary_search(slot).is_err());
+                        }
+                        novel = Some(proposals.into_iter());
+                        continue;
+                    }
+                },
+                Some(rest) => match rest.next() {
+                    Some(slot) => (slot, None),
+                    None => break,
+                },
+            };
             fused.examined += 1;
             if let Some(bonus) = bonus_ceiling.filter(|_| kth > f64::NEG_INFINITY) {
                 if score(slot, carried, bonus).is_none_or(|best| best < kth) {
@@ -269,6 +309,39 @@ impl Retriever {
         fused
     }
 
+    /// The proposals for `qvec` on `side`, in ascending slot order, once
+    /// the lexical candidates have been pushed into `fused`: none when
+    /// vectors take no part, or when the page is full with a k-th score
+    /// strictly above `ceiling`. Records in `fused` whether HNSW was asked
+    /// and what it proposed.
+    fn propose(
+        &self,
+        side: Side,
+        qvec: Option<&[f32]>,
+        fusion: Fusion,
+        k: usize,
+        ceiling: Option<f64>,
+        fused: &mut Fused,
+    ) -> Vec<u32> {
+        let (Some(bundle), Some(q)) = (&self.ann, qvec) else {
+            return Vec::new();
+        };
+        let kth = fused.top.threshold();
+        if kth.zip(ceiling).is_some_and(|(kth, ceiling)| kth > ceiling) {
+            fused.proposals = Proposals::Skipped;
+            return Vec::new();
+        }
+        let mut proposals: Vec<u32> = side(bundle)
+            .knn(q, fusion.ann_k.max(k), ANN_EF)
+            .into_iter()
+            .map(|(slot, _)| slot)
+            .collect();
+        proposals.sort_unstable();
+        fused.proposals = Proposals::Asked;
+        fused.proposed = proposals.len();
+        proposals
+    }
+
     /// The one lexical concept ranking, shared by search and QA: merge the
     /// posting lists of `words`, fuse the matches with the HNSW proposals
     /// for `qvec`, and score each candidate from its integer counts under
@@ -284,14 +357,13 @@ impl Retriever {
         fusion: Fusion,
         k: usize,
     ) -> (Fused, Walked) {
-        // Pruning needs a scorer monotone in every input and the largest
-        // vector bonus a candidate can get.
+        // Pruning, and skipping the proposals, need a scorer monotone in
+        // every input and the largest vector bonus a candidate can get.
         let vectors = self.ann.is_some() && qvec.is_some();
-        let bonus_ceiling = match &self.ann {
+        let bonus_ceiling = match self.bonus_ceiling(AnnBundle::concepts, fusion.vector_weight) {
             _ if !(weights.monotone() && fusion.vector_weight >= 0.0) => None,
-            Some(bundle) if vectors => (bundle.concepts().dim() <= COS_CEIL_MAX_DIM)
-                .then_some(fusion.vector_weight * COS_CEIL),
-            _ => Some(0.0),
+            _ if !vectors => Some(0.0),
+            ceiling => ceiling,
         };
         let matches = self.index.concept_matches(words);
         let postings = matches.postings();
@@ -302,7 +374,9 @@ impl Retriever {
                 None => {
                     let lexical = matches.map(|m| (m.concept.index() as u32, m));
                     let score = |slot, m, bonus| self.score_match(weights, slot, m, bonus);
-                    let fused = self.fuse(lexical, AnnBundle::concepts, qvec, fusion, k, score);
+                    // Here vectors take no part, or no bound holds.
+                    let side = AnnBundle::concepts;
+                    let fused = self.fuse(lexical, side, qvec, fusion, k, None, score);
                     (fused, 0)
                 }
                 Some(bonus) => self.fuse_pruned(matches, qvec, weights, fusion, k, bonus),
@@ -338,9 +412,9 @@ impl Retriever {
 
     /// [`rank_concepts`](Self::rank_concepts) with pruning, given the
     /// largest vector bonus: the merge skips blocks when it is long enough
-    /// to pay, and the fusion skips `sim_to`s. Out of line, so the plain
-    /// fusion beside it stays as small as it was. Returns the fusion and
-    /// the blocks skipped.
+    /// to pay, and the fusion skips `sim_to`s and, when the page cannot
+    /// change, the proposals. Out of line, so the plain fusion beside it
+    /// stays as small as it was. Returns the fusion and the blocks skipped.
     #[inline(never)]
     fn fuse_pruned(
         &self,
@@ -357,16 +431,35 @@ impl Retriever {
             weights.score(hits, prims, c.surface_len, c.stocked, bonus_ceiling)
         };
         let floor_and_bonus = Some((&floor, bonus_ceiling));
+        // A pure proposal: no match, and the largest bonus.
+        let proposal = Some(weights.score(0, 0, 1, true, bonus_ceiling).unwrap_or(0.0));
         let score = |slot, m, bonus| self.score_match(weights, slot, m, bonus);
         let slot = |m: ConceptMatch| (m.concept.index() as u32, m);
+        let side = AnnBundle::concepts;
         let fused = if matches.worth_pruning() {
             let lexical = matches.pruned(&floor, &ceiling).map(slot);
-            let side = AnnBundle::concepts;
-            self.fuse_above(lexical, side, qvec, fusion, k, floor_and_bonus, score)
+            self.fuse_above(
+                lexical,
+                side,
+                qvec,
+                fusion,
+                k,
+                proposal,
+                floor_and_bonus,
+                score,
+            )
         } else {
             let lexical = matches.map(slot);
-            let side = AnnBundle::concepts;
-            self.fuse_above(lexical, side, qvec, fusion, k, floor_and_bonus, score)
+            self.fuse_above(
+                lexical,
+                side,
+                qvec,
+                fusion,
+                k,
+                proposal,
+                floor_and_bonus,
+                score,
+            )
         };
         (fused, floor.blocks_skipped())
     }

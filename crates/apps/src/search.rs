@@ -33,7 +33,7 @@ use alicoco_ann::AnnBundle;
 use alicoco_nn::util::FxHashSet;
 use alicoco_obs::{Counter, Histogram, Registry, StageClock};
 
-use crate::retrieve::{Fusion, LexicalWeights, Retriever};
+use crate::retrieve::{Fusion, LexicalWeights, Proposals, Retriever};
 
 /// Search's fusion constants: vectors weigh 0.6 of a full surface match,
 /// and the index proposes 16 concepts per query.
@@ -51,6 +51,7 @@ struct SearchMetrics {
     postings_hit: Arc<Counter>,
     blocks_skipped: Arc<Counter>,
     ann_candidates: Arc<Counter>,
+    ann_skipped: Arc<Counter>,
     retrieve_ns: Arc<Histogram>,
     score_ns: Arc<Histogram>,
     rank_ns: Arc<Histogram>,
@@ -64,6 +65,7 @@ impl SearchMetrics {
             postings_hit: reg.counter("search.postings_hit"),
             blocks_skipped: reg.counter("search.blocks_skipped"),
             ann_candidates: reg.counter("search.ann_candidates"),
+            ann_skipped: reg.counter("search.ann_skipped"),
             retrieve_ns: reg.histogram("search.retrieve_ns"),
             score_ns: reg.histogram("search.score_ns"),
             rank_ns: reg.histogram("search.rank_ns"),
@@ -184,6 +186,9 @@ impl SemanticSearch {
         m.postings_hit.add(walked.postings as u64);
         m.blocks_skipped.add(walked.blocks_skipped as u64);
         m.ann_candidates.add(fused.proposed as u64);
+        if fused.proposals == Proposals::Skipped {
+            m.ann_skipped.inc();
+        }
         m.candidates_examined.add(fused.examined as u64);
         clock.lap(&m.score_ns);
         let cards = fused
@@ -569,5 +574,68 @@ mod tests {
         let before = reg.counter("search.ann_candidates").get();
         assert!(wired.search("zzz unknown").is_empty());
         assert_eq!(reg.counter("search.ann_candidates").get(), before);
+    }
+
+    /// Counts of `search.ann_skipped` and `search.ann_candidates` in `reg`.
+    fn ann_counts(reg: &Registry) -> (u64, u64) {
+        let count = |name| reg.counter(name).get();
+        (count("search.ann_skipped"), count("search.ann_candidates"))
+    }
+
+    #[test]
+    fn a_full_page_above_any_proposal_skips_hnsw() {
+        let kg = Arc::new(sample_kg());
+        let reg = Registry::new();
+        let s = hybrid(&kg, &reg);
+        let query = "barbecue outdoor";
+        assert!(s.retriever().embed(query).is_some(), "the query embeds");
+        // One full-coverage card scores above 0.6 · COS_CEIL, the best a
+        // pure proposal can reach: the page is final without HNSW.
+        let cards = s.search_top(query, 1);
+        assert_eq!(ann_counts(&reg), (1, 0));
+        assert_eq!(cards, s.search_scan_top(query, 1));
+        assert!(cards[0].score > FUSION.vector_weight * 1.001);
+    }
+
+    #[test]
+    fn a_lexical_miss_or_a_page_with_room_still_asks() {
+        let kg = Arc::new(sample_kg());
+        let reg = Registry::new();
+        let s = hybrid(&kg, &reg);
+        // Nothing lexical: the page is empty.
+        let _ = s.search_top("charcoal", 1);
+        let (skipped, proposed) = ann_counts(&reg);
+        assert_eq!(skipped, 0);
+        assert!(proposed > 0);
+        // One lexical card on a page of three leaves room for a proposal.
+        let cards = s.search_top("barbecue outdoor", 3);
+        assert_eq!(ann_counts(&reg).0, 0);
+        assert!(ann_counts(&reg).1 > proposed);
+        assert_eq!(cards, s.search_scan_top("barbecue outdoor", 3));
+    }
+
+    #[test]
+    fn a_negative_vector_weight_always_asks() {
+        let kg = Arc::new(sample_kg());
+        let s = hybrid(&kg, &Registry::new());
+        let retriever = s.retriever();
+        let side = AnnBundle::concepts;
+        assert_eq!(retriever.bonus_ceiling(side, -0.5), None);
+        assert!(retriever.bonus_ceiling(side, 0.5).is_some());
+        let query = "barbecue outdoor";
+        let qvec = retriever.embed(query);
+        let fusion = Fusion {
+            vector_weight: -0.5,
+            ann_k: 16,
+        };
+        let (fused, _) =
+            retriever.rank_concepts(query.split(' '), qvec.as_deref(), &s.weights(), fusion, 1);
+        assert_eq!(fused.proposals, Proposals::Asked);
+        assert!(fused.proposed > 0);
+        // The same query at the engine's weight skips.
+        let (fused, _) =
+            retriever.rank_concepts(query.split(' '), qvec.as_deref(), &s.weights(), FUSION, 1);
+        assert_eq!(fused.proposals, Proposals::Skipped);
+        assert_eq!(fused.proposed, 0);
     }
 }

@@ -18,7 +18,7 @@ use alicoco::{AliCoCo, ConceptId, ItemId, PrimitiveId};
 use alicoco_ann::{AnnBundle, Hnsw, HnswConfig, TokenTable};
 use alicoco_apps::qa::ScenarioQa;
 use alicoco_apps::relevance::RelevanceScorer;
-use alicoco_apps::retrieve::{Fusion, Retriever};
+use alicoco_apps::retrieve::{Fusion, Proposals, Retriever};
 use alicoco_apps::search::{self, SearchConfig, SemanticSearch};
 use alicoco_corpus::scale::{scale_vocab, scale_world};
 use alicoco_obs::Registry;
@@ -214,6 +214,30 @@ fn random_bundle(kg: &AliCoCo, seed: u64) -> AnnBundle {
     AnnBundle::new(tokens, concepts, Hnsw::new(4, HnswConfig::default()))
 }
 
+/// A bundle of seeded random 4-d vectors over a wide world — one per
+/// vocabulary word, concept and item — in graphs too sparse to find most
+/// true neighbours: an HNSW answer that matters shows as a page the scan
+/// oracle does not give.
+fn sparse_bundle(kg: &AliCoCo, seed: u64) -> AnnBundle {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut vector = || -> Vec<f32> { (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
+    let tokens = TokenTable::new(4, WIDE_VOCAB.iter().map(|w| (w.to_string(), vector())));
+    let cfg = HnswConfig {
+        m: 2,
+        ef_construction: 1,
+        seed,
+    };
+    let mut concepts = Hnsw::new(4, cfg);
+    for _ in 0..kg.num_concepts() {
+        concepts.insert(&vector());
+    }
+    let mut items = Hnsw::new(4, cfg);
+    for _ in 0..kg.num_items() {
+        items.insert(&vector());
+    }
+    AnnBundle::new(tokens, concepts, items)
+}
+
 /// Weight of `max(0, cos)` in a fused relevance score (the relevance
 /// engine's fusion constant).
 const RELEVANCE_VECTOR_WEIGHT: f64 = 0.5;
@@ -397,6 +421,7 @@ proptest! {
                 qvec.as_deref(),
                 search::FUSION,
                 k,
+                None,
                 |slot, m: Option<ConceptMatch>, bonus| {
                     let c = ConceptId::from_index(slot as usize);
                     let (hits, prims) = m.map_or((0, 0), |m| (m.surface_hits, m.primitive_hits));
@@ -434,6 +459,89 @@ proptest! {
                 (Some(answer), scan) => prop_assert_eq!(Some(answer.concept), scan, "{:?}", question),
                 // No checklist: nothing resolved, or an unstocked concept did
                 // and no sibling could lend it items.
+                (None, Some(c)) => prop_assert!(kg.concept(c).items.is_empty(), "{:?}", question),
+                (None, None) => {}
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// When HNSW is not asked, every page equals its scan oracle bit for
+    /// bit, whatever the graph would have proposed: the lexical candidates
+    /// filled it above the best a pure proposal can score. And the
+    /// ceiling never changes a page: the fusion that always asks gives the
+    /// one the engine gives. Extra items all titled "outdoor" give that
+    /// word BM25 scores a vector bonus can beat.
+    #[test]
+    fn a_skipped_proposal_is_exact(
+        spec in wide_world_strategy(),
+        outdoor_items in prop::collection::vec(0u8..6, 0..40),
+        query in wide_query_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let mut kg = build_wide_world(&spec);
+        for &w in &outdoor_items {
+            kg.add_item(&["outdoor".to_string(), WIDE_VOCAB[w as usize].to_string()]);
+        }
+        let kg = Arc::new(kg);
+        let retriever = Retriever::new(Arc::clone(&kg), Some(Arc::new(sparse_bundle(&kg, seed))));
+        let reg = Registry::new();
+        let search = SemanticSearch::new(Arc::clone(&retriever), SearchConfig::default(), &reg);
+        let qa = ScenarioQa::new(Arc::clone(&retriever), &reg);
+        let relevance = RelevanceScorer::new(Arc::clone(&retriever), &reg);
+        let skipped = |engine: &str| reg.counter(&format!("{engine}.ann_skipped")).get();
+        let (index, weights) = (retriever.index(), search.weights());
+        let qvec = retriever.embed(&query);
+        let words: Vec<String> = format!("outdoor {query}").split(' ').map(String::from).collect();
+        for k in [1, 3, 10] {
+            let before = skipped("search");
+            let got = search.search_top(&query, k);
+            if skipped("search") > before {
+                prop_assert_eq!(&got, &search.search_scan_top(&query, k), "k {}, {:?}", k, query);
+            }
+            // The same ranking with and without the ceiling, and the engine's.
+            let bonus = retriever.bonus_ceiling(AnnBundle::concepts, search::FUSION.vector_weight);
+            let ceiling = bonus.and_then(|bonus| weights.score(0, 0, 1, true, bonus));
+            let pages = [None, ceiling].map(|ceiling| {
+                let fused = retriever.fuse(
+                    index.concept_matches(query.split_whitespace()).map(|m| (m.concept.index() as u32, m)),
+                    AnnBundle::concepts,
+                    qvec.as_deref(),
+                    search::FUSION,
+                    k,
+                    ceiling,
+                    |slot, m: Option<ConceptMatch>, bonus| {
+                        let c = ConceptId::from_index(slot as usize);
+                        let (hits, prims) = m.map_or((0, 0), |m| (m.surface_hits, m.primitive_hits));
+                        weights.score(hits, prims, index.surface_len(c), index.is_stocked(c), bonus)
+                    },
+                );
+                fused
+                    .top
+                    .into_sorted_vec()
+                    .into_iter()
+                    .map(|(slot, score)| search.card(ConceptId::from_index(slot as usize), score))
+                    .collect::<Vec<_>>()
+            });
+            prop_assert_eq!(&pages[0], &pages[1], "k {}, {:?}", k, query);
+            prop_assert_eq!(&got, &pages[0], "k {}, {:?}", k, query);
+
+            let before = skipped("relevance");
+            let items = relevance.top_items(&words, k);
+            if skipped("relevance") > before {
+                let scan = relevance_scan(&relevance, &words, |i| relevance.score_plain(&words, i), k);
+                prop_assert_eq!(items, scan, "k {}, {:?}", k, query);
+            }
+        }
+        let question = format!("what do i need for a {query}?");
+        let before = skipped("qa");
+        let answer = qa.answer(&question);
+        if skipped("qa") > before {
+            match (answer, qa.resolve_scan(&question)) {
+                (Some(answer), scan) => prop_assert_eq!(Some(answer.concept), scan, "{:?}", question),
                 (None, Some(c)) => prop_assert!(kg.concept(c).items.is_empty(), "{:?}", question),
                 (None, None) => {}
             }
@@ -536,6 +644,7 @@ proptest! {
             Some(&query),
             fusion,
             k,
+            None,
             |slot, lex, bonus| {
                 scored.borrow_mut()[slot as usize] += 1;
                 keep_positive(lex, bonus)
@@ -545,6 +654,27 @@ proptest! {
         prop_assert_eq!(fused.top.into_sorted_vec(), brute_force(&|slot| weight * cos(slot)));
         prop_assert!(scored.borrow().iter().all(|&times| times == 1));
 
+        // With the ceiling, HNSW is asked only while a proposal can still
+        // make the page, and the page is the same.
+        let scored = RefCell::new(vec![0usize; n]);
+        let fused = hybrid.fuse(
+            lexical.iter().map(|(&slot, &score)| (slot, score)),
+            AnnBundle::concepts,
+            Some(&query),
+            fusion,
+            k,
+            hybrid.bonus_ceiling(AnnBundle::concepts, weight),
+            |slot, lex, bonus| {
+                scored.borrow_mut()[slot as usize] += 1;
+                keep_positive(lex, bonus)
+            },
+        );
+        let asked = fused.proposals == Proposals::Asked;
+        let expected = if asked { (n, n) } else { (0, lexical.len()) };
+        prop_assert_eq!((fused.proposed, fused.examined), expected);
+        prop_assert_eq!(fused.top.into_sorted_vec(), brute_force(&|slot| weight * cos(slot)));
+        prop_assert!(scored.borrow().iter().all(|&times| times <= 1));
+
         let plain = Retriever::new(Arc::clone(&kg), None);
         let fused = plain.fuse(
             lexical.iter().map(|(&slot, &score)| (slot, score)),
@@ -552,6 +682,7 @@ proptest! {
             Some(&query),
             fusion,
             k,
+            None,
             |_, lex, bonus| keep_positive(lex, bonus),
         );
         prop_assert_eq!((fused.proposed, fused.examined), (0, lexical.len()));

@@ -9,14 +9,20 @@
 //!    `search_scan`, the exact fused-score oracle that scores *every*
 //!    concept. Candidates are always scored with the exact stored
 //!    vectors, so the only possible divergence is the HNSW graph failing
-//!    to propose a concept the oracle ranks into the top k.
+//!    to propose a concept the oracle ranks into the top k. A query whose
+//!    lexical candidates filled the page above the best a pure proposal
+//!    can score never asks HNSW (`search.ann_skipped`); its page must
+//!    equal the oracle's exactly, with no tolerance.
 //! 3. **Lexical-miss coverage** — tokens that appear only in item titles
 //!    (zero overlap with any concept surface or primitive name) must
 //!    still reach concepts through the vector path; this is the
-//!    zero-token-overlap gap the hybrid layer exists to close.
+//!    zero-token-overlap gap the hybrid layer exists to close. Those
+//!    queries have no lexical page, so they must always ask HNSW.
 //!
 //! Writes a JSON report and exits non-zero when recall or parity falls
-//! under `--min-recall` (default 0.9) or lexical-miss coverage is zero.
+//! under `--min-recall` (default 0.9), a skipped query differs from the
+//! oracle, a lexical-miss probe skips HNSW, or lexical-miss coverage is
+//! zero.
 //!
 //! ```text
 //! ann-gate [--snapshot FILE] [--out FILE] [--min-recall R] [--queries N]
@@ -215,15 +221,21 @@ fn main() -> ExitCode {
         SearchConfig::default(),
         &reg,
     );
-    let mut agreements = 0usize;
+    let ann_skipped = reg.counter("search.ann_skipped");
+    let (mut agreements, mut skipped, mut skipped_mismatches) = (0usize, 0usize, 0usize);
     for q in &queries {
+        let before = ann_skipped.get();
         let fast: Vec<_> = hybrid.search(q).iter().map(|c| c.concept).collect();
         let oracle: Vec<_> = hybrid.search_scan(q).iter().map(|c| c.concept).collect();
-        if fast == oracle {
-            agreements += 1;
+        let agrees = fast == oracle;
+        agreements += usize::from(agrees);
+        if ann_skipped.get() > before {
+            skipped += 1;
+            skipped_mismatches += usize::from(!agrees);
         }
     }
     let parity = agreements as f64 / queries.len().max(1) as f64;
+    let skipped_share = skipped as f64 / queries.len().max(1) as f64;
 
     // 3. Lexical-miss coverage: item-title-only tokens must reach
     // concepts through the vector path that the purely lexical engine
@@ -234,15 +246,17 @@ fn main() -> ExitCode {
         &reg,
     );
     let probes = item_only_tokens(&kg);
-    let mut miss_hits = 0usize;
+    let (mut miss_hits, mut miss_skipped) = (0usize, 0usize);
     for token in &probes {
         assert!(
             plain.search(token).is_empty(),
             "probe {token:?} is not lexical-only after all"
         );
+        let before = ann_skipped.get();
         if !hybrid.search(token).is_empty() {
             miss_hits += 1;
         }
+        miss_skipped += usize::from(ann_skipped.get() > before);
     }
 
     println!(
@@ -252,6 +266,11 @@ fn main() -> ExitCode {
     println!(
         "ann-gate: fused parity {parity:.4} ({agreements}/{} queries identical to the \
          exact scan oracle)",
+        queries.len()
+    );
+    println!(
+        "ann-gate: HNSW skipped on {skipped}/{} queries (share {skipped_share:.4}), \
+         {skipped_mismatches} of them off the exact scan oracle",
         queries.len()
     );
     // Name a few probes so a failing run (or a reader wanting a live
@@ -279,6 +298,10 @@ fn main() -> ExitCode {
                 ("queries".to_string(), Json::Num(queries.len() as f64)),
                 ("recall_at_10".to_string(), Json::Num(recall)),
                 ("fused_parity".to_string(), Json::Num(parity)),
+                (
+                    "proposals_skipped_share".to_string(),
+                    Json::Num(skipped_share),
+                ),
                 (
                     "lexical_miss_total".to_string(),
                     Json::Num(probes.len() as f64),
@@ -309,6 +332,17 @@ fn main() -> ExitCode {
              {:.2} floor",
             opts.min_recall
         );
+        failed = true;
+    }
+    if skipped_mismatches > 0 {
+        eprintln!(
+            "ann-gate: {skipped_mismatches} queries that skipped HNSW differ from the exact \
+             oracle; a skip must never change a page"
+        );
+        failed = true;
+    }
+    if miss_skipped > 0 {
+        eprintln!("ann-gate: {miss_skipped} lexical-miss probes skipped HNSW; they must ask");
         failed = true;
     }
     if !probes.is_empty() && miss_hits == 0 {

@@ -248,9 +248,10 @@ mod tests {
     use super::*;
     use crate::state::{EngineConfig, PackSlot, ServingPack};
     use alicoco::AliCoCo;
+    use alicoco_obs::json::Json;
     use std::sync::Arc;
 
-    fn demo_pack() -> Arc<ServingPack> {
+    fn demo_net() -> AliCoCo {
         let mut kg = AliCoCo::new();
         let root = kg.add_class("concept", None);
         let loc = kg.add_class("Location", Some(root));
@@ -265,8 +266,12 @@ mod tests {
         kg.link_concept_item(c1, grill, 0.9);
         kg.link_concept_item(c1, charcoal, 0.8);
         kg.link_item_primitive(grill, bbq);
+        kg
+    }
+
+    fn demo_pack() -> Arc<ServingPack> {
         ServingPack::build_with_ann(
-            Arc::new(kg),
+            Arc::new(demo_net()),
             None,
             &EngineConfig::default(),
             &Registry::new(),
@@ -303,6 +308,26 @@ mod tests {
                 String::from_utf8_lossy(&resp.body)
             );
         }
+    }
+
+    /// The counts of requests that did not ask HNSW are exported beside
+    /// the other engine counters, from the first request on.
+    #[test]
+    fn metrics_list_the_hnsw_skips() {
+        let kg = Arc::new(demo_net());
+        let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
+        let reg = Registry::new();
+        let pack = ServingPack::build_with_ann(kg, Some(bundle), &EngineConfig::default(), &reg);
+        let (_, resp) = handle(&get("/search?q=outdoor+barbecue&k=1"), &pack, &reg);
+        assert_eq!(resp.status, 200);
+        let (_, resp) = handle(&get("/metrics"), &pack, &reg);
+        let body = String::from_utf8(resp.body).unwrap();
+        let doc = Json::parse(&body).expect("/metrics is JSON");
+        let counters = doc.get("counters").expect("a counters object");
+        let count = |name: &str| counters.get(name).and_then(Json::as_num);
+        assert_eq!(count("search.ann_skipped"), Some(1.0), "{body}");
+        assert_eq!(count("qa.ann_skipped"), Some(0.0), "{body}");
+        assert_eq!(count("relevance.ann_skipped"), Some(0.0), "{body}");
     }
 
     #[test]
