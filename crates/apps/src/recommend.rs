@@ -7,7 +7,7 @@ use std::sync::Arc;
 use alicoco::rank::TopK;
 use alicoco::{AliCoCo, ConceptId, ItemId, PrimitiveId};
 use alicoco_nn::util::{FxHashMap, FxHashSet};
-use alicoco_obs::{Counter, Histogram, Registry, SpanTimer};
+use alicoco_obs::{Counter, Histogram, Registry, SpanTimer, Stopwatch};
 
 use crate::retrieve::{Fusion, Retriever, ANN_EF};
 
@@ -28,6 +28,7 @@ struct RecommendMetrics {
     history_items: Arc<Counter>,
     candidates: Arc<Counter>,
     total_ns: Arc<Histogram>,
+    knn_ns: Arc<Histogram>,
 }
 
 impl RecommendMetrics {
@@ -37,6 +38,7 @@ impl RecommendMetrics {
             history_items: reg.counter("recommend.history_items"),
             candidates: reg.counter("recommend.candidates"),
             total_ns: reg.histogram("recommend.total_ns"),
+            knn_ns: reg.histogram("recommend.knn_ns"),
         }
     }
 }
@@ -159,62 +161,82 @@ impl CognitiveRecommender {
     /// Recommend concept cards for a browsing history.
     pub fn recommend(&self, history: &[ItemId]) -> Vec<Recommendation> {
         let kg = self.retriever.kg();
+        let index = self.retriever.index();
+        let ann = self.retriever.ann();
         let _span = SpanTimer::new(Arc::clone(&self.metrics.total_ns));
         self.metrics.requests.inc();
         self.metrics.history_items.add(history.len() as u64);
-        let mut votes: FxHashMap<ConceptId, f64> = FxHashMap::default();
-        let mut direct_trigger: FxHashMap<ConceptId, ItemId> = FxHashMap::default();
-        let mut shared: FxHashMap<ConceptId, FxHashSet<PrimitiveId>> = FxHashMap::default();
-        let mut vector_trigger: FxHashMap<ConceptId, ItemId> = FxHashMap::default();
+        // Every concept the history can touch, so the map never regrows.
+        let reach: usize = history
+            .iter()
+            .map(|&item| {
+                let shared = kg.item(item).primitives.iter();
+                let shared = shared.map(|&p| index.concepts_by_primitive(p).len());
+                kg.concepts_for_item(item).len() + shared.sum::<usize>() + FUSION.ann_k
+            })
+            .sum();
+        let mut votes: FxHashMap<ConceptId, Vote> =
+            FxHashMap::with_capacity_and_hasher(reach, Default::default());
+        let mut knn_ns = 0;
         for &item in history {
             for &cid in kg.concepts_for_item(item) {
-                *votes.entry(cid).or_insert(0.0) += self.cfg.direct_weight;
-                direct_trigger.entry(cid).or_insert(item);
+                let vote = votes.entry(cid).or_default();
+                vote.affinity += self.cfg.direct_weight;
+                vote.direct.get_or_insert(item);
             }
             for &p in kg.item(item).primitives {
-                for &cid in self.retriever.index().concepts_by_primitive(p) {
-                    *votes.entry(cid).or_insert(0.0) += self.cfg.shared_weight;
-                    shared.entry(cid).or_default().insert(p);
+                for &cid in index.concepts_by_primitive(p) {
+                    let vote = votes.entry(cid).or_default();
+                    vote.affinity += self.cfg.shared_weight;
+                    vote.shared = true;
                 }
             }
-            if let Some(bundle) = self.retriever.ann() {
+            if let Some(bundle) = ann {
                 // The viewed item's stored embedding votes for its nearest
                 // concepts; zero-or-negative cosines never vote, so a
                 // zero-vector item (all-unknown title) adds nothing.
                 let qv = bundle.items().vector(item.index() as u32);
-                for (id, cos) in bundle.concepts().knn(qv, FUSION.ann_k, ANN_EF) {
-                    if cos > 0.0 {
-                        let cid = ConceptId::from_index(id as usize);
-                        *votes.entry(cid).or_insert(0.0) += FUSION.vector_weight * f64::from(cos);
-                        vector_trigger.entry(cid).or_insert(item);
-                    }
+                let watch = Stopwatch::start();
+                let near = bundle.concepts().knn(qv, FUSION.ann_k, ANN_EF);
+                knn_ns += watch.elapsed_ns();
+                for (id, cos) in near.into_iter().filter(|&(_, cos)| cos > 0.0) {
+                    let vote = votes.entry(ConceptId::from_index(id as usize)).or_default();
+                    vote.affinity += FUSION.vector_weight * f64::from(cos);
+                    vote.similar.get_or_insert(item);
                 }
             }
         }
         self.metrics.candidates.add(votes.len() as u64);
-        let mut top = TopK::new(self.cfg.k);
-        for (cid, v) in votes {
-            top.push(cid, v);
+        if ann.is_some() && !history.is_empty() {
+            self.metrics.knn_ns.record(knn_ns);
         }
-        let ranked = top.into_sorted_vec();
+        let mut top = TopK::new(self.cfg.k);
+        for (&cid, vote) in &votes {
+            top.push(cid, vote.affinity);
+        }
         let viewed: FxHashSet<ItemId> = history.iter().copied().collect();
-        ranked
+        top.into_sorted_vec()
             .into_iter()
             .map(|(cid, affinity)| {
                 // Reason preference mirrors evidence strength: a direct
                 // link beats shared primitives beats vector proximity.
-                let reason = match (direct_trigger.get(&cid), shared.get(&cid)) {
-                    (Some(&item), _) => Reason::ViewedItem { item },
-                    (None, Some(s)) if !s.is_empty() => {
-                        let mut prims: Vec<PrimitiveId> = s.iter().copied().collect();
-                        prims.sort();
-                        Reason::SharedNeed { primitives: prims }
+                let vote = votes.get(&cid).copied().unwrap_or_default();
+                let reason = match (vote.direct, vote.shared, vote.similar) {
+                    (Some(item), _, _) => Reason::ViewedItem { item },
+                    (None, true, _) => {
+                        // `c` is in `concepts_by_primitive(p)` exactly when
+                        // `p` is one of `c`'s primitives, so these are the
+                        // primitives that voted for it.
+                        let mut primitives = kg.concept(cid).primitives.to_vec();
+                        primitives
+                            .retain(|p| viewed.iter().any(|&i| kg.item(i).primitives.contains(p)));
+                        primitives.sort_unstable();
+                        primitives.dedup();
+                        Reason::SharedNeed { primitives }
                     }
-                    _ => match vector_trigger.get(&cid) {
-                        Some(&item) => Reason::SimilarIntent { item },
-                        None => Reason::SharedNeed {
-                            primitives: Vec::new(),
-                        },
+                    (None, false, Some(item)) => Reason::SimilarIntent { item },
+                    (None, false, None) => Reason::SharedNeed {
+                        primitives: Vec::new(),
                     },
                 };
                 // Novelty (§8.2.1): never re-show viewed items.
@@ -234,6 +256,20 @@ impl CognitiveRecommender {
             })
             .collect()
     }
+}
+
+/// One touched concept's evidence, folded as the history is read. Its
+/// affinity adds the contributions in history order (per viewed item:
+/// direct links, then shared primitives, then vector votes).
+#[derive(Clone, Copy, Debug, Default)]
+struct Vote {
+    affinity: f64,
+    /// The first viewed item linked to the concept.
+    direct: Option<ItemId>,
+    /// Whether a viewed item shares a primitive with the concept.
+    shared: bool,
+    /// The first viewed item whose embedding voted for the concept.
+    similar: Option<ItemId>,
 }
 
 #[cfg(test)]
@@ -319,6 +355,8 @@ mod tests {
         assert_eq!(reg.counter("recommend.history_items").get(), 1);
         assert_eq!(reg.counter("recommend.candidates").get(), 1);
         assert_eq!(reg.histogram("recommend.total_ns").count(), 2);
+        // A lexical retriever never asks HNSW.
+        assert_eq!(reg.histogram("recommend.knn_ns").count(), 0);
     }
 
     /// Hybrid retrieval: an item with no concept link and no primitive can

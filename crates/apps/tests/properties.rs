@@ -9,7 +9,7 @@
 //! blocks and the page's k-th score prunes, they must still agree.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 use alicoco::query::ConceptMatch;
@@ -17,8 +17,9 @@ use alicoco::rank::by_score_then_id;
 use alicoco::{AliCoCo, ConceptId, ItemId, PrimitiveId};
 use alicoco_ann::{AnnBundle, Hnsw, HnswConfig, TokenTable};
 use alicoco_apps::qa::ScenarioQa;
+use alicoco_apps::recommend::{CognitiveRecommender, Reason, RecommendConfig, Recommendation};
 use alicoco_apps::relevance::RelevanceScorer;
-use alicoco_apps::retrieve::{Fusion, Proposals, Retriever};
+use alicoco_apps::retrieve::{Fusion, Proposals, Retriever, ANN_EF};
 use alicoco_apps::search::{self, SearchConfig, SemanticSearch};
 use alicoco_corpus::scale::{scale_vocab, scale_world};
 use alicoco_obs::Registry;
@@ -285,6 +286,126 @@ fn relevance_scan(
     all.sort_by(by_score_then_id);
     all.truncate(k);
     all
+}
+
+/// The recommender's vector-vote constants (its `FUSION`): weight of
+/// `max(0, cos)` and neighbours asked per viewed item.
+const RECOMMEND_VECTOR_WEIGHT: f64 = 0.1;
+const RECOMMEND_ANN_K: usize = 8;
+
+/// A small world for the recommender: `spec`'s, plus item–primitive
+/// links, plus concept 0 reached from item 0 by a direct link and by a
+/// shared primitive.
+fn build_recommend_world(spec: &WorldSpec, item_prims: &[(u8, u8)]) -> AliCoCo {
+    let mut kg = build_world(spec);
+    let (n_items, n_prims) = (kg.num_items(), kg.num_primitives());
+    for &(i, p) in item_prims {
+        kg.link_item_primitive(
+            ItemId::from_index(i as usize % n_items),
+            PrimitiveId::from_index(p as usize % n_prims),
+        );
+    }
+    let (c0, i0, p0) = (
+        ConceptId::from_index(0),
+        ItemId::from_index(0),
+        PrimitiveId::from_index(0),
+    );
+    kg.link_concept_item(c0, i0, 0.5);
+    kg.link_concept_primitive(c0, p0);
+    kg.link_item_primitive(i0, p0);
+    kg
+}
+
+/// Seeded random 4-d vectors for every concept and item, item 0's a copy
+/// of concept 0's, so item 0's nearest concept is concept 0.
+fn recommend_bundle(kg: &AliCoCo, seed: u64) -> AnnBundle {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut vector = || -> Vec<f32> { (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
+    let tokens = TokenTable::new(4, VOCAB.iter().map(|w| (w.to_string(), vector())));
+    let concept_vectors: Vec<Vec<f32>> = (0..kg.num_concepts()).map(|_| vector()).collect();
+    let mut concepts = Hnsw::new(4, HnswConfig::default());
+    for v in &concept_vectors {
+        concepts.insert(v);
+    }
+    let mut items = Hnsw::new(4, HnswConfig::default());
+    items.insert(&concept_vectors[0]);
+    for _ in 1..kg.num_items() {
+        items.insert(&vector());
+    }
+    AnnBundle::new(tokens, concepts, items)
+}
+
+/// Recommend's scan oracle, the voting the engine replaced: one map per
+/// kind of evidence (a vote sum, a first direct-trigger item, the set of
+/// shared primitives, a first vector-trigger item) filled as the history
+/// is read, then every touched concept sorted. Returns the cards, the
+/// number of touched concepts, and the concepts each kind reached.
+fn recommend_scan(
+    retriever: &Retriever,
+    cfg: RecommendConfig,
+    history: &[ItemId],
+) -> (Vec<Recommendation>, usize, [BTreeSet<ConceptId>; 3]) {
+    let kg = retriever.kg();
+    let mut votes: BTreeMap<ConceptId, f64> = BTreeMap::new();
+    let mut direct: BTreeMap<ConceptId, ItemId> = BTreeMap::new();
+    let mut shared: BTreeMap<ConceptId, BTreeSet<PrimitiveId>> = BTreeMap::new();
+    let mut vector: BTreeMap<ConceptId, ItemId> = BTreeMap::new();
+    for &item in history {
+        for &c in kg.concepts_for_item(item) {
+            *votes.entry(c).or_insert(0.0) += cfg.direct_weight;
+            direct.entry(c).or_insert(item);
+        }
+        for &p in kg.item(item).primitives {
+            for &c in retriever.index().concepts_by_primitive(p) {
+                *votes.entry(c).or_insert(0.0) += cfg.shared_weight;
+                shared.entry(c).or_default().insert(p);
+            }
+        }
+        if let Some(bundle) = retriever.ann() {
+            let qv = bundle.items().vector(item.index() as u32);
+            for (id, cos) in bundle.concepts().knn(qv, RECOMMEND_ANN_K, ANN_EF) {
+                if cos > 0.0 {
+                    let c = ConceptId::from_index(id as usize);
+                    *votes.entry(c).or_insert(0.0) += RECOMMEND_VECTOR_WEIGHT * f64::from(cos);
+                    vector.entry(c).or_insert(item);
+                }
+            }
+        }
+    }
+    let mut ranked: Vec<(ConceptId, f64)> = votes.iter().map(|(&c, &v)| (c, v)).collect();
+    ranked.sort_by(by_score_then_id);
+    ranked.truncate(cfg.k);
+    let cards = ranked
+        .into_iter()
+        .map(|(c, affinity)| {
+            let reason = match (direct.get(&c), shared.get(&c), vector.get(&c)) {
+                (Some(&item), _, _) => Reason::ViewedItem { item },
+                (None, Some(s), _) => Reason::SharedNeed {
+                    primitives: s.iter().copied().collect(),
+                },
+                (None, None, Some(&item)) => Reason::SimilarIntent { item },
+                (None, None, None) => Reason::SharedNeed {
+                    primitives: Vec::new(),
+                },
+            };
+            let items = kg
+                .items_for_concept(c)
+                .into_iter()
+                .filter(|(i, _)| !history.contains(i))
+                .take(cfg.items_per_card)
+                .collect();
+            Recommendation {
+                concept: c,
+                name: kg.concept(c).name.to_string(),
+                affinity,
+                reason,
+                items,
+            }
+        })
+        .collect();
+    let [direct, vector] = [direct, vector].map(|m| m.into_keys().collect());
+    let shared = shared.into_keys().collect();
+    (cards, votes.len(), [direct, shared, vector])
 }
 
 /// The 120k-concept scale world and engines over it, built once per test
@@ -725,6 +846,59 @@ proptest! {
             let expanded = scorer.expand_query(&words);
             let scan = relevance_scan(&scorer, &expanded, |i| scorer.score_expanded(&words, i), k);
             prop_assert_eq!(scorer.top_items_expanded(&words, k), scan, "hybrid {}", hybrid);
+        }
+    }
+
+    /// The recommender's one accumulator and page-only reasons give the
+    /// cards of the map-of-sets scan — concept, affinity bit for bit,
+    /// reason and items — and count the same touched concepts, lexically
+    /// and on a hybrid retriever. Each world is asked with an empty
+    /// history, a random one, that one twice over (every item repeated),
+    /// and one that reaches concept 0 by a direct link, a shared primitive
+    /// and (hybrid) its vector.
+    #[test]
+    fn recommend_equals_the_map_of_sets_scan(
+        spec in world_strategy(),
+        item_prims in prop::collection::vec((0u8..10, 0u8..10), 0..16),
+        history in prop::collection::vec(0u8..10, 0..6),
+        k in 1usize..16,
+        items_per_card in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let kg = Arc::new(build_recommend_world(&spec, &item_prims));
+        let history: Vec<ItemId> = history
+            .iter()
+            .map(|&i| ItemId::from_index(i as usize % kg.num_items()))
+            .collect();
+        let twice = [history.clone(), history.clone()].concat();
+        let with_item_0 = [vec![ItemId::from_index(0)], history.clone()].concat();
+        let cfg = RecommendConfig { k, items_per_card, ..RecommendConfig::default() };
+        let bundle = Arc::new(recommend_bundle(&kg, seed));
+        for ann in [None, Some(bundle)] {
+            let hybrid = ann.is_some();
+            let retriever = Retriever::new(Arc::clone(&kg), ann);
+            let reg = Registry::new();
+            let engine = CognitiveRecommender::new(Arc::clone(&retriever), cfg, &reg);
+            for history in [&[][..], &history, &twice, &with_item_0] {
+                let before = reg.counter("recommend.candidates").get();
+                let got = engine.recommend(history);
+                let touched = reg.counter("recommend.candidates").get() - before;
+                let (want, candidates, reached) = recommend_scan(&retriever, cfg, history);
+                prop_assert_eq!(touched, candidates as u64, "hybrid {} {:?}", hybrid, history);
+                prop_assert_eq!(got.len(), want.len(), "hybrid {} {:?}", hybrid, history);
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert_eq!(g.concept, w.concept, "hybrid {} {:?}", hybrid, history);
+                    prop_assert_eq!(g.affinity.to_bits(), w.affinity.to_bits());
+                    prop_assert_eq!(&g.reason, &w.reason, "hybrid {} {:?}", hybrid, history);
+                    prop_assert_eq!(&g.items, &w.items, "hybrid {} {:?}", hybrid, history);
+                    prop_assert_eq!(&g.name, &w.name);
+                }
+                if history == with_item_0.as_slice() {
+                    let c0 = ConceptId::from_index(0);
+                    let by = reached.iter().filter(|r| r.contains(&c0)).count();
+                    prop_assert_eq!(by, if hybrid { 3 } else { 2 }, "{:?}", history);
+                }
+            }
         }
     }
 }

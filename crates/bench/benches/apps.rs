@@ -87,6 +87,15 @@ fn bench_apps() {
     report("apps/recommend_3_item_history", 1000, || {
         recommender.recommend(black_box(&history))
     });
+    let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
+    let hybrid = CognitiveRecommender::new(
+        Retriever::new(Arc::clone(&kg), Some(bundle)),
+        RecommendConfig::default(),
+        &reg,
+    );
+    report("apps/recommend_3_item_history_hybrid", 1000, || {
+        hybrid.recommend(black_box(&history))
+    });
     report("apps/recommender_index_build", 10, || {
         let retriever = Retriever::new(Arc::clone(&kg), None);
         CognitiveRecommender::new(retriever, RecommendConfig::default(), &reg)

@@ -311,15 +311,21 @@ mod tests {
     }
 
     /// The counts of requests that did not ask HNSW are exported beside
-    /// the other engine counters, from the first request on.
+    /// the other engine counters, from the first request on; so is the
+    /// HNSW share of `/recommend`, one sample per request that asked.
     #[test]
     fn metrics_list_the_hnsw_skips() {
         let kg = Arc::new(demo_net());
         let bundle = Arc::new(alicoco_ann::build_default_bundle(&kg));
         let reg = Registry::new();
         let pack = ServingPack::build_with_ann(kg, Some(bundle), &EngineConfig::default(), &reg);
-        let (_, resp) = handle(&get("/search?q=outdoor+barbecue&k=1"), &pack, &reg);
-        assert_eq!(resp.status, 200);
+        for target in [
+            "/search?q=outdoor+barbecue&k=1",
+            "/recommend?history=0,1",
+            "/recommend",
+        ] {
+            assert_eq!(handle(&get(target), &pack, &reg).1.status, 200, "{target}");
+        }
         let (_, resp) = handle(&get("/metrics"), &pack, &reg);
         let body = String::from_utf8(resp.body).unwrap();
         let doc = Json::parse(&body).expect("/metrics is JSON");
@@ -328,6 +334,13 @@ mod tests {
         assert_eq!(count("search.ann_skipped"), Some(1.0), "{body}");
         assert_eq!(count("qa.ann_skipped"), Some(0.0), "{body}");
         assert_eq!(count("relevance.ann_skipped"), Some(0.0), "{body}");
+        let histograms = doc.get("histograms").expect("a histograms object");
+        let samples = |name: &str| {
+            let hist = histograms.get(name);
+            hist.and_then(|h| h.get("count")).and_then(Json::as_num)
+        };
+        assert_eq!(samples("recommend.total_ns"), Some(2.0), "{body}");
+        assert_eq!(samples("recommend.knn_ns"), Some(1.0), "{body}");
     }
 
     #[test]
