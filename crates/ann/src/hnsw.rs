@@ -226,9 +226,28 @@ pub fn normalize(v: &mut [f32]) {
     }
 }
 
-/// Dot product over the common prefix of two slices.
+/// The f32 accumulators of [`dot`].
+const LANES: usize = 4;
+
+/// Dot product over the common prefix of two slices. Term `i` is added
+/// into lane `i mod LANES`, in index order, and the lanes are then summed
+/// in lane order: one fixed order on every machine, and one the compiler
+/// keeps in a vector register. A prefix of at most `LANES` terms sums as
+/// a plain left-to-right loop.
 fn dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    let n = a.len().min(b.len());
+    let (a, a_tail) = a.get(..n).unwrap_or_default().as_chunks::<LANES>();
+    let (b, b_tail) = b.get(..n).unwrap_or_default().as_chunks::<LANES>();
+    let mut lanes = [0.0f32; LANES];
+    for (x, y) in a.iter().zip(b) {
+        for ((lane, x), y) in lanes.iter_mut().zip(x).zip(y) {
+            *lane += x * y;
+        }
+    }
+    for ((lane, x), y) in lanes.iter_mut().zip(a_tail).zip(b_tail) {
+        *lane += x * y;
+    }
+    lanes.iter().sum()
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -1051,6 +1070,25 @@ mod tests {
             let mut bytes = Vec::new();
             h.encode(&mut bytes);
             proptest::prop_assert_eq!(Hnsw::decode(&bytes).unwrap(), h);
+        }
+
+        /// Whatever the lanes, `dot` rounds each product once and adds it
+        /// at most `d − 1` times, so it is within `γ_d·Σ|aᵢbᵢ|` of the exact
+        /// dot product of the common prefix (`d` terms, `u = 2⁻²⁴`),
+        /// computed here in f64, where each product is exact. Lengths
+        /// give every tail and many full chunks, and rarely agree.
+        #[test]
+        fn dot_is_within_the_summation_bound(
+            a in proptest::collection::vec(-4.0f32..4.0, 0..=70),
+            b in proptest::collection::vec(-4.0f32..4.0, 0..=70),
+        ) {
+            let terms: Vec<f64> = a.iter().zip(&b).map(|(&x, &y)| f64::from(x) * f64::from(y)).collect();
+            let d = terms.len() as f64;
+            let u = f64::from(f32::EPSILON) / 2.0;
+            let bound = d * u / (1.0 - d * u) * terms.iter().map(|t| t.abs()).sum::<f64>();
+            let error = (f64::from(dot(&a, &b)) - terms.iter().sum::<f64>()).abs();
+            proptest::prop_assert!(error <= bound, "error {} > bound {}", error, bound);
+            proptest::prop_assert_eq!(dot(&a, &b).to_bits(), dot(&b, &a).to_bits());
         }
     }
 

@@ -34,7 +34,10 @@ pub const ANN_EF: usize = 64;
 /// `γ_d = d·u / (1 − d·u)`, the sum of squares is off by at most a factor
 /// `1 ± γ_d`, the square root and each division by `1 ± u`, so each norm
 /// is at most `1 + γ_d/2 + 2u` to first order. The `f32` dot product of
-/// `d` terms is within `γ_d · Σ|aᵢbᵢ| ≤ γ_d‖a‖‖b‖` of the exact one.
+/// `d` terms is within `γ_d · Σ|aᵢbᵢ| ≤ γ_d‖a‖‖b‖` of the exact one in
+/// any summation order (each product is rounded once and added at most
+/// `d − 1` times), so it holds for `sim_to`'s lane-chunked sum as for a
+/// sequential one.
 /// Together `sim_to ≤ 1 + 2γ_d + 4u ≈ 1 + (2d + 4)·2⁻²⁴`: at the stored
 /// dimension of 32 that is `1 + 4·10⁻⁶`, and the excess stays under
 /// `2⁻¹⁰` up to [`COS_CEIL_MAX_DIM`] (the widest the snapshot decoder
@@ -462,5 +465,32 @@ impl Retriever {
             )
         };
         (fused, floor.blocks_skipped())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alicoco_ann::{Hnsw, HnswConfig};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A stored vector's similarity to itself, both normalised as
+        /// `Hnsw::insert` normalises them, never exceeds `COS_CEIL`, at
+        /// every dimension up to 64 and at any scale.
+        #[test]
+        fn self_similarity_is_under_the_cosine_ceiling(
+            dim in 1usize..=64,
+            raw in prop::collection::vec(-1.0f32..1.0, 64),
+            exponent in -30i32..30,
+        ) {
+            let v: Vec<f32> = raw.iter().take(dim).map(|x| x * 2f32.powi(exponent)).collect();
+            let mut index = Hnsw::new(dim, HnswConfig::default());
+            index.insert(&v);
+            let cos = index.sim_to(0, index.vector(0));
+            prop_assert!(f64::from(cos) <= COS_CEIL, "dim {}: {}", dim, cos);
+        }
     }
 }
