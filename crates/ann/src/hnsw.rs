@@ -226,15 +226,13 @@ pub fn normalize(v: &mut [f32]) {
     }
 }
 
-/// The f32 accumulators of [`dot`].
-const LANES: usize = 4;
-
 /// Dot product over the common prefix of two slices. Term `i` is added
-/// into lane `i mod LANES`, in index order, and the lanes are then summed
+/// into f32 lane `i mod 4`, in index order, and the lanes are then summed
 /// in lane order: one fixed order on every machine, and one the compiler
-/// keeps in a vector register. A prefix of at most `LANES` terms sums as
-/// a plain left-to-right loop.
+/// keeps in a vector register. A prefix of at most four terms sums as a
+/// plain left-to-right loop.
 fn dot(a: &[f32], b: &[f32]) -> f32 {
+    const LANES: usize = 4;
     let n = a.len().min(b.len());
     let (a, a_tail) = a.get(..n).unwrap_or_default().as_chunks::<LANES>();
     let (b, b_tail) = b.get(..n).unwrap_or_default().as_chunks::<LANES>();

@@ -166,15 +166,11 @@ impl CognitiveRecommender {
         let _span = SpanTimer::new(Arc::clone(&self.metrics.total_ns));
         self.metrics.requests.inc();
         self.metrics.history_items.add(history.len() as u64);
-        // Every concept the history can touch, so the map never regrows.
-        let reach: usize = history
-            .iter()
-            .map(|&item| {
-                let shared = kg.item(item).primitives.iter();
-                let shared = shared.map(|&p| index.concepts_by_primitive(p).len());
-                kg.concepts_for_item(item).len() + shared.sum::<usize>() + FUSION.ann_k
-            })
-            .sum();
+        // Room for every vote the history can cast, so the map never grows.
+        let linked = history.iter().map(|&i| kg.concepts_for_item(i).len());
+        let shared = history.iter().flat_map(|&i| kg.item(i).primitives);
+        let shared = shared.map(|&p| index.concepts_by_primitive(p).len());
+        let reach = linked.sum::<usize>() + shared.sum::<usize>() + history.len() * FUSION.ann_k;
         let mut votes: FxHashMap<ConceptId, Vote> =
             FxHashMap::with_capacity_and_hasher(reach, Default::default());
         let mut knn_ns = 0;
@@ -224,9 +220,8 @@ impl CognitiveRecommender {
                 let reason = match (vote.direct, vote.shared, vote.similar) {
                     (Some(item), _, _) => Reason::ViewedItem { item },
                     (None, true, _) => {
-                        // `c` is in `concepts_by_primitive(p)` exactly when
-                        // `p` is one of `c`'s primitives, so these are the
-                        // primitives that voted for it.
+                        // `c ∈ concepts_by_primitive(p)` ⇔ `p` is one of
+                        // `c`'s primitives: these are the ones that voted.
                         let mut primitives = kg.concept(cid).primitives.to_vec();
                         primitives
                             .retain(|p| viewed.iter().any(|&i| kg.item(i).primitives.contains(p)));
@@ -235,9 +230,7 @@ impl CognitiveRecommender {
                         Reason::SharedNeed { primitives }
                     }
                     (None, false, Some(item)) => Reason::SimilarIntent { item },
-                    (None, false, None) => Reason::SharedNeed {
-                        primitives: Vec::new(),
-                    },
+                    (None, false, None) => Reason::SharedNeed { primitives: vec![] },
                 };
                 // Novelty (§8.2.1): never re-show viewed items.
                 let items: Vec<(ItemId, f32)> = kg
@@ -258,17 +251,16 @@ impl CognitiveRecommender {
     }
 }
 
-/// One touched concept's evidence, folded as the history is read. Its
-/// affinity adds the contributions in history order (per viewed item:
-/// direct links, then shared primitives, then vector votes).
+/// One touched concept's evidence, folded as the history is read: its
+/// affinity (the contributions added in history order — per viewed item,
+/// direct links, then shared primitives, then vector votes), the first
+/// viewed item linked to it, whether a viewed item shares a primitive
+/// with it, and the first viewed item whose embedding voted for it.
 #[derive(Clone, Copy, Debug, Default)]
 struct Vote {
     affinity: f64,
-    /// The first viewed item linked to the concept.
     direct: Option<ItemId>,
-    /// Whether a viewed item shares a primitive with the concept.
     shared: bool,
-    /// The first viewed item whose embedding voted for the concept.
     similar: Option<ItemId>,
 }
 

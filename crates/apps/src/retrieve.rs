@@ -34,10 +34,8 @@ pub const ANN_EF: usize = 64;
 /// `γ_d = d·u / (1 − d·u)`, the sum of squares is off by at most a factor
 /// `1 ± γ_d`, the square root and each division by `1 ± u`, so each norm
 /// is at most `1 + γ_d/2 + 2u` to first order. The `f32` dot product of
-/// `d` terms is within `γ_d · Σ|aᵢbᵢ| ≤ γ_d‖a‖‖b‖` of the exact one in
-/// any summation order (each product is rounded once and added at most
-/// `d − 1` times), so it holds for `sim_to`'s lane-chunked sum as for a
-/// sequential one.
+/// `d` terms, summed in any order (`sim_to` sums in lanes), is within
+/// `γ_d · Σ|aᵢbᵢ| ≤ γ_d‖a‖‖b‖` of the exact one.
 /// Together `sim_to ≤ 1 + 2γ_d + 4u ≈ 1 + (2d + 4)·2⁻²⁴`: at the stored
 /// dimension of 32 that is `1 + 4·10⁻⁶`, and the excess stays under
 /// `2⁻¹⁰` up to [`COS_CEIL_MAX_DIM`] (the widest the snapshot decoder
