@@ -144,6 +144,8 @@ pub struct Fused {
 pub struct Walked {
     /// Entries on the merged posting lists, read or not.
     pub postings: usize,
+    /// Windows the pruned merge evaluated, whether stepped over or opened.
+    pub windows: usize,
     /// Times a list stepped over part of a block without reading it.
     pub blocks_skipped: usize,
 }
@@ -231,11 +233,13 @@ impl Retriever {
     }
 
     /// [`fuse`](Self::fuse), given a `floor` and the largest bonus `score`
-    /// can be handed: once the page is full, `floor` holds its k-th score
-    /// for the `lexical` stream to prune against, and a candidate whose
-    /// score with that bonus is strictly below it is dropped without its
-    /// `sim_to`. For a `score` that never falls as its bonus rises, whose
-    /// true score can then only be lower.
+    /// can be handed: once the page is full, `floor` holds the least score
+    /// above its k-th for the `lexical` stream to prune against, and a
+    /// candidate whose score with that bonus is strictly below the k-th is
+    /// dropped without its `sim_to`. For a `score` that never falls as its
+    /// bonus rises, whose true score can then only be lower, and a stream
+    /// that ascends in slot order: [`TopK`] ranks a tie by the lower slot,
+    /// so a later candidate that only ties the k-th cannot enter.
     #[allow(clippy::too_many_arguments)]
     fn fuse_above<L: Copy>(
         &self,
@@ -302,7 +306,8 @@ impl Retriever {
                 if let Some((floor, _)) = floor.filter(|_| score > kth) {
                     if let Some(top) = fused.top.threshold() {
                         kth = top;
-                        floor.raise(top);
+                        // The stream ascends: a tie with `top` comes too late.
+                        floor.raise(top.next_up());
                     }
                 }
             }
@@ -370,7 +375,7 @@ impl Retriever {
         let postings = matches.postings();
         // Both halves of the pruning have a fixed cost: a short merge with
         // no vectors to rescore stays the plain fusion, inline.
-        let (fused, blocks_skipped) =
+        let (fused, (windows, blocks_skipped)) =
             match bonus_ceiling.filter(|_| vectors || matches.worth_pruning()) {
                 None => {
                     let lexical = matches.map(|m| (m.concept.index() as u32, m));
@@ -378,12 +383,13 @@ impl Retriever {
                     // Here vectors take no part, or no bound holds.
                     let side = AnnBundle::concepts;
                     let fused = self.fuse(lexical, side, qvec, fusion, k, None, score);
-                    (fused, 0)
+                    (fused, (0, 0))
                 }
                 Some(bonus) => self.fuse_pruned(matches, qvec, weights, fusion, k, bonus),
             };
         let walked = Walked {
             postings,
+            windows,
             blocks_skipped,
         };
         (fused, walked)
@@ -415,7 +421,8 @@ impl Retriever {
     /// largest vector bonus: the merge skips blocks when it is long enough
     /// to pay, and the fusion skips `sim_to`s and, when the page cannot
     /// change, the proposals. Out of line, so the plain fusion beside it
-    /// stays as small as it was. Returns the fusion and the blocks skipped.
+    /// stays as small as it was. Returns the fusion, and the windows the
+    /// merge evaluated and the blocks it skipped.
     #[inline(never)]
     fn fuse_pruned(
         &self,
@@ -425,7 +432,7 @@ impl Retriever {
         fusion: Fusion,
         k: usize,
         bonus_ceiling: f64,
-    ) -> (Fused, usize) {
+    ) -> (Fused, (usize, usize)) {
         let floor = Floor::default();
         let ceiling = |c: Ceiling| {
             let (hits, prims) = (c.surface_hits, c.primitive_hits);
@@ -462,7 +469,7 @@ impl Retriever {
                 score,
             )
         };
-        (fused, floor.blocks_skipped())
+        (fused, (floor.windows(), floor.blocks_skipped()))
     }
 }
 

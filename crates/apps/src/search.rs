@@ -49,6 +49,7 @@ struct SearchMetrics {
     requests: Arc<Counter>,
     candidates_examined: Arc<Counter>,
     postings_hit: Arc<Counter>,
+    windows: Arc<Counter>,
     blocks_skipped: Arc<Counter>,
     ann_candidates: Arc<Counter>,
     ann_skipped: Arc<Counter>,
@@ -63,6 +64,7 @@ impl SearchMetrics {
             requests: reg.counter("search.requests"),
             candidates_examined: reg.counter("search.candidates_examined"),
             postings_hit: reg.counter("search.postings_hit"),
+            windows: reg.counter("search.windows"),
             blocks_skipped: reg.counter("search.blocks_skipped"),
             ann_candidates: reg.counter("search.ann_candidates"),
             ann_skipped: reg.counter("search.ann_skipped"),
@@ -184,6 +186,7 @@ impl SemanticSearch {
         );
         m.requests.inc();
         m.postings_hit.add(walked.postings as u64);
+        m.windows.add(walked.windows as u64);
         m.blocks_skipped.add(walked.blocks_skipped as u64);
         m.ann_candidates.add(fused.proposed as u64);
         if fused.proposals == Proposals::Skipped {

@@ -178,7 +178,7 @@ fn bench_search_at_scale() {
 /// The same gate where the page's k-th score prunes: on a 120k-concept
 /// world the query words' posting lists span dozens of blocks, and a page
 /// of ten skips most of them. Prints the candidates scored against the
-/// posting entries on the merged lists.
+/// posting entries on the merged lists, and the windows the merge took.
 fn pruned_search_equals_scan_at_120k(queries: &[String]) {
     let kg = Arc::new(scale_world(120_000));
     let reg = Registry::new();
@@ -196,9 +196,10 @@ fn pruned_search_equals_scan_at_120k(queries: &[String]) {
     }
     let count = |name| reg.counter(name).get() as f64 / queries.len() as f64;
     println!(
-        "scale/pruning_120k: {:.0} candidates scored of {:.0} posting entries per query, {:.0} block runs skipped",
+        "scale/pruning_120k: {:.0} candidates scored of {:.0} posting entries per query, {:.0} windows, {:.0} block runs skipped",
         count("search.candidates_examined"),
         count("search.postings_hit"),
+        count("search.windows"),
         count("search.blocks_skipped"),
     );
     assert!(count("search.blocks_skipped") > 0.0, "nothing was skipped");

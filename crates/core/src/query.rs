@@ -11,9 +11,10 @@
 //! lexical scorer needs nothing but integers (DESIGN.md §13).
 //!
 //! Each list is also summarised in blocks of [`BLOCK`] entries — the most
-//! any entry of the block can contribute — so a merge told the page's
-//! current k-th score steps over runs of blocks whose best possible score
-//! is strictly below it, reading none of their facts (DESIGN.md §13.6).
+//! any entry of the block can contribute — and again in runs of [`RUN`]
+//! blocks, so a merge told the page's current k-th score steps over runs
+//! of blocks whose best possible score is strictly below it, reading none
+//! of their facts (DESIGN.md §13.6).
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -47,15 +48,23 @@ const MAX_SURFACE_LEN: usize = (u8::MAX >> 1) as usize;
 /// concept-byte reads.
 const BLOCK: usize = 64;
 
-/// Fewest posting entries for which pruning a merge pays (see
-/// [`ConceptMatches::worth_pruning`]): on the 50k world, whose two-word
-/// queries merge at most ~900 entries, pruning made search ~1.2× slower.
+/// Blocks per *run*, the second summary level: a run's summary folds its
+/// blocks' summaries as theirs fold their entries, so one bound covers up
+/// to `RUN · BLOCK` = 1 024 entries of a list.
+const RUN: usize = 16;
+const RUN_ENTRIES: usize = RUN * BLOCK;
+
+/// Fewest posting entries a merge is pruned from (see
+/// [`ConceptMatches::worth_pruning`]). The 50k world's two-word queries
+/// merge at most ~900 entries and stay plain; pruning them measured
+/// faster in process (DESIGN.md §13.6), but the workloads that would move
+/// have not been measured end to end.
 const MIN_PRUNED_POSTINGS: usize = 16 * BLOCK;
 
 /// One token's concept posting list, borrowed from the index's arenas:
 /// strictly ascending ids and, aligned with them, the fact byte of each
-/// `(token, concept)` entry. `blocks` summarises each run of [`BLOCK`]
-/// entries.
+/// `(token, concept)` entry. `blocks` summarises each [`BLOCK`] entries,
+/// then each [`RUN`] of those blocks.
 #[derive(Clone, Copy)]
 struct ConceptPostings<'a> {
     ids: &'a [ConceptId],
@@ -103,6 +112,28 @@ impl BlockMax {
             fact: (primitives << 1) | surface,
             concept: (shortest << 1) | stocked,
         })
+    }
+
+    /// The summary of this block and `next`, the one after it: every
+    /// maximum and extreme of either, so it bounds each entry of both.
+    fn fold(self, next: BlockMax) -> BlockMax {
+        let primitives = (self.fact >> 1).max(next.fact >> 1);
+        let shortest = (self.concept >> 1).min(next.concept >> 1);
+        BlockMax {
+            last: next.last,
+            fact: (primitives << 1) | ((self.fact | next.fact) & SURFACE),
+            concept: (shortest << 1) | ((self.concept | next.concept) & STOCKED),
+        }
+    }
+
+    /// The most the summarised entries can give one concept.
+    fn ceiling(&self) -> Ceiling {
+        Ceiling {
+            surface_hits: u32::from(self.fact & SURFACE),
+            primitive_hits: u32::from(self.fact >> 1),
+            surface_len: usize::from(self.concept >> 1),
+            stocked: self.concept & STOCKED != 0,
+        }
     }
 }
 
@@ -236,7 +267,8 @@ pub struct QueryIndex {
     concepts_by_token: Csr<ConceptId>,
     /// The fact byte of each `concepts_by_token` entry, at its offset.
     entry_facts: Vec<u8>,
-    /// Per token, the summaries of its concept list's blocks.
+    /// Per token, the summaries of its concept list's blocks, then of its
+    /// runs of blocks.
     blocks: Csr<BlockMax>,
     items_by_token: Csr<ItemId>,
     /// Indexed by primitive id.
@@ -385,7 +417,10 @@ impl QueryIndex {
 
         let per_list: Vec<u32> = per_token
             .iter()
-            .map(|&n| n.div_ceil(BLOCK as u32))
+            .map(|&n| {
+                let blocks = n.div_ceil(BLOCK as u32);
+                blocks + blocks.div_ceil(RUN as u32)
+            })
             .collect();
         let (mut blocks, mut next) = Csr::sized(&per_list, BlockMax::EMPTY);
         for slot in 0..per_token.len() {
@@ -395,6 +430,15 @@ impl QueryIndex {
             for (ids, facts) in ids.chunks(BLOCK).zip(facts.chunks(BLOCK)) {
                 if let Some(block) = BlockMax::of(ids, facts, &concept_facts) {
                     blocks.fill(&mut next, slot, block);
+                }
+            }
+            // The list's block summaries are in place: fold each run of them.
+            let start = blocks.range(slot).start;
+            let end = start + ids.len().div_ceil(BLOCK);
+            for run in (start..end).step_by(RUN) {
+                let run = blocks.values.get(run..end.min(run + RUN)).unwrap_or(&[]);
+                if let Some(run) = run.iter().copied().reduce(BlockMax::fold) {
+                    blocks.fill(&mut next, slot, run);
                 }
             }
         }
@@ -597,6 +641,11 @@ impl<'a> Cursor<'a> {
         self.advance(BLOCK - self.at() % BLOCK);
     }
 
+    /// Step over what is left of the head run.
+    fn skip_run(&mut self) {
+        self.advance(RUN_ENTRIES - self.at() % RUN_ENTRIES);
+    }
+
     /// Step over `n` entries.
     fn advance(&mut self, n: usize) {
         self.ids = self.ids.get(n..).unwrap_or(&[]);
@@ -611,14 +660,14 @@ impl<'a> Cursor<'a> {
         self.blocks.get(self.at() / BLOCK)
     }
 
-    /// The head block's ceiling.
-    fn ceiling(&self) -> Ceiling {
-        self.block().map_or(Ceiling::NONE, |b| Ceiling {
-            surface_hits: u32::from(b.fact & SURFACE),
-            primitive_hits: u32::from(b.fact >> 1),
-            surface_len: usize::from(b.concept >> 1),
-            stocked: b.concept & STOCKED != 0,
-        })
+    /// The summary of the head's run, kept after the list's blocks; `None`
+    /// once exhausted.
+    fn run(&self) -> Option<&'a BlockMax> {
+        if self.is_done() {
+            return None;
+        }
+        self.blocks
+            .get(self.len.div_ceil(BLOCK) + self.at() / RUN_ENTRIES)
     }
 
     /// The rest of the head block.
@@ -627,16 +676,20 @@ impl<'a> Cursor<'a> {
         self.ids.get(..left).unwrap_or(self.ids)
     }
 
-    /// How many entries of the head block have an id of at most `end`.
-    fn entries_through(&self, end: usize) -> usize {
-        self.block_ids().partition_point(|c| c.index() <= end)
-    }
-
-    /// Move to the first entry whose id is not below `id`, which must not
-    /// lie past the head block: a gallop from the head, then a binary
-    /// search, inside the block and without a fact read. Returns whether
-    /// the cursor moved.
+    /// Move to the first entry whose id is not below `id`, reading no fact
+    /// byte: a gallop from the head and a binary search inside the head
+    /// block, and only when the block ends before `id`, over whole runs and
+    /// blocks by their last ids. Returns whether the cursor moved.
     fn seek(&mut self, id: usize) -> bool {
+        // Most seeks move no entry or one: decide those from the head.
+        match self.ids {
+            [head, ..] if head.index() >= id => return false,
+            [_, next, ..] if next.index() >= id => {
+                self.advance(1);
+                return true;
+            }
+            _ => {}
+        }
         let block = self.block_ids();
         let mut reach = 1;
         while block.get(reach - 1).is_some_and(|c| c.index() < id) {
@@ -646,7 +699,28 @@ impl<'a> Cursor<'a> {
         let span = block.get(from..reach.min(block.len())).unwrap_or(&[]);
         let step = from + span.partition_point(|c| c.index() < id);
         self.advance(step);
+        if step == block.len() && !self.is_done() {
+            self.seek_past_block(id);
+        }
         step > 0
+    }
+
+    /// [`seek`](Self::seek) from a block boundary.
+    #[cold]
+    #[inline(never)]
+    fn seek_past_block(&mut self, id: usize) {
+        while self.run().is_some_and(|r| r.last.index() < id) {
+            self.skip_run();
+        }
+        // A binary search over the summaries of the run's blocks left.
+        let first = self.at() / BLOCK;
+        let last = ((first / RUN + 1) * RUN).min(self.len.div_ceil(BLOCK));
+        let blocks = self.blocks.get(first..last).unwrap_or(&[]);
+        let before = blocks.partition_point(|b| b.last.index() < id);
+        if before > 0 {
+            self.advance((first + before) * BLOCK - self.at());
+        }
+        self.seek(id);
     }
 }
 
@@ -689,39 +763,39 @@ impl<'a> ConceptMatches<'a> {
         self.postings
     }
 
-    /// Whether [`pruned`](Self::pruned) can pay for itself: a window costs
-    /// about what merging a few dozen entries does, so a merge of fewer
-    /// than 16 blocks gains less than its bookkeeping costs.
+    /// Whether the merge is long enough, 16 blocks, to be
+    /// [`pruned`](Self::pruned): a shorter one stays the plain merge.
     pub fn worth_pruning(&self) -> bool {
         self.postings >= MIN_PRUNED_POSTINGS
     }
 
     /// The same merge yielding only what can still reach the page: the
-    /// caller raises `floor` to the page's k-th score as it consumes the
-    /// stream, and `ceiling` is its score applied to a [`Ceiling`]. A
-    /// concept is left out only when its best possible score is strictly
-    /// below the floor, so with a scorer monotone in the way [`Ceiling`]
-    /// asks, every concept whose score can still enter the page — a tie
-    /// included — is yielded, with all its evidence.
+    /// caller raises `floor` to the least score a concept it has not seen
+    /// needs to enter the page as it consumes the stream, and `ceiling` is
+    /// its score applied to a [`Ceiling`]. A concept is left out only when
+    /// its best possible score is strictly below the floor, so with a
+    /// scorer monotone in the way [`Ceiling`] asks, every concept whose
+    /// score reaches the floor — a tie included — is yielded, with all its
+    /// evidence.
     pub fn pruned(
         mut self,
         floor: &'a Floor,
         ceiling: &'a dyn Fn(Ceiling) -> Option<f64>,
     ) -> PrunedMatches<'a> {
-        let mut lists = vec![std::mem::take(&mut self.front)];
+        let mut lists = Vec::with_capacity(1 + self.rest.len());
+        lists.push(std::mem::take(&mut self.front));
         lists.extend(std::iter::from_fn(|| self.rest.pop()));
-        lists.retain(|c| !c.is_done());
         PrunedMatches {
             front: Cursor::default(),
             rest: self.rest,
             bypass: 0,
             windows: Windows {
                 end: 0,
-                probed: Vec::new(),
+                lists,
+                probed: 0,
                 drop_unprobed: false,
                 floor,
                 ceiling,
-                lists,
             },
         }
     }
@@ -738,12 +812,15 @@ impl Iterator for ConceptMatches<'_> {
     }
 }
 
-/// What a pruning merge and the ranking consuming it share: the page's
-/// k-th score so far, which the ranking raises as the page fills, and how
-/// many times a list stepped over part of a block unread.
+/// What a pruning merge and the ranking consuming it share: the least
+/// score a concept not yet yielded needs to enter the page, which the
+/// ranking raises as the page fills, and what the merge did about it — the
+/// windows it evaluated and how many times a list stepped over part of a
+/// block unread.
 #[derive(Debug)]
 pub struct Floor {
     kth: Cell<f64>,
+    windows: Cell<usize>,
     blocks_skipped: Cell<usize>,
 }
 
@@ -751,16 +828,26 @@ impl Default for Floor {
     fn default() -> Self {
         Floor {
             kth: Cell::new(f64::NEG_INFINITY),
+            windows: Cell::new(0),
             blocks_skipped: Cell::new(0),
         }
     }
 }
 
 impl Floor {
-    /// Record the page's k-th score: nothing strictly below it is yielded
-    /// from then on. `-inf` until the page is full.
+    /// Record a score that a concept not yet yielded needs to reach the
+    /// page: nothing strictly below the highest so far is yielded from then
+    /// on. `-inf` until the page is full; a lower score than the last
+    /// leaves it.
     pub fn raise(&self, kth: f64) {
-        self.kth.set(kth);
+        if kth > self.kth.get() {
+            self.kth.set(kth);
+        }
+    }
+
+    /// Windows evaluated so far, whether stepped over or opened.
+    pub fn windows(&self) -> usize {
+        self.windows.get()
     }
 
     /// Block runs stepped over so far.
@@ -774,14 +861,14 @@ impl Floor {
 }
 
 /// [`ConceptMatches::pruned`]: the merge walking the id space in
-/// *windows*. A window ends at the first block end of any list, so inside
-/// it every list is one block, and the blocks' summed [`Ceiling`] bounds
-/// every concept in it. When that bound is strictly below the page's k-th
-/// score the window is stepped over unread. Otherwise the lists whose
-/// blocks together still cannot reach it are only *probed* — looked up at
-/// the ids the others yield — and a concept they alone hold is never
-/// yielded (MaxScore, per window); nor is one no probed list holds when the
-/// merged lists' blocks alone cannot reach the floor.
+/// *windows*. Inside a window every list is one block or one run of
+/// blocks, so their summed [`Ceiling`] bounds every concept in it. When
+/// that bound is strictly below the page's k-th score the window is
+/// stepped over unread. Otherwise the lists whose bounds together still
+/// cannot reach it are only *probed* — looked up at the ids the others
+/// yield — and a concept they alone hold is never yielded (MaxScore, per
+/// window); nor is one no probed list holds when the merged lists' blocks
+/// alone cannot reach the floor.
 pub struct PrunedMatches<'a> {
     /// The merged list whose head is the smallest id not yet yielded.
     front: Cursor<'a>,
@@ -798,16 +885,66 @@ pub struct PrunedMatches<'a> {
 struct Windows<'a> {
     /// Last id of the open window: a head past it opens the next one.
     end: usize,
-    /// Lists of the open window looked up, not merged.
-    probed: Vec<Cursor<'a>>,
+    /// Every unexhausted list the open window does not merge, its probed
+    /// lists first. Its capacity holds every list of the query, so no
+    /// window allocates.
+    lists: Vec<Cursor<'a>>,
+    /// How many of `lists` are probed.
+    probed: usize,
     /// Whether a concept none of the probed lists holds falls short of the
     /// floor: the merged lists' blocks together cannot reach it.
     drop_unprobed: bool,
     floor: &'a Floor,
     /// The best score a [`Ceiling`] allows, `None` when not positive.
     ceiling: &'a dyn Fn(Ceiling) -> Option<f64>,
-    /// Every unexhausted cursor, while between windows.
-    lists: Vec<Cursor<'a>>,
+}
+
+/// A summary level of a posting list: its head's block or its head's run.
+type Level<'a> = fn(&Cursor<'a>) -> Option<&'a BlockMax>;
+
+/// The last id of the first `level` summary of any of `lists` to end.
+fn first_end<'a>(lists: &[Cursor<'a>], level: Level<'a>) -> Option<usize> {
+    let ends = lists.iter().filter_map(level);
+    ends.map(|b| b.last.index()).min()
+}
+
+/// The lists a window probes, being chosen: `lists[..probed]`, whose
+/// summaries sum to `left_out`.
+struct Probed {
+    probed: usize,
+    left_out: Ceiling,
+}
+
+impl Probed {
+    /// Offer each list after the probed ones with entries up to `end`, in
+    /// order, to be probed on its `level` summary: it is — moved up beside
+    /// the others — when with them it still falls short (`below`). Returns
+    /// how many were not.
+    fn offer<'a>(
+        &mut self,
+        lists: &mut [Cursor<'a>],
+        end: usize,
+        level: Level<'a>,
+        below: impl Fn(Ceiling) -> bool,
+    ) -> usize {
+        let mut merged = 0;
+        for i in self.probed..lists.len() {
+            let Some(c) = lists.get(i).filter(|c| c.head() <= end) else {
+                continue;
+            };
+            let with = self
+                .left_out
+                .plus(level(c).map_or(Ceiling::NONE, BlockMax::ceiling));
+            if below(with) {
+                self.left_out = with;
+                lists.swap(i, self.probed);
+                self.probed += 1;
+            } else {
+                merged += 1;
+            }
+        }
+        merged
+    }
 }
 
 impl<'a> Windows<'a> {
@@ -815,6 +952,14 @@ impl<'a> Windows<'a> {
     /// next one that can hold a candidate, returning its front cursor with
     /// its other merged lists in `rest` and the id the plain merge may run
     /// up to; `None` when the lists are exhausted.
+    ///
+    /// A window is decided in one pass over the lists per summary level,
+    /// densest first. Runs first: up to the first run end of any list,
+    /// each list in it is probed for its run if the lists probed with it
+    /// still cannot reach the floor. Then blocks: the window ends at the
+    /// first block end of a list not probed, and each of those in it is
+    /// probed on its block the same way. A window whose lists are all
+    /// probed is stepped over.
     fn open(
         &mut self,
         front: Cursor<'a>,
@@ -822,75 +967,94 @@ impl<'a> Windows<'a> {
     ) -> Option<(Cursor<'a>, usize)> {
         let lists = &mut self.lists;
         // The probed lists step over what is left of the window unread.
-        lists.push(front);
-        lists.extend(std::iter::from_fn(|| rest.pop()));
-        for mut c in self.probed.drain(..) {
+        for c in lists.iter_mut().take(self.probed) {
             if c.seek(self.end.saturating_add(1)) {
                 self.floor.skipped(1);
             }
-            lists.push(c);
         }
-        lists.retain(|c| !c.is_done());
+        lists.push(front);
+        lists.extend(std::iter::from_fn(|| rest.pop()));
         loop {
-            let end = lists
-                .iter()
-                .filter_map(Cursor::block)
-                .map(|b| b.last)
-                .min()?;
-            let end = end.index();
-            // The lists with entries in the window come first, most entries
-            // first; greedily, each is left out of the merge — probed — if
-            // the lists left out with it still cannot reach the floor.
-            lists.sort_unstable_by_key(|c| std::cmp::Reverse(c.entries_through(end)));
-            let inside = lists.iter().take_while(|c| c.head() <= end).count();
+            if lists.iter().any(Cursor::is_done) {
+                lists.retain(|c| !c.is_done());
+            }
+            let run_end = first_end(lists, Cursor::run)?;
+            // Densest first, taken as the list whose block ends first. The
+            // order is mostly the last window's, which one pass confirms.
+            lists.sort_unstable_by_key(|c| c.block().map_or(usize::MAX, |b| b.last.index()));
+            self.floor.windows.set(self.floor.windows.get() + 1);
             let floor = self.floor.kth.get();
             let below = |bound: Ceiling| (self.ceiling)(bound).is_none_or(|best| best < floor);
-            let mut left_out = Ceiling::NONE;
-            let mut probed = 0;
-            for i in 0..inside {
-                let Some(with) = lists.get(i).map(|c| left_out.plus(c.ceiling())) else {
-                    break;
-                };
-                if below(with) {
-                    left_out = with;
-                    lists.swap(i, probed);
-                    probed += 1;
+            let mut chosen = Probed {
+                probed: 0,
+                left_out: Ceiling::NONE,
+            };
+            let mut end = run_end;
+            if chosen.offer(lists, end, Cursor::run, below) > 0 {
+                let unprobed = lists.get(chosen.probed..).unwrap_or(&[]);
+                end = first_end(unprobed, Cursor::block).map_or(end, |e| e.min(end));
+                // A probed list whose block reaches the window's end is
+                // bounded there by the block.
+                let probed = lists.iter().take(chosen.probed).map(|c| {
+                    let block = c.block().filter(|b| b.last.index() >= end);
+                    block
+                        .or_else(|| c.run())
+                        .map_or(Ceiling::NONE, BlockMax::ceiling)
+                });
+                chosen.left_out = probed.fold(Ceiling::NONE, Ceiling::plus);
+                if chosen.offer(lists, end, Cursor::block, below) > 0 {
+                    self.end = end;
+                    self.probed = chosen.probed;
+                    let mut merged = Ceiling::NONE;
+                    for at in (chosen.probed..lists.len()).rev() {
+                        if lists.get(at).is_some_and(|c| c.head() <= end) {
+                            let c = lists.swap_remove(at);
+                            merged =
+                                merged.plus(c.block().map_or(Ceiling::NONE, BlockMax::ceiling));
+                            rest.push(c);
+                        }
+                    }
+                    self.drop_unprobed = below(merged);
+                    let bypass = if chosen.probed == 0 { end + 1 } else { 0 };
+                    return rest.pop().map(|front| (front, bypass));
                 }
             }
-            if probed < inside {
-                self.end = end;
-                let merged = lists.iter().take(inside).skip(probed);
-                self.drop_unprobed =
-                    below(merged.fold(Ceiling::NONE, |sum, c| sum.plus(c.ceiling())));
-                self.probed.extend(lists.drain(..probed));
-                rest.extend(lists.drain(..));
-                let bypass = if probed == 0 { end + 1 } else { 0 };
-                return rest.pop().map(|front| (front, bypass));
+            // Nothing up to `end` can reach the floor.
+            let (mut stepped, mut lone) = (0, 0);
+            for (at, c) in lists.iter_mut().enumerate() {
+                if c.head() <= end {
+                    c.seek(end.saturating_add(1));
+                    (stepped, lone) = (stepped + 1, at);
+                }
             }
-            for c in lists.iter_mut().take(inside) {
-                c.seek(end.saturating_add(1));
-            }
-            self.floor.skipped(inside);
-            if inside == 1 {
-                // A lone list goes on stepping over whole blocks that end
-                // before any other list's head, while each alone falls short.
-                let others = lists.iter().skip(1).map(Cursor::head).min();
-                let others = others.unwrap_or(usize::MAX);
-                if let Some(c) = lists.first_mut() {
-                    while c.block().is_some_and(|b| b.last.index() < others) && below(c.ceiling()) {
-                        c.skip_block();
+            self.floor.skipped(stepped);
+            if stepped == 1 {
+                // A lone list goes on stepping over whole runs and blocks
+                // that end before any other list's head, while each alone
+                // falls short.
+                let others = lists.iter().enumerate().filter(|&(at, _)| at != lone);
+                let others = others.map(|(_, c)| c.head()).min().unwrap_or(usize::MAX);
+                let short = |b: &BlockMax| b.last.index() < others && below(b.ceiling());
+                if let Some(c) = lists.get_mut(lone) {
+                    loop {
+                        if c.run().is_some_and(short) {
+                            c.skip_run();
+                        } else if c.block().is_some_and(short) {
+                            c.skip_block();
+                        } else {
+                            break;
+                        }
                         self.floor.skipped(1);
                     }
                 }
             }
-            lists.retain(|c| !c.is_done());
         }
     }
 
     /// The next candidate at or past the end of the open window, or in a
     /// window with probed lists, with the front cursor after it and the id
-    /// the plain merge may run up to.
-    #[cold]
+    /// the plain merge may run up to. Not `#[cold]`: at 1 M concepts most
+    /// candidates come through here.
     #[inline(never)]
     fn step(
         &mut self,
@@ -905,28 +1069,59 @@ impl<'a> Windows<'a> {
                     None => return (Cursor::default(), usize::MAX, None),
                 }
             }
+            let block = front.block();
             let Some(mut found) = merge_step(&mut front, rest) else {
                 return (front, bypass, None);
             };
-            if self.probed.is_empty() || self.probe(&mut found) {
+            if self.probed > 0 {
+                let (held, next) = self.probe(&mut found);
+                if !held && self.drop_unprobed {
+                    // An id below every probed list's head is the merged
+                    // lists' alone, so it falls short too: leap to the
+                    // first head.
+                    leap(&mut front, rest, next.min(self.end.saturating_add(1)));
+                    continue;
+                }
+            }
+            if self.reaches(&found, block) {
                 return (front, bypass, Some(found));
             }
         }
     }
 
-    /// Add the probed lists' evidence to `found`; whether it can still
-    /// reach the floor.
-    fn probe(&mut self, found: &mut ConceptMatch) -> bool {
+    /// Whether `found`, with all its evidence, can still reach the floor:
+    /// its own counts, scored with the shortest name and any stock of
+    /// `block`, a block that holds it.
+    fn reaches(&self, found: &ConceptMatch, block: Option<&BlockMax>) -> bool {
+        let floor = self.floor.kth.get();
+        if floor == f64::NEG_INFINITY {
+            return true;
+        }
+        let Some(block) = block else {
+            return true;
+        };
+        let bound = Ceiling {
+            surface_hits: found.surface_hits,
+            primitive_hits: found.primitive_hits,
+            ..block.ceiling()
+        };
+        (self.ceiling)(bound).is_some_and(|best| best >= floor)
+    }
+
+    /// Add the probed lists' evidence to `found`: whether any of them holds
+    /// it, and the first id past it that one of them may hold.
+    fn probe(&mut self, found: &mut ConceptMatch) -> (bool, usize) {
         let head = found.concept.index();
-        let mut held = false;
-        for c in &mut self.probed {
+        let (mut held, mut next) = (false, usize::MAX);
+        for c in self.lists.iter_mut().take(self.probed) {
             c.seek(head);
             if c.head() == head {
                 c.take_head(found);
                 held = true;
             }
+            next = next.min(c.head());
         }
-        held || !self.drop_unprobed
+        (held, next)
     }
 }
 
@@ -945,6 +1140,22 @@ impl Iterator for PrunedMatches<'_> {
             return found;
         }
         merge_step(&mut self.front, &mut self.rest)
+    }
+}
+
+/// Move every list of `front` and `rest` to its first id not below `id`,
+/// keeping the smallest head in `front`.
+fn leap<'a>(front: &mut Cursor<'a>, rest: &mut BinaryHeap<Cursor<'a>>, id: usize) {
+    while front.head() < id {
+        front.seek(id);
+        if let Some(mut other) = rest.peek_mut() {
+            if other.head() < front.head() {
+                std::mem::swap(front, &mut *other);
+                if other.is_done() {
+                    PeekMut::pop(other);
+                }
+            }
+        }
     }
 }
 
@@ -1157,6 +1368,11 @@ mod tests {
     /// of them interpreted by a primitive named one of the first three
     /// words, every fourth stocked.
     fn long_lists() -> AliCoCo {
+        long_lists_of(6_000)
+    }
+
+    /// [`long_lists`] with `n` concepts: the first `n` of the same stream.
+    fn long_lists_of(n: usize) -> AliCoCo {
         let mut kg = AliCoCo::new();
         let root = kg.add_class("concept", None);
         let class = kg.add_class("Event", Some(root));
@@ -1170,7 +1386,7 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             ((x >> 33) % n) as usize
         };
-        for i in 0..6_000 {
+        for i in 0..n {
             let len = 1 + next(3);
             let name: Vec<&str> = (0..len).map(|_| words[next(6)]).collect();
             let c = kg.add_concept(&format!("{} c{i}", name.join(" ")));
@@ -1246,5 +1462,142 @@ mod tests {
             }
         }
         assert!(skipped > 0, "no block was ever skipped");
+    }
+
+    /// The score the pruning tests rank by: surface coverage, 0.3 a named
+    /// primitive, 0.1 for stock on a positive score.
+    fn coverage(c: Ceiling) -> Option<f64> {
+        let mut s = f64::from(c.surface_hits) / c.surface_len.max(1) as f64
+            + 0.3 * f64::from(c.primitive_hits);
+        if s > 0.0 && c.stocked {
+            s += 0.1;
+        }
+        (s > 0.0).then_some(s)
+    }
+
+    /// Lists of ~15 runs of blocks each: fixed floors, floors that tie a
+    /// concept's exact score, and a rising floor all keep every concept
+    /// that can reach the last floor, with the plain merge's exact counts
+    /// and nothing it does not yield.
+    #[test]
+    fn runs_of_blocks_keep_everything_that_can_reach_the_floor() {
+        let kg = long_lists_of(48_000);
+        let q = QueryIndex::build(&kg);
+        assert!(q.concepts_by_token("w0").len() > 10 * RUN_ENTRIES);
+        let exact = |m: &ConceptMatch| {
+            coverage(Ceiling {
+                surface_hits: m.surface_hits,
+                primitive_hits: m.primitive_hits,
+                surface_len: q.surface_len(m.concept),
+                stocked: q.is_stocked(m.concept),
+            })
+        };
+        for words in [
+            &["w0"][..],
+            &["w1", "w4"],
+            &["w0", "w3", "w5"],
+            &["w2", "w2"],
+        ] {
+            let plain: Vec<ConceptMatch> = q.concept_matches(words.iter().copied()).collect();
+            let mut scores: Vec<f64> = plain.iter().filter_map(exact).collect();
+            scores.sort_by(f64::total_cmp);
+            // Ties: floors that equal exact scores near the top.
+            let ties = [0.9, 0.99].map(|p| scores[(p * (scores.len() - 1) as f64) as usize]);
+            for floor_at in [0.3, 0.6, 0.9, 1.2, 1.5, 2.5, ties[0], ties[1], f64::NAN] {
+                let floor = Floor::default();
+                let mut pruned = Vec::new();
+                for m in q
+                    .concept_matches(words.iter().copied())
+                    .pruned(&floor, &coverage)
+                {
+                    pruned.push(m);
+                    let kth = if floor_at.is_nan() {
+                        pruned.len() as f64 / 4_000.0
+                    } else {
+                        floor_at
+                    };
+                    floor.raise(kth);
+                }
+                let last = floor.kth.get();
+                assert!(
+                    pruned.windows(2).all(|w| w[0].concept < w[1].concept),
+                    "{words:?} {floor_at}: not ascending"
+                );
+                for m in &pruned {
+                    let at = plain.binary_search_by_key(&m.concept, |p| p.concept);
+                    assert_eq!(at.map(|at| plain[at]), Ok(*m), "{words:?} {floor_at}");
+                }
+                let reach = plain.iter().filter(|m| exact(m).is_some_and(|s| s >= last));
+                for m in reach {
+                    let kept = pruned.binary_search_by_key(&m.concept, |p| p.concept);
+                    assert!(kept.is_ok(), "{words:?} {floor_at}: {m:?} dropped");
+                }
+            }
+        }
+    }
+
+    /// Above every bound, the lists step over their runs of blocks whole:
+    /// at most a window per run and a skip per list and run, where blocks
+    /// would take sixteen of each.
+    #[test]
+    fn a_floor_above_every_bound_steps_over_whole_runs() {
+        let kg = long_lists_of(48_000);
+        let q = QueryIndex::build(&kg);
+        for words in [&["w0"][..], &["w1", "w4"]] {
+            let floor = Floor::default();
+            floor.raise(100.0);
+            let matches = q.concept_matches(words.iter().copied());
+            assert_eq!(matches.pruned(&floor, &coverage).count(), 0);
+            let runs: usize = words
+                .iter()
+                .map(|w| q.concepts_by_token(w).len().div_ceil(RUN_ENTRIES))
+                .sum();
+            assert!(runs >= 10 * words.len(), "{words:?}: {runs} runs");
+            assert!(floor.windows() <= runs, "{words:?}: {floor:?}");
+            let skips = words.len() * runs;
+            assert!(floor.blocks_skipped() <= skips, "{words:?}: {floor:?}");
+        }
+    }
+
+    /// A run is as strong as its strongest block: 48 000 five-word names
+    /// on "w0", with a two-word one, stocked, every 2 000 — mid-run. A
+    /// floor between their scores keeps every short name and steps over
+    /// every block that holds none.
+    #[test]
+    fn a_strong_block_inside_a_run_keeps_the_run_open() {
+        let mut kg = AliCoCo::new();
+        let item = kg.add_item(&["thing".into()]);
+        let mut short = Vec::new();
+        for i in 0..48_000 {
+            let c = if i % 2_000 == 700 {
+                let c = kg.add_concept(&format!("w0 c{i}"));
+                kg.link_concept_item(c, item, 0.5);
+                short.push(c);
+                c
+            } else {
+                kg.add_concept(&format!("w0 w1 w2 w3 c{i}"))
+            };
+            assert_eq!(c.index(), i);
+        }
+        let q = QueryIndex::build(&kg);
+        let floor = Floor::default();
+        floor.raise(0.4);
+        let kept: Vec<ConceptId> = q
+            .concept_matches(["w0"])
+            .pruned(&floor, &coverage)
+            .map(|m| m.concept)
+            .collect();
+        assert!(short.iter().all(|c| kept.contains(c)), "{kept:?}");
+        assert!(kept.len() <= BLOCK * short.len(), "{}", kept.len());
+        assert!(floor.blocks_skipped() > 0, "{floor:?}");
+    }
+
+    #[test]
+    fn the_floor_never_falls() {
+        let floor = Floor::default();
+        for (raise, kth) in [(0.5, 0.5), (0.2, 0.5), (f64::NAN, 0.5), (0.7, 0.7)] {
+            floor.raise(raise);
+            assert_eq!(floor.kth.get(), kth);
+        }
     }
 }

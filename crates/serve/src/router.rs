@@ -334,6 +334,8 @@ mod tests {
         assert_eq!(count("search.ann_skipped"), Some(1.0), "{body}");
         assert_eq!(count("qa.ann_skipped"), Some(0.0), "{body}");
         assert_eq!(count("relevance.ann_skipped"), Some(0.0), "{body}");
+        // The demo net's lists are far under the pruning gate.
+        assert_eq!(count("search.windows"), Some(0.0), "{body}");
         let histograms = doc.get("histograms").expect("a histograms object");
         let samples = |name: &str| {
             let hist = histograms.get(name);
@@ -341,6 +343,41 @@ mod tests {
         };
         assert_eq!(samples("recommend.total_ns"), Some(2.0), "{body}");
         assert_eq!(samples("recommend.knn_ns"), Some(1.0), "{body}");
+    }
+
+    /// Lists long enough to prune: `/metrics` shows the windows the merge
+    /// evaluated and the block runs it stepped over.
+    #[test]
+    fn metrics_count_the_pruned_merges_windows() {
+        let mut kg = AliCoCo::new();
+        let item = kg.add_item(&["thing".into()]);
+        // Both words first, so the page fills before the runs of one word.
+        for i in 0..3_000 {
+            let name = match i / 1_000 {
+                0 => format!("red sofa c{i}"),
+                1 => format!("red c{i}"),
+                _ => format!("sofa c{i}"),
+            };
+            let c = kg.add_concept(&name);
+            if i % 4 == 0 {
+                kg.link_concept_item(c, item, 0.5);
+            }
+        }
+        let reg = Registry::new();
+        let pack = ServingPack::build_with_ann(Arc::new(kg), None, &EngineConfig::default(), &reg);
+        let (_, resp) = handle(&get("/search?q=red+sofa&k=10"), &pack, &reg);
+        assert_eq!(resp.status, 200);
+        let (_, resp) = handle(&get("/metrics"), &pack, &reg);
+        let body = String::from_utf8(resp.body).unwrap();
+        let doc = Json::parse(&body).expect("/metrics is JSON");
+        let counters = doc.get("counters").expect("a counters object");
+        let count = |name: &str| counters.get(name).and_then(Json::as_num).unwrap_or(0.0);
+        assert!(count("search.windows") > 0.0, "{body}");
+        assert!(count("search.blocks_skipped") > 0.0, "{body}");
+        assert!(
+            count("search.windows") < count("search.postings_hit") / 64.0,
+            "{body}"
+        );
     }
 
     #[test]

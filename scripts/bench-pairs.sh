@@ -13,8 +13,19 @@
 # from its own checkout, so each side's harness verifies its own server.
 #
 # Prints, per end-to-end metric of BENCHMARK.json: each side's median
-# [q1, q3], the change/parent ratio of the medians, and in how many pairs
-# the change was better. Leaves the change's runs in
+# [q1, q3], the change/parent ratio of the medians, in how many pairs the
+# change was better, the parent's IQR as a share of its median, and a
+# verdict against the metric's bound:
+#   better         the change won at least 9 of 10 pairs (ties count for
+#                  neither) and its median beats the parent's by more than
+#                  the parent's IQR;
+#   worse          the change's median is worse than the parent's by more
+#                  than the bound;
+#   unresolved     the parent's IQR exceeds the bound, so the runs cannot
+#                  tell a change inside it from none — unless every run of
+#                  the change reads better than every run of the parent;
+#   within bound   otherwise.
+# Leaves the change's runs in
 # ${TMPDIR:-/tmp}/bench-pairs/results.json and the parent's in
 # results-parent.json beside it, both in the shape scripts/bench-history.sh
 # reads.
@@ -99,14 +110,25 @@ jq -rn --slurpfile bench BENCHMARK.json \
   def stats: "\(q(0.5) | . * 1000 | round / 1000) [\(q(0.25) | . * 1000 | round / 1000), \(q(0.75) | . * 1000 | round / 1000)]";
   "workload \($change[0].stamp.workload // "?"): \($change | length) change runs, \($parent | length) parent runs",
   "correct: change \([$change[] | .correct] | all), parent \([$parent[] | .correct] | all); failed: change \([$change[] | .failed] | add), parent \([$parent[] | .failed] | add)",
-  "metric\tparent median [q1, q3]\tchange median [q1, q3]\tratio\twins",
+  def pct: . * 1000 | round / 10;
+  "metric\tparent median [q1, q3]\tchange median [q1, q3]\tratio\twins\tparent IQR\tverdict",
   ($bench[0].end_to_end[] as $m
    | [$parent[] | .metrics[$m.name]] as $p
    | [$change[] | .metrics[$m.name]] as $c
-   | ([range(0; [$p, $c] | map(length) | min)]
-      | map(select(if $m.better == "lower" then $c[.] < $p[.] else $c[.] > $p[.] end))
-      | length) as $wins
-   | "\($m.name)\t\($p | stats)\t\($c | stats)\t\(($c | q(0.5)) / ($p | q(0.5)) | . * 1000 | round / 1000)\t\($wins)/\([$p, $c] | map(length) | min)")
+   | ([$p, $c] | map(length) | min) as $n
+   | (if $m.better == "lower" then 1 else -1 end) as $sign
+   | ([range(0; $n)] | map(select(($p[.] - $c[.]) * $sign > 0)) | length) as $wins
+   | ($p | q(0.5)) as $pm | ($c | q(0.5)) as $cm
+   | (($p | q(0.75)) - ($p | q(0.25))) as $iqr
+   | (if $pm != 0 then $iqr / ($pm | fabs) else 0 end) as $spread
+   | (($cm - $pm) * $sign / ($pm | fabs)) as $worse_by
+   | (if $n > 0 and $wins * 10 >= $n * 9 and ($pm - $cm) * $sign > $iqr then "better"
+      elif $worse_by > $m.bound then "worse"
+      elif $spread > $m.bound
+           and ([$c[] * $sign] | max) >= ([$p[] * $sign] | min)
+        then "unresolved (parent IQR \($spread | pct) % > \($m.bound | pct) %)"
+      else "within bound" end) as $verdict
+   | "\($m.name)\t\($p | stats)\t\($c | stats)\t\($cm / $pm | . * 1000 | round / 1000)\t\($wins)/\($n)\t\($spread | pct) %\t\($verdict)")
 '
 echo "append to the trajectory with:" >&2
 echo "  scripts/bench-history.sh $work/results-parent.json $parent_commit" >&2
