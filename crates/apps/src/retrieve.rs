@@ -373,10 +373,11 @@ impl Retriever {
         };
         let matches = self.index.concept_matches(words);
         let postings = matches.postings();
-        // Both halves of the pruning have a fixed cost: a short merge with
-        // no vectors to rescore stays the plain fusion, inline.
+        // A merge holding fewer entries than the page never fills it, so
+        // its floor never rises: with no vectors to rescore it stays the
+        // plain fusion, inline.
         let (fused, (windows, blocks_skipped)) =
-            match bonus_ceiling.filter(|_| vectors || matches.worth_pruning()) {
+            match bonus_ceiling.filter(|_| vectors || postings >= k) {
                 None => {
                     let lexical = matches.map(|m| (m.concept.index() as u32, m));
                     let score = |slot, m, bonus| self.score_match(weights, slot, m, bonus);
@@ -418,11 +419,11 @@ impl Retriever {
     }
 
     /// [`rank_concepts`](Self::rank_concepts) with pruning, given the
-    /// largest vector bonus: the merge skips blocks when it is long enough
-    /// to pay, and the fusion skips `sim_to`s and, when the page cannot
-    /// change, the proposals. Out of line, so the plain fusion beside it
-    /// stays as small as it was. Returns the fusion, and the windows the
-    /// merge evaluated and the blocks it skipped.
+    /// largest vector bonus: the merge skips blocks (under vectors, only
+    /// when it is long enough to pay), and the fusion skips `sim_to`s and,
+    /// when the page cannot change, the proposals. Out of line, so the
+    /// plain fusion beside it stays as small as it was. Returns the fusion,
+    /// and the windows the merge evaluated and the blocks it skipped.
     #[inline(never)]
     fn fuse_pruned(
         &self,
@@ -444,7 +445,8 @@ impl Retriever {
         let score = |slot, m, bonus| self.score_match(weights, slot, m, bonus);
         let slot = |m: ConceptMatch| (m.concept.index() as u32, m);
         let side = AnnBundle::concepts;
-        let fused = if matches.worth_pruning() {
+        let vectors = self.ann.is_some() && qvec.is_some();
+        let fused = if !vectors || matches.worth_pruning() {
             let lexical = matches.pruned(&floor, &ceiling).map(slot);
             self.fuse_above(
                 lexical,

@@ -470,8 +470,9 @@ fn scale() -> &'static ScaleWorld {
 
 impl ScaleWorld {
     /// A query of two distinct words of the vocabulary: the `a`-th and the
-    /// one `step` further on. One word's lists hold under 1 024 entries
-    /// here, a merge too short to prune (`ConceptMatches::worth_pruning`).
+    /// one `step` further on. The two lists hold ~3.9 k entries together
+    /// here, about two runs of blocks each, and a full page skips blocks
+    /// of both.
     fn query(&self, (a, step): (usize, usize)) -> String {
         let b = (a + step) % self.vocab.len();
         format!("{} {}", self.vocab[a], self.vocab[b])

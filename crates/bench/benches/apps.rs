@@ -2,8 +2,9 @@
 //! net: semantic search, recommendation, QA, and isA-expanded relevance —
 //! plus the retrieval-at-scale comparison (linear scan vs. inverted index)
 //! on a 50k-concept synthetic world. Its gates are `assert!`s: indexed
-//! search equals the scan at 50k, and again at 120k where pruning skips
-//! posting blocks. Timings are per-call medians, printed, not gated.
+//! search equals the scan at 50k and at 120k, and at both the pruned merge
+//! steps over posting blocks. Timings are per-call medians, printed, not
+//! gated.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -117,10 +118,27 @@ fn bench_apps() {
     });
 }
 
+/// Print what the pruned merge did per query over `queries` searches
+/// recorded in `reg`, and fail unless it stepped over some block.
+fn report_pruning(name: &str, reg: &Registry, queries: usize) {
+    let count = |name| reg.counter(name).get() as f64 / queries as f64;
+    println!(
+        "{name}: {:.0} candidates scored of {:.0} posting entries per query, {:.1} windows, {:.2} block runs skipped",
+        count("search.candidates_examined"),
+        count("search.postings_hit"),
+        count("search.windows"),
+        count("search.blocks_skipped"),
+    );
+    assert!(
+        count("search.blocks_skipped") > 0.0,
+        "{name}: nothing was skipped"
+    );
+}
+
 /// The tentpole comparison: on a 50k-concept world, indexed retrieval vs.
 /// the reference full scan over a 64-query batch. Results are asserted
 /// identical before anything is timed, so the speedup never comes from
-/// answer drift.
+/// answer drift; the merges, short as they are here, are pruned.
 fn bench_search_at_scale() {
     const N_CONCEPTS: usize = 50_000;
     const BATCH: usize = 64;
@@ -149,6 +167,7 @@ fn bench_search_at_scale() {
             "index diverged on {q:?}"
         );
     }
+    report_pruning("scale/pruning_50k", &reg, BATCH);
     pruned_search_equals_scan_at_120k(&queries);
 
     report("scale/search_linear_scan_50k", 3, || {
@@ -194,15 +213,7 @@ fn pruned_search_equals_scan_at_120k(queries: &[String]) {
             "pruned search diverged on {q:?}"
         );
     }
-    let count = |name| reg.counter(name).get() as f64 / queries.len() as f64;
-    println!(
-        "scale/pruning_120k: {:.0} candidates scored of {:.0} posting entries per query, {:.0} windows, {:.0} block runs skipped",
-        count("search.candidates_examined"),
-        count("search.postings_hit"),
-        count("search.windows"),
-        count("search.blocks_skipped"),
-    );
-    assert!(count("search.blocks_skipped") > 0.0, "nothing was skipped");
+    report_pruning("scale/pruning_120k", &reg, queries.len());
 }
 
 fn main() {

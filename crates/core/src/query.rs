@@ -54,11 +54,11 @@ const BLOCK: usize = 64;
 const RUN: usize = 16;
 const RUN_ENTRIES: usize = RUN * BLOCK;
 
-/// Fewest posting entries a merge is pruned from (see
-/// [`ConceptMatches::worth_pruning`]). The 50k world's two-word queries
-/// merge at most ~900 entries and stay plain; pruning them measured
-/// faster in process (DESIGN.md §13.6), but the workloads that would move
-/// have not been measured end to end.
+/// Fewest posting entries a merge under a vector bonus is pruned from
+/// (see [`ConceptMatches::worth_pruning`]); a lexical merge is pruned
+/// whenever it can fill its page. The 20k hybrid world's two-word queries
+/// merge at most ~900 entries: pruning them too cost `mix_hybrid` 1.055×
+/// the CPU a request, 5 of 6 pairs higher (DESIGN.md §13.6).
 const MIN_PRUNED_POSTINGS: usize = 16 * BLOCK;
 
 /// One token's concept posting list, borrowed from the index's arenas:
@@ -764,7 +764,8 @@ impl<'a> ConceptMatches<'a> {
     }
 
     /// Whether the merge is long enough, 16 blocks, to be
-    /// [`pruned`](Self::pruned): a shorter one stays the plain merge.
+    /// [`pruned`](Self::pruned) under a vector bonus: a shorter one stays
+    /// the plain merge there.
     pub fn worth_pruning(&self) -> bool {
         self.postings >= MIN_PRUNED_POSTINGS
     }
@@ -1422,6 +1423,11 @@ mod tests {
             &["w1", "w4"],
             &["w0", "w3", "w5"],
             &["w4", "w4"],
+            // Short merges: a word with no list, a list shorter than one
+            // block, and two words under one run.
+            &["nowhere"],
+            &["c17"],
+            &["c17", "c4242"],
         ] {
             let plain: Vec<ConceptMatch> = q.concept_matches(words.iter().copied()).collect();
             let exact = |m: &ConceptMatch| {

@@ -4,6 +4,8 @@
 //! output (objects, arrays, strings with basic escapes, numbers, booleans,
 //! null): the `/metrics` export and the `BENCH_*.json` files.
 
+use std::fmt::Write;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -137,20 +139,32 @@ fn render_num(out: &mut String, n: f64) {
 }
 
 /// Append `s` with JSON string escapes applied (`"`, `\` and control
-/// bytes), without the surrounding quotes.
+/// bytes), without the surrounding quotes. Each run of bytes that needs
+/// no escape is copied whole.
 #[inline]
 pub fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // An ASCII byte is never inside a multi-byte character, so both
+        // ends of the run are character boundaries.
+        out.push_str(s.get(start..i).unwrap_or_default());
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        start = i + 1;
     }
+    out.push_str(s.get(start..).unwrap_or_default());
 }
 
 /// Append `s` as a quoted JSON string literal.
@@ -354,6 +368,56 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The escaper as it was written first, one char at a time: the
+    /// reference [`push_escaped`] must match byte for byte.
+    fn push_escaped_by_char(out: &mut String, s: &str) {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+    }
+
+    /// A string drawn to hit every escape: control bytes, quotes and
+    /// backslashes, plain ASCII, two-byte characters and any scalar value
+    /// (mostly four bytes).
+    fn awkward_string() -> impl Strategy<Value = String> {
+        let piece = (0u8..5, 0u32..0x11_0000);
+        prop::collection::vec(piece, 0..48).prop_map(|pieces| {
+            pieces
+                .into_iter()
+                .map(|(kind, code)| match kind {
+                    0 => char::from(code as u8 & 0x1f),
+                    1 => ['"', '\\', '/'][code as usize % 3],
+                    2 => char::from(0x20 + (code % 0x60) as u8),
+                    3 => char::from_u32(0x80 + code % 0x780).unwrap_or('\u{fffd}'),
+                    _ => char::from_u32(code).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Escaping by runs of bytes writes what escaping char by char
+        /// writes, after any prefix already in the buffer.
+        #[test]
+        fn push_escaped_matches_the_char_by_char_escaper(s in awkward_string()) {
+            let (mut runs, mut chars) = ("[".to_string(), "[".to_string());
+            push_escaped(&mut runs, &s);
+            push_escaped_by_char(&mut chars, &s);
+            prop_assert_eq!(runs, chars);
+        }
+    }
 
     #[test]
     fn parses_bench_shaped_documents() {

@@ -3,18 +3,22 @@
 //! The AL005 discipline applied to the wire: object keys are emitted in
 //! a fixed alphabetical order, all numbers go through one formatter, and
 //! nothing iterates a hash map — so the same engine answer always
-//! renders to the same bytes (the property suite asserts this).
+//! renders to the same bytes (the property suite asserts this). Numbers
+//! are written straight into the body, never through a `String` of their
+//! own.
+
+use std::fmt::Write;
 
 use alicoco::AliCoCo;
 use alicoco_apps::qa::Answer;
 use alicoco_apps::recommend::Recommendation;
 use alicoco_apps::search::ConceptCard;
-use alicoco_obs::json::push_string;
+use alicoco_obs::json::{push_escaped, push_string};
 
 /// One formatter for every float on the wire; non-finite becomes `null`.
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
@@ -29,7 +33,7 @@ pub fn render_search(cards: &[ConceptCard]) -> String {
             o.push(',');
         }
         o.push_str("{\"concept\":");
-        o.push_str(&card.concept.index().to_string());
+        let _ = write!(o, "{}", card.concept.index());
         o.push_str(",\"interpretation\":[");
         for (j, (domain, surface)) in card.interpretation.iter().enumerate() {
             if j > 0 {
@@ -47,7 +51,7 @@ pub fn render_search(cards: &[ConceptCard]) -> String {
                 o.push(',');
             }
             o.push('[');
-            o.push_str(&item.index().to_string());
+            let _ = write!(o, "{}", item.index());
             o.push(',');
             push_f64(&mut o, f64::from(*w));
             o.push(']');
@@ -77,13 +81,13 @@ pub fn render_qa(answer: Option<&Answer>) -> String {
                 o.push_str("{\"confidence\":");
                 push_f64(&mut o, f64::from(entry.confidence));
                 o.push_str(",\"item\":");
-                o.push_str(&entry.item.index().to_string());
+                let _ = write!(o, "{}", entry.item.index());
                 o.push_str(",\"title\":");
                 push_string(&mut o, &entry.title);
                 o.push('}');
             }
             o.push_str("],\"concept\":");
-            o.push_str(&a.concept.index().to_string());
+            let _ = write!(o, "{}", a.concept.index());
             o.push_str(",\"concept_name\":");
             push_string(&mut o, &a.concept_name);
             o.push('}');
@@ -104,14 +108,14 @@ pub fn render_recommend(kg: &AliCoCo, recs: &[Recommendation]) -> String {
         o.push_str("{\"affinity\":");
         push_f64(&mut o, rec.affinity);
         o.push_str(",\"concept\":");
-        o.push_str(&rec.concept.index().to_string());
+        let _ = write!(o, "{}", rec.concept.index());
         o.push_str(",\"items\":[");
         for (j, (item, w)) in rec.items.iter().enumerate() {
             if j > 0 {
                 o.push(',');
             }
             o.push('[');
-            o.push_str(&item.index().to_string());
+            let _ = write!(o, "{}", item.index());
             o.push(',');
             push_f64(&mut o, f64::from(*w));
             o.push(']');
@@ -134,12 +138,17 @@ pub fn render_relevance(kg: &AliCoCo, hits: &[(alicoco::ItemId, f64)]) -> String
             o.push(',');
         }
         o.push_str("{\"item\":");
-        o.push_str(&item.index().to_string());
+        let _ = write!(o, "{}", item.index());
         o.push_str(",\"score\":");
         push_f64(&mut o, *score);
-        o.push_str(",\"title\":");
-        push_string(&mut o, &kg.item(*item).title.join(" "));
-        o.push('}');
+        o.push_str(",\"title\":\"");
+        for (j, token) in kg.item(*item).title.iter().enumerate() {
+            if j > 0 {
+                o.push(' ');
+            }
+            push_escaped(&mut o, token);
+        }
+        o.push_str("\"}");
     }
     o.push_str("]}");
     o
@@ -150,7 +159,7 @@ pub fn render_error(status: u16, message: &str) -> String {
     let mut o = String::from("{\"error\":");
     push_string(&mut o, message);
     o.push_str(",\"status\":");
-    o.push_str(&status.to_string());
+    let _ = write!(o, "{status}");
     o.push('}');
     o
 }

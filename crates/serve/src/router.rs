@@ -334,7 +334,8 @@ mod tests {
         assert_eq!(count("search.ann_skipped"), Some(1.0), "{body}");
         assert_eq!(count("qa.ann_skipped"), Some(0.0), "{body}");
         assert_eq!(count("relevance.ann_skipped"), Some(0.0), "{body}");
-        // The demo net's lists are far under the pruning gate.
+        // A hybrid merge is pruned only from 16 blocks on, and the demo
+        // net's lists are far shorter.
         assert_eq!(count("search.windows"), Some(0.0), "{body}");
         let histograms = doc.get("histograms").expect("a histograms object");
         let samples = |name: &str| {

@@ -2,7 +2,7 @@
 # Alternating parent/change pairs of the repo benchmark, the evidence every
 # performance claim in this repository rests on (ROADMAP.md ground rules).
 #
-#   scripts/bench-pairs.sh <parent-rev> [--workload W] [--pairs N]
+#   scripts/bench-pairs.sh <parent-rev> [--workload W] [--pairs N] [--seed N]
 #
 # The change is this checkout's tracked files as they are now (HEAD plus
 # uncommitted edits); the parent is <parent-rev>. Each is exported into its
@@ -11,6 +11,9 @@
 # 10) of untraced runs of workload W (default publish_1m) alternate, the
 # parent first on odd pairs and the change first on even ones, each run
 # from its own checkout, so each side's harness verifies its own server.
+# --seed hands both sides' runs the same harness seed (default: the
+# harness's own), so a claim can be checked on a seed held out from the
+# work that made it.
 #
 # Prints, per end-to-end metric of BENCHMARK.json: each side's median
 # [q1, q3], the change/parent ratio of the medians, in how many pairs the
@@ -33,7 +36,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: $0 <parent-rev> [--workload W] [--pairs N]" >&2
+    echo "usage: $0 <parent-rev> [--workload W] [--pairs N] [--seed N]" >&2
     exit 2
 }
 
@@ -42,10 +45,12 @@ parent_rev=$1
 shift
 workload=publish_1m
 pairs=10
+seed_args=()
 while [ $# -gt 0 ]; do
     case $1 in
         --workload) [ $# -ge 2 ] || usage; workload=$2; shift 2 ;;
         --pairs) [ $# -ge 2 ] || usage; pairs=$2; shift 2 ;;
+        --seed) [ $# -ge 2 ] || usage; seed_args=(--seed "$2"); shift 2 ;;
         *) usage ;;
     esac
 done
@@ -83,7 +88,7 @@ run() {
     (
         cd "$work/$side"
         "$target/release/alicoco-benchmark" --server "$target/release/alicoco-serve" \
-            --workload "$workload" --trace 0 > "$work/$side-$pair.log" 2>&1
+            --workload "$workload" "${seed_args[@]}" --trace 0 > "$work/$side-$pair.log" 2>&1
     ) || echo "pair $pair: the $side run failed (see $work/$side-$pair.log)" >&2
     if [ -f "$results" ]; then
         jq -c '.runs[]' "$results" >> "$work/$side.jsonl"
