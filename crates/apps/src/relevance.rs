@@ -45,20 +45,17 @@ impl RelevanceMetrics {
     }
 }
 
-/// A relevance scorer over item titles with optional isA expansion.
-pub struct RelevanceScorer {
-    retriever: Arc<Retriever>,
+/// The BM25 index over every item title of a net and the vocabulary that
+/// encodes words for it: the part of a [`RelevanceScorer`] that needs only
+/// the net, so a serving pack builds it beside the retriever's index.
+pub struct TitleIndex {
     vocab: Vocab,
     index: Bm25Index,
-    metrics: RelevanceMetrics,
 }
 
-impl RelevanceScorer {
-    /// Build the BM25 title index over all items in the retriever's net,
-    /// recording `relevance.*` (and the underlying `bm25.*`) metrics into
-    /// `metrics`.
-    pub fn new(retriever: Arc<Retriever>, metrics: &Registry) -> Self {
-        let kg = retriever.kg();
+impl TitleIndex {
+    /// Index the titles of every item of `kg`.
+    pub fn build(kg: &AliCoCo) -> Self {
         // Every title token gets its id first, in item order; the index
         // then encodes one title at a time rather than holding them all.
         let mut vocab = Vocab::new();
@@ -71,12 +68,38 @@ impl RelevanceScorer {
             let item = kg.item(alicoco::ItemId::from_index(d));
             out.extend(item.title.iter().map(|t| vocab.get_or_unk(t)));
         };
-        let mut index = Bm25Index::build_from(kg.num_items(), title, Bm25Params::default());
-        index.set_metrics(Bm25Metrics::register(metrics));
+        let index = Bm25Index::build_from(kg.num_items(), title, Bm25Params::default());
+        TitleIndex { vocab, index }
+    }
+}
+
+/// A relevance scorer over item titles with optional isA expansion.
+pub struct RelevanceScorer {
+    retriever: Arc<Retriever>,
+    titles: TitleIndex,
+    metrics: RelevanceMetrics,
+}
+
+impl RelevanceScorer {
+    /// Build the BM25 title index over all items in the retriever's net,
+    /// recording `relevance.*` (and the underlying `bm25.*`) metrics into
+    /// `metrics`.
+    pub fn new(retriever: Arc<Retriever>, metrics: &Registry) -> Self {
+        let titles = TitleIndex::build(retriever.kg());
+        Self::with_titles(retriever, titles, metrics)
+    }
+
+    /// [`new`](Self::new) over a title index already built from the
+    /// retriever's net.
+    pub fn with_titles(
+        retriever: Arc<Retriever>,
+        mut titles: TitleIndex,
+        metrics: &Registry,
+    ) -> Self {
+        titles.index.set_metrics(Bm25Metrics::register(metrics));
         RelevanceScorer {
             retriever,
-            vocab,
-            index,
+            titles,
             metrics: RelevanceMetrics::register(metrics),
         }
     }
@@ -91,7 +114,10 @@ impl RelevanceScorer {
     }
 
     fn encode(&self, words: &[String]) -> Vec<TokenId> {
-        words.iter().map(|w| self.vocab.get_or_unk(w)).collect()
+        words
+            .iter()
+            .map(|w| self.titles.vocab.get_or_unk(w))
+            .collect()
     }
 
     /// The transitive hyponym closure of a primitive (all its descendants in
@@ -141,13 +167,15 @@ impl RelevanceScorer {
 
     /// BM25 score of an item for a query, keyword-only.
     pub fn score_plain(&self, words: &[String], item: alicoco::ItemId) -> f64 {
-        self.index.score(&self.encode(words), item.index())
+        self.titles.index.score(&self.encode(words), item.index())
     }
 
     /// BM25 score with isA query expansion.
     pub fn score_expanded(&self, words: &[String], item: alicoco::ItemId) -> f64 {
         let expanded = self.expand_query(words);
-        self.index.score(&self.encode(&expanded), item.index())
+        self.titles
+            .index
+            .score(&self.encode(&expanded), item.index())
     }
 
     /// Top-`k` items for a query, without expansion: candidates come from
@@ -161,7 +189,7 @@ impl RelevanceScorer {
     pub fn top_items(&self, words: &[String], k: usize) -> Vec<(alicoco::ItemId, f64)> {
         self.metrics.queries.inc();
         let _span = SpanTimer::new(Arc::clone(&self.metrics.retrieve_ns));
-        let lexical = self.index.candidate_scores(&self.encode(words));
+        let lexical = self.titles.index.candidate_scores(&self.encode(words));
         let qvec = self.retriever.embed(&words.join(" "));
         let side = AnnBundle::items;
         let fused = self.retriever.fuse(

@@ -12,7 +12,9 @@
 //!   concepts that suggest it) in one shared buffer, with an 8-byte
 //!   `(start, len)` [`Span`] per node;
 //! - the name index an open-addressed table of `u32` ids ([`IdTable`]),
-//!   keyed by the name's hash and resolved against the name column.
+//!   keyed by the name's hash and resolved against the name column, and
+//!   built the first time a name is looked up: serving never asks for a
+//!   concept by name, so a loaded net does not pay for it (DESIGN.md §9).
 //!
 //! Mutators keep working in any order: a list with spare capacity grows in
 //! its slot, a full list that ends the buffer grows in place, and any
@@ -24,6 +26,7 @@
 use std::fmt;
 use std::hash::Hasher;
 use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 use alicoco_nn::util::FxHasher;
 
@@ -307,26 +310,28 @@ impl IdTable {
     }
 
     /// Insert `id` under `hash`, replacing the id whose key `is_key`
-    /// accepts if there is one. `hash_of` rehashes the stored ids when the
-    /// table grows.
+    /// accepts if there is one; returns whether there was none. `hash_of`
+    /// rehashes the stored ids when the table grows.
     pub(crate) fn insert(
         &mut self,
         hash: u64,
         id: u32,
         is_key: impl FnMut(u32) -> bool,
         hash_of: impl Fn(u32) -> u64,
-    ) {
+    ) -> bool {
         if 2 * (self.len + 1) > self.slots.len() {
             self.grow(hash_of);
         }
-        if let Some((at, found)) = self.probe(hash, is_key) {
-            if let Some(slot) = self.slots.get_mut(at) {
-                *slot = id;
-            }
-            if !found {
-                self.len += 1;
-            }
+        let Some((at, found)) = self.probe(hash, is_key) else {
+            return false;
+        };
+        if let Some(slot) = self.slots.get_mut(at) {
+            *slot = id;
         }
+        if !found {
+            self.len += 1;
+        }
+        !found
     }
 
     /// Double the slot count and re-place every id.
@@ -344,6 +349,33 @@ impl IdTable {
     }
 }
 
+/// A concept layer's name → id table.
+struct NameIndex {
+    table: IdTable,
+    /// No two concepts share a name. [`ConceptColumns::add`] keeps it so;
+    /// only a layer decoded from a crafted snapshot can break it.
+    distinct: bool,
+}
+
+impl NameIndex {
+    /// Index every name of a column; when a name repeats, the last concept
+    /// carrying it wins.
+    fn build(text: &str, ends: &[u32]) -> Self {
+        let mut table = IdTable::with_capacity(ends.len());
+        let mut distinct = true;
+        for i in 0..ends.len() {
+            let name = name_in(text, ends, i);
+            distinct &= table.insert(
+                str_hash(name.as_bytes()),
+                to_u32(i),
+                |id| name_in(text, ends, id as usize) == name,
+                |id| str_hash(name_in(text, ends, id as usize).as_bytes()),
+            );
+        }
+        NameIndex { table, distinct }
+    }
+}
+
 /// The concept layer of a net, in columns (see the module docs).
 #[derive(Default)]
 pub(crate) struct ConceptColumns {
@@ -351,8 +383,8 @@ pub(crate) struct ConceptColumns {
     text: String,
     /// End offset of each concept's name in `text`.
     ends: Vec<u32>,
-    /// Name → id.
-    by_name: IdTable,
+    /// Name → id, built on first use.
+    by_name: OnceLock<NameIndex>,
     pub(crate) primitives: EdgeLists<ConceptId, PrimitiveId>,
     pub(crate) hypernyms: EdgeLists<ConceptId, ConceptId>,
     pub(crate) items: EdgeLists<ConceptId, (ItemId, f32)>,
@@ -360,12 +392,12 @@ pub(crate) struct ConceptColumns {
 
 impl ConceptColumns {
     /// Room for `n` concepts whose names take `name_bytes` bytes; the name
-    /// index is left empty until [`finish_bulk`](Self::finish_bulk).
+    /// index is built on first use.
     pub(crate) fn with_capacity(n: usize, name_bytes: usize) -> Self {
         Self {
             text: String::with_capacity(name_bytes),
             ends: Vec::with_capacity(n),
-            by_name: IdTable::default(),
+            by_name: OnceLock::new(),
             primitives: EdgeLists::with_capacity(n),
             hypernyms: EdgeLists::with_capacity(n),
             items: EdgeLists::with_capacity(n),
@@ -398,37 +430,45 @@ impl ConceptColumns {
         (0..self.len()).map(|i| self.get(ConceptId::from_index(i)))
     }
 
+    /// The name index, built now if this is its first use.
+    fn names(&self) -> &NameIndex {
+        self.by_name
+            .get_or_init(|| NameIndex::build(&self.text, &self.ends))
+    }
+
     /// The concept named `name`.
     pub(crate) fn find(&self, name: &str) -> Option<ConceptId> {
-        self.by_name
-            .find(str_hash(name.as_bytes()), |id| {
-                self.name_at(id as usize) == name
+        self.find_bytes(name.as_bytes())
+    }
+
+    /// The concept whose name has the bytes `name`.
+    pub(crate) fn find_bytes(&self, name: &[u8]) -> Option<ConceptId> {
+        self.names()
+            .table
+            .find(str_hash(name), |id| {
+                self.name_at(id as usize).as_bytes() == name
             })
             .map(|id| ConceptId::from_index(id as usize))
     }
 
-    /// Append a concept named `name` with empty lists, leaving the name
-    /// index alone (bulk callers index once at the end).
+    /// Whether no two concepts share a name (builds the name index if
+    /// nothing has yet).
+    pub(crate) fn names_distinct(&self) -> bool {
+        self.names().distinct
+    }
+
+    /// Append a concept named `name` with empty lists: the bulk path, on
+    /// a layer whose name index has not been built.
     pub(crate) fn push_name(&mut self, name: &str) {
         self.text.push_str(name);
         self.ends.push(to_u32(self.text.len()));
     }
 
     /// Finish a layer filled by [`push_name`](Self::push_name) and
-    /// [`EdgeLists::push_list`]: build the name index (when a name repeats,
-    /// the last concept carrying it wins) and release growth slack.
+    /// [`EdgeLists::push_list`]: release growth slack. The name index is
+    /// left to its first use; when a name repeats, the last concept
+    /// carrying it wins there.
     pub(crate) fn finish_bulk(&mut self) {
-        let mut by_name = IdTable::with_capacity(self.len());
-        for i in 0..self.len() {
-            let name = self.name_at(i);
-            by_name.insert(
-                str_hash(name.as_bytes()),
-                to_u32(i),
-                |id| self.name_at(id as usize) == name,
-                |id| str_hash(self.name_at(id as usize).as_bytes()),
-            );
-        }
-        self.by_name = by_name;
         self.text.shrink_to_fit();
         self.ends.shrink_to_fit();
         self.primitives.shrink_to_fit();
@@ -438,6 +478,7 @@ impl ConceptColumns {
 
     /// The concept named `name`, added with empty lists if there is none.
     pub(crate) fn add(&mut self, name: &str) -> ConceptId {
+        // The lookup builds the name index, so it is there to extend.
         if let Some(id) = self.find(name) {
             return id;
         }
@@ -452,13 +493,15 @@ impl ConceptColumns {
             by_name,
             ..
         } = self;
-        let name_of = |id: u32| name_in(text, ends, id as usize);
-        by_name.insert(
-            str_hash(name.as_bytes()),
-            to_u32(id),
-            |_| false,
-            |id| str_hash(name_of(id).as_bytes()),
-        );
+        if let Some(index) = by_name.get_mut() {
+            let name_of = |id: u32| name_in(text, ends, id as usize);
+            index.table.insert(
+                str_hash(name.as_bytes()),
+                to_u32(id),
+                |_| false,
+                |id| str_hash(name_of(id).as_bytes()),
+            );
+        }
         ConceptId::from_index(id)
     }
 

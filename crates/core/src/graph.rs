@@ -126,10 +126,11 @@ impl AliCoCo {
     /// record at a time. Incoming nodes carry only their *forward* state
     /// (parents, hypernyms, out-edges; items their titles and properties);
     /// all derived state — class children, primitive hyponyms, item→concept
-    /// reverse links, and the three name indices — is rebuilt here in the
-    /// same order the incremental builders produce it, so a net built this
-    /// way compares equal to one built record by record. Callers must have
-    /// range-checked every id.
+    /// reverse links, and the class and primitive name indices — is rebuilt
+    /// here in the same order the incremental builders produce it, so a net
+    /// built this way compares equal to one built record by record. The
+    /// concept name index is built on its first use, not here: serving never
+    /// looks a concept up by name. Callers must have range-checked every id.
     pub(crate) fn from_parts(
         mut classes: Vec<ClassNode>,
         mut primitives: Vec<PrimitiveNode>,
@@ -398,6 +399,11 @@ impl AliCoCo {
     /// Number of concepts.
     pub fn num_concepts(&self) -> usize {
         self.concepts.len()
+    }
+
+    /// The concept layer itself, for the snapshot codec.
+    pub(crate) fn concept_layer(&self) -> &ConceptColumns {
+        &self.concepts
     }
 
     /// Link a concept to an interpreting primitive (§5.3).

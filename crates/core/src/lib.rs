@@ -77,6 +77,7 @@ pub mod coverage;
 pub mod graph;
 pub mod ids;
 pub mod infer;
+pub mod par;
 pub mod query;
 pub mod snapshot;
 pub mod stats;

@@ -21,10 +21,13 @@ use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
+use std::ops::Range;
+
 use alicoco_nn::util::FxHashMap;
 
-use crate::graph::AliCoCo;
+use crate::graph::{AliCoCo, ConceptRef};
 use crate::ids::{ConceptId, ItemId, PrimitiveId};
+use crate::par;
 
 /// Bit 0 of a posting-entry fact byte: the token is a surface word of the
 /// concept. The other seven bits count the concept's primitives whose full
@@ -73,7 +76,7 @@ struct ConceptPostings<'a> {
 }
 
 /// The most one posting block can contribute to any concept on it.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct BlockMax {
     /// The block's last id.
     last: ConceptId,
@@ -139,6 +142,7 @@ impl BlockMax {
 
 /// Lists laid out back to back in one arena: list `k` is
 /// `values[offsets[k]..offsets[k + 1]]`.
+#[derive(Debug, PartialEq)]
 struct Csr<T> {
     offsets: Vec<u32>,
     values: Vec<T>,
@@ -158,6 +162,12 @@ impl<T: Copy> Csr<T> {
         let next = offsets.get(..counts.len()).unwrap_or(&[]).to_vec();
         let values = vec![filler; end];
         (Csr { offsets, values }, next)
+    }
+
+    /// Append empty lists until there are `lists`.
+    fn pad(&mut self, lists: usize) {
+        let end = self.offsets.last().copied().unwrap_or(0);
+        self.offsets.resize(lists + 1, end);
     }
 
     /// Write `v` at list `k`'s cursor in `next` and advance it; returns
@@ -204,7 +214,7 @@ fn count(counts: &mut Vec<u32>, k: usize) {
 /// Per concept: one byte holding the distinct surface-word count and the
 /// stocked bit, and — for the rare name with more distinct words than the
 /// byte holds — the exact count kept aside, ascending by id.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 struct ConceptFacts {
     bytes: Vec<u8>,
     long_names: Vec<(ConceptId, usize)>,
@@ -225,6 +235,12 @@ impl ConceptFacts {
         }
         let len = surface_len.min(MAX_SURFACE_LEN) as u8;
         self.bytes.push((len << 1) | u8::from(stocked));
+    }
+
+    /// Append the facts of the concepts after these, in id order.
+    fn append(&mut self, next: ConceptFacts) {
+        self.bytes.extend(next.bytes);
+        self.long_names.extend(next.long_names);
     }
 
     /// The byte of `c`; zero for an id outside the net.
@@ -281,10 +297,13 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// Token → slot during a build: every token in a hash map, slots numbered
 /// in first-seen order, and each primitive name's slot cached by
-/// primitive id so a concept's primitive entries cost no hashing.
+/// primitive id so a concept's primitive entries cost no hashing. Tokens
+/// are borrowed from the net until the finished index copies them.
 struct SlotTable<'a> {
     kg: &'a AliCoCo,
-    by_token: FxHashMap<String, u32>,
+    by_token: FxHashMap<&'a str, u32>,
+    /// Every token, at its slot.
+    words: Vec<&'a str>,
     by_primitive: Vec<u32>,
 }
 
@@ -293,17 +312,19 @@ impl<'a> SlotTable<'a> {
         SlotTable {
             kg,
             by_token: FxHashMap::default(),
+            words: Vec::new(),
             by_primitive: vec![NO_SLOT; kg.num_primitives()],
         }
     }
 
     /// The slot of `tok`, numbered now if it has none.
-    fn word(&mut self, tok: &str) -> u32 {
+    fn word(&mut self, tok: &'a str) -> u32 {
         if let Some(&slot) = self.by_token.get(tok) {
             return slot;
         }
-        let slot = to_u32(self.by_token.len());
-        self.by_token.insert(tok.to_string(), slot);
+        let slot = to_u32(self.words.len());
+        self.by_token.insert(tok, slot);
+        self.words.push(tok);
         slot
     }
 
@@ -321,16 +342,13 @@ impl<'a> SlotTable<'a> {
         }
     }
 
-    /// The distinct tokens that evidence concept `c`, as `(slot, fact
+    /// The distinct tokens that evidence concept `node`, as `(slot, fact
     /// byte)` pairs into `out`; returns how many are surface words.
     /// Sorting groups a word that is a surface word and a primitive name,
     /// or names several primitives.
-    fn concept_entries(&mut self, c: ConceptId, out: &mut Vec<(u32, u8)>) -> usize {
-        let node = self.kg.concept(c);
+    fn concept_entries(&mut self, node: ConceptRef<'a>, out: &mut Vec<(u32, u8)>) -> usize {
         out.clear();
-        for w in node.name.split(' ') {
-            out.push((self.word(w), SURFACE));
-        }
+        for_each_word(node.name, |w| out.push((self.word(w), SURFACE)));
         for &p in node.primitives {
             out.push((self.primitive(p), ONE_PRIMITIVE));
         }
@@ -358,62 +376,226 @@ impl<'a> SlotTable<'a> {
     }
 }
 
-impl QueryIndex {
-    /// Build all inverted indices: one pass over each layer counts every
-    /// list's entries, a second fills the arenas sized by the counts.
-    pub fn build(kg: &AliCoCo) -> Self {
+/// Call `f` on each word of `name` — exactly what `name.split(' ')`
+/// yields, empty words included — found by a plain byte scan, which
+/// costs a short name a fraction of what the general pattern search does.
+fn for_each_word<'a>(name: &'a str, mut f: impl FnMut(&'a str)) {
+    let mut start = 0;
+    for (i, &b) in name.as_bytes().iter().enumerate() {
+        if b == b' ' {
+            f(name.get(start..i).unwrap_or_default());
+            start = i + 1;
+        }
+    }
+    f(name.get(start..).unwrap_or_default());
+}
+
+/// One id range of the concept layer, indexed on a core of its own. Its
+/// table numbers the tokens it meets in its own first-seen order;
+/// `index_slot` maps that numbering to the index's.
+struct Half<'a> {
+    concepts: Range<usize>,
+    table: SlotTable<'a>,
+    /// Posting entries per token, by the index's slot once merged.
+    per_token: Vec<u32>,
+    per_primitive: Vec<u32>,
+    facts: ConceptFacts,
+    /// The index's slot of each of `table`'s.
+    index_slot: Vec<u32>,
+}
+
+impl<'a> Half<'a> {
+    /// Number the tokens of `concepts` and count their posting entries.
+    fn count(kg: &'a AliCoCo, concepts: Range<usize>) -> Self {
         let mut table = SlotTable::new(kg);
-        let mut concept_facts = ConceptFacts::with_capacity(kg.num_concepts());
-        let (mut per_token, mut per_title_token) = (Vec::new(), Vec::new());
+        let mut facts = ConceptFacts::with_capacity(concepts.len());
+        let mut per_token = Vec::new();
         let mut per_primitive = vec![0; kg.num_primitives()];
-        let (mut entries, mut title) = (Vec::new(), Vec::new());
-        for c in kg.concept_ids() {
+        let mut entries = Vec::new();
+        for c in concepts.clone().map(ConceptId::from_index) {
+            let node = kg.concept(c);
             // One posting entry per distinct token: surface words plus the
             // full surface of every interpreting primitive (a primitive
             // match is what makes retrieval order-free, §8.1).
-            let surface_len = table.concept_entries(c, &mut entries);
-            concept_facts.push(c, surface_len, !kg.concept(c).items.is_empty());
+            let surface_len = table.concept_entries(node, &mut entries);
+            facts.push(c, surface_len, !node.items.is_empty());
             for &(slot, _) in &entries {
                 count(&mut per_token, slot as usize);
             }
-            for &p in kg.concept(c).primitives {
+            for &p in node.primitives {
                 count(&mut per_primitive, p.index());
             }
         }
-        for i in kg.item_ids() {
-            table.title_entries(i, &mut title);
-            for &slot in &title {
-                count(&mut per_title_token, slot as usize);
-            }
+        Half {
+            concepts,
+            table,
+            per_token,
+            per_primitive,
+            facts,
+            index_slot: Vec::new(),
         }
-        let slots = table.by_token.len();
-        per_token.resize(slots, 0);
-        per_title_token.resize(slots, 0);
+    }
 
-        // Every token has its slot now: the second pass only looks up.
-        let (mut concepts_by_token, mut next) = Csr::sized(&per_token, ConceptId(0));
+    /// Number this half's tokens in `index`, after those it already has,
+    /// and re-key the counts by those slots.
+    fn merge_into(&mut self, index: &mut SlotTable<'a>) {
+        self.index_slot = self.table.words.iter().map(|w| index.word(w)).collect();
+        let mut per_token = vec![0; index.words.len()];
+        for (&slot, &n) in self.index_slot.iter().zip(&self.per_token) {
+            if let Some(total) = per_token.get_mut(slot as usize) {
+                *total = n;
+            }
+        }
+        self.per_token = per_token;
+    }
+
+    /// Write this half's entries into its share of every list: `ids` and
+    /// `facts` by the index's slot, `by_primitive` by primitive id.
+    fn fill(
+        &mut self,
+        mut ids: Vec<&mut [ConceptId]>,
+        mut facts: Vec<&mut [u8]>,
+        mut by_primitive: Vec<&mut [ConceptId]>,
+    ) {
+        let kg = self.table.kg;
+        let mut entries = Vec::new();
+        for c in self.concepts.clone().map(ConceptId::from_index) {
+            let node = kg.concept(c);
+            self.table.concept_entries(node, &mut entries);
+            for &(local, fact) in &entries {
+                let slot = self
+                    .index_slot
+                    .get(local as usize)
+                    .map_or(0, |&s| s as usize);
+                put(ids.get_mut(slot), c);
+                put(facts.get_mut(slot), fact);
+            }
+            for &p in node.primitives {
+                put(by_primitive.get_mut(p.index()), c);
+            }
+        }
+    }
+}
+
+/// The item postings of every title token, numbering in `table` the tokens
+/// it has not met, in item order.
+fn title_postings(table: &mut SlotTable<'_>) -> Csr<ItemId> {
+    let kg = table.kg;
+    let mut per_title_token = Vec::new();
+    let mut title = Vec::new();
+    for i in kg.item_ids() {
+        table.title_entries(i, &mut title);
+        for &slot in &title {
+            count(&mut per_title_token, slot as usize);
+        }
+    }
+    per_title_token.resize(table.words.len(), 0);
+    let (mut items_by_token, mut next) = Csr::sized(&per_title_token, ItemId(0));
+    for i in kg.item_ids() {
+        table.title_entries(i, &mut title);
+        for &slot in &title {
+            items_by_token.fill(&mut next, slot as usize, i);
+        }
+    }
+    items_by_token
+}
+
+/// Write `v` at the front of a list's unwritten rest and step past it.
+fn put<T>(rest: Option<&mut &mut [T]>, v: T) {
+    if let Some(rest) = rest {
+        if let Some((first, tail)) = std::mem::take(rest).split_first_mut() {
+            *first = v;
+            *rest = tail;
+        }
+    }
+}
+
+/// Cut an arena of lists, list `k` of length `first[k] + second[k]`, into
+/// each list's first `first[k]` entries and its last `second[k]`. The
+/// arena was sized from the same counts, so every cut is in bounds.
+fn split_lists<'v, T>(
+    mut values: &'v mut [T],
+    first: &[u32],
+    second: &[u32],
+) -> (Vec<&'v mut [T]>, Vec<&'v mut [T]>) {
+    let mut heads = Vec::with_capacity(first.len());
+    let mut tails = Vec::with_capacity(second.len());
+    for (&a, &b) in first.iter().zip(second) {
+        let cut =
+            |rest: &'v mut [T], n: u32| rest.split_at_mut_checked(n as usize).unwrap_or_default();
+        let (head, rest) = cut(std::mem::take(&mut values), a);
+        let (tail, rest) = cut(rest, b);
+        heads.push(head);
+        tails.push(tail);
+        values = rest;
+    }
+    (heads, tails)
+}
+
+impl QueryIndex {
+    /// Build all inverted indices: one pass over each layer counts every
+    /// list's entries, a second fills the arenas sized by the counts.
+    ///
+    /// The concept layer is counted and filled in two id halves, one on
+    /// each of two cores. The second half's new tokens are numbered after
+    /// all of the first half's, in the order it met them — first-seen
+    /// order over the whole layer — and each half writes the entries of
+    /// its ids into its own share of every list: the first half's ids
+    /// lead each list, so lists stay ascending. Title tokens are numbered
+    /// after every concept token, and their item postings built on a third
+    /// thread while the halves fill. The index is the one a single pass
+    /// builds.
+    pub fn build(kg: &AliCoCo) -> Self {
+        let n = kg.num_concepts();
+        let (mut first, mut second) =
+            par::join(|| Half::count(kg, 0..n / 2), || Half::count(kg, n / 2..n));
+        let mut table = SlotTable::new(kg);
+        first.merge_into(&mut table);
+        second.merge_into(&mut table);
+        first.per_token.resize(table.words.len(), 0);
+
+        // Every concept token has its slot now: the second pass only looks
+        // up. Title tokens are numbered after them, beside it.
+        let mut per_token: Vec<u32> = first
+            .per_token
+            .iter()
+            .zip(&second.per_token)
+            .map(|(a, b)| a + b)
+            .collect();
+        let per_primitive: Vec<u32> = first
+            .per_primitive
+            .iter()
+            .zip(&second.per_primitive)
+            .map(|(a, b)| a + b)
+            .collect();
+        let (mut concepts_by_token, _) = Csr::sized(&per_token, ConceptId(0));
         let mut entry_facts = vec![0; concepts_by_token.values.len()];
-        let (mut concepts_by_primitive, mut next_by_primitive) =
-            Csr::sized(&per_primitive, ConceptId(0));
-        for c in kg.concept_ids() {
-            table.concept_entries(c, &mut entries);
-            for &(slot, fact) in &entries {
-                let at = concepts_by_token.fill(&mut next, slot as usize, c);
-                if let Some(byte) = at.and_then(|at| entry_facts.get_mut(at)) {
-                    *byte = fact;
-                }
-            }
-            for &p in kg.concept(c).primitives {
-                concepts_by_primitive.fill(&mut next_by_primitive, p.index(), c);
-            }
-        }
-        let (mut items_by_token, mut next) = Csr::sized(&per_title_token, ItemId(0));
-        for i in kg.item_ids() {
-            table.title_entries(i, &mut title);
-            for &slot in &title {
-                items_by_token.fill(&mut next, slot as usize, i);
-            }
-        }
+        let (mut concepts_by_primitive, _) = Csr::sized(&per_primitive, ConceptId(0));
+        let (ids_a, ids_b) = split_lists(
+            &mut concepts_by_token.values,
+            &first.per_token,
+            &second.per_token,
+        );
+        let (facts_a, facts_b) = split_lists(&mut entry_facts, &first.per_token, &second.per_token);
+        let (prims_a, prims_b) = split_lists(
+            &mut concepts_by_primitive.values,
+            &first.per_primitive,
+            &second.per_primitive,
+        );
+        let ((_, items_by_token), _) = par::join(
+            || {
+                par::join(
+                    || first.fill(ids_a, facts_a, prims_a),
+                    || title_postings(&mut table),
+                )
+            },
+            || second.fill(ids_b, facts_b, prims_b),
+        );
+        let mut concept_facts = first.facts;
+        concept_facts.append(second.facts);
+        // Title-only tokens evidence no concept.
+        per_token.resize(table.words.len(), 0);
+        concepts_by_token.pad(per_token.len());
 
         let per_list: Vec<u32> = per_token
             .iter()
@@ -442,8 +624,14 @@ impl QueryIndex {
                 }
             }
         }
+        let slots = table
+            .words
+            .iter()
+            .enumerate()
+            .map(|(slot, w)| (w.to_string(), to_u32(slot)))
+            .collect();
         QueryIndex {
-            slots: table.by_token,
+            slots,
             concepts_by_token,
             entry_facts,
             blocks,
@@ -1242,6 +1430,9 @@ pub fn concept_item_degrees(kg: &AliCoCo) -> DegreeStats {
 pub fn item_primitive_degrees(kg: &AliCoCo) -> DegreeStats {
     degree_stats(kg.item_ids().map(|i| kg.item(i).primitives.len()))
 }
+
+#[cfg(test)]
+mod build_tests;
 
 #[cfg(test)]
 mod tests {

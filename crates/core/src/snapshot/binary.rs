@@ -44,6 +44,7 @@ use super::{check_name, LoadError, SaveError};
 use crate::columns::{str_hash, ConceptColumns, IdTable, ItemColumns};
 use crate::graph::{AliCoCo, ClassNode, PrimitiveNode, PrimitiveRelation, SchemaRelation};
 use crate::ids::{ClassId, ConceptId, ItemId, PrimitiveId};
+use crate::par;
 
 /// First four bytes of every binary snapshot — what format auto-detection
 /// keys on.
@@ -105,6 +106,32 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The checksum of every payload, in order, computed on two cores: the
+/// payloads are split where their bytes are most nearly halved (a
+/// checksum is a chain through its section, so no finer split exists).
+fn checksums(payloads: &[&[u8]]) -> Vec<u64> {
+    let total: usize = payloads.iter().map(|p| p.len()).sum();
+    let mut split = 0;
+    let mut before = 0;
+    for p in payloads {
+        // Past this payload the first group would hold more than the
+        // second: the split goes before or after it, whichever is closer.
+        if 2 * (before + p.len()) > total {
+            if total - 2 * before > 2 * (before + p.len()) - total {
+                split += 1;
+            }
+            break;
+        }
+        before += p.len();
+        split += 1;
+    }
+    let (first, second) = payloads.split_at(split.min(payloads.len()));
+    let sums = |group: &[&[u8]]| group.iter().map(|p| fnv1a64(p)).collect::<Vec<_>>();
+    let (mut first, second) = par::join(|| sums(first), || sums(second));
+    first.extend(second);
+    first
+}
+
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
@@ -139,22 +166,44 @@ fn corrupt(section: &'static str, msg: impl Into<String>) -> LoadError {
 #[derive(Default)]
 struct Arena {
     bytes: Vec<u8>,
-    /// `(offset, len)` of every distinct string, in interning order.
+    /// `(offset, len)` of every distinct string in the dedup table, in
+    /// interning order.
     refs: Vec<(u32, u32)>,
     /// Indices into `refs`, keyed by content.
     seen: IdTable,
 }
 
+/// Where a string that is not in the arena's dedup table may already be:
+/// the reference of an earlier copy of the given bytes, if there is one.
+type Known<'a> = &'a dyn Fn(&[u8]) -> Option<(u32, u32)>;
+
+/// [`Known`] for a section interned before any concept: nothing.
+fn nothing(_: &[u8]) -> Option<(u32, u32)> {
+    None
+}
+
 impl Arena {
-    fn intern(&mut self, s: &str) -> Result<(u32, u32), SaveError> {
+    /// Intern `s`. With `register` false, a new string is appended but not
+    /// entered into the dedup table: the caller promises no later string
+    /// that is not resolved by a [`Known`] repeats it.
+    fn intern(
+        &mut self,
+        s: &str,
+        known: Known<'_>,
+        register: bool,
+    ) -> Result<(u32, u32), SaveError> {
         let start = self.bytes.len();
         self.bytes.extend_from_slice(s.as_bytes());
-        self.keep_tail(start)
+        self.keep_tail(start, known, register)
     }
 
     /// Intern tokens joined by single spaces (an item title) without
     /// building the joined string.
-    fn intern_joined(&mut self, tokens: &[String]) -> Result<(u32, u32), SaveError> {
+    fn intern_joined(
+        &mut self,
+        tokens: &[String],
+        known: Known<'_>,
+    ) -> Result<(u32, u32), SaveError> {
         let start = self.bytes.len();
         for (i, tok) in tokens.iter().enumerate() {
             if i > 0 {
@@ -162,13 +211,18 @@ impl Arena {
             }
             self.bytes.extend_from_slice(tok.as_bytes());
         }
-        self.keep_tail(start)
+        self.keep_tail(start, known, true)
     }
 
     /// The bytes from `start` to the end were just appended: return the
-    /// reference of an earlier copy (dropping the new one), or register
-    /// them as a new string.
-    fn keep_tail(&mut self, start: usize) -> Result<(u32, u32), SaveError> {
+    /// reference of an earlier copy (dropping the new one) found in the
+    /// dedup table or by `known`, or keep them as a new string.
+    fn keep_tail(
+        &mut self,
+        start: usize,
+        known: Known<'_>,
+        register: bool,
+    ) -> Result<(u32, u32), SaveError> {
         let Arena { bytes, refs, seen } = self;
         let text = |(off, len): (u32, u32)| {
             bytes
@@ -178,8 +232,11 @@ impl Arena {
         let tail = bytes.get(start..).unwrap_or(&[]);
         let hash = str_hash(tail);
         let same = |i: u32| refs.get(i as usize).is_some_and(|&r| text(r) == tail);
-        if let Some(r) = seen.find(hash, same).and_then(|i| refs.get(i as usize)) {
-            let r = *r;
+        let earlier = seen
+            .find(hash, same)
+            .and_then(|i| refs.get(i as usize).copied())
+            .or_else(|| known(tail));
+        if let Some(r) = earlier {
             bytes.truncate(start);
             return Ok(r);
         }
@@ -189,14 +246,16 @@ impl Arena {
             )));
         }
         let r = (start as u32, (bytes.len() - start) as u32);
-        let id = count_u32(refs.len(), "string")?;
-        refs.push(r);
-        seen.insert(
-            hash,
-            id,
-            |_| false,
-            |i| str_hash(refs.get(i as usize).map_or(&[], |&r| text(r))),
-        );
+        if register {
+            let id = count_u32(refs.len(), "string")?;
+            refs.push(r);
+            seen.insert(
+                hash,
+                id,
+                |_| false,
+                |i| str_hash(refs.get(i as usize).map_or(&[], |&r| text(r))),
+            );
+        }
         Ok(r)
     }
 }
@@ -204,6 +263,15 @@ impl Arena {
 fn count_u32(n: usize, what: &str) -> Result<u32, SaveError> {
     u32::try_from(n)
         .map_err(|_| SaveError::Io(io::Error::other(format!("{what} count exceeds u32"))))
+}
+
+/// A fixed-stride section with room for `n` records of `stride` bytes,
+/// its count already written.
+fn fixed_section(n: usize, stride: usize, what: &str) -> Result<Vec<u8>, SaveError> {
+    let count = count_u32(n, what)?;
+    let mut sec = Vec::with_capacity(4 + n * stride);
+    sec.extend_from_slice(&count.to_le_bytes());
+    Ok(sec)
 }
 
 fn push_str_ref(sec: &mut Vec<u8>, (off, len): (u32, u32)) {
@@ -221,53 +289,95 @@ fn encode_deltas(sec: &mut Vec<u8>, ids: &mut dyn ExactSizeIterator<Item = usize
     }
 }
 
-/// Serialize a net into `out` as one binary snapshot. Output is deterministic: the same net
-/// always produces the same bytes.
-pub fn save(kg: &AliCoCo, out: &mut Vec<u8>) -> Result<(), SaveError> {
-    save_with_ann(kg, None, out)
+/// The sections interned before the item layer: the arena so far and the
+/// `CLAS`, `PRIM` and `CONC` records that point into it.
+struct Head {
+    arena: Arena,
+    clas: Vec<u8>,
+    prim: Vec<u8>,
+    conc: Vec<u8>,
 }
 
-/// [`save`], optionally appending the three ANN trailer sections.
-/// `save_with_ann(kg, None, out)` is byte-identical to the pre-ANN
-/// format, so bare snapshots round-trip unchanged.
-pub fn save_with_ann(
-    kg: &AliCoCo,
-    ann: Option<AnnPayload<'_>>,
-    out: &mut Vec<u8>,
-) -> Result<(), SaveError> {
+/// Intern class, primitive and concept names. With `distinct` the caller
+/// vouches that no two concepts share a name, so a concept name is looked
+/// up among class and primitive names only — a table that stays in cache
+/// — and is not entered into it; later strings find concept names through
+/// the net's own name index instead (see [`intern_tail`]). The arena is
+/// the same either way.
+fn intern_head(kg: &AliCoCo, distinct: bool) -> Result<Head, SaveError> {
     let mut arena = Arena::default();
-    let mut clas = Vec::new();
-    clas.extend_from_slice(&count_u32(kg.num_classes(), "class")?.to_le_bytes());
+    let mut clas = fixed_section(kg.num_classes(), 12, "class")?;
     for id in kg.class_ids() {
         let c = kg.class(id);
-        push_str_ref(&mut clas, arena.intern(check_name("class", &c.name)?)?);
+        let name = check_name("class", &c.name)?;
+        push_str_ref(&mut clas, arena.intern(name, &nothing, true)?);
         let parent = c.parent.map_or(u32::MAX, |p| p.index() as u32);
         clas.extend_from_slice(&parent.to_le_bytes());
     }
-    let mut prim = Vec::new();
-    prim.extend_from_slice(&count_u32(kg.num_primitives(), "primitive")?.to_le_bytes());
+    let mut prim = fixed_section(kg.num_primitives(), 12, "primitive")?;
     for id in kg.primitive_ids() {
         let p = kg.primitive(id);
-        push_str_ref(&mut prim, arena.intern(check_name("primitive", &p.name)?)?);
+        let name = check_name("primitive", &p.name)?;
+        push_str_ref(&mut prim, arena.intern(name, &nothing, true)?);
         prim.extend_from_slice(&(p.class.index() as u32).to_le_bytes());
     }
-    let mut conc = Vec::new();
-    conc.extend_from_slice(&count_u32(kg.num_concepts(), "concept")?.to_le_bytes());
+    let mut conc = fixed_section(kg.num_concepts(), 8, "concept")?;
     for id in kg.concept_ids() {
-        push_str_ref(
-            &mut conc,
-            arena.intern(check_name("concept", kg.concept(id).name)?)?,
-        );
+        let name = check_name("concept", kg.concept(id).name)?;
+        push_str_ref(&mut conc, arena.intern(name, &nothing, !distinct)?);
     }
-    let mut item = Vec::new();
-    item.extend_from_slice(&count_u32(kg.num_items(), "item")?.to_le_bytes());
+    Ok(Head {
+        arena,
+        clas,
+        prim,
+        conc,
+    })
+}
+
+/// Intern item titles, schema and relation names after `head`: the
+/// `ITEM`, `SCHM` and `PREL` sections. `concepts` holds the concept layer
+/// when [`intern_head`] left concept names out of the dedup table, so a
+/// string equal to a concept name takes that concept's `CONC` record.
+fn intern_tail(
+    head: &mut Head,
+    kg: &AliCoCo,
+    concepts: Option<&ConceptColumns>,
+) -> Result<[Vec<u8>; 3], SaveError> {
+    let Head { arena, conc, .. } = head;
+    let concept_ref = |name: &[u8]| {
+        let c = concepts?.find_bytes(name)?.index();
+        let entry = conc.get(4 + 8 * c..)?;
+        Some((u32_at(entry, 0), u32_at(entry, 4)))
+    };
+    let mut item = fixed_section(kg.num_items(), 8, "item")?;
     for id in kg.item_ids() {
         let title = &kg.item(id).title;
         if title.iter().any(|t| check_name("item title", t).is_err()) {
             check_name("item title", &title.join(" "))?;
         }
-        push_str_ref(&mut item, arena.intern_joined(title)?);
+        push_str_ref(&mut item, arena.intern_joined(title, &concept_ref)?);
     }
+    let mut schm = fixed_section(kg.schema().len(), 16, "schema relation")?;
+    for s in kg.schema() {
+        let name = check_name("schema relation", &s.name)?;
+        push_str_ref(&mut schm, arena.intern(name, &concept_ref, true)?);
+        schm.extend_from_slice(&(s.from.index() as u32).to_le_bytes());
+        schm.extend_from_slice(&(s.to.index() as u32).to_le_bytes());
+    }
+    let relations = kg.primitive_relations();
+    let mut prel = fixed_section(relations.len(), 16, "primitive relation")?;
+    for r in relations {
+        let name = check_name("primitive relation", &r.name)?;
+        push_str_ref(&mut prel, arena.intern(name, &concept_ref, true)?);
+        prel.extend_from_slice(&(r.from.index() as u32).to_le_bytes());
+        prel.extend_from_slice(&(r.to.index() as u32).to_le_bytes());
+    }
+    Ok([item, schm, prel])
+}
+
+/// The five varint edge sections, in file order: `PPIA`, `CCIA`, `CPRI`,
+/// `CITM`, `IPRI`. They hold no strings, so they encode beside the arena.
+fn encode_edges(kg: &AliCoCo) -> [Vec<u8>; 5] {
     let mut ppia = Vec::new();
     for id in kg.primitive_ids() {
         let hypernyms = &kg.primitive(id).hypernyms;
@@ -294,29 +404,47 @@ pub fn save_with_ann(
         let primitives = &kg.item(id).primitives;
         encode_deltas(&mut ipri, &mut primitives.iter().map(|p| p.index()));
     }
-    let mut schm = Vec::new();
-    schm.extend_from_slice(&count_u32(kg.schema().len(), "schema relation")?.to_le_bytes());
-    for s in kg.schema() {
-        push_str_ref(
-            &mut schm,
-            arena.intern(check_name("schema relation", &s.name)?)?,
-        );
-        schm.extend_from_slice(&(s.from.index() as u32).to_le_bytes());
-        schm.extend_from_slice(&(s.to.index() as u32).to_le_bytes());
-    }
-    let mut prel = Vec::new();
-    prel.extend_from_slice(
-        &count_u32(kg.primitive_relations().len(), "primitive relation")?.to_le_bytes(),
-    );
-    for r in kg.primitive_relations() {
-        push_str_ref(
-            &mut prel,
-            arena.intern(check_name("primitive relation", &r.name)?)?,
-        );
-        prel.extend_from_slice(&(r.from.index() as u32).to_le_bytes());
-        prel.extend_from_slice(&(r.to.index() as u32).to_le_bytes());
-    }
+    [ppia, ccia, cpri, citm, ipri]
+}
 
+/// Serialize a net into `out` as one binary snapshot. Output is deterministic: the same net
+/// always produces the same bytes.
+pub fn save(kg: &AliCoCo, out: &mut Vec<u8>) -> Result<(), SaveError> {
+    save_with_ann(kg, None, out)
+}
+
+/// [`save`], optionally appending the three ANN trailer sections.
+/// `save_with_ann(kg, None, out)` is byte-identical to the pre-ANN
+/// format, so bare snapshots round-trip unchanged.
+///
+/// Two cores share the work: one interns the strings while the other
+/// encodes the edge sections and learns whether concept names are
+/// distinct, then both compute checksums. A net whose concept names
+/// repeat (only a crafted snapshot decodes to one) is interned again with
+/// every concept name in the dedup table, so its bytes do not change
+/// either.
+pub fn save_with_ann(
+    kg: &AliCoCo,
+    ann: Option<AnnPayload<'_>>,
+    out: &mut Vec<u8>,
+) -> Result<(), SaveError> {
+    let (head, (distinct, edges)) = par::join(
+        || intern_head(kg, true),
+        || (kg.concept_layer().names_distinct(), encode_edges(kg)),
+    );
+    let mut head = if distinct {
+        head?
+    } else {
+        intern_head(kg, false)?
+    };
+    let [item, schm, prel] = intern_tail(&mut head, kg, distinct.then(|| kg.concept_layer()))?;
+    let [ppia, ccia, cpri, citm, ipri] = edges;
+    let Head {
+        arena,
+        clas,
+        prim,
+        conc,
+    } = head;
     let sections: [Vec<u8>; 12] = [
         arena.bytes,
         clas,
@@ -341,18 +469,22 @@ pub fn save_with_ann(
         table.push((b"ACON", a.concepts));
         table.push((b"AITM", a.items));
     }
+    let payloads: Vec<&[u8]> = table.iter().map(|&(_, payload)| payload).collect();
+    let sums = checksums(&payloads);
+    let head_len = HEADER_LEN + table.len() * TABLE_ENTRY_LEN;
+    out.reserve(head_len + payloads.iter().map(|p| p.len()).sum::<usize>());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(table.len() as u32).to_le_bytes());
-    let mut offset = (HEADER_LEN + table.len() * TABLE_ENTRY_LEN) as u64;
-    for (tag, payload) in &table {
+    let mut offset = head_len as u64;
+    for ((tag, payload), sum) in table.iter().zip(&sums) {
         out.extend_from_slice(*tag);
         out.extend_from_slice(&offset.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out.extend_from_slice(&sum.to_le_bytes());
         offset += payload.len() as u64;
     }
-    for (_, payload) in &table {
+    for payload in payloads {
         out.extend_from_slice(payload);
     }
     Ok(())
@@ -592,33 +724,30 @@ impl<'a> SnapshotView<'a> {
             .chain(if with_ann { ANN_SECTIONS } else { &[] })
             .copied();
         let mut payloads: Vec<&'a [u8]> = Vec::with_capacity(section_count);
+        let mut sums = Vec::with_capacity(section_count);
         let mut expected = HEADER_LEN + section_count * TABLE_ENTRY_LEN;
+        let mut table_fault = None;
         for (i, (tag, name)) in expected_tags.enumerate() {
-            let base = HEADER_LEN + i * TABLE_ENTRY_LEN;
-            let entry = bytes
-                .get(base..base + TABLE_ENTRY_LEN)
-                .ok_or_else(|| corrupt("section table", "truncated table"))?;
-            if entry.get(..4) != Some(&tag[..]) {
-                return Err(corrupt("section table", format!("expected section {name}")));
+            match table_entry(bytes, i, tag, name, expected) {
+                Ok((payload, sum)) => {
+                    payloads.push(payload);
+                    sums.push(sum);
+                    expected += payload.len();
+                }
+                Err(e) => {
+                    table_fault = Some(e);
+                    break;
+                }
             }
-            let off = usize::try_from(u64_at(entry, 4, "section table")?)
-                .map_err(|_| corrupt("section table", "offset overflow"))?;
-            let len = usize::try_from(u64_at(entry, 12, "section table")?)
-                .map_err(|_| corrupt("section table", "length overflow"))?;
-            if off != expected {
-                return Err(corrupt("section table", "sections must be contiguous"));
-            }
-            // The length is capped against the remaining buffer before any
-            // use — an oversized-length attack fails here, allocation-free.
-            let payload = off
-                .checked_add(len)
-                .and_then(|end| bytes.get(off..end))
-                .ok_or_else(|| corrupt("section table", "section length exceeds file"))?;
-            if fnv1a64(payload) != u64_at(entry, 20, "section table")? {
-                return Err(corrupt(name_of(i), "checksum mismatch"));
-            }
-            payloads.push(payload);
-            expected = off + len;
+        }
+        // Every section framed before the first table fault is checked
+        // first, so the fault reported is the first in file order.
+        let actual = checksums(&payloads);
+        if let Some(i) = (0..sums.len()).find(|&i| actual.get(i) != sums.get(i)) {
+            return Err(corrupt(name_of(i), "checksum mismatch"));
+        }
+        if let Some(e) = table_fault {
+            return Err(e);
         }
         if expected != bytes.len() {
             return Err(corrupt(
@@ -787,11 +916,14 @@ impl<'a> SnapshotView<'a> {
     /// Materialize the full owned graph via the bulk constructor. Varint
     /// sections are validated here (id ranges, weight domain, exact
     /// section consumption).
+    ///
+    /// The concept and item layers decode from disjoint sections, one on
+    /// each of two cores. Of several corrupt sections, the one reported is
+    /// the one a single-threaded decode meets first: primitives, then the
+    /// concept layer, then the item layer.
     pub fn to_graph(&self) -> Result<AliCoCo, LoadError> {
         let n_class = self.classes.count;
         let n_prim = self.primitives.count;
-        let n_conc = self.concepts.count;
-        let n_item = self.items.count;
         let mut classes = Vec::with_capacity(n_class);
         for i in 0..n_class {
             classes.push(ClassNode {
@@ -813,47 +945,8 @@ impl<'a> SnapshotView<'a> {
             });
         }
         prim_isa.expect_end()?;
-        // The concept layer is columns: names into one string, each edge
-        // kind into one buffer — nothing allocated per concept.
-        let name_bytes = (0..n_conc).map(|i| self.concept_name(i).len()).sum();
-        let mut concepts = ConceptColumns::with_capacity(n_conc, name_bytes);
-        let mut isa = Cursor::new(self.ccia, "concept-isA");
-        let mut interp = Cursor::new(self.cpri, "concept-primitive");
-        let mut sugg = Cursor::new(self.citm, "concept-item");
-        for i in 0..n_conc {
-            concepts.push_name(self.concept_name(i));
-            concepts
-                .hypernyms
-                .push_list(|out| isa.ids_into(n_conc, out, ConceptId::from_index))?;
-            concepts
-                .primitives
-                .push_list(|out| interp.ids_into(n_prim, out, PrimitiveId::from_index))?;
-            concepts
-                .items
-                .push_list(|out| sugg.weighted_into(n_item, out))?;
-        }
-        isa.expect_end()?;
-        interp.expect_end()?;
-        sugg.expect_end()?;
-        // Items keep an owned title each; their property lists go into
-        // one buffer like the concept layer's.
-        let mut props = Cursor::new(self.ipri, "item-primitive");
-        let mut items = ItemColumns::with_capacity(n_item);
-        for i in 0..n_item {
-            let joined = self.item_title(i);
-            let title = if joined.is_empty() {
-                Vec::new()
-            } else {
-                let mut title = Vec::with_capacity(joined.split(' ').count());
-                title.extend(joined.split(' ').map(String::from));
-                title
-            };
-            items.push_title(title);
-            items
-                .primitives
-                .push_list(|out| props.ids_into(n_prim, out, PrimitiveId::from_index))?;
-        }
-        props.expect_end()?;
+        let (concepts, items) = par::join(|| self.concept_layer(), || self.item_layer());
+        let (concepts, items) = (concepts?, items?);
         let schema = (0..self.schema.count)
             .map(|i| {
                 let e = self.schema.entry(i);
@@ -877,6 +970,62 @@ impl<'a> SnapshotView<'a> {
         Ok(AliCoCo::from_parts(
             classes, primitives, concepts, items, schema, relations,
         ))
+    }
+
+    /// Decode the concept layer: `CONC`, `CCIA`, `CPRI` and `CITM`.
+    fn concept_layer(&self) -> Result<ConceptColumns, LoadError> {
+        let n_prim = self.primitives.count;
+        let n_conc = self.concepts.count;
+        let n_item = self.items.count;
+        // The concept layer is columns: names into one string, each edge
+        // kind into one buffer — nothing allocated per concept.
+        let name_bytes = (0..n_conc).map(|i| self.concept_name(i).len()).sum();
+        let mut concepts = ConceptColumns::with_capacity(n_conc, name_bytes);
+        let mut isa = Cursor::new(self.ccia, "concept-isA");
+        let mut interp = Cursor::new(self.cpri, "concept-primitive");
+        let mut sugg = Cursor::new(self.citm, "concept-item");
+        for i in 0..n_conc {
+            concepts.push_name(self.concept_name(i));
+            concepts
+                .hypernyms
+                .push_list(|out| isa.ids_into(n_conc, out, ConceptId::from_index))?;
+            concepts
+                .primitives
+                .push_list(|out| interp.ids_into(n_prim, out, PrimitiveId::from_index))?;
+            concepts
+                .items
+                .push_list(|out| sugg.weighted_into(n_item, out))?;
+        }
+        isa.expect_end()?;
+        interp.expect_end()?;
+        sugg.expect_end()?;
+        Ok(concepts)
+    }
+
+    /// Decode the item layer: `ITEM` and `IPRI`. Items keep an owned title
+    /// each; their property lists go into one buffer like the concept
+    /// layer's.
+    fn item_layer(&self) -> Result<ItemColumns, LoadError> {
+        let n_prim = self.primitives.count;
+        let n_item = self.items.count;
+        let mut props = Cursor::new(self.ipri, "item-primitive");
+        let mut items = ItemColumns::with_capacity(n_item);
+        for i in 0..n_item {
+            let joined = self.item_title(i);
+            let title = if joined.is_empty() {
+                Vec::new()
+            } else {
+                let mut title = Vec::with_capacity(joined.split(' ').count());
+                title.extend(joined.split(' ').map(String::from));
+                title
+            };
+            items.push_title(title);
+            items
+                .primitives
+                .push_list(|out| props.ids_into(n_prim, out, PrimitiveId::from_index))?;
+        }
+        props.expect_end()?;
+        Ok(items)
     }
 
     /// Per-section `(name, payload bytes, record count)` — what
@@ -954,6 +1103,38 @@ impl<'a> SnapshotView<'a> {
         }
         Ok(out)
     }
+}
+
+/// Section `i`'s table entry, checked against the tag it must carry and
+/// the offset it must start at: its payload and its recorded checksum.
+fn table_entry<'a>(
+    bytes: &'a [u8],
+    i: usize,
+    tag: &[u8; 4],
+    name: &str,
+    expected: usize,
+) -> Result<(&'a [u8], u64), LoadError> {
+    let base = HEADER_LEN + i * TABLE_ENTRY_LEN;
+    let entry = bytes
+        .get(base..base + TABLE_ENTRY_LEN)
+        .ok_or_else(|| corrupt("section table", "truncated table"))?;
+    if entry.get(..4) != Some(&tag[..]) {
+        return Err(corrupt("section table", format!("expected section {name}")));
+    }
+    let off = usize::try_from(u64_at(entry, 4, "section table")?)
+        .map_err(|_| corrupt("section table", "offset overflow"))?;
+    let len = usize::try_from(u64_at(entry, 12, "section table")?)
+        .map_err(|_| corrupt("section table", "length overflow"))?;
+    if off != expected {
+        return Err(corrupt("section table", "sections must be contiguous"));
+    }
+    // The length is capped against the remaining buffer before any use —
+    // an oversized-length attack fails here, allocation-free.
+    let payload = off
+        .checked_add(len)
+        .and_then(|end| bytes.get(off..end))
+        .ok_or_else(|| corrupt("section table", "section length exceeds file"))?;
+    Ok((payload, u64_at(entry, 20, "section table")?))
 }
 
 fn name_of(i: usize) -> &'static str {
@@ -1106,6 +1287,221 @@ mod tests {
         let view = SnapshotView::open(&bytes).unwrap();
         let err = view.to_graph().unwrap_err();
         assert!(matches!(err, LoadError::Corrupt("primitive-isA", _)));
+    }
+
+    /// Section `i`'s payload range in a saved buffer.
+    fn payload_range(bytes: &[u8], i: usize) -> std::ops::Range<usize> {
+        let base = HEADER_LEN + i * TABLE_ENTRY_LEN;
+        let off = u64::from_le_bytes(bytes[base + 4..base + 12].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(bytes[base + 12..base + 20].try_into().unwrap()) as usize;
+        off..off + len
+    }
+
+    /// Blow up the first list degree of varint section `i`.
+    fn blow_up_first_degree(bytes: &mut [u8], i: usize) {
+        let range = payload_range(bytes, i);
+        assert!(range.len() >= 2, "section {i} too short to corrupt");
+        bytes[range.start] = 0xff;
+        bytes[range.start + 1] = 0x7f;
+    }
+
+    fn corrupt_error(r: Result<AliCoCo, LoadError>) -> (&'static str, String) {
+        match r {
+            Err(LoadError::Corrupt(section, msg)) => (section, msg),
+            other => panic!(
+                "expected a corrupt-section error, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+    }
+
+    /// The concept and item layers decode on two threads; with both
+    /// corrupt, the error is the concept layer's — the one a decoder
+    /// walking the sections in order meets first — however the threads
+    /// are scheduled.
+    #[test]
+    fn with_both_layers_corrupt_the_concept_layer_error_wins() {
+        let mut bytes = sample_bytes();
+        // CCIA is section 6 (concept layer), IPRI section 9 (item layer).
+        blow_up_first_degree(&mut bytes, 6);
+        let mut item_only = sample_bytes();
+        blow_up_first_degree(&mut item_only, 9);
+        blow_up_first_degree(&mut bytes, 9);
+        fix_checksums(&mut bytes);
+        fix_checksums(&mut item_only);
+        let concept_error = ("concept-isA", "degree exceeds section size".to_string());
+        for _ in 0..20 {
+            let view = SnapshotView::open(&bytes).unwrap();
+            assert_eq!(corrupt_error(view.to_graph()), concept_error);
+        }
+        let view = SnapshotView::open(&item_only).unwrap();
+        assert_eq!(
+            corrupt_error(view.to_graph()),
+            ("item-primitive", "degree exceeds section size".to_string())
+        );
+    }
+
+    /// Checksums are verified on two threads, the string arena alone on
+    /// one of them; of several bad sections, the first in file order is
+    /// named.
+    #[test]
+    fn of_several_bad_checksums_the_first_section_is_named() {
+        let clean = sample_bytes();
+        let flip = |bytes: &mut Vec<u8>, i: usize| {
+            let range = payload_range(bytes, i);
+            bytes[range.start] ^= 0x40;
+        };
+        let open_error = |bytes: &[u8]| match SnapshotView::open(bytes) {
+            Err(LoadError::Corrupt(section, msg)) => (section, msg),
+            other => panic!(
+                "expected a corrupt-section error, got {:?}",
+                other.map(|_| ())
+            ),
+        };
+        let mismatch = |section| (section, "checksum mismatch".to_string());
+        for later in [3, 8, SECTIONS.len() - 1] {
+            let mut bytes = clean.clone();
+            flip(&mut bytes, later);
+            flip(&mut bytes, 0);
+            assert_eq!(open_error(&bytes), mismatch("string arena"));
+        }
+        let mut bytes = clean.clone();
+        flip(&mut bytes, 8);
+        flip(&mut bytes, 4);
+        assert_eq!(open_error(&bytes), mismatch("items"));
+        // A bad checksum before a section-table fault is reported first; a
+        // bad checksum after one is never reached.
+        let mut bytes = clean.clone();
+        flip(&mut bytes, 0);
+        bytes[HEADER_LEN + 5 * TABLE_ENTRY_LEN] ^= 0x01;
+        assert_eq!(open_error(&bytes), mismatch("string arena"));
+        let mut bytes = clean.clone();
+        flip(&mut bytes, 9);
+        bytes[HEADER_LEN + 5 * TABLE_ENTRY_LEN] ^= 0x01;
+        assert_eq!(
+            open_error(&bytes),
+            (
+                "section table",
+                "expected section primitive-isA".to_string()
+            )
+        );
+    }
+
+    /// The arena and every string reference of a net as a plain
+    /// first-use interner lays them out: each distinct string once, where
+    /// it is first met — classes, primitives, concepts, item titles,
+    /// schema relations, primitive relations.
+    fn reference_strings(kg: &AliCoCo) -> (Vec<u8>, Vec<(u32, u32)>) {
+        let mut arena = Vec::new();
+        let mut seen = std::collections::HashMap::new();
+        let mut refs = Vec::new();
+        let names = kg
+            .class_ids()
+            .map(|id| kg.class(id).name.clone())
+            .chain(kg.primitive_ids().map(|id| kg.primitive(id).name.clone()))
+            .chain(kg.concept_ids().map(|id| kg.concept(id).name.to_string()))
+            .chain(kg.item_ids().map(|id| kg.item(id).title.join(" ")))
+            .chain(kg.schema().iter().map(|s| s.name.clone()))
+            .chain(kg.primitive_relations().iter().map(|r| r.name.clone()));
+        for name in names {
+            let r = *seen.entry(name.clone()).or_insert_with(|| {
+                let r = (arena.len() as u32, name.len() as u32);
+                arena.extend_from_slice(name.as_bytes());
+                r
+            });
+            refs.push(r);
+        }
+        (arena, refs)
+    }
+
+    /// The arena and every string reference a saved snapshot holds, in
+    /// the order of [`reference_strings`].
+    fn saved_strings(bytes: &[u8]) -> (Vec<u8>, Vec<(u32, u32)>) {
+        let view = SnapshotView::open(bytes).unwrap();
+        let mut refs = Vec::new();
+        for sec in [
+            &view.classes,
+            &view.primitives,
+            &view.concepts,
+            &view.items,
+            &view.schema,
+            &view.relations,
+        ] {
+            for i in 0..sec.count {
+                let e = sec.entry(i);
+                refs.push((u32_at(e, 0), u32_at(e, 4)));
+            }
+        }
+        (view.arena.as_bytes().to_vec(), refs)
+    }
+
+    /// A net whose strings repeat across every layer: a concept named like
+    /// a primitive, item titles equal to concept names, to a class name
+    /// and to each other, relations named like a concept and a title.
+    fn crossing_names() -> AliCoCo {
+        let mut kg = build_sample();
+        let event = kg.class_by_name("Event").unwrap();
+        let cookware = kg.primitives_by_name("cookware")[0];
+        let winter = kg.primitives_by_name("winter")[0];
+        kg.add_concept("winter");
+        kg.add_concept("camping grill");
+        for title in [
+            &["outdoor", "barbecue"][..],
+            &["Event"],
+            &["camping", "grill"],
+            &["brand", "grill"],
+            &["outdoor", "barbecue"],
+        ] {
+            let title: Vec<String> = title.iter().map(|t| t.to_string()).collect();
+            kg.add_item(&title);
+        }
+        kg.add_schema_relation("camping grill", event, event);
+        kg.add_primitive_relation("brand grill", cookware, winter);
+        kg.add_primitive_relation("fresh name", cookware, winter);
+        kg
+    }
+
+    /// Concept names are interned against class and primitive names only,
+    /// and later strings find them through the net's name index; the
+    /// bytes are those of a plain first-use interner, whether the index
+    /// was built while the net grew or is built by the save itself.
+    #[test]
+    fn interning_lays_out_the_arena_of_a_plain_first_use_interner() {
+        for kg in [build_sample(), crossing_names()] {
+            let mut bytes = Vec::new();
+            save(&kg, &mut bytes).unwrap();
+            assert_eq!(saved_strings(&bytes), reference_strings(&kg));
+            let loaded = load(&bytes).unwrap();
+            let mut again = Vec::new();
+            save(&loaded, &mut again).unwrap();
+            assert_eq!(bytes, again, "a loaded net re-saves to the same bytes");
+        }
+    }
+
+    /// Only a crafted snapshot decodes to concepts that share a name; such
+    /// a net is interned with every concept name deduplicated, exactly as
+    /// a plain first-use interner lays it out.
+    #[test]
+    fn a_net_with_repeated_concept_names_saves_like_a_plain_interner() {
+        let mut bytes = Vec::new();
+        save(&crossing_names(), &mut bytes).unwrap();
+        // CONC is section 3: point every concept's name at concept 0's.
+        let conc = payload_range(&bytes, 3);
+        let first: [u8; 8] = bytes[conc.start + 4..conc.start + 12].try_into().unwrap();
+        for entry in (conc.start + 12..conc.end).step_by(8) {
+            bytes[entry..entry + 8].copy_from_slice(&first);
+        }
+        fix_checksums(&mut bytes);
+        let crafted = load(&bytes).unwrap();
+        assert!(crafted.num_concepts() > 2);
+        let name = crafted.concept(ConceptId::from_index(0)).name;
+        assert!(crafted
+            .concept_ids()
+            .all(|c| crafted.concept(c).name == name));
+        let mut saved = Vec::new();
+        save(&crafted, &mut saved).unwrap();
+        assert_eq!(saved_strings(&saved), reference_strings(&crafted));
+        assert_eq!(load(&saved).unwrap(), crafted);
     }
 
     #[test]

@@ -11,17 +11,18 @@
 //! (`alicoco-serve net.bin --shutdown-on-stdin < fifo`); without it the
 //! server runs until killed.
 //!
-//! Where `/proc` exists, the process's resident and peak resident memory
-//! once the snapshot is loaded and once the serving pack is built go to
-//! the stderr "loaded" line and to `/metrics` as the
-//! `serve.startup.{load,pack}.{rss,hwm}_mb` gauges.
+//! How long loading the snapshot and building the serving pack took goes
+//! to the stderr "loaded" line and to `/metrics` as the
+//! `serve.startup.{load,pack}.seconds` gauges; where `/proc` exists, so
+//! does the process's resident and peak resident memory once each is
+//! done, as the `serve.startup.{load,pack}.{rss,hwm}_mb` gauges.
 
 use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use alicoco_obs::Registry;
+use alicoco_obs::{Registry, Stopwatch};
 use alicoco_serve::{EngineConfig, PackSlot, ServeConfig, Server, ServingPack};
 
 fn main() -> ExitCode {
@@ -63,8 +64,10 @@ fn run(args: &[String]) -> Result<(), String> {
     let path = snapshot.ok_or("usage: alicoco-serve <snapshot> [flags]")?;
 
     let metrics = Registry::new();
+    let watch = Stopwatch::start();
     let (kg, bundle) = alicoco_ann::load_file_with_bundle(std::path::Path::new(path), &metrics)
         .map_err(|e| format!("{path}: {e}"))?;
+    let load = record_stage(&metrics, "load", watch.elapsed());
     let loaded = format!(
         "alicoco-serve: loaded {path}: {} concepts, {} items, retrieval={}{}",
         kg.num_concepts(),
@@ -74,15 +77,17 @@ fn run(args: &[String]) -> Result<(), String> {
         } else {
             "lexical"
         },
-        record_memory(&metrics, "load"),
+        load,
     );
+    let watch = Stopwatch::start();
     let pack = ServingPack::build_with_ann(
         Arc::new(kg),
         bundle.map(Arc::new),
         &EngineConfig::default(),
         &metrics,
     );
-    eprintln!("{loaded}{}", record_memory(&metrics, "pack"));
+    let pack_done = record_stage(&metrics, "pack", watch.elapsed());
+    eprintln!("{loaded}{pack_done}");
     let slot = Arc::new(PackSlot::new(pack));
     let server = Server::start(slot, cfg, metrics).map_err(|e| format!("bind: {e}"))?;
     eprintln!("alicoco-serve: listening on http://{}", server.local_addr());
@@ -120,20 +125,28 @@ fn memory_mb() -> Option<(f64, f64)> {
     Some((field("VmRSS:")?, field("VmHWM:")?))
 }
 
-/// Record the process's memory once start-up `stage` is done as the
-/// `serve.startup.<stage>.{rss,hwm}_mb` gauges, and describe it for the
-/// stderr "loaded" line; nothing where there is no `/proc`.
-fn record_memory(metrics: &Registry, stage: &str) -> String {
-    let Some((rss, hwm)) = memory_mb() else {
-        return String::new();
-    };
+/// Record that start-up `stage` took `took` as the
+/// `serve.startup.<stage>.seconds` gauge and the process's memory once it
+/// is done as the `serve.startup.<stage>.{rss,hwm}_mb` gauges (where
+/// there is a `/proc`), and describe both for the stderr "loaded" line.
+fn record_stage(metrics: &Registry, stage: &str, took: Duration) -> String {
+    let secs = took.as_secs_f64();
     metrics
-        .gauge(&format!("serve.startup.{stage}.rss_mb"))
-        .set(rss);
-    metrics
-        .gauge(&format!("serve.startup.{stage}.hwm_mb"))
-        .set(hwm);
-    format!(", after {stage}: rss {rss:.1} MB, peak {hwm:.1} MB")
+        .gauge(&format!("serve.startup.{stage}.seconds"))
+        .set(secs);
+    let mut line = format!(", {stage} {secs:.3} s");
+    if let Some((rss, hwm)) = memory_mb() {
+        metrics
+            .gauge(&format!("serve.startup.{stage}.rss_mb"))
+            .set(rss);
+        metrics
+            .gauge(&format!("serve.startup.{stage}.hwm_mb"))
+            .set(hwm);
+        line.push_str(&format!(
+            ", after {stage}: rss {rss:.1} MB, peak {hwm:.1} MB"
+        ));
+    }
+    line
 }
 
 fn flag_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {

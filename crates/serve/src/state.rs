@@ -7,11 +7,11 @@
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use alicoco::AliCoCo;
+use alicoco::{par, AliCoCo};
 use alicoco_ann::AnnBundle;
 use alicoco_apps::qa::ScenarioQa;
 use alicoco_apps::recommend::{CognitiveRecommender, RecommendConfig};
-use alicoco_apps::relevance::RelevanceScorer;
+use alicoco_apps::relevance::{RelevanceScorer, TitleIndex};
 use alicoco_apps::retrieve::Retriever;
 use alicoco_apps::search::{SearchConfig, SemanticSearch};
 use alicoco_obs::Registry;
@@ -39,19 +39,23 @@ impl ServingPack {
     /// and the four engines that share it, registering their metrics in
     /// `metrics`. When the snapshot carried the `AVOC`/`ACON`/`AITM`
     /// trailer, pass its bundle as `ann` and every engine serves hybrid
-    /// (lexical ∪ vector) candidates.
+    /// (lexical ∪ vector) candidates. Relevance's BM25 title index is
+    /// built on a second thread while the retriever's index builds.
     pub fn build_with_ann(
         kg: Arc<AliCoCo>,
         ann: Option<Arc<AnnBundle>>,
         cfg: &EngineConfig,
         metrics: &Registry,
     ) -> Arc<Self> {
-        let retriever = Retriever::new(kg, ann);
+        let (retriever, titles) = par::join(
+            || Retriever::new(Arc::clone(&kg), ann),
+            || TitleIndex::build(&kg),
+        );
         Arc::new(ServingPack {
             search: SemanticSearch::new(Arc::clone(&retriever), cfg.search, metrics),
             qa: ScenarioQa::new(Arc::clone(&retriever), metrics),
             recommend: CognitiveRecommender::new(Arc::clone(&retriever), cfg.recommend, metrics),
-            relevance: RelevanceScorer::new(retriever, metrics),
+            relevance: RelevanceScorer::with_titles(retriever, titles, metrics),
         })
     }
 

@@ -1,7 +1,7 @@
-//! The shipped binary's start-up report: where `/proc` exists,
-//! `alicoco-serve` records its resident and peak memory after loading the
-//! snapshot and after building the serving pack, on its stderr "loaded"
-//! line and as gauges `/metrics` lists.
+//! The shipped binary's start-up report: `alicoco-serve` records how long
+//! loading the snapshot and building the serving pack took and, where
+//! `/proc` exists, its resident and peak memory after each, on its stderr
+//! "loaded" line and as gauges `/metrics` lists.
 
 mod common;
 
@@ -48,6 +48,17 @@ fn startup_memory_is_on_the_loaded_line_and_in_metrics() {
     for stage in ["after load: rss ", "after pack: rss "] {
         assert!(loaded.contains(stage), "{stage:?} missing from {loaded:?}");
     }
+    for stage in ["load", "pack"] {
+        let secs = loaded
+            .split(&format!(", {stage} "))
+            .nth(1)
+            .and_then(|rest| rest.split(" s").next())
+            .and_then(|secs| secs.parse::<f64>().ok());
+        assert!(
+            secs.is_some_and(|s| s >= 0.0),
+            "no {stage} duration on {loaded:?}"
+        );
+    }
 
     let mut conn = TcpStream::connect(&addr).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(10)))
@@ -57,6 +68,8 @@ fn startup_memory_is_on_the_loaded_line_and_in_metrics() {
     let body = read_reply(&mut conn).unwrap().body_text();
     Json::parse(&body).expect("/metrics must be valid JSON");
     for gauge in [
+        "serve.startup.load.seconds",
+        "serve.startup.pack.seconds",
         "serve.startup.load.rss_mb",
         "serve.startup.load.hwm_mb",
         "serve.startup.pack.rss_mb",

@@ -3,6 +3,7 @@
 # performance claim in this repository rests on (ROADMAP.md ground rules).
 #
 #   scripts/bench-pairs.sh <parent-rev> [--workload W] [--pairs N] [--seed N]
+#                          [--traced]
 #
 # The change is this checkout's tracked files as they are now (HEAD plus
 # uncommitted edits); the parent is <parent-rev>. Each is exported into its
@@ -13,7 +14,11 @@
 # from its own checkout, so each side's harness verifies its own server.
 # --seed hands both sides' runs the same harness seed (default: the
 # harness's own), so a claim can be checked on a seed held out from the
-# work that made it.
+# work that made it. --traced adds one traced run per side after the pairs
+# and prints the set-up layers of the two side by side (publish_s,
+# ready_s, store.save_binary_s, store.open_s, store.to_graph_s,
+# pack.build_s, query.index_build_s), so a set-up claim can show which
+# stage its saving came from.
 #
 # Prints, per end-to-end metric of BENCHMARK.json: each side's median
 # [q1, q3], the change/parent ratio of the medians, in how many pairs the
@@ -36,7 +41,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: $0 <parent-rev> [--workload W] [--pairs N] [--seed N]" >&2
+    echo "usage: $0 <parent-rev> [--workload W] [--pairs N] [--seed N] [--traced]" >&2
     exit 2
 }
 
@@ -46,11 +51,13 @@ shift
 workload=publish_1m
 pairs=10
 seed_args=()
+traced=0
 while [ $# -gt 0 ]; do
     case $1 in
         --workload) [ $# -ge 2 ] || usage; workload=$2; shift 2 ;;
         --pairs) [ $# -ge 2 ] || usage; pairs=$2; shift 2 ;;
         --seed) [ $# -ge 2 ] || usage; seed_args=(--seed "$2"); shift 2 ;;
+        --traced) traced=1; shift ;;
         *) usage ;;
     esac
 done
@@ -80,19 +87,26 @@ for side in parent change; do
     )
 done
 
-run() {
-    local side=$1 pair=$2
+# One run of `side`, traced (1) or not (0), logged to `log`; appends its
+# runs to `into`.
+run_once() {
+    local side=$1 trace=$2 log=$3 into=$4
     local target=$work/target-$side
     local results=$work/$side/benchmark/out/results.json
     rm -f "$results"
     (
         cd "$work/$side"
         "$target/release/alicoco-benchmark" --server "$target/release/alicoco-serve" \
-            --workload "$workload" "${seed_args[@]}" --trace 0 > "$work/$side-$pair.log" 2>&1
-    ) || echo "pair $pair: the $side run failed (see $work/$side-$pair.log)" >&2
+            --workload "$workload" "${seed_args[@]}" --trace "$trace" > "$log" 2>&1
+    ) || echo "the $side run failed (see $log)" >&2
     if [ -f "$results" ]; then
-        jq -c '.runs[]' "$results" >> "$work/$side.jsonl"
+        jq -c '.runs[]' "$results" >> "$into"
     fi
+}
+
+run() {
+    local side=$1 pair=$2
+    run_once "$side" 0 "$work/$side-$pair.log" "$work/$side.jsonl"
 }
 
 for pair in $(seq 1 "$pairs"); do
@@ -135,6 +149,22 @@ jq -rn --slurpfile bench BENCHMARK.json \
       else "within bound" end) as $verdict
    | "\($m.name)\t\($p | stats)\t\($c | stats)\t\($cm / $pm | . * 1000 | round / 1000)\t\($wins)/\($n)\t\($spread | pct) %\t\($verdict)")
 '
+if [ "$traced" -eq 1 ]; then
+    for side in parent change; do
+        echo "traced: $side" >&2
+        : > "$work/$side-traced.jsonl"
+        run_once "$side" 1 "$work/$side-traced.log" "$work/$side-traced.jsonl"
+    done
+    jq -rn --slurpfile parent "$work/parent-traced.jsonl" \
+        --slurpfile change "$work/change-traced.jsonl" '
+      def r3: if . == null then "-" else . * 1000 | round / 1000 end;
+      "set-up layer (one traced run)\tparent\tchange\tratio",
+      ("publish_s", "ready_s", "store.save_binary_s", "store.open_s", "store.to_graph_s",
+       "pack.build_s", "query.index_build_s") as $k
+      | ($parent[0].metrics[$k]) as $p | ($change[0].metrics[$k]) as $c
+      | "\($k)\t\($p | r3)\t\($c | r3)\t\(if $p and $c and $p != 0 then $c / $p | r3 else "-" end)"
+    '
+fi
 echo "append to the trajectory with:" >&2
 echo "  scripts/bench-history.sh $work/results-parent.json $parent_commit" >&2
 echo "  scripts/bench-history.sh $work/results.json $parent_commit+<change>" >&2
