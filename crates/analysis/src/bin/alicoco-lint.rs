@@ -1,8 +1,8 @@
 //! Command-line entry point for `alicoco-lint`.
 //!
 //! ```text
-//! alicoco-lint [--root DIR] [--allowlist FILE] [--json FILE] [--sarif FILE]
-//!              [--deny-stale] [--metrics] [--no-cache] [--cache-dir DIR]
+//! alicoco-lint [--root DIR] [--allowlist FILE] [--json FILE] [--deny-stale]
+//!              [--metrics]
 //! ```
 //!
 //! Exit codes:
@@ -10,44 +10,35 @@
 //! - **0** — clean (possibly with vetted suppressions),
 //! - **1** — active findings, or stale allowlist entries under
 //!   `--deny-stale`,
-//! - **2** — internal error: usage, I/O, or a corrupt cache entry.
+//! - **2** — internal error: usage, I/O, or a malformed allowlist.
 //!
-//! The incremental cache (default `<root>/target/alicoco-lint-cache`)
-//! makes warm runs re-analyze only changed files; `--no-cache` forces a
-//! full cold analysis and `--cache-dir` relocates the artifacts (CI points
-//! it at its cross-run cache). `--metrics` times the run into
-//! `analysis.lint_ns` via `crates/obs` and prints the registry export.
+//! `--metrics` times the run into `analysis.lint_ns` via `crates/obs` and
+//! prints the registry export.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use analysis::allowlist::Allowlist;
-use analysis::{report, sarif, LintOptions};
+use analysis::report;
 
 struct Args {
     root: PathBuf,
     allowlist: Option<PathBuf>,
     json: Option<PathBuf>,
-    sarif: Option<PathBuf>,
     deny_stale: bool,
     metrics: bool,
-    no_cache: bool,
-    cache_dir: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: alicoco-lint [--root DIR] [--allowlist FILE] [--json FILE] \
-[--sarif FILE] [--deny-stale] [--metrics] [--no-cache] [--cache-dir DIR]";
+const USAGE: &str =
+    "usage: alicoco-lint [--root DIR] [--allowlist FILE] [--json FILE] [--deny-stale] [--metrics]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         allowlist: None,
         json: None,
-        sarif: None,
         deny_stale: false,
         metrics: false,
-        no_cache: false,
-        cache_dir: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -61,17 +52,8 @@ fn parse_args() -> Result<Args, String> {
             "--json" => {
                 args.json = Some(PathBuf::from(it.next().ok_or("--json needs a file")?));
             }
-            "--sarif" => {
-                args.sarif = Some(PathBuf::from(it.next().ok_or("--sarif needs a file")?));
-            }
             "--deny-stale" => args.deny_stale = true,
             "--metrics" => args.metrics = true,
-            "--no-cache" => args.no_cache = true,
-            "--cache-dir" => {
-                args.cache_dir = Some(PathBuf::from(
-                    it.next().ok_or("--cache-dir needs a directory")?,
-                ));
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
@@ -89,18 +71,7 @@ fn main() -> ExitCode {
     };
     let registry = obs::Registry::new();
     let span = args.metrics.then(|| registry.span("analysis.lint_ns"));
-    let opts = LintOptions {
-        cache_dir: if args.no_cache {
-            None
-        } else {
-            Some(
-                args.cache_dir
-                    .clone()
-                    .unwrap_or_else(|| args.root.join("target/alicoco-lint-cache")),
-            )
-        },
-    };
-    let run = match analysis::lint_workspace_with(&args.root, &opts) {
+    let run = match analysis::lint_workspace(&args.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!(
@@ -114,9 +85,6 @@ fn main() -> ExitCode {
         registry
             .counter("analysis.files_seen")
             .add(run.files_seen as u64);
-        registry
-            .counter("analysis.cache_hits")
-            .add(run.cache_hits as u64);
     }
     let allow_path = args
         .allowlist
@@ -165,23 +133,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if let Some(sarif_path) = &args.sarif {
-        let doc = sarif::to_sarif(&active, &suppressed, &allow);
-        if let Err(e) = std::fs::write(sarif_path, doc) {
-            eprintln!("alicoco-lint: cannot write `{}`: {e}", sarif_path.display());
-            return ExitCode::from(2);
-        }
-    }
     if let Some(span) = span {
         span.stop();
     }
     println!(
-        "alicoco-lint: {} finding(s), {} suppressed, {} stale allowlist entr{}, {}/{} file(s) from cache",
+        "alicoco-lint: {} finding(s), {} suppressed, {} stale allowlist entr{}, {} file(s)",
         active.len(),
         suppressed.len(),
         stale.len(),
         if stale.len() == 1 { "y" } else { "ies" },
-        run.cache_hits,
         run.files_seen,
     );
     if args.metrics {

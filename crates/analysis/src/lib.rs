@@ -10,9 +10,7 @@
 //! workspace call graph ([`callgraph`]) running three inter-procedural
 //! rules (panic-reachability, lock-order cycles, nondeterminism escape).
 //! Findings can be suppressed only through a fingerprinted, justified
-//! allowlist ([`allowlist`]); per-file results are cached by content hash
-//! ([`cache`]) and reports export as JSON ([`report`]) or SARIF 2.1.0
-//! ([`sarif`]).
+//! allowlist ([`allowlist`]), and reports export as JSON ([`report`]).
 //!
 //! Run it with:
 //!
@@ -23,13 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod allowlist;
-pub mod cache;
 pub mod callgraph;
 pub mod lexer;
 pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod symbols;
 
 use std::collections::HashMap;
@@ -77,9 +73,7 @@ pub fn fingerprint(rule: &str, path: &str, snippet: &str, ordinal: u32) -> Strin
 }
 
 /// The complete per-file analysis artifact: local-rule findings plus the
-/// symbol summary the workspace phase consumes. This pair is exactly what
-/// the incremental cache ([`cache`]) stores, so a warm run never re-lexes
-/// an unchanged file and the call-graph phase sees bit-identical inputs.
+/// symbol summary the workspace phase consumes.
 #[derive(Clone, Debug)]
 pub struct FileAnalysis {
     /// Findings from the per-file rules (AL001..AL006).
@@ -161,29 +155,20 @@ pub(crate) fn sort_findings(out: &mut [Finding]) {
     });
 }
 
-/// Options controlling a workspace lint run.
-#[derive(Clone, Debug, Default)]
-pub struct LintOptions {
-    /// Incremental cache directory; `None` disables caching.
-    pub cache_dir: Option<PathBuf>,
-}
-
-/// Outcome of a workspace lint run: findings plus cache statistics.
+/// Outcome of a workspace lint run.
 #[derive(Clone, Debug)]
 pub struct LintRun {
     /// All findings (per-file and workspace rules), globally sorted.
     pub findings: Vec<Finding>,
-    /// Number of `.rs` files analyzed or loaded from cache.
+    /// Number of `.rs` files analyzed.
     pub files_seen: usize,
-    /// How many of those were served from the incremental cache.
-    pub cache_hits: usize,
 }
 
 /// Lint every `.rs` file under `<root>/crates` (skipping `target/`), then
 /// run the workspace call-graph rules over the per-file summaries.
 /// Per-file analysis fans out across threads; results are re-sorted into
 /// deterministic (path, line, col, rule, message) order before returning.
-pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> io::Result<LintRun> {
+pub fn lint_workspace(root: &Path) -> io::Result<LintRun> {
     let mut files = Vec::new();
     collect_rs_files(&root.join("crates"), &mut files)?;
     files.sort();
@@ -198,15 +183,9 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> io::Result<LintRu
                 .join("/")
         })
         .collect();
-    let store = match &opts.cache_dir {
-        Some(dir) => Some(cache::Store::open(dir)?),
-        None => None,
-    };
-    let analyses = analyze_files_parallel(&files, &rels, store.as_ref())?;
-    let cache_hits = analyses.iter().filter(|(_, hit)| *hit).count();
     let mut findings = Vec::new();
     let mut summaries = Vec::new();
-    for (a, _) in analyses {
+    for a in analyze_files_parallel(&files, &rels)? {
         findings.extend(a.findings);
         summaries.push(a.summary);
     }
@@ -215,31 +194,20 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> io::Result<LintRu
     Ok(LintRun {
         findings,
         files_seen: files.len(),
-        cache_hits,
     })
-}
-
-/// Back-compat single-call entry point: cacheless workspace lint.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    Ok(lint_workspace_with(root, &LintOptions::default())?.findings)
 }
 
 /// Fan per-file analysis out over `std::thread::scope`. Each worker owns a
 /// disjoint index range, so results land in walk order and the final sort
-/// sees identical input regardless of thread count. Returns per file the
-/// analysis and whether it came from the cache.
-fn analyze_files_parallel(
-    files: &[PathBuf],
-    rels: &[String],
-    store: Option<&cache::Store>,
-) -> io::Result<Vec<(FileAnalysis, bool)>> {
+/// sees identical input regardless of thread count.
+fn analyze_files_parallel(files: &[PathBuf], rels: &[String]) -> io::Result<Vec<FileAnalysis>> {
     let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
         .min(files.len().max(1))
         .min(8);
     let chunk = files.len().div_ceil(workers.max(1)).max(1);
-    let mut slots: Vec<io::Result<(FileAnalysis, bool)>> = Vec::new();
+    let mut slots: Vec<io::Result<FileAnalysis>> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (wi, file_chunk) in files.chunks(chunk).enumerate() {
@@ -247,7 +215,7 @@ fn analyze_files_parallel(
             handles.push(scope.spawn(move || {
                 let mut out = Vec::with_capacity(file_chunk.len());
                 for (file, rel) in file_chunk.iter().zip(rel_chunk) {
-                    out.push(analyze_one(file, rel, store));
+                    out.push(std::fs::read_to_string(file).map(|src| analyze_source(rel, &src)));
                 }
                 out
             }));
@@ -257,25 +225,6 @@ fn analyze_files_parallel(
         }
     });
     slots.into_iter().collect()
-}
-
-/// Analyze one file, consulting the cache when available.
-fn analyze_one(
-    file: &Path,
-    rel: &str,
-    store: Option<&cache::Store>,
-) -> io::Result<(FileAnalysis, bool)> {
-    let src = std::fs::read_to_string(file)?;
-    if let Some(store) = store {
-        let key = cache::content_key(rel, &src);
-        if let Some(hit) = store.load_entry(&key)? {
-            return Ok((hit, true));
-        }
-        let analysis = analyze_source(rel, &src);
-        store.save(&key, &analysis)?;
-        return Ok((analysis, false));
-    }
-    Ok((analyze_source(rel, &src), false))
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -4,7 +4,7 @@ use crate::allowlist::Entry;
 use crate::Finding;
 
 /// Escape a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     obs::json::push_escaped(&mut out, s);
     out

@@ -5,9 +5,8 @@
 //! it defines, what those functions call, and where the "interesting"
 //! sites are — panic sites, lock acquisitions, hash-collection iterations,
 //! clock reads. This module computes exactly that into a [`FileSummary`],
-//! a compact, serializable artifact that is also what the incremental
-//! cache ([`crate::cache`]) persists: the whole-workspace phase runs over
-//! summaries only, never re-lexing unchanged files.
+//! a compact artifact: the whole-workspace phase runs over summaries only,
+//! never re-lexing a file.
 //!
 //! Extraction is heuristic by design (there is no type checker here); the
 //! heuristics and their blind spots are documented in `DESIGN.md` §10.
@@ -17,8 +16,8 @@ use crate::parse::{block_tree, receiver_chain, statements, Block, FileCtx, Piece
 use crate::rules;
 
 /// A source position plus the trimmed text of its line. Sites carry their
-/// snippet so warm-cache runs can fingerprint and render findings without
-/// re-reading the source file.
+/// snippet so the workspace phase can fingerprint and render findings
+/// without re-reading the source file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Site {
     /// 1-based line.

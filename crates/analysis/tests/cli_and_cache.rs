@@ -1,17 +1,13 @@
-//! End-to-end tests for the `alicoco-lint` binary contract and the
-//! incremental cache: exit codes (0 clean / 1 findings / 2 internal
-//! error), `--deny-stale`, and the cache property that editing one file
-//! re-analyzes only that file while findings stay byte-identical.
+//! End-to-end tests for the `alicoco-lint` binary contract: exit codes
+//! (0 clean / 1 findings / 2 internal error) and `--deny-stale`.
 //!
 //! Each test builds a throwaway miniature workspace under the target
 //! temp dir and runs the real binary via `CARGO_BIN_EXE_alicoco-lint`.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use analysis::{lint_workspace_with, LintOptions};
 
 static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
 
@@ -97,37 +93,6 @@ fn exit_two_on_unreadable_allowlist_not_one() {
     );
 }
 
-#[test]
-fn exit_two_when_a_cache_entry_is_corrupt() {
-    let ws = TempWorkspace::new("corrupt");
-    ws.write("crates/core/src/lib.rs", CLEAN_SRC);
-    let cache_dir = ws.root.join("cache");
-    let cache_arg = cache_dir.to_str().expect("utf8 temp path").to_string();
-    let out = ws.lint(&["--cache-dir", &cache_arg]);
-    assert_eq!(exit_code(&out), 0);
-
-    // Keep the valid version header but mangle the body: that is cache
-    // corruption (exit 2), not a findings problem (exit 1) and not a
-    // silent cache miss (exit 0 with wrong stats).
-    let entry = fs::read_dir(&cache_dir)
-        .expect("cache dir exists")
-        .filter_map(Result::ok)
-        .find(|e| e.path().extension().is_some_and(|x| x == "lint"))
-        .expect("one cache entry written")
-        .path();
-    let text = fs::read_to_string(&entry).expect("read cache entry");
-    let header = text.lines().next().expect("entry has a header");
-    fs::write(&entry, format!("{header}\nZ\tgarbage-record\n")).expect("corrupt entry");
-
-    let out = ws.lint(&["--cache-dir", &cache_arg]);
-    assert_eq!(
-        exit_code(&out),
-        2,
-        "stderr: {:?}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
 // ------------------------------------------------------------ allowlist
 
 #[test]
@@ -146,104 +111,4 @@ fn stale_entries_warn_by_default_and_fail_under_deny_stale() {
     let out = ws.lint(&["--deny-stale"]);
     assert_eq!(exit_code(&out), 1, "--deny-stale promotes stale to failure");
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
-}
-
-// ------------------------------------------------------------ the cache
-
-fn run_with_cache(root: &Path, cache: &Path) -> analysis::LintRun {
-    let opts = LintOptions {
-        cache_dir: Some(cache.to_path_buf()),
-    };
-    lint_workspace_with(root, &opts).expect("lint run")
-}
-
-/// Render findings to a canonical string so "byte-identical" is literal.
-fn render(run: &analysis::LintRun) -> String {
-    run.findings
-        .iter()
-        .map(|f| {
-            format!(
-                "{}:{}:{}:{}:{}:{}:{}\n",
-                f.path, f.line, f.col, f.rule, f.fingerprint, f.snippet, f.message
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn editing_one_file_reanalyzes_only_it_and_findings_stay_identical() {
-    let ws = TempWorkspace::new("incremental");
-    ws.write("crates/core/src/lib.rs", DIRTY_SRC);
-    ws.write("crates/core/src/other.rs", CLEAN_SRC);
-    ws.write(
-        "crates/text/src/lib.rs",
-        "pub fn third(v: &[u32]) -> usize { v.len() }\n",
-    );
-    let cache = ws.root.join("cache");
-
-    let cold = run_with_cache(&ws.root, &cache);
-    assert_eq!(cold.files_seen, 3);
-    assert_eq!(cold.cache_hits, 0);
-
-    let warm = run_with_cache(&ws.root, &cache);
-    assert_eq!(warm.files_seen, 3);
-    assert_eq!(warm.cache_hits, 3, "warm run must be all cache hits");
-    assert_eq!(
-        render(&cold),
-        render(&warm),
-        "cached findings must be byte-identical to cold analysis"
-    );
-
-    // Edit exactly one file (introducing a second finding): only that
-    // file misses the cache, and its findings change while the others'
-    // are reproduced exactly.
-    ws.write(
-        "crates/core/src/other.rs",
-        "pub fn worse(v: &[u32]) -> u32 { v[0] }\n",
-    );
-    let edited = run_with_cache(&ws.root, &cache);
-    assert_eq!(edited.files_seen, 3);
-    assert_eq!(edited.cache_hits, 2, "only the edited file re-analyzes");
-    assert!(edited
-        .findings
-        .iter()
-        .any(|f| f.path == "crates/core/src/other.rs" && f.rule == "AL001"));
-    let unchanged = |run: &analysis::LintRun| {
-        run.findings
-            .iter()
-            .filter(|f| f.path != "crates/core/src/other.rs")
-            .map(|f| format!("{}:{}:{}:{}", f.path, f.line, f.rule, f.fingerprint))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(unchanged(&cold), unchanged(&edited));
-
-    // Reverting restores full warm behavior against the original entry.
-    ws.write("crates/core/src/other.rs", CLEAN_SRC);
-    let reverted = run_with_cache(&ws.root, &cache);
-    assert_eq!(reverted.cache_hits, 3, "old content key is still cached");
-    assert_eq!(render(&cold), render(&reverted));
-}
-
-#[test]
-fn workspace_rules_fire_identically_from_cached_summaries() {
-    // AL007 needs the cross-crate call graph, which on a warm run is
-    // built purely from deserialized summaries — the finding (chain and
-    // fingerprint included) must not depend on which path produced it.
-    let ws = TempWorkspace::new("wscache");
-    ws.write(
-        "crates/apps/src/serve.rs",
-        "pub fn handle(q: &str) -> u32 { risky_lookup(q) }\n",
-    );
-    ws.write(
-        "crates/text/src/util.rs",
-        "pub fn risky_lookup(q: &str) -> u32 { q.parse().unwrap() }\n",
-    );
-    let cache = ws.root.join("cache");
-
-    let cold = run_with_cache(&ws.root, &cache);
-    assert!(cold.findings.iter().any(|f| f.rule == "AL007"));
-
-    let warm = run_with_cache(&ws.root, &cache);
-    assert_eq!(warm.cache_hits, 2);
-    assert_eq!(render(&cold), render(&warm));
 }

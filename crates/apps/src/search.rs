@@ -293,21 +293,21 @@ impl SemanticSearch {
 
     /// Keyword fallback (the pre-AliCoCo experience): items ranked by how
     /// many distinct query words their title contains (ties broken by
-    /// ascending item id), retrieved from the title-token postings.
+    /// ascending item id), found by a scan of the item layer.
     pub fn keyword_items(&self, query: &str, k: usize) -> Vec<ItemId> {
-        let words: FxHashSet<&str> = query.split_whitespace().collect();
-        let mut seen: FxHashSet<ItemId> = FxHashSet::default();
+        let mut terms: Vec<&str> = query.split_whitespace().collect();
+        terms.sort_unstable();
+        terms.dedup();
+        let kg = self.kg();
         let mut top = TopK::new(k);
-        for &w in &words {
-            for &i in self.retriever.index().items_by_token(w) {
-                if seen.insert(i) {
-                    let title = &self.kg().item(i).title;
-                    let hits = words
-                        .iter()
-                        .filter(|w| title.iter().any(|t| t == *w))
-                        .count() as f64;
-                    top.push(i, hits);
-                }
+        for i in kg.item_ids() {
+            let title = &kg.item(i).title;
+            let hits = terms
+                .iter()
+                .filter(|w| title.iter().any(|t| t == *w))
+                .count();
+            if hits > 0 {
+                top.push(i, hits as f64);
             }
         }
         top.into_sorted_vec().into_iter().map(|(i, _)| i).collect()

@@ -226,17 +226,6 @@ impl AliCoCo {
         self.classes.len()
     }
 
-    /// Ancestor chain of a class (parent first).
-    pub fn class_ancestors(&self, id: ClassId) -> Vec<ClassId> {
-        let mut out = Vec::new();
-        let mut cur = self.classes[id.index()].parent;
-        while let Some(p) = cur {
-            out.push(p);
-            cur = self.classes[p.index()].parent;
-        }
-        out
-    }
-
     /// The first-level domain of a class (its ancestor directly under the
     /// root), or itself if it is first-level.
     pub fn class_domain(&self, id: ClassId) -> ClassId {
@@ -560,8 +549,6 @@ mod tests {
         let kg = tiny_kg();
         let pants = kg.class_by_name("Pants").unwrap();
         let category = kg.class_by_name("Category").unwrap();
-        let anc = kg.class_ancestors(pants);
-        assert!(anc.contains(&category));
         assert_eq!(kg.class_domain(pants), category);
         assert_eq!(kg.class_domain(category), category);
     }

@@ -22,9 +22,7 @@
 //! - [`store`] — the pluggable [`store::Store`] trait over both codecs,
 //!   with format auto-detection,
 //! - [`rank`] — the shared `(score desc, id asc)` ranking order and a
-//!   bounded top-k heap used by every serving surface,
-//! - [`infer`] — implied-relation mining (§10 future work: "boy's T-shirt"
-//!   implies `Time: Summer`).
+//!   bounded top-k heap used by every serving surface.
 //!
 //! Construction models (mining, hypernym discovery, concept classification,
 //! tagging, item association) live in the `alicoco-mining` crate; this crate
@@ -76,7 +74,6 @@ mod columns;
 pub mod coverage;
 pub mod graph;
 pub mod ids;
-pub mod infer;
 pub mod par;
 pub mod query;
 pub mod snapshot;

@@ -26,7 +26,7 @@ use std::ops::Range;
 use alicoco_nn::util::FxHashMap;
 
 use crate::graph::{AliCoCo, ConceptRef};
-use crate::ids::{ConceptId, ItemId, PrimitiveId};
+use crate::ids::{ConceptId, PrimitiveId};
 use crate::par;
 
 /// Bit 0 of a posting-entry fact byte: the token is a surface word of the
@@ -164,12 +164,6 @@ impl<T: Copy> Csr<T> {
         (Csr { offsets, values }, next)
     }
 
-    /// Append empty lists until there are `lists`.
-    fn pad(&mut self, lists: usize) {
-        let end = self.offsets.last().copied().unwrap_or(0);
-        self.offsets.resize(lists + 1, end);
-    }
-
     /// Write `v` at list `k`'s cursor in `next` and advance it; returns
     /// where it went. The lengths were counted from the same entries, so
     /// no cursor runs past its list.
@@ -269,16 +263,15 @@ impl ConceptFacts {
 /// concept-surface token **and** every interpreting-primitive surface to
 /// the concepts it evidences (which is exactly the set of concepts a
 /// query word can give a non-zero retrieval score to, preserving
-/// order-free matching), and [`items_by_token`](Self::items_by_token)
-/// maps title tokens to items. It owns everything it holds: the net it
-/// was built from is the caller's to keep.
+/// order-free matching). It owns everything it holds: the net it was
+/// built from is the caller's to keep.
 ///
 /// Every list kind lives in one arena with an offsets table ([`Csr`]),
 /// built to size: the build counts each list's entries first, then fills
 /// the arena once.
 pub struct QueryIndex {
-    /// Every concept-surface, primitive-name and title token, to its slot
-    /// in the per-token lists below.
+    /// Every concept-surface and primitive-name token, to its slot in the
+    /// per-token lists below.
     slots: FxHashMap<String, u32>,
     concepts_by_token: Csr<ConceptId>,
     /// The fact byte of each `concepts_by_token` entry, at its offset.
@@ -286,7 +279,6 @@ pub struct QueryIndex {
     /// Per token, the summaries of its concept list's blocks, then of its
     /// runs of blocks.
     blocks: Csr<BlockMax>,
-    items_by_token: Csr<ItemId>,
     /// Indexed by primitive id.
     concepts_by_primitive: Csr<ConceptId>,
     concept_facts: ConceptFacts,
@@ -363,16 +355,6 @@ impl<'a> SlotTable<'a> {
             same
         });
         out.iter().filter(|(_, f)| f & SURFACE != 0).count()
-    }
-
-    /// The distinct tokens of item `i`'s title, as slots into `out`.
-    fn title_entries(&mut self, i: ItemId, out: &mut Vec<u32>) {
-        out.clear();
-        for tok in self.kg.item(i).title {
-            out.push(self.word(tok));
-        }
-        out.sort_unstable();
-        out.dedup();
     }
 }
 
@@ -477,29 +459,6 @@ impl<'a> Half<'a> {
     }
 }
 
-/// The item postings of every title token, numbering in `table` the tokens
-/// it has not met, in item order.
-fn title_postings(table: &mut SlotTable<'_>) -> Csr<ItemId> {
-    let kg = table.kg;
-    let mut per_title_token = Vec::new();
-    let mut title = Vec::new();
-    for i in kg.item_ids() {
-        table.title_entries(i, &mut title);
-        for &slot in &title {
-            count(&mut per_title_token, slot as usize);
-        }
-    }
-    per_title_token.resize(table.words.len(), 0);
-    let (mut items_by_token, mut next) = Csr::sized(&per_title_token, ItemId(0));
-    for i in kg.item_ids() {
-        table.title_entries(i, &mut title);
-        for &slot in &title {
-            items_by_token.fill(&mut next, slot as usize, i);
-        }
-    }
-    items_by_token
-}
-
 /// Write `v` at the front of a list's unwritten rest and step past it.
 fn put<T>(rest: Option<&mut &mut [T]>, v: T) {
     if let Some(rest) = rest {
@@ -541,10 +500,8 @@ impl QueryIndex {
     /// all of the first half's, in the order it met them — first-seen
     /// order over the whole layer — and each half writes the entries of
     /// its ids into its own share of every list: the first half's ids
-    /// lead each list, so lists stay ascending. Title tokens are numbered
-    /// after every concept token, and their item postings built on a third
-    /// thread while the halves fill. The index is the one a single pass
-    /// builds.
+    /// lead each list, so lists stay ascending. The index is the one a
+    /// single pass builds.
     pub fn build(kg: &AliCoCo) -> Self {
         let n = kg.num_concepts();
         let (mut first, mut second) =
@@ -554,9 +511,8 @@ impl QueryIndex {
         second.merge_into(&mut table);
         first.per_token.resize(table.words.len(), 0);
 
-        // Every concept token has its slot now: the second pass only looks
-        // up. Title tokens are numbered after them, beside it.
-        let mut per_token: Vec<u32> = first
+        // Every token has its slot now: the second pass only looks up.
+        let per_token: Vec<u32> = first
             .per_token
             .iter()
             .zip(&second.per_token)
@@ -582,20 +538,12 @@ impl QueryIndex {
             &first.per_primitive,
             &second.per_primitive,
         );
-        let ((_, items_by_token), _) = par::join(
-            || {
-                par::join(
-                    || first.fill(ids_a, facts_a, prims_a),
-                    || title_postings(&mut table),
-                )
-            },
+        par::join(
+            || first.fill(ids_a, facts_a, prims_a),
             || second.fill(ids_b, facts_b, prims_b),
         );
         let mut concept_facts = first.facts;
         concept_facts.append(second.facts);
-        // Title-only tokens evidence no concept.
-        per_token.resize(table.words.len(), 0);
-        concepts_by_token.pad(per_token.len());
 
         let per_list: Vec<u32> = per_token
             .iter()
@@ -635,7 +583,6 @@ impl QueryIndex {
             concepts_by_token,
             entry_facts,
             blocks,
-            items_by_token,
             concepts_by_primitive,
             concept_facts,
         }
@@ -663,13 +610,6 @@ impl QueryIndex {
     /// whose full surface equals the token. Ascending id order, no dups.
     pub fn concepts_by_token(&self, token: &str) -> &[ConceptId] {
         self.concept_list(token).map_or(&[], |list| list.ids)
-    }
-
-    /// Items whose title contains the token. Ascending id order, no dups.
-    pub fn items_by_token(&self, token: &str) -> &[ItemId] {
-        self.slots
-            .get(token)
-            .map_or(&[], |&slot| self.items_by_token.get(slot as usize))
     }
 
     /// Merge the posting lists of `words` (repeats count once) into one
@@ -1437,6 +1377,7 @@ mod build_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ItemId;
 
     fn sample() -> (AliCoCo, ConceptId, ItemId, PrimitiveId) {
         let mut kg = AliCoCo::new();
@@ -1467,7 +1408,7 @@ mod tests {
 
     #[test]
     fn token_postings_cover_surfaces_and_primitive_names() {
-        let (kg, c, grill, _) = sample();
+        let (kg, c, _, _) = sample();
         let q = QueryIndex::build(&kg);
         let hyper = kg.concept_by_name("barbecue").unwrap();
         // "barbecue" evidences both the compound concept (surface token +
@@ -1475,8 +1416,6 @@ mod tests {
         assert_eq!(q.concepts_by_token("barbecue"), &[c, hyper]);
         assert_eq!(q.concepts_by_token("outdoor"), &[c]);
         assert!(q.concepts_by_token("nonexistent").is_empty());
-        assert_eq!(q.items_by_token("grill"), &[grill]);
-        assert!(q.items_by_token("barbecue").is_empty());
     }
 
     #[test]

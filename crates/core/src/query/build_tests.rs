@@ -3,11 +3,12 @@
 //! reference builder, kept here only: one pass numbers every token in
 //! first-seen order and counts, a second fills. The two indexes must be
 //! equal part for part — slot numbering, every list's ids and fact bytes,
-//! block and run summaries, title postings and `concepts_by_primitive`.
+//! block and run summaries and `concepts_by_primitive`.
 
 use proptest::prelude::*;
 
 use super::*;
+use crate::ItemId;
 
 /// Token → slot as one thread numbers them: first seen, first numbered.
 #[derive(Default)]
@@ -40,15 +41,6 @@ impl RefSlots {
         });
         out.iter().filter(|(_, f)| f & SURFACE != 0).count()
     }
-
-    fn title_entries(&mut self, kg: &AliCoCo, i: ItemId, out: &mut Vec<u32>) {
-        out.clear();
-        for tok in kg.item(i).title {
-            out.push(self.word(tok));
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
 }
 
 /// The index one thread builds: every layer counted in id order, then
@@ -56,9 +48,9 @@ impl RefSlots {
 fn reference(kg: &AliCoCo) -> QueryIndex {
     let mut table = RefSlots::default();
     let mut concept_facts = ConceptFacts::with_capacity(kg.num_concepts());
-    let (mut per_token, mut per_title_token) = (Vec::new(), Vec::new());
+    let mut per_token = Vec::new();
     let mut per_primitive = vec![0; kg.num_primitives()];
-    let (mut entries, mut title) = (Vec::new(), Vec::new());
+    let mut entries = Vec::new();
     for c in kg.concept_ids() {
         let surface_len = table.concept_entries(kg, c, &mut entries);
         concept_facts.push(c, surface_len, !kg.concept(c).items.is_empty());
@@ -69,15 +61,8 @@ fn reference(kg: &AliCoCo) -> QueryIndex {
             count(&mut per_primitive, p.index());
         }
     }
-    for i in kg.item_ids() {
-        table.title_entries(kg, i, &mut title);
-        for &slot in &title {
-            count(&mut per_title_token, slot as usize);
-        }
-    }
     let slots = table.slots.len();
     per_token.resize(slots, 0);
-    per_title_token.resize(slots, 0);
 
     let (mut concepts_by_token, mut next) = Csr::sized(&per_token, ConceptId(0));
     let mut entry_facts = vec![0; concepts_by_token.values.len()];
@@ -93,13 +78,6 @@ fn reference(kg: &AliCoCo) -> QueryIndex {
         }
         for &p in kg.concept(c).primitives {
             concepts_by_primitive.fill(&mut next_by_primitive, p.index(), c);
-        }
-    }
-    let (mut items_by_token, mut next) = Csr::sized(&per_title_token, ItemId(0));
-    for i in kg.item_ids() {
-        table.title_entries(kg, i, &mut title);
-        for &slot in &title {
-            items_by_token.fill(&mut next, slot as usize, i);
         }
     }
 
@@ -134,7 +112,6 @@ fn reference(kg: &AliCoCo) -> QueryIndex {
         concepts_by_token,
         entry_facts,
         blocks,
-        items_by_token,
         concepts_by_primitive,
         concept_facts,
     }
@@ -147,7 +124,6 @@ fn assert_same_index(kg: &AliCoCo) -> Result<(), TestCaseError> {
     prop_assert_eq!(&got.concepts_by_token, &want.concepts_by_token);
     prop_assert_eq!(&got.entry_facts, &want.entry_facts);
     prop_assert_eq!(&got.blocks, &want.blocks, "block and run summaries");
-    prop_assert_eq!(&got.items_by_token, &want.items_by_token);
     prop_assert_eq!(&got.concepts_by_primitive, &want.concepts_by_primitive);
     prop_assert_eq!(&got.concept_facts, &want.concept_facts);
     Ok(())

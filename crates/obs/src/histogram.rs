@@ -171,30 +171,6 @@ impl Histogram {
         )
     }
 
-    /// Fold another histogram's contents into this one. Pure bucket/count
-    /// addition plus min/max folds, so merging is associative and
-    /// commutative (up to `sum` wrap-around) — shard-local histograms can
-    /// be combined in any order.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        let n = other.count.load(Ordering::Relaxed);
-        if n == 0 {
-            return;
-        }
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// A point-in-time copy for export or comparison.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets = self
@@ -317,22 +293,5 @@ mod tests {
         assert!(p99 <= 100);
         assert_eq!(h.quantile(1.0), 100, "q=1 clamps to the exact max");
         assert_eq!(h.quantile(0.0), 1, "q=0 clamps to the exact min");
-    }
-
-    #[test]
-    fn merge_accumulates_both_sides() {
-        let (a, b) = (Histogram::new(), Histogram::new());
-        a.record(10);
-        a.record(20);
-        b.record(5_000);
-        a.merge_from(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 5_030);
-        assert_eq!(a.min(), Some(10));
-        assert_eq!(a.max(), Some(5_000));
-        // Merging an empty histogram is a no-op.
-        let before = a.snapshot();
-        a.merge_from(&Histogram::new());
-        assert_eq!(a.snapshot(), before);
     }
 }

@@ -28,7 +28,7 @@
 //! - [`Counter`] — monotone `u64` event count,
 //! - [`Gauge`] — last-written `f64` level,
 //! - [`Histogram`] — fixed log2-bucket value distribution with
-//!   min/max-bounded p50/p90/p99 estimation and lossless merge,
+//!   min/max-bounded p50/p90/p99 estimation,
 //! - [`Registry`] — `Arc`-shared, thread-safe name → metric table with
 //!   deterministic sorted JSON export,
 //! - [`SpanTimer`] / [`StageClock`] — RAII wall-clock guards that record

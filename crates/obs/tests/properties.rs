@@ -2,12 +2,10 @@
 //!
 //! - histogram quantile estimates are always bounded by the true recorded
 //!   min/max and monotone in the quantile,
-//! - histogram merge is associative (shard-local histograms can be folded
-//!   in any order),
 //! - counters and histograms lose no increments under `std::thread::scope`
 //!   hammering.
 
-use alicoco_obs::{Counter, Histogram, HistogramSnapshot, Registry};
+use alicoco_obs::{Counter, Histogram, Registry};
 use proptest::prelude::*;
 
 fn filled(values: &[u64]) -> Histogram {
@@ -16,23 +14,6 @@ fn filled(values: &[u64]) -> Histogram {
         h.record(v);
     }
     h
-}
-
-/// Merge order for the associativity property: ((a ⊕ b) ⊕ c) vs
-/// (a ⊕ (b ⊕ c)), both materialized into fresh histograms.
-fn merge_left(a: &[u64], b: &[u64], c: &[u64]) -> HistogramSnapshot {
-    let ab = filled(a);
-    ab.merge_from(&filled(b));
-    ab.merge_from(&filled(c));
-    ab.snapshot()
-}
-
-fn merge_right(a: &[u64], b: &[u64], c: &[u64]) -> HistogramSnapshot {
-    let bc = filled(b);
-    bc.merge_from(&filled(c));
-    let out = filled(a);
-    out.merge_from(&bc);
-    out.snapshot()
 }
 
 proptest! {
@@ -81,34 +62,6 @@ proptest! {
             );
             prev = cur;
         }
-    }
-
-    /// Histogram merge is associative: bucket counts, count, sum, min,
-    /// max, and therefore every derived percentile agree regardless of
-    /// fold order.
-    #[test]
-    fn merge_is_associative(
-        a in prop::collection::vec(0u64..1u64 << 48, 0..60),
-        b in prop::collection::vec(0u64..1u64 << 48, 0..60),
-        c in prop::collection::vec(0u64..1u64 << 48, 0..60),
-    ) {
-        prop_assert_eq!(merge_left(&a, &b, &c), merge_right(&a, &b, &c));
-        // Commutes too (same fold algebra).
-        prop_assert_eq!(merge_left(&a, &b, &c), merge_left(&c, &a, &b));
-    }
-
-    /// A merged histogram reports the same aggregate state as one
-    /// histogram fed every value directly.
-    #[test]
-    fn merge_equals_single_histogram(
-        a in prop::collection::vec(0u64..1u64 << 48, 0..60),
-        b in prop::collection::vec(0u64..1u64 << 48, 0..60),
-    ) {
-        let merged = filled(&a);
-        merged.merge_from(&filled(&b));
-        let mut all = a.clone();
-        all.extend_from_slice(&b);
-        prop_assert_eq!(merged.snapshot(), filled(&all).snapshot());
     }
 }
 

@@ -8,8 +8,8 @@
 //! supervision. This crate implements each of those from scratch:
 //!
 //! - [`vocab`] — string interning with counts,
-//! - [`segment`] — DP max-matching segmentation and the perfect-match filter
-//!   used to build distant-supervision data (§7.2),
+//! - [`segment`] — DP max-matching segmentation for distant-supervision
+//!   data (§7.2),
 //! - [`word2vec`] — SGNS embeddings (stand-in for pre-trained GloVe),
 //! - [`doc2vec`] — PV-DBOW document vectors for gloss encoding (§5.2.2),
 //! - [`lm`] — interpolated trigram LM whose perplexity replaces the BERT

@@ -4,9 +4,10 @@
 //! "dynamic programming algorithm of max-matching" over unsegmented text with
 //! the existing primitive-concept lexicon, keeping only sentences that match
 //! *perfectly* (every word tagged by exactly one label). This module
-//! implements that algorithm over character sequences.
+//! implements that algorithm over character sequences; a perfect match is
+//! a segmentation whose every segment is `in_lexicon`.
 
-use alicoco_nn::util::{FxHashMap, FxHashSet};
+use alicoco_nn::util::FxHashSet;
 
 /// A lexicon-driven segmenter.
 ///
@@ -32,15 +33,6 @@ impl MaxMatchSegmenter {
     /// Create a new instance.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// From entries.
-    pub fn from_entries<S: AsRef<str>>(entries: impl IntoIterator<Item = S>) -> Self {
-        let mut s = Self::new();
-        for e in entries {
-            s.insert(e.as_ref());
-        }
-        s
     }
 
     /// Insert.
@@ -153,70 +145,6 @@ impl MaxMatchSegmenter {
         }
         merged
     }
-
-    /// True when `text` segments *perfectly*: every segment is a lexicon
-    /// entry. This is the paper's filter for distant-supervision sentences.
-    pub fn matches_perfectly(&self, text: &str) -> bool {
-        let segs = self.segment(text);
-        !segs.is_empty() && segs.iter().all(|s| s.in_lexicon)
-    }
-}
-
-/// A segmenter whose entries carry a label, used to produce IOB-tagged
-/// distant-supervision data (§7.2).
-#[derive(Clone, Debug, Default)]
-pub struct LabeledSegmenter {
-    segmenter: MaxMatchSegmenter,
-    labels: FxHashMap<String, Vec<usize>>,
-}
-
-impl LabeledSegmenter {
-    /// Create a new instance.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a lexicon entry with a class label. The same surface form may
-    /// carry several labels (ambiguity).
-    pub fn insert(&mut self, entry: &str, label: usize) {
-        self.segmenter.insert(entry);
-        let ls = self.labels.entry(entry.to_string()).or_default();
-        if !ls.contains(&label) {
-            ls.push(label);
-        }
-    }
-
-    /// Labels of.
-    pub fn labels_of(&self, entry: &str) -> &[usize] {
-        self.labels.get(entry).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Segment and label `text`. Returns `None` unless the match is perfect
-    /// and every segment has exactly **one** label — the paper reserves
-    /// ambiguous sentences out of the training data.
-    pub fn unambiguous_segments(&self, text: &str) -> Option<Vec<(String, usize)>> {
-        let segs = self.segmenter.segment(text);
-        if segs.is_empty() {
-            return None;
-        }
-        let mut out = Vec::with_capacity(segs.len());
-        for s in segs {
-            if !s.in_lexicon {
-                return None;
-            }
-            let labels = self.labels_of(&s.text);
-            if labels.len() != 1 {
-                return None;
-            }
-            out.push((s.text, labels[0]));
-        }
-        Some(out)
-    }
-
-    /// Segmenter.
-    pub fn segmenter(&self) -> &MaxMatchSegmenter {
-        &self.segmenter
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +152,11 @@ mod tests {
     use super::*;
 
     fn seg(entries: &[&str]) -> MaxMatchSegmenter {
-        MaxMatchSegmenter::from_entries(entries.iter().copied())
+        let mut s = MaxMatchSegmenter::new();
+        for e in entries {
+            s.insert(e);
+        }
+        s
     }
 
     #[test]
@@ -249,7 +181,6 @@ mod tests {
         let r = s.segment("abcde");
         let texts: Vec<&str> = r.iter().map(|x| x.text.as_str()).collect();
         assert_eq!(texts, vec!["ab", "cde"]);
-        assert!(s.matches_perfectly("abcde"));
     }
 
     #[test]
@@ -259,7 +190,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r[1].text, "xx");
         assert!(!r[1].in_lexicon);
-        assert!(!s.matches_perfectly("warmxxhat"));
     }
 
     #[test]
@@ -269,28 +199,5 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].text, "红色");
         assert_eq!(r[1].text, "牛仔裤");
-        assert!(s.matches_perfectly("红色牛仔裤"));
-    }
-
-    #[test]
-    fn labeled_segmenter_rejects_ambiguity() {
-        let mut ls = LabeledSegmenter::new();
-        ls.insert("village", 0); // Location
-        ls.insert("village", 1); // Style — ambiguous!
-        ls.insert("skirt", 2);
-        assert!(ls.unambiguous_segments("villageskirt").is_none());
-
-        let mut ls2 = LabeledSegmenter::new();
-        ls2.insert("red", 3);
-        ls2.insert("skirt", 2);
-        let r = ls2.unambiguous_segments("redskirt").unwrap();
-        assert_eq!(r, vec![("red".to_string(), 3), ("skirt".to_string(), 2)]);
-    }
-
-    #[test]
-    fn labeled_segmenter_rejects_gaps() {
-        let mut ls = LabeledSegmenter::new();
-        ls.insert("red", 0);
-        assert!(ls.unambiguous_segments("redzz").is_none());
     }
 }

@@ -195,28 +195,3 @@ fn built_net_is_structurally_valid_and_serves_applications() {
         assert!(!r.reason.text(kg, &r.name).is_empty());
     }
 }
-
-#[test]
-fn implied_relations_can_be_mined_from_the_built_net() {
-    // §10 future work 1: association rules over concept -> primitive links.
-    let (_, kg) = build();
-    let rules = alicoco::infer::mine_implications(
-        kg,
-        &alicoco::infer::InferConfig {
-            min_support: 2,
-            min_confidence: 0.5,
-            min_lift: 1.2,
-        },
-    );
-    // The tiny build may or may not surface rules; the contract is that all
-    // returned rules satisfy the thresholds and cross class boundaries.
-    for r in &rules {
-        assert!(r.support >= 2);
-        assert!(r.confidence >= 0.5);
-        assert!(r.lift >= 1.2);
-        assert_ne!(
-            kg.primitive(r.antecedent).class,
-            kg.primitive(r.consequent).class
-        );
-    }
-}

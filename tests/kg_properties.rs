@@ -268,6 +268,14 @@ proptest! {
 // Segmentation properties
 // ---------------------------------------------------------------------------
 
+fn segmenter(entries: &[String]) -> MaxMatchSegmenter {
+    let mut seg = MaxMatchSegmenter::new();
+    for e in entries {
+        seg.insert(e);
+    }
+    seg
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -276,7 +284,7 @@ proptest! {
         entries in prop::collection::vec("[a-c]{1,3}", 1..8),
         text in "[a-d]{0,12}",
     ) {
-        let seg = MaxMatchSegmenter::from_entries(entries.iter().map(String::as_str));
+        let seg = segmenter(&entries);
         let parts = seg.segment(&text);
         let rebuilt: String = parts.iter().map(|s| s.text.as_str()).collect::<String>();
         prop_assert_eq!(rebuilt, text.clone());
@@ -286,10 +294,6 @@ proptest! {
                 prop_assert!(seg.contains(&p.text));
             }
         }
-        // Perfect match implies every char covered by lexicon entries.
-        if seg.matches_perfectly(&text) {
-            prop_assert!(parts.iter().all(|p| p.in_lexicon));
-        }
     }
 
     #[test]
@@ -297,8 +301,9 @@ proptest! {
         entries in prop::collection::vec("[a-c]{1,3}", 1..6),
         picks in prop::collection::vec(0usize..6, 1..5),
     ) {
-        let seg = MaxMatchSegmenter::from_entries(entries.iter().map(String::as_str));
+        let seg = segmenter(&entries);
         let text: String = picks.iter().map(|&i| entries[i % entries.len()].clone()).collect();
-        prop_assert!(seg.matches_perfectly(&text), "failed on {text:?} from {entries:?}");
+        let parts = seg.segment(&text);
+        prop_assert!(parts.iter().all(|p| p.in_lexicon), "failed on {text:?} from {entries:?}");
     }
 }
