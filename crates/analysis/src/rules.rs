@@ -505,7 +505,7 @@ fn al005_canonical_iteration(ctx: &FileCtx, out: &mut Vec<RawFinding>) {
     if !AL005_SCOPE.iter().any(|s| ctx.path.ends_with(s)) {
         return;
     }
-    for si in hash_iteration_sites(ctx, 0, ctx.sig.len()) {
+    for si in hash_iteration_sites(ctx, 0, ctx.sig.len(), |_| true) {
         out.push(RawFinding::at(
             "AL005",
             ctx,
@@ -519,9 +519,19 @@ fn al005_canonical_iteration(ctx: &FileCtx, out: &mut Vec<RawFinding>) {
 /// Sig indices in `[lo, hi)` where a hash collection is iterated without a
 /// canonicalizing sort nearby — AL005's detector, exposed over a range so
 /// the workspace summaries ([`crate::symbols`]) can apply it per function
-/// in any file (AL009 generalizes the rule through the call graph).
-pub(crate) fn hash_iteration_sites(ctx: &FileCtx, lo: usize, hi: usize) -> Vec<usize> {
-    let bindings = hash_bindings(ctx);
+/// in any file (AL009 generalizes the rule through the call graph). A
+/// hash-typed binding counts only if `in_scope` holds for the sig index
+/// of its declaration.
+pub(crate) fn hash_iteration_sites(
+    ctx: &FileCtx,
+    lo: usize,
+    hi: usize,
+    in_scope: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    let bindings: Vec<String> = hash_bindings(ctx)
+        .into_iter()
+        .filter_map(|(name, si)| in_scope(si).then_some(name))
+        .collect();
     let mut out = Vec::new();
     for si in lo..hi.min(ctx.sig.len()) {
         if ctx.is_test(si) {
@@ -564,10 +574,11 @@ pub(crate) fn hash_iteration_sites(ctx: &FileCtx, lo: usize, hi: usize) -> Vec<u
 }
 
 /// Names of `let` bindings / parameters / fields with a hash-collection
-/// type mentioned at their declaration.
-fn hash_bindings(ctx: &FileCtx) -> Vec<String> {
+/// type mentioned at their declaration, each with the sig index of the
+/// type's name.
+fn hash_bindings(ctx: &FileCtx) -> Vec<(String, usize)> {
     const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
-    let mut out: Vec<String> = Vec::new();
+    let mut out = Vec::new();
     for si in 0..ctx.sig.len() {
         if !HASH_TYPES.iter().any(|h| ctx.tok(si).is_ident(h)) {
             continue;
@@ -631,9 +642,7 @@ fn hash_bindings(ctx: &FileCtx) -> Vec<String> {
             break None;
         };
         if let Some(n) = name {
-            if !out.contains(&n) {
-                out.push(n);
-            }
+            out.push((n, si));
         }
     }
     out

@@ -232,8 +232,15 @@ pub fn summarize(ctx: &FileCtx, src: &str) -> FileSummary {
             lock_walk(ctx, body, &vars, &mut live, &mut info, &site, &in_nested);
         }
         // Hash iteration without canonicalization (AL005 machinery,
-        // generalized to every file).
-        for hit in rules::hash_iteration_sites(ctx, fr.body_open + 1, fr.body_close) {
+        // generalized to every file). A name is hash-typed here if this
+        // function declares it so, or something outside every function
+        // does (a field, a static): another function's local of the same
+        // name is another binding.
+        let in_scope = |decl: usize| {
+            let within = |o: &FnRange| (o.fn_si..=o.body_close).contains(&decl);
+            within(fr) || !fn_ranges.iter().any(within)
+        };
+        for hit in rules::hash_iteration_sites(ctx, fr.body_open + 1, fr.body_close, in_scope) {
             if !in_nested(hit) {
                 let s = site(hit, "hash iteration");
                 // One statement can surface several candidate tokens (the

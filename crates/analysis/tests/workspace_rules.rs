@@ -269,6 +269,74 @@ fn al009_sorted_iteration_does_not_escape() {
 }
 
 #[test]
+fn al009_does_not_borrow_a_hash_type_from_another_functions_local() {
+    // `words` is a hash set in `tally`, which sorts it, and a `Vec` in the
+    // reachable `risky_lookup`: the name alone is not a hash binding.
+    let helper = r#"
+        fn tally(q: &str) -> usize {
+            let words: FxHashSet<&str> = q.split(' ').collect();
+            let mut sorted: Vec<&&str> = words.iter().collect();
+            sorted.sort();
+            sorted.len()
+        }
+        pub fn risky_lookup(q: &str) -> u32 {
+            let words: Vec<&str> = q.split(' ').collect();
+            let mut n = 0;
+            for w in &words { n += w.len() as u32; }
+            n
+        }
+    "#;
+    let findings = lint_sources(&[
+        ("crates/apps/src/serve.rs", APP_ENTRY),
+        ("crates/text/src/util.rs", helper),
+    ]);
+    assert!(
+        !findings.iter().any(|f| f.rule == "AL009"),
+        "a Vec flagged by another function's binding: {findings:?}"
+    );
+}
+
+#[test]
+fn al009_still_flags_hash_iteration_in_the_declaring_function_or_on_a_field() {
+    let local = r#"
+        fn tally(q: &str) -> u32 {
+            let words: Vec<&str> = q.split(' ').collect();
+            words.len() as u32
+        }
+        pub fn risky_lookup(q: &str) -> u32 {
+            let words: FxHashSet<&str> = q.split(' ').collect();
+            let mut n = 0;
+            for w in &words { n += w.len() as u32; }
+            n
+        }
+    "#;
+    // A field is declared outside every function, so every method sees it.
+    let field = r#"
+        pub struct Index { words: FxHashSet<String> }
+        impl Index {
+            pub fn lookup(&self, q: &str) -> u32 {
+                let mut n = q.len() as u32;
+                for w in self.words.iter() { n += w.len() as u32; }
+                n
+            }
+        }
+    "#;
+    for files in [
+        &[
+            ("crates/apps/src/serve.rs", APP_ENTRY),
+            ("crates/text/src/util.rs", local),
+        ][..],
+        &[("crates/apps/src/index.rs", field)],
+    ] {
+        let findings = lint_sources(files);
+        assert!(
+            findings.iter().any(|f| f.rule == "AL009"),
+            "hash iteration missed in {files:?}: {findings:?}"
+        );
+    }
+}
+
+#[test]
 fn al009_flags_clock_reads_outside_obs_only() {
     let timed = "pub fn step() -> Instant { Instant::now() }";
     let findings = lint_sources(&[("crates/nn/src/train2.rs", timed)]);

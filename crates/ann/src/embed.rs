@@ -16,7 +16,7 @@
 //! so `build_bundle` on the same net and config always encodes to the
 //! same snapshot bytes.
 
-use alicoco::AliCoCo;
+use alicoco::{par, AliCoCo};
 use alicoco_text::word2vec::{train, Word2VecConfig};
 use alicoco_text::Vocab;
 
@@ -85,14 +85,16 @@ pub fn build_bundle(kg: &AliCoCo, cfg: &EmbedConfig) -> AnnBundle {
             .skip(1)
             .map(|(id, tok, _)| (tok.to_string(), vectors.vector(id).to_vec())),
     );
-    let mut concepts = Hnsw::new(dim, cfg.hnsw);
-    for doc in &concept_docs {
-        concepts.insert(&table.embed(doc).unwrap_or_else(|| vec![0.0; dim]));
-    }
-    let mut items = Hnsw::new(dim, cfg.hnsw);
-    for doc in &item_docs {
-        items.insert(&table.embed(doc).unwrap_or_else(|| vec![0.0; dim]));
-    }
+    // The two indexes are independent: each is inserted serially in id
+    // order on its own core, so its bytes are the single-threaded ones.
+    let index = |docs: &[Vec<String>]| {
+        let mut hnsw = Hnsw::new(dim, cfg.hnsw);
+        for doc in docs {
+            hnsw.insert(&table.embed(doc).unwrap_or_else(|| vec![0.0; dim]));
+        }
+        hnsw
+    };
+    let (concepts, items) = par::join(|| index(&concept_docs), || index(&item_docs));
     AnnBundle::new(table, concepts, items)
 }
 

@@ -2,10 +2,11 @@
 //! browsing history — recommending *needs*, not lookalike items — plus
 //! human-readable recommendation reasons (§8.2.2).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use alicoco::rank::TopK;
 use alicoco::{AliCoCo, ConceptId, ItemId, PrimitiveId};
+use alicoco_ann::AnnBundle;
 use alicoco_nn::util::{FxHashMap, FxHashSet};
 use alicoco_obs::{Counter, Histogram, Registry, SpanTimer, Stopwatch};
 
@@ -27,6 +28,7 @@ struct RecommendMetrics {
     requests: Arc<Counter>,
     history_items: Arc<Counter>,
     candidates: Arc<Counter>,
+    knn_walks: Arc<Counter>,
     total_ns: Arc<Histogram>,
     knn_ns: Arc<Histogram>,
 }
@@ -37,6 +39,7 @@ impl RecommendMetrics {
             requests: reg.counter("recommend.requests"),
             history_items: reg.counter("recommend.history_items"),
             candidates: reg.counter("recommend.candidates"),
+            knn_walks: reg.counter("recommend.knn_walks"),
             total_ns: reg.histogram("recommend.total_ns"),
             knn_ns: reg.histogram("recommend.knn_ns"),
         }
@@ -134,11 +137,48 @@ impl Default for RecommendConfig {
     }
 }
 
+/// One viewed item's vector votes: the concepts the walk from its stored
+/// embedding returns with a positive cosine, nearest first. Inline, so a
+/// memo cell holds it without a heap allocation.
+#[derive(Clone, Copy, Debug)]
+struct Near {
+    len: u8,
+    hits: [(u32, f32); FUSION.ann_k],
+}
+
+impl Near {
+    /// The walk a request runs for `item`; zero-or-negative cosines never
+    /// vote, so a zero-vector item (all-unknown title) keeps nothing.
+    fn walk(bundle: &AnnBundle, item: ItemId) -> Near {
+        let qv = bundle.items().vector(item.index() as u32);
+        let found = bundle.concepts().knn(qv, FUSION.ann_k, ANN_EF);
+        let mut near = Near {
+            len: 0,
+            hits: [(0, 0.0); FUSION.ann_k],
+        };
+        let positive = found.into_iter().filter(|&(_, cos)| cos > 0.0);
+        for (slot, hit) in near.hits.iter_mut().zip(positive) {
+            *slot = hit;
+            near.len += 1;
+        }
+        near
+    }
+
+    fn hits(&self) -> impl Iterator<Item = &(u32, f32)> {
+        self.hits.iter().take(usize::from(self.len))
+    }
+}
+
 /// The user-needs recommender.
 pub struct CognitiveRecommender {
     retriever: Arc<Retriever>,
     cfg: RecommendConfig,
     metrics: RecommendMetrics,
+    /// Each item's vector votes, filled on the item's first request: the
+    /// walk's query is the item's stored vector, so its answer depends on
+    /// the item alone. One cell per item of the bundle's item index; empty
+    /// without a bundle.
+    memo: Box<[OnceLock<Near>]>,
 }
 
 impl CognitiveRecommender {
@@ -146,10 +186,25 @@ impl CognitiveRecommender {
     /// concepts postings and, on a hybrid snapshot, its bundle), recording
     /// `recommend.*` metrics into `metrics`.
     pub fn new(retriever: Arc<Retriever>, cfg: RecommendConfig, metrics: &Registry) -> Self {
+        let items = retriever.ann().map_or(0, |bundle| bundle.items().len());
         CognitiveRecommender {
             retriever,
             cfg,
             metrics: RecommendMetrics::register(metrics),
+            memo: (0..items).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// `item`'s vector votes, from the memo or, on its first request (or
+    /// past the item index), from a walk.
+    fn near(&self, bundle: &AnnBundle, item: ItemId) -> Near {
+        let walk = || {
+            self.metrics.knn_walks.inc();
+            Near::walk(bundle, item)
+        };
+        match self.memo.get(item.index()) {
+            Some(cell) => *cell.get_or_init(walk),
+            None => walk(),
         }
     }
 
@@ -189,13 +244,11 @@ impl CognitiveRecommender {
             }
             if let Some(bundle) = ann {
                 // The viewed item's stored embedding votes for its nearest
-                // concepts; zero-or-negative cosines never vote, so a
-                // zero-vector item (all-unknown title) adds nothing.
-                let qv = bundle.items().vector(item.index() as u32);
+                // concepts.
                 let watch = Stopwatch::start();
-                let near = bundle.concepts().knn(qv, FUSION.ann_k, ANN_EF);
+                let near = self.near(bundle, item);
                 knn_ns += watch.elapsed_ns();
-                for (id, cos) in near.into_iter().filter(|&(_, cos)| cos > 0.0) {
+                for &(id, cos) in near.hits() {
                     let vote = votes.entry(ConceptId::from_index(id as usize)).or_default();
                     vote.affinity += FUSION.vector_weight * f64::from(cos);
                     vote.similar.get_or_insert(item);
@@ -349,6 +402,13 @@ mod tests {
         assert_eq!(reg.histogram("recommend.total_ns").count(), 2);
         // A lexical retriever never asks HNSW.
         assert_eq!(reg.histogram("recommend.knn_ns").count(), 0);
+        assert_eq!(reg.counter("recommend.knn_walks").get(), 0);
+    }
+
+    /// A filled memo cell is inline: one per item, at most 72 bytes.
+    #[test]
+    fn a_memo_cell_holds_its_votes_inline() {
+        assert!(std::mem::size_of::<OnceLock<Near>>() <= 72);
     }
 
     /// Hybrid retrieval: an item with no concept link and no primitive can
@@ -367,10 +427,11 @@ mod tests {
             plain.recommend(&[skewers]).is_empty(),
             "graph-only recommender has no evidence for this history"
         );
+        let reg = Registry::new();
         let rec = CognitiveRecommender::new(
             Retriever::new(Arc::clone(&kg), Some(bundle)),
             RecommendConfig::default(),
-            &Registry::new(),
+            &reg,
         );
         let out = rec.recommend(&[skewers]);
         assert!(!out.is_empty(), "vector votes must surface a concept");
@@ -382,6 +443,11 @@ mod tests {
         let fused = rec.recommend(&[grill]);
         assert_eq!(fused[0].concept, c);
         assert_eq!(fused[0].reason, Reason::ViewedItem { item: grill });
+        // Each item walks once; asking again reads the memo.
+        let again = rec.recommend(&[skewers, grill]);
+        assert_eq!(again[0].concept, c);
+        assert_eq!(reg.counter("recommend.knn_walks").get(), 2);
+        assert_eq!(reg.histogram("recommend.knn_ns").count(), 3);
     }
 
     #[test]

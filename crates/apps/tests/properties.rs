@@ -856,7 +856,9 @@ proptest! {
     /// and on a hybrid retriever. Each world is asked with an empty
     /// history, a random one, that one twice over (every item repeated),
     /// and one that reaches concept 0 by a direct link, a shared primitive
-    /// and (hybrid) its vector.
+    /// and (hybrid) its vector. Each history is asked twice of a fresh
+    /// engine: cold, when the hybrid one walks HNSW once per distinct item,
+    /// and warm, when it reads every item's votes from its memo.
     #[test]
     fn recommend_equals_the_map_of_sets_scan(
         spec in world_strategy(),
@@ -878,28 +880,113 @@ proptest! {
         for ann in [None, Some(bundle)] {
             let hybrid = ann.is_some();
             let retriever = Retriever::new(Arc::clone(&kg), ann);
-            let reg = Registry::new();
-            let engine = CognitiveRecommender::new(Arc::clone(&retriever), cfg, &reg);
             for history in [&[][..], &history, &twice, &with_item_0] {
-                let before = reg.counter("recommend.candidates").get();
-                let got = engine.recommend(history);
-                let touched = reg.counter("recommend.candidates").get() - before;
+                let reg = Registry::new();
+                let engine = CognitiveRecommender::new(Arc::clone(&retriever), cfg, &reg);
                 let (want, candidates, reached) = recommend_scan(&retriever, cfg, history);
-                prop_assert_eq!(touched, candidates as u64, "hybrid {} {:?}", hybrid, history);
-                prop_assert_eq!(got.len(), want.len(), "hybrid {} {:?}", hybrid, history);
-                for (g, w) in got.iter().zip(&want) {
-                    prop_assert_eq!(g.concept, w.concept, "hybrid {} {:?}", hybrid, history);
-                    prop_assert_eq!(g.affinity.to_bits(), w.affinity.to_bits());
-                    prop_assert_eq!(&g.reason, &w.reason, "hybrid {} {:?}", hybrid, history);
-                    prop_assert_eq!(&g.items, &w.items, "hybrid {} {:?}", hybrid, history);
-                    prop_assert_eq!(&g.name, &w.name);
+                for pass in ["cold", "warm"] {
+                    let at = format!("hybrid {hybrid} {pass} {history:?}");
+                    let before = reg.counter("recommend.candidates").get();
+                    let got = engine.recommend(history);
+                    let touched = reg.counter("recommend.candidates").get() - before;
+                    prop_assert_eq!(touched, candidates as u64, "{}", at);
+                    prop_assert_eq!(got.len(), want.len(), "{}", at);
+                    for (g, w) in got.iter().zip(&want) {
+                        prop_assert_eq!(g.concept, w.concept, "{}", at);
+                        prop_assert_eq!(g.affinity.to_bits(), w.affinity.to_bits(), "{}", at);
+                        prop_assert_eq!(&g.reason, &w.reason, "{}", at);
+                        prop_assert_eq!(&g.items, &w.items, "{}", at);
+                        prop_assert_eq!(&g.name, &w.name);
+                    }
                 }
+                let distinct = history.iter().collect::<BTreeSet<_>>().len() as u64;
+                let walks = reg.counter("recommend.knn_walks").get();
+                prop_assert_eq!(walks, if hybrid { distinct } else { 0 }, "{:?}", history);
                 if history == with_item_0.as_slice() {
                     let c0 = ConceptId::from_index(0);
                     let by = reached.iter().filter(|r| r.contains(&c0)).count();
                     prop_assert_eq!(by, if hybrid { 3 } else { 2 }, "{:?}", history);
                 }
             }
+        }
+    }
+}
+
+/// Two threads recommending overlapping histories on one hybrid engine
+/// fill its memo at the same time; each item is walked once, and every
+/// answer they get equals a fresh engine's for the same history, bit for
+/// bit.
+#[test]
+fn concurrent_recommends_equal_a_fresh_engines() {
+    let mut rng = StdRng::seed_from_u64(37);
+    let mut pairs = |n: usize, hi: u8| -> Vec<(u8, u8)> {
+        (0..n)
+            .map(|_| (rng.gen_range(0..hi), rng.gen_range(0..hi)))
+            .collect()
+    };
+    let spec = WorldSpec {
+        primitives: pairs(10, 12),
+        concepts: pairs(200, 12),
+        items: pairs(120, 12),
+        concept_prims: pairs(300, 200),
+        concept_items: pairs(300, 120)
+            .into_iter()
+            .map(|(c, i)| (c, i, c % 101))
+            .collect(),
+    };
+    let item_prims = pairs(150, 120);
+    let kg = Arc::new(build_recommend_world(&spec, &item_prims));
+    let retriever = Retriever::new(Arc::clone(&kg), Some(Arc::new(recommend_bundle(&kg, 5))));
+    let cfg = RecommendConfig::default();
+    let reg = Registry::new();
+    let shared = CognitiveRecommender::new(Arc::clone(&retriever), cfg, &reg);
+    // Thread `t`'s `h`-th history: three items, overlapping the other
+    // thread's and its own earlier ones.
+    let history = |t: usize, h: usize| -> Vec<ItemId> {
+        let start = h * 7 + t * 3;
+        [start, start + 11, start + 29]
+            .map(|i| ItemId::from_index(i % kg.num_items()))
+            .to_vec()
+    };
+    // Both threads ask their `h`-th history at once.
+    let step = std::sync::Barrier::new(2);
+    let answers: Vec<Vec<(Vec<ItemId>, Vec<Recommendation>)>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|t| {
+                let (shared, history, step) = (&shared, &history, &step);
+                s.spawn(move || {
+                    (0..60)
+                        .map(|h| {
+                            let viewed = history(t, h);
+                            step.wait();
+                            let got = shared.recommend(&viewed);
+                            (viewed, got)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    // Each item walked once, whichever thread asked first.
+    let distinct: BTreeSet<ItemId> = answers
+        .iter()
+        .flatten()
+        .flat_map(|(v, _)| v.clone())
+        .collect();
+    assert_eq!(
+        reg.counter("recommend.knn_walks").get(),
+        distinct.len() as u64
+    );
+    for (viewed, got) in answers.iter().flatten() {
+        let fresh = CognitiveRecommender::new(Arc::clone(&retriever), cfg, &Registry::new());
+        let want = fresh.recommend(viewed);
+        assert_eq!(got.len(), want.len(), "{viewed:?}");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.concept, w.concept, "{viewed:?}");
+            assert_eq!(g.affinity.to_bits(), w.affinity.to_bits(), "{viewed:?}");
+            assert_eq!(g.reason, w.reason, "{viewed:?}");
+            assert_eq!(g.items, w.items, "{viewed:?}");
         }
     }
 }

@@ -312,7 +312,8 @@ mod tests {
 
     /// The counts of requests that did not ask HNSW are exported beside
     /// the other engine counters, from the first request on; so is the
-    /// HNSW share of `/recommend`, one sample per request that asked.
+    /// HNSW share of `/recommend`, one sample per request that asked, and
+    /// its walks: a repeated history walks only on its first request.
     #[test]
     fn metrics_list_the_hnsw_skips() {
         let kg = Arc::new(demo_net());
@@ -323,6 +324,7 @@ mod tests {
             "/search?q=outdoor+barbecue&k=1",
             "/recommend?history=0,1",
             "/recommend",
+            "/recommend?history=0,1",
         ] {
             assert_eq!(handle(&get(target), &pack, &reg).1.status, 200, "{target}");
         }
@@ -342,8 +344,10 @@ mod tests {
             let hist = histograms.get(name);
             hist.and_then(|h| h.get("count")).and_then(Json::as_num)
         };
-        assert_eq!(samples("recommend.total_ns"), Some(2.0), "{body}");
-        assert_eq!(samples("recommend.knn_ns"), Some(1.0), "{body}");
+        assert_eq!(samples("recommend.total_ns"), Some(3.0), "{body}");
+        assert_eq!(samples("recommend.knn_ns"), Some(2.0), "{body}");
+        assert_eq!(count("recommend.history_items"), Some(4.0), "{body}");
+        assert_eq!(count("recommend.knn_walks"), Some(2.0), "{body}");
     }
 
     /// Lists long enough to prune: `/metrics` shows the windows the merge
