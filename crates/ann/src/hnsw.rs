@@ -10,7 +10,8 @@
 //!   selection, greedy descent) goes through the workspace ranking order
 //!   [`rank::by_score_then_id`] (similarity descending, id ascending), a
 //!   total order even under NaN, so ties never depend on float luck or
-//!   hash iteration.
+//!   hash iteration. The walk compares it as integers:
+//!   [`rank::rank_key`] encodes each `(id, similarity)` once.
 //! - **Construction is single-threaded in id order**, which together with
 //!   the above makes builds byte-reproducible: the same `(seed, inserts)`
 //!   always [`encode`](Hnsw::encode)s to the same bytes — asserted by the
@@ -34,7 +35,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use alicoco::snapshot::LoadError;
-use alicoco_nn::rank::{self, Ranked, TopK};
+use alicoco_nn::rank::{self, from_rank_key, rank_key, TopK};
 
 /// Hard cap on assigned levels; with `m ≥ 4` the geometric level
 /// distribution makes reaching it astronomically unlikely, but the cap
@@ -178,10 +179,16 @@ struct SearchScratch {
     stamps: Vec<u32>,
     /// Bumped per search, which un-visits every node at once.
     generation: u32,
-    /// Max-heap root = worst kept result (`Ord` *is* the ranking order).
-    results: BinaryHeap<Ranked<u32, f32>>,
+    /// Max-heap of [`rank_key`]s, whose integer order *is* the ranking
+    /// order: the root is the worst kept result.
+    results: BinaryHeap<u64>,
     /// `Reverse` ⇒ pops the rank-best unexplored candidate first.
-    frontier: BinaryHeap<Reverse<Ranked<u32, f32>>>,
+    frontier: BinaryHeap<Reverse<u64>>,
+    /// The expanded node's neighbours this search had not visited, in
+    /// list order.
+    fresh: Vec<u32>,
+    /// Their rank keys, in the same order.
+    keys: Vec<u64>,
 }
 
 thread_local! {
@@ -204,15 +211,22 @@ impl SearchScratch {
         self.frontier.clear();
     }
 
-    /// Mark `id` visited; `true` the first time in this search.
-    fn visit(&mut self, id: u32) -> bool {
-        match self.stamps.get_mut(id as usize) {
-            Some(stamp) if *stamp != self.generation => {
+    /// Mark `ids` visited and keep in `fresh`, in list order, those this
+    /// search had not visited yet. No branch reads a stamp: each id is
+    /// written to the next slot, which only a fresh one claims.
+    fn visit(&mut self, ids: &[u32]) {
+        self.fresh.resize(ids.len(), 0);
+        let mut kept = 0;
+        for &id in ids {
+            if let (Some(stamp), Some(slot)) =
+                (self.stamps.get_mut(id as usize), self.fresh.get_mut(kept))
+            {
+                *slot = id;
+                kept += usize::from(*stamp != self.generation);
                 *stamp = self.generation;
-                true
             }
-            _ => false,
         }
+        self.fresh.truncate(kept);
     }
 }
 
@@ -359,36 +373,41 @@ impl Hnsw {
     /// Greedy descent on one level: hill-climb to the rank-best neighbor
     /// until no neighbor improves. Ties go to the lower id via the
     /// ranking order, so the path is deterministic.
-    fn greedy(&self, q: &[f32], mut ep: u32, level: usize) -> u32 {
-        let mut best = self.sim_to(ep, q);
+    fn greedy(&self, q: &[f32], ep: u32, level: usize) -> u32 {
+        let mut best = rank_key(ep, self.sim_to(ep, q));
         loop {
             let mut improved = false;
-            for &nb in self.neighbors(ep, level) {
-                let s = self.sim_to(nb, q);
-                if Ranked(nb, s) < Ranked(ep, best) {
-                    ep = nb;
-                    best = s;
+            for &nb in self.neighbors(best as u32, level) {
+                let key = rank_key(nb, self.sim_to(nb, q));
+                if key < best {
+                    best = key;
                     improved = true;
                 }
             }
             if !improved {
-                return ep;
+                return best as u32;
             }
         }
     }
 
     /// The ef-bounded best-first search of one level, returning up to
     /// `ef` results best-first under the ranking order.
+    ///
+    /// Both heaps hold [`rank_key`]s, so a sift step compares integers. A
+    /// node is expanded in three passes: mark its unvisited neighbours,
+    /// score them, then offer them to the heaps in list order. Marking
+    /// and scoring read no heap, so the same nodes are offered in the same
+    /// order against the same heaps as when each neighbour was marked,
+    /// scored and offered in turn.
     fn search_layer(&self, q: &[f32], eps: &[u32], ef: usize, level: usize) -> Vec<(u32, f32)> {
         let ef = ef.max(1);
         SCRATCH.with_borrow_mut(|scratch| {
             scratch.begin(self.len());
-            for &e in eps {
-                if scratch.visit(e) {
-                    let s = self.sim_to(e, q);
-                    scratch.results.push(Ranked(e, s));
-                    scratch.frontier.push(Reverse(Ranked(e, s)));
-                }
+            scratch.visit(eps);
+            for &e in &scratch.fresh {
+                let key = rank_key(e, self.sim_to(e, q));
+                scratch.results.push(key);
+                scratch.frontier.push(Reverse(key));
             }
             while scratch.results.len() > ef {
                 scratch.results.pop();
@@ -396,33 +415,36 @@ impl Hnsw {
             while let Some(Reverse(cand)) = scratch.frontier.pop() {
                 if scratch.results.len() >= ef {
                     match scratch.results.peek() {
-                        Some(worst) if cand > *worst => break,
+                        Some(&worst) if cand > worst => break,
                         _ => {}
                     }
                 }
-                for &nb in self.neighbors(cand.0, level) {
-                    if !scratch.visit(nb) {
-                        continue;
-                    }
-                    let s = self.sim_to(nb, q);
-                    let keep = scratch.results.len() < ef
-                        || scratch
-                            .results
-                            .peek()
-                            .is_none_or(|worst| Ranked(nb, s) < *worst);
+                scratch.visit(self.neighbors(cand as u32, level));
+                let SearchScratch {
+                    results,
+                    frontier,
+                    fresh,
+                    keys,
+                    ..
+                } = scratch;
+                keys.clear();
+                keys.extend(fresh.iter().map(|&nb| rank_key(nb, self.sim_to(nb, q))));
+                for &key in keys.iter() {
+                    let keep =
+                        results.len() < ef || results.peek().is_none_or(|&worst| key < worst);
                     if keep {
-                        scratch.frontier.push(Reverse(Ranked(nb, s)));
-                        scratch.results.push(Ranked(nb, s));
-                        if scratch.results.len() > ef {
-                            scratch.results.pop();
+                        frontier.push(Reverse(key));
+                        results.push(key);
+                        if results.len() > ef {
+                            results.pop();
                         }
                     }
                 }
             }
-            // Ascending under the ranking Ord = best-first. The emptied buffer
-            // goes back so the next search starts with its capacity.
+            // Ascending keys = best-first. The emptied buffer goes back so
+            // the next search starts with its capacity.
             let mut sorted = std::mem::take(&mut scratch.results).into_sorted_vec();
-            let out = sorted.iter().map(|r| (r.0, r.1)).collect();
+            let out = sorted.iter().map(|&key| from_rank_key(key)).collect();
             sorted.clear();
             scratch.results = sorted.into();
             out

@@ -1,11 +1,14 @@
 //! Training throughput of the five construction models through the shared
 //! `nn::train::Trainer`, at the batch size the construction pipeline runs
-//! (`TrainConfig::default().batch_size`). Each model is trained three
+//! (`TrainConfig::default().batch_size`), and of the word2vec the hybrid
+//! bundle trains (`Word2VecConfig::default()`, here over the tiny
+//! dataset's sentences; examples are tokens). Each model is trained three
 //! times from the same seed; the three final parameter sets are asserted
 //! byte-identical — the engine's reproducibility contract, and this
 //! bench's only gate — and the fastest run is reported. Emits
 //! `BENCH_train.json` at the workspace root with examples/sec per model
-//! and the forward/step split of the epoch clock. The numbers are
+//! and the forward/step split of the epoch clock (null for word2vec, whose
+//! hand-rolled loop reports no stages). The numbers are
 //! informational (CI uploads the file as an artifact).
 
 use alicoco_corpus::Dataset;
@@ -23,6 +26,8 @@ use alicoco_mining::vocab_mining::{
 };
 use alicoco_nn::util::seeded_rng;
 use alicoco_nn::{EpochStats, Tensor};
+use alicoco_text::word2vec::{train as w2v_train, Word2VecConfig};
+use alicoco_text::Vocab;
 use std::time::Instant;
 
 const SEED: u64 = 20200614;
@@ -65,11 +70,11 @@ fn time_run(
 }
 
 /// Share of the engine's timed stages spent in forward/backward, in percent
-/// (the rest is clipping plus optimizer steps).
-fn forward_share(stats: &[EpochStats]) -> f64 {
+/// (the rest is clipping plus optimizer steps); `None` without stages.
+fn forward_share(stats: &[EpochStats]) -> Option<f64> {
     let fwd: u64 = stats.iter().map(|s| s.forward_ns).sum();
     let step: u64 = stats.iter().map(|s| s.step_ns).sum();
-    100.0 * fwd as f64 / (fwd + step).max(1) as f64
+    (!stats.is_empty()).then(|| 100.0 * fwd as f64 / (fwd + step).max(1) as f64)
 }
 
 /// Three seeded runs: byte-identical parameters asserted, fastest kept —
@@ -90,10 +95,12 @@ fn bench_model(name: &'static str, run: impl Fn() -> Run) -> ModelResult {
         .into_iter()
         .min_by(|a, b| a.secs.total_cmp(&b.secs))
         .expect("three runs produce a minimum");
+    let stages = forward_share(&best.stats).map_or_else(String::new, |pct| {
+        format!(" [forward {pct:.0}% of timed stages]")
+    });
     println!(
-        "train/{name}: {:.0} ex/s, reproducible [forward {:.0}% of timed stages]",
-        best.rate(),
-        forward_share(&best.stats),
+        "train/{name}: {:.0} ex/s, reproducible{stages}",
+        best.rate()
     );
     ModelResult { name, best }
 }
@@ -126,6 +133,11 @@ fn main() {
     let ctx = ContextIndex::build(&res, &ds, ctx_words.iter().map(String::as_str), 3);
 
     let match_data = build_matching_dataset(&ds, &MatchingDataConfig::default());
+
+    let w2v_refs: Vec<&[String]> = sentences.iter().map(Vec::as_slice).collect();
+    let w2v_vocab = Vocab::from_corpus(w2v_refs.iter().copied(), 1);
+    let w2v_sentences: Vec<Vec<usize>> = w2v_refs.iter().map(|s| w2v_vocab.encode(s)).collect();
+    let w2v_tokens: usize = w2v_sentences.iter().map(Vec::len).sum();
 
     let results = [
         bench_model("vocab_miner", || {
@@ -188,18 +200,25 @@ fn main() {
                 (m.params().snapshot(), stats)
             })
         }),
+        bench_model("word2vec", || {
+            let cfg = Word2VecConfig::default();
+            time_run(w2v_tokens, cfg.epochs, || {
+                let wv = w2v_train(&w2v_vocab, &w2v_sentences, &cfg);
+                (vec![wv.vectors], Vec::new())
+            })
+        }),
     ];
 
     let mut json = String::from("{\n  \"models\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"model\": \"{}\", \"examples\": {}, \"epochs\": {}, \
-             \"examples_per_sec\": {:.2}, \"forward_pct\": {:.1}, \"reproducible\": true}}{}\n",
+             \"examples_per_sec\": {:.2}, \"forward_pct\": {}, \"reproducible\": true}}{}\n",
             r.name,
             r.best.examples,
             r.best.epochs,
             r.best.rate(),
-            forward_share(&r.best.stats),
+            forward_share(&r.best.stats).map_or_else(|| "null".into(), |pct| format!("{pct:.1}")),
             if i + 1 < results.len() { "," } else { "" },
         ));
     }

@@ -50,35 +50,34 @@ pub fn by_score_then_id<I: Ord, S: Score>(a: &(I, S), b: &(I, S)) -> Ordering {
     score_desc(&a.1, &b.1).then_with(|| a.0.cmp(&b.0))
 }
 
-/// An `(id, score)` pair whose `Ord` *is* the workspace ranking order
-/// ([`by_score_then_id`]): `Less` means "ranks better". This lets code
-/// outside this module put ranked pairs straight into `BinaryHeap`s and
-/// sorted structures without spelling a float comparison — a max-heap's
-/// root is the worst kept entry, and `Reverse<Ranked<_, _>>` pops
-/// best-first.
-#[derive(Clone, Copy, Debug)]
-pub struct Ranked<I, S>(
-    /// Id (the deterministic tie-break, ascending).
-    pub I,
-    /// Score (descending).
-    pub S,
-);
+/// The ranking order of an `(id, f32 score)` pair as one integer: the
+/// unsigned order of `rank_key` *is* [`by_score_then_id`], so
+/// `rank_key(a.0, a.1).cmp(&rank_key(b.0, b.1)) == by_score_then_id(&a, &b)`
+/// for every id and every bit pattern of the score, NaN included. A hot
+/// loop that compares the same pairs many times (a heap's sift steps)
+/// encodes each once and compares integers.
+///
+/// The high half is the score's `total_cmp` key, inverted so a higher
+/// score is a smaller key: a non-negative float's bits ascend with its
+/// value, so they are flipped below the sign bit; a negative float's
+/// bits ascend as it falls, so they stay. The low half is the id, which
+/// breaks ties ascending.
+pub fn rank_key(id: u32, score: f32) -> u64 {
+    (u64::from(flip_score_bits(score.to_bits())) << 32) | u64::from(id)
+}
 
-impl<I: Ord, S: Score> PartialEq for Ranked<I, S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
+/// The `(id, score)` pair [`rank_key`] encoded, score bit for bit.
+pub fn from_rank_key(key: u64) -> (u32, f32) {
+    // The flip keeps the sign bit, so it is its own inverse.
+    (
+        key as u32,
+        f32::from_bits(flip_score_bits((key >> 32) as u32)),
+    )
 }
-impl<I: Ord, S: Score> Eq for Ranked<I, S> {}
-impl<I: Ord, S: Score> PartialOrd for Ranked<I, S> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<I: Ord, S: Score> Ord for Ranked<I, S> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        by_score_then_id(&(&self.0, self.1), &(&other.0, other.1))
-    }
+
+/// Flip the bits below the sign of a non-negative float; keep a negative.
+fn flip_score_bits(bits: u32) -> u32 {
+    bits ^ (!(((bits as i32) >> 31) as u32) >> 1)
 }
 
 /// Heap entry ordered so the binary max-heap's root is the *worst*
@@ -210,21 +209,25 @@ mod tests {
     }
 
     #[test]
-    fn ranked_wrapper_orders_like_the_comparator() {
+    fn rank_keys_order_heaps_like_the_comparator() {
         let mut heap = std::collections::BinaryHeap::new();
-        for (id, s) in [(3u32, 0.5f64), (1, 0.9), (2, 0.9), (4, 0.1)] {
-            heap.push(Ranked(id, s));
+        for (id, s) in [(3u32, 0.5f32), (1, 0.9), (2, 0.9), (4, 0.1)] {
+            heap.push(rank_key(id, s));
         }
         // Max-heap root = worst-ranked entry.
-        assert_eq!(heap.peek().map(|r| r.0), Some(4));
+        assert_eq!(heap.peek().map(|&k| from_rank_key(k)), Some((4, 0.1)));
         // Ascending sort = best-first, ties by ascending id.
-        let sorted: Vec<u32> = heap.into_sorted_vec().into_iter().map(|r| r.0).collect();
+        let sorted: Vec<u32> = heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|k| k as u32)
+            .collect();
         assert_eq!(sorted, vec![1, 2, 3, 4]);
         // Reverse pops best-first out of a max-heap.
         let mut rev = std::collections::BinaryHeap::new();
-        rev.push(std::cmp::Reverse(Ranked(7u32, 0.2f32)));
-        rev.push(std::cmp::Reverse(Ranked(5, 0.8)));
-        assert_eq!(rev.pop().map(|r| r.0 .0), Some(5));
+        rev.push(std::cmp::Reverse(rank_key(7, 0.2)));
+        rev.push(std::cmp::Reverse(rank_key(5, 0.8)));
+        assert_eq!(rev.pop().map(|r| from_rank_key(r.0).0), Some(5));
     }
 
     #[test]
@@ -250,5 +253,57 @@ mod tests {
         heap.push(20, 0.5);
         heap.push(5, 0.4);
         assert_eq!(heap.into_sorted_vec(), vec![(10, 0.5), (20, 0.5)]);
+    }
+
+    /// Bit patterns every float order must place: ±0, the extreme
+    /// subnormals and normals, ±1, ±inf, and NaNs of both signs, quiet
+    /// and signalling.
+    const EDGE_BITS: [u32; 16] = [
+        0x0000_0000,
+        0x8000_0000,
+        0x0000_0001,
+        0x8000_0001,
+        0x007f_ffff,
+        0x807f_ffff,
+        0x0080_0000,
+        0x7f7f_ffff,
+        0xff7f_ffff,
+        0x3f80_0000,
+        0xbf80_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7fc0_0000,
+        0xffc0_0000,
+        0x7f80_0001,
+    ];
+
+    /// Any `f32` bit pattern, an edge one half the time.
+    fn any_f32_bits() -> impl proptest::prelude::Strategy<Value = u32> {
+        use proptest::prelude::Strategy;
+        (0..2 * EDGE_BITS.len(), proptest::prelude::any::<u32>())
+            .prop_map(|(pick, raw)| EDGE_BITS.get(pick).copied().unwrap_or(raw))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The key sorts exactly like the comparator and decodes to the
+        /// same id and the same score bits.
+        #[test]
+        fn rank_key_orders_like_by_score_then_id_and_round_trips(
+            a_id in 0u32..4,
+            a_bits in any_f32_bits(),
+            b_id in proptest::prelude::any::<u32>(),
+            b_bits in any_f32_bits(),
+            same_id in proptest::prelude::any::<bool>(),
+        ) {
+            let b_id = if same_id { a_id } else { b_id };
+            let a = (a_id, f32::from_bits(a_bits));
+            let b = (b_id, f32::from_bits(b_bits));
+            let (ka, kb) = (rank_key(a.0, a.1), rank_key(b.0, b.1));
+            proptest::prop_assert_eq!(ka.cmp(&kb), by_score_then_id(&a, &b));
+            let (id, score) = from_rank_key(ka);
+            proptest::prop_assert_eq!((id, score.to_bits()), (a_id, a_bits));
+        }
     }
 }
