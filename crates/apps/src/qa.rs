@@ -2,6 +2,7 @@
 //! next week's barbecue?" — parse the question, locate the scenario
 //! concept, and answer with a shopping checklist.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use alicoco::rank::by_score_then_id;
@@ -56,28 +57,32 @@ impl QaMetrics {
     }
 }
 
-/// A structured answer to a scenario question.
+/// A structured answer to a scenario question. The name and the titles
+/// borrow from the net.
 #[derive(Clone, Debug)]
-pub struct Answer {
+pub struct Answer<'a> {
     /// The scenario concept the question resolved to.
     pub concept: ConceptId,
     /// Concept name.
-    pub concept_name: String,
+    pub concept_name: &'a str,
     /// Checklist: distinct leading items grouped by their first primitive
     /// property when available.
-    pub checklist: Vec<ChecklistEntry>,
+    pub checklist: Vec<ChecklistEntry<'a>>,
 }
 
 #[derive(Clone, Debug)]
 /// Checklist entry.
-pub struct ChecklistEntry {
+pub struct ChecklistEntry<'a> {
     /// Item.
     pub item: ItemId,
-    /// Title.
-    pub title: String,
+    /// Title tokens; the title is their space-joined text.
+    pub title: &'a [String],
     /// Confidence.
     pub confidence: f32,
 }
+
+/// Items a checklist shows.
+const CHECKLIST_LEN: usize = 8;
 
 /// Question words stripped before resolution.
 const QUESTION_WORDS: &[&str] = &[
@@ -127,7 +132,7 @@ impl ScenarioQa {
     /// has none, the checklist falls back to items of *sibling* concepts —
     /// concepts sharing an interpreting primitive — so "barbecue" can still
     /// be answered through "garden barbecue".
-    pub fn answer(&self, question: &str) -> Option<Answer> {
+    pub fn answer(&self, question: &str) -> Option<Answer<'_>> {
         let _span = SpanTimer::new(Arc::clone(&self.metrics.answer_ns));
         let out = self.answer_impl(question);
         self.metrics.requests.inc();
@@ -213,71 +218,82 @@ impl ScenarioQa {
         best.map(|(cid, _)| cid)
     }
 
-    fn answer_impl(&self, question: &str) -> Option<Answer> {
+    fn answer_impl(&self, question: &str) -> Option<Answer<'_>> {
         let words = Self::content_words(question);
         let kg = self.retriever.kg();
         let cid = self.resolve(&words)?;
-        let mut items = kg.items_for_concept(cid);
+        let mut items = kg.top_items(cid, CHECKLIST_LEN);
         if items.is_empty() {
             self.metrics.sibling_fallbacks.inc();
-            // Sibling fallback: union of items from concepts sharing a
-            // primitive, discounted. Restrict to the primitives that matched
-            // the question ("barbecue"), not incidental ones ("beach") —
-            // otherwise a beach-barbecue question borrows swimsuits.
-            let mut prims: FxHashSet<_> = kg
-                .concept(cid)
-                .primitives
-                .iter()
-                .copied()
-                .filter(|&p| words.contains(&kg.primitive(p).name))
-                .collect();
-            if prims.is_empty() {
-                prims = kg.concept(cid).primitives.iter().copied().collect();
-            }
-            // Sibling concepts come straight off the primitive postings
-            // (sorted so the borrowing order is concept-id deterministic).
-            let mut siblings: Vec<ConceptId> = {
-                let mut set: FxHashSet<ConceptId> = FxHashSet::default();
-                for &p in &prims {
-                    set.extend(
-                        self.retriever
-                            .index()
-                            .concepts_by_primitive(p)
-                            .iter()
-                            .copied(),
-                    );
-                }
-                set.remove(&cid);
-                set.into_iter().collect()
-            };
-            siblings.sort();
-            let mut seen: FxHashSet<ItemId> = FxHashSet::default();
-            for other in siblings {
-                for (item, w) in kg.items_for_concept(other) {
-                    if seen.insert(item) {
-                        items.push((item, w * 0.8));
-                    }
-                }
-            }
-            items.sort_by(by_score_then_id);
+            items = Cow::Owned(self.sibling_items(cid, &words));
         }
         if items.is_empty() {
             return None;
         }
         let checklist = items
-            .into_iter()
-            .take(8)
-            .map(|(item, confidence)| ChecklistEntry {
+            .iter()
+            .map(|&(item, confidence)| ChecklistEntry {
                 item,
-                title: kg.item(item).title.join(" "),
+                title: kg.item(item).title,
                 confidence,
             })
             .collect();
         Some(Answer {
             concept: cid,
-            concept_name: kg.concept(cid).name.to_string(),
+            concept_name: kg.concept(cid).name,
             checklist,
         })
+    }
+
+    /// Sibling fallback for an unstocked concept: the best of the union
+    /// of items from concepts sharing a primitive, discounted. Restricted
+    /// to the primitives that matched the question ("barbecue"), not
+    /// incidental ones ("beach") — otherwise a beach-barbecue question
+    /// borrows swimsuits.
+    fn sibling_items(&self, cid: ConceptId, words: &[String]) -> Vec<(ItemId, f32)> {
+        let kg = self.retriever.kg();
+        let mut prims: FxHashSet<_> = kg
+            .concept(cid)
+            .primitives
+            .iter()
+            .copied()
+            .filter(|&p| words.contains(&kg.primitive(p).name))
+            .collect();
+        if prims.is_empty() {
+            prims = kg.concept(cid).primitives.iter().copied().collect();
+        }
+        // Sibling concepts come straight off the primitive postings
+        // (sorted so the borrowing order is concept-id deterministic).
+        let mut siblings: Vec<ConceptId> = {
+            let mut set: FxHashSet<ConceptId> = FxHashSet::default();
+            for &p in &prims {
+                set.extend(
+                    self.retriever
+                        .index()
+                        .concepts_by_primitive(p)
+                        .iter()
+                        .copied(),
+                );
+            }
+            set.remove(&cid);
+            set.into_iter().collect()
+        };
+        siblings.sort();
+        // A concept's items are distinct, so an item's weight is the one
+        // its first sibling gives it, in whatever order each sibling's
+        // list is read; the sort below is total.
+        let mut items = Vec::new();
+        let mut seen: FxHashSet<ItemId> = FxHashSet::default();
+        for other in siblings {
+            for &(item, w) in kg.concept(other).items {
+                if seen.insert(item) {
+                    items.push((item, w * 0.8));
+                }
+            }
+        }
+        items.sort_by(by_score_then_id);
+        items.truncate(CHECKLIST_LEN);
+        items
     }
 }
 
@@ -325,8 +341,14 @@ mod tests {
         assert_eq!(a.concept_name, "outdoor barbecue");
         assert_eq!(a.checklist.len(), 2);
         assert!(a.checklist[0].confidence >= a.checklist[1].confidence);
-        assert!(a.checklist.iter().any(|e| e.title.contains("grill")));
-        assert!(a.checklist.iter().any(|e| e.title.contains("charcoal")));
+        assert!(a
+            .checklist
+            .iter()
+            .any(|e| e.title.iter().any(|t| t == "grill")));
+        assert!(a
+            .checklist
+            .iter()
+            .any(|e| e.title.iter().any(|t| t == "charcoal")));
     }
 
     #[test]
@@ -363,8 +385,8 @@ mod tests {
             "what should i buy for quantum entanglement?",
         ]
         .map(|q| wired.answer(q).map(|a| a.concept_name));
-        assert_eq!(answers[0].as_deref(), Some("outdoor barbecue"));
-        assert_eq!(answers[1].as_deref(), Some("beach barbecue"));
+        assert_eq!(answers[0], Some("outdoor barbecue"));
+        assert_eq!(answers[1], Some("beach barbecue"));
         assert_eq!(answers[2], None);
         assert_eq!(reg.counter("qa.requests").get(), 3);
         assert_eq!(reg.counter("qa.answered").get(), 2);
@@ -426,6 +448,9 @@ mod tests {
             !a.checklist.is_empty(),
             "sibling fallback produced no items"
         );
-        assert!(a.checklist.iter().any(|e| e.title.contains("grill")));
+        assert!(a
+            .checklist
+            .iter()
+            .any(|e| e.title.iter().any(|t| t == "grill")));
     }
 }

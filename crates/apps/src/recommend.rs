@@ -46,13 +46,14 @@ impl RecommendMetrics {
     }
 }
 
-/// A scored recommendation with its explanation.
+/// A scored recommendation with its explanation. The name borrows from
+/// the net.
 #[derive(Clone, Debug)]
-pub struct Recommendation {
+pub struct Recommendation<'a> {
     /// Concept.
     pub concept: ConceptId,
     /// Concept surface form.
-    pub name: String,
+    pub name: &'a str,
     /// Affinity.
     pub affinity: f64,
     /// Reason.
@@ -87,29 +88,46 @@ pub enum Reason {
 impl Reason {
     /// Render the reason as user-facing text.
     pub fn text(&self, kg: &AliCoCo, concept: &str) -> String {
-        match self {
-            Reason::ViewedItem { item } => format!(
-                "because you viewed \"{}\" — everything for {}",
-                kg.item(*item).title.join(" "),
-                concept
-            ),
-            Reason::SharedNeed { primitives } => {
-                let names: Vec<&str> = primitives
-                    .iter()
-                    .map(|&p| kg.primitive(p).name.as_str())
-                    .collect();
-                format!(
-                    "matches your interest in {} — {}",
-                    names.join(", "),
-                    concept
-                )
+        let mut text = String::new();
+        self.write_text(kg, concept, |piece| text.push_str(piece));
+        text
+    }
+
+    /// Hand the pieces of [`text`](Self::text) to `push` in order, so a
+    /// writer can escape them into its own buffer without the joined
+    /// text ever being built.
+    pub fn write_text(&self, kg: &AliCoCo, concept: &str, mut push: impl FnMut(&str)) {
+        fn title(kg: &AliCoCo, item: ItemId, push: &mut impl FnMut(&str)) {
+            for (i, token) in kg.item(item).title.iter().enumerate() {
+                if i > 0 {
+                    push(" ");
+                }
+                push(token);
             }
-            Reason::SimilarIntent { item } => format!(
-                "close to what \"{}\" is for — {}",
-                kg.item(*item).title.join(" "),
-                concept
-            ),
         }
+        match self {
+            Reason::ViewedItem { item } => {
+                push("because you viewed \"");
+                title(kg, *item, &mut push);
+                push("\" — everything for ");
+            }
+            Reason::SharedNeed { primitives } => {
+                push("matches your interest in ");
+                for (i, &p) in primitives.iter().enumerate() {
+                    if i > 0 {
+                        push(", ");
+                    }
+                    push(&kg.primitive(p).name);
+                }
+                push(" — ");
+            }
+            Reason::SimilarIntent { item } => {
+                push("close to what \"");
+                title(kg, *item, &mut push);
+                push("\" is for — ");
+            }
+        }
+        push(concept);
     }
 }
 
@@ -214,7 +232,7 @@ impl CognitiveRecommender {
     }
 
     /// Recommend concept cards for a browsing history.
-    pub fn recommend(&self, history: &[ItemId]) -> Vec<Recommendation> {
+    pub fn recommend(&self, history: &[ItemId]) -> Vec<Recommendation<'_>> {
         let kg = self.retriever.kg();
         let index = self.retriever.index();
         let ann = self.retriever.ann();
@@ -285,16 +303,17 @@ impl CognitiveRecommender {
                     (None, false, Some(item)) => Reason::SimilarIntent { item },
                     (None, false, None) => Reason::SharedNeed { primitives: vec![] },
                 };
-                // Novelty (§8.2.1): never re-show viewed items.
-                let items: Vec<(ItemId, f32)> = kg
-                    .items_for_concept(cid)
-                    .into_iter()
-                    .filter(|(i, _)| !viewed.contains(i))
-                    .take(self.cfg.items_per_card)
-                    .collect();
+                // Novelty (§8.2.1): never re-show viewed items. At most
+                // `viewed.len()` of the best leave, so the card's items are
+                // among that many more than it shows.
+                let mut items = kg
+                    .top_items(cid, self.cfg.items_per_card + viewed.len())
+                    .into_owned();
+                items.retain(|(i, _)| !viewed.contains(i));
+                items.truncate(self.cfg.items_per_card);
                 Recommendation {
                     concept: cid,
-                    name: kg.concept(cid).name.to_string(),
+                    name: kg.concept(cid).name,
                     affinity,
                     reason,
                     items,
@@ -351,7 +370,7 @@ mod tests {
         let r = &out[0];
         assert_eq!(r.concept, c);
         assert_eq!(r.reason, Reason::ViewedItem { item: grill });
-        let text = r.reason.text(&kg, &r.name);
+        let text = r.reason.text(&kg, r.name);
         assert!(text.contains("grill"), "reason text: {text}");
         // Novelty: viewed grill is excluded; charcoal remains.
         assert_eq!(r.items.len(), 1);
@@ -437,7 +456,7 @@ mod tests {
         assert!(!out.is_empty(), "vector votes must surface a concept");
         assert_eq!(out[0].concept, c);
         assert_eq!(out[0].reason, Reason::SimilarIntent { item: skewers });
-        let text = out[0].reason.text(&kg, &out[0].name);
+        let text = out[0].reason.text(&kg, out[0].name);
         assert!(text.contains("skewers"), "reason text: {text}");
         // A direct link still outranks pure vector proximity.
         let fused = rec.recommend(&[grill]);

@@ -25,10 +25,12 @@
 //! Without a bundle the engine is byte-for-byte the lexical engine it
 //! always was.
 
+use std::borrow::Cow;
+use std::fmt;
 use std::sync::Arc;
 
 use alicoco::rank::TopK;
-use alicoco::{AliCoCo, ConceptId, ItemId};
+use alicoco::{AliCoCo, ConceptId, ItemId, PrimitiveId};
 use alicoco_ann::AnnBundle;
 use alicoco_nn::util::FxHashSet;
 use alicoco_obs::{Counter, Histogram, Registry, StageClock};
@@ -75,20 +77,61 @@ impl SearchMetrics {
     }
 }
 
-/// A rendered concept card (Figure 2a/b): the concept, its interpretation,
-/// and suggested items.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConceptCard {
+/// A concept card (Figure 2a/b): the concept, its interpretation, and
+/// suggested items. The name and the interpretation borrow from the net,
+/// and so do the items — the concept's best `items_per_card`
+/// ([`AliCoCo::top_items`]) — unless they had to be selected.
+#[derive(Clone)]
+pub struct ConceptCard<'a> {
     /// Concept.
     pub concept: ConceptId,
     /// Concept surface form.
-    pub name: String,
-    /// `(domain, primitive surface)` interpretation pairs.
-    pub interpretation: Vec<(String, String)>,
+    pub name: &'a str,
+    /// The interpreting primitives, resolved by
+    /// [`interpretation`](Self::interpretation).
+    pub primitives: &'a [PrimitiveId],
     /// Suggested items with edge probabilities, best first.
-    pub items: Vec<(ItemId, f32)>,
+    pub items: Cow<'a, [(ItemId, f32)]>,
     /// Query-match score.
     pub score: f64,
+    kg: &'a AliCoCo,
+}
+
+impl<'a> ConceptCard<'a> {
+    /// `(domain, primitive surface)` interpretation pairs, in the
+    /// concept's primitive order.
+    pub fn interpretation(&self) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        let kg = self.kg;
+        self.primitives.iter().map(move |&p| {
+            let prim = kg.primitive(p);
+            let domain = kg.class(kg.class_domain(prim.class)).name.as_str();
+            (domain, prim.name.as_str())
+        })
+    }
+}
+
+/// The same information the owned card compared: the interpretation by
+/// its pairs, the score by its bits.
+impl PartialEq for ConceptCard<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.concept == other.concept
+            && self.name == other.name
+            && self.interpretation().eq(other.interpretation())
+            && self.items == other.items
+            && self.score.to_bits() == other.score.to_bits()
+    }
+}
+
+impl fmt::Debug for ConceptCard<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ConceptCard")
+            .field("concept", &self.concept)
+            .field("name", &self.name)
+            .field("interpretation", &self.interpretation().collect::<Vec<_>>())
+            .field("items", &self.items)
+            .field("score", &self.score)
+            .finish()
+    }
 }
 
 /// Configuration for concept retrieval.
@@ -164,7 +207,7 @@ impl SemanticSearch {
     /// — any other concept has zero surface overlap and zero primitive
     /// hits, so it cannot score above zero — and the best `k` are kept in
     /// a bounded heap (`O(c log k)` over `c` candidates).
-    pub fn search(&self, query: &str) -> Vec<ConceptCard> {
+    pub fn search(&self, query: &str) -> Vec<ConceptCard<'_>> {
         self.search_top(query, self.cfg.k)
     }
 
@@ -172,7 +215,7 @@ impl SemanticSearch {
     /// configured `cfg.k` — the HTTP layer maps its `k=` query parameter
     /// here so one shared engine serves callers with different page
     /// sizes. `search_top(q, cfg.k)` is exactly `search(q)`.
-    pub fn search_top(&self, query: &str, k: usize) -> Vec<ConceptCard> {
+    pub fn search_top(&self, query: &str, k: usize) -> Vec<ConceptCard<'_>> {
         let m = &self.metrics;
         let mut clock = StageClock::started(true);
         let qvec = self.retriever.embed(query);
@@ -233,13 +276,13 @@ impl SemanticSearch {
     /// whose fused score makes the top `k`. It shares nothing with the
     /// request path but the formula — it reads names, not postings — so a
     /// wrong posting fact cannot hide from it.
-    pub fn search_scan(&self, query: &str) -> Vec<ConceptCard> {
+    pub fn search_scan(&self, query: &str) -> Vec<ConceptCard<'_>> {
         self.search_scan_top(query, self.cfg.k)
     }
 
     /// [`search_scan`](Self::search_scan) at a per-call page size: the
     /// oracle of [`search_top`](Self::search_top).
-    pub fn search_scan_top(&self, query: &str, k: usize) -> Vec<ConceptCard> {
+    pub fn search_scan_top(&self, query: &str, k: usize) -> Vec<ConceptCard<'_>> {
         let words: FxHashSet<&str> = query.split_whitespace().collect();
         if words.is_empty() {
             return Vec::new();
@@ -267,27 +310,17 @@ impl SemanticSearch {
             .collect()
     }
 
-    /// Render the card for a concept.
-    pub fn card(&self, cid: ConceptId, score: f64) -> ConceptCard {
+    /// The card for a concept.
+    pub fn card(&self, cid: ConceptId, score: f64) -> ConceptCard<'_> {
         let kg = self.kg();
         let c = kg.concept(cid);
-        let interpretation = c
-            .primitives
-            .iter()
-            .map(|&p| {
-                let prim = kg.primitive(p);
-                let domain = kg.class(kg.class_domain(prim.class)).name.clone();
-                (domain, prim.name.clone())
-            })
-            .collect();
-        let mut items = kg.items_for_concept(cid);
-        items.truncate(self.cfg.items_per_card);
         ConceptCard {
             concept: cid,
-            name: c.name.to_string(),
-            interpretation,
-            items,
+            name: c.name,
+            primitives: c.primitives,
+            items: kg.top_items(cid, self.cfg.items_per_card),
             score,
+            kg,
         }
     }
 
@@ -363,8 +396,8 @@ mod tests {
         assert_eq!(card.items.len(), 2);
         assert!(card.items[0].1 >= card.items[1].1);
         assert!(card
-            .interpretation
-            .contains(&("Event".to_string(), "barbecue".to_string())));
+            .interpretation()
+            .any(|pair| pair == ("Event", "barbecue")));
     }
 
     #[test]
@@ -487,8 +520,12 @@ mod tests {
     fn repeated_query_word_scores_and_counts_once() {
         let kg = Arc::new(sample_kg());
         let (once, twice) = (Registry::new(), Registry::new());
-        let a = engine_in(&kg, SearchConfig::default(), &once).search("barbecue");
-        let b = engine_in(&kg, SearchConfig::default(), &twice).search("barbecue  barbecue");
+        let (one, two) = (
+            engine_in(&kg, SearchConfig::default(), &once),
+            engine_in(&kg, SearchConfig::default(), &twice),
+        );
+        let a = one.search("barbecue");
+        let b = two.search("barbecue  barbecue");
         assert_eq!(a, b);
         assert!(!a.is_empty());
         for counter in ["search.postings_hit", "search.candidates_examined"] {

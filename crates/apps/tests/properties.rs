@@ -340,11 +340,11 @@ fn recommend_bundle(kg: &AliCoCo, seed: u64) -> AnnBundle {
 /// shared primitives, a first vector-trigger item) filled as the history
 /// is read, then every touched concept sorted. Returns the cards, the
 /// number of touched concepts, and the concepts each kind reached.
-fn recommend_scan(
-    retriever: &Retriever,
+fn recommend_scan<'a>(
+    retriever: &'a Retriever,
     cfg: RecommendConfig,
     history: &[ItemId],
-) -> (Vec<Recommendation>, usize, [BTreeSet<ConceptId>; 3]) {
+) -> (Vec<Recommendation<'a>>, usize, [BTreeSet<ConceptId>; 3]) {
     let kg = retriever.kg();
     let mut votes: BTreeMap<ConceptId, f64> = BTreeMap::new();
     let mut direct: BTreeMap<ConceptId, ItemId> = BTreeMap::new();
@@ -396,7 +396,7 @@ fn recommend_scan(
                 .collect();
             Recommendation {
                 concept: c,
-                name: kg.concept(c).name.to_string(),
+                name: kg.concept(c).name,
                 affinity,
                 reason,
                 items,

@@ -12,10 +12,14 @@
 //!   concepts (scenario needs), the latter with a probability weight
 //!   (future-work item 2 of §10).
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 use alicoco_nn::util::FxHashMap;
 
 use crate::columns::{ConceptColumns, ItemColumns};
 use crate::ids::{ClassId, ConceptId, ItemId, PrimitiveId};
+use crate::rank::by_score_then_id;
 
 /// A taxonomy class.
 #[derive(Clone, Debug, PartialEq)]
@@ -479,8 +483,34 @@ impl AliCoCo {
     /// Items suggested for a concept, highest weight first.
     pub fn items_for_concept(&self, concept: ConceptId) -> Vec<(ItemId, f32)> {
         let mut v = self.concept(concept).items.to_vec();
-        v.sort_by(crate::rank::by_score_then_id);
+        v.sort_by(by_score_then_id);
         v
+    }
+
+    /// The first `n` entries of [`items_for_concept`](Self::items_for_concept),
+    /// in its order. A list stored best first is lent, cut to `n`, so an
+    /// unstocked concept, `n == 0` and a one-item list allocate nothing.
+    /// Any other list is never copied: each item is inserted into a sorted
+    /// buffer of at most `n` or rejected against its last entry.
+    /// `by_score_then_id` is a total order and a concept's items are
+    /// distinct, so both paths give the full sort's prefix.
+    pub fn top_items(&self, concept: ConceptId, n: usize) -> Cow<'_, [(ItemId, f32)]> {
+        let all = self.concept(concept).items;
+        if n == 0 || all.is_sorted_by(|a, b| by_score_then_id(a, b) == Ordering::Less) {
+            return Cow::Borrowed(all.get(..n).unwrap_or(all));
+        }
+        let mut top: Vec<(ItemId, f32)> = Vec::with_capacity(n.min(all.len()));
+        for entry in all {
+            if top.len() == n {
+                match top.last() {
+                    Some(last) if by_score_then_id(entry, last) == Ordering::Less => top.pop(),
+                    _ => continue,
+                };
+            }
+            let at = top.partition_point(|kept| by_score_then_id(kept, entry) == Ordering::Less);
+            top.insert(at, *entry);
+        }
+        Cow::Owned(top)
     }
 
     /// Concepts that suggest an item, in the order the edges were made.

@@ -4,6 +4,8 @@
 //! around as they grow, so the orders that matter are exactly the
 //! interleaved ones a row-per-concept layout could never get wrong.
 
+use std::borrow::Cow;
+
 use alicoco::rank::by_score_then_id;
 use alicoco::snapshot::{self, binary};
 use alicoco::{AliCoCo, ConceptId, ConceptRef, ItemId, PrimitiveId};
@@ -238,7 +240,10 @@ proptest! {
             prop_assert_eq!(kg.concept(c), want);
             let mut sorted = model.items[i].clone();
             sorted.sort_by(by_score_then_id);
-            prop_assert_eq!(kg.items_for_concept(c), sorted);
+            prop_assert_eq!(kg.items_for_concept(c), sorted.clone());
+            for n in 0..=sorted.len() + 2 {
+                prop_assert_eq!(kg.top_items(c, n), &sorted[..n.min(sorted.len())]);
+            }
             prop_assert_eq!(kg.concept_ancestors(c), model.ancestors(c));
             prop_assert_eq!(kg.concept_by_name(&model.names[i]), Some(c));
         }
@@ -306,6 +311,52 @@ proptest! {
             }
         }
         prop_assert_eq!(&grown, &again);
+    }
+}
+
+/// Weights a tie-heavy list draws from: both zeros, repeats, and the ends
+/// of the range.
+const TIED_WEIGHTS: [f32; 6] = [-0.0, 0.0, 0.25, 0.5, 0.5, 1.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Partial selection is the sorted list's prefix at every length, on
+    /// lists longer than a card, where most weights tie and both signed
+    /// zeros occur, linked in a random item order (relinks overwrite).
+    #[test]
+    fn top_items_is_the_sorted_prefix_with_ties_and_signed_zeros(
+        links in prop::collection::vec((0usize..40, 0usize..TIED_WEIGHTS.len()), 0..60)
+    ) {
+        let mut kg = AliCoCo::new();
+        for i in 0..40 {
+            kg.add_item(&[format!("item{i}")]);
+        }
+        let c = kg.add_concept("tied");
+        let bare = kg.add_concept("bare");
+        for &(item, w) in &links {
+            kg.link_concept_item(c, ItemId::from_index(item), TIED_WEIGHTS[w]);
+        }
+        let mut sorted = kg.concept(c).items.to_vec();
+        sorted.sort_by(by_score_then_id);
+        // The same list linked best first is lent, not copied.
+        let ordered = kg.add_concept("ordered");
+        for &(item, w) in &sorted {
+            kg.link_concept_item(ordered, item, w);
+        }
+        for n in 0..=sorted.len() + 2 {
+            let want = &sorted[..n.min(sorted.len())];
+            for concept in [c, ordered] {
+                let top = kg.top_items(concept, n);
+                prop_assert_eq!(top.len(), want.len());
+                for (got, want) in top.iter().zip(want) {
+                    // Bit-exact, so `-0.0` and `0.0` are told apart.
+                    prop_assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
+                }
+            }
+            prop_assert!(matches!(kg.top_items(ordered, n), Cow::Borrowed(_)));
+            prop_assert!(kg.top_items(bare, n).is_empty());
+        }
     }
 }
 

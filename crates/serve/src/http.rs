@@ -9,7 +9,7 @@
 //! is what lets AL001/AL007 extend their panic-free guarantee to the
 //! connection loop.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Hard ceilings enforced while request bytes accumulate, so a hostile
 /// client can grow neither the head buffer nor the body without bound.
@@ -409,9 +409,7 @@ impl Response {
     /// (HEAD) while keeping the `Content-Length` of the full response.
     pub fn encode(&self, head_only: bool) -> Vec<u8> {
         let mut out = String::with_capacity(96 + self.body.len());
-        out.push_str("HTTP/1.1 ");
-        out.push_str(&self.status.to_string());
-        out.push(' ');
+        let _ = write!(out, "HTTP/1.1 {} ", self.status);
         out.push_str(Response::reason(self.status));
         if let Some(allow) = self.allow {
             out.push_str("\r\nallow: ");
@@ -419,8 +417,7 @@ impl Response {
         }
         out.push_str("\r\nconnection: ");
         out.push_str(if self.close { "close" } else { "keep-alive" });
-        out.push_str("\r\ncontent-length: ");
-        out.push_str(&self.body.len().to_string());
+        let _ = write!(out, "\r\ncontent-length: {}", self.body.len());
         out.push_str("\r\ncontent-type: ");
         out.push_str(self.content_type);
         out.push_str("\r\n\r\n");
@@ -582,5 +579,42 @@ mod tests {
         assert!(head.ends_with(b"\r\n\r\n"));
         let text = String::from_utf8(head).unwrap();
         assert!(text.contains("content-length: 7"));
+    }
+
+    /// The exact bytes of the statuses the routes send, with and without
+    /// `allow`, `close` and `head_only`.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let ok = Response::json(200, "{\"status\":\"ok\"}".to_string());
+        assert_eq!(
+            ok.encode(false),
+            b"HTTP/1.1 200 OK\r\nconnection: keep-alive\r\ncontent-length: 15\r\n\
+              content-type: application/json\r\n\r\n{\"status\":\"ok\"}"
+        );
+        assert_eq!(
+            ok.clone().closing().encode(true),
+            b"HTTP/1.1 200 OK\r\nconnection: close\r\ncontent-length: 15\r\n\
+              content-type: application/json\r\n\r\n"
+        );
+        let probe = Response::json(204, String::new()).with_allow("GET, HEAD, OPTIONS");
+        assert_eq!(
+            probe.encode(false),
+            b"HTTP/1.1 204 No Content\r\nallow: GET, HEAD, OPTIONS\r\n\
+              connection: keep-alive\r\ncontent-length: 0\r\n\
+              content-type: application/json\r\n\r\n"
+        );
+        let missing = Response::json(404, "x".repeat(1234)).closing();
+        let mut want = b"HTTP/1.1 404 Not Found\r\nconnection: close\r\n\
+                         content-length: 1234\r\ncontent-type: application/json\r\n\r\n"
+            .to_vec();
+        assert_eq!(missing.encode(true), want);
+        want.extend_from_slice(&missing.body);
+        assert_eq!(missing.encode(false), want);
+        let busy = Response::json(503, "{}".to_string()).with_allow("GET");
+        assert_eq!(
+            busy.encode(true),
+            b"HTTP/1.1 503 Service Unavailable\r\nallow: GET\r\nconnection: keep-alive\r\n\
+              content-length: 2\r\ncontent-type: application/json\r\n\r\n"
+        );
     }
 }

@@ -272,7 +272,7 @@ fn cmd_search(args: &[String], metrics: &Registry) -> CliResult {
     }
     for card in cards {
         println!("[{:.2}] {}", card.score, card.name);
-        for (domain, surface) in &card.interpretation {
+        for (domain, surface) in card.interpretation() {
             println!("    <{domain}: {surface}>");
         }
         for (iid, w) in card.items.iter().take(5) {
@@ -289,7 +289,7 @@ fn cmd_qa(args: &[String], metrics: &Registry) -> CliResult {
         Some(a) => {
             println!("for \"{}\" you will need:", a.concept_name);
             for e in &a.checklist {
-                println!("  [{:.0}%] {}", e.confidence * 100.0, e.title);
+                println!("  [{:.0}%] {}", e.confidence * 100.0, e.title.join(" "));
             }
         }
         None => println!("no shopping scenario found for that question"),
@@ -315,7 +315,7 @@ fn cmd_recommend(args: &[String], metrics: &Registry) -> CliResult {
     let rec = CognitiveRecommender::new(retriever(&kg), RecommendConfig::default(), metrics);
     for r in rec.recommend(&history) {
         println!("[{:.2}] {}", r.affinity, r.name);
-        println!("    {}", r.reason.text(&kg, &r.name));
+        println!("    {}", r.reason.text(&kg, r.name));
         for (iid, w) in r.items.iter().take(3) {
             println!("    ({w:.2}) {}", kg.item(*iid).title.join(" "));
         }

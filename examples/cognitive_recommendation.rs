@@ -44,7 +44,7 @@ fn main() {
     println!("\nrecommended concept cards:");
     for rec in recommender.recommend(&history) {
         println!("\n┌─ \"{}\"  (affinity {:.2})", rec.name, rec.affinity);
-        println!("│  reason: {}", rec.reason.text(&kg, &rec.name));
+        println!("│  reason: {}", rec.reason.text(&kg, rec.name));
         for (iid, w) in rec.items.iter().take(4) {
             println!("│    ({w:.2}) {}", kg.item(*iid).title.join(" "));
         }

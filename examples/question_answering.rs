@@ -37,7 +37,11 @@ fn main() {
         Some(answer) => {
             println!("A: for \"{}\" you will need:", answer.concept_name);
             for entry in &answer.checklist {
-                println!("   [{:.0}%] {}", entry.confidence * 100.0, entry.title);
+                println!(
+                    "   [{:.0}%] {}",
+                    entry.confidence * 100.0,
+                    entry.title.join(" ")
+                );
             }
         }
         None => {
@@ -60,7 +64,7 @@ fn main() {
             Some(a) => {
                 println!("A: {} —", a.concept_name);
                 for e in a.checklist.iter().take(4) {
-                    println!("   [{:.0}%] {}", e.confidence * 100.0, e.title);
+                    println!("   [{:.0}%] {}", e.confidence * 100.0, e.title.join(" "));
                 }
             }
             None => println!("A: no scenario found."),

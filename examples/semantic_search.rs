@@ -39,7 +39,7 @@ fn main() {
             "┌─ concept card: \"{}\"  (match {:.2})",
             card.name, card.score
         );
-        for (domain, surface) in &card.interpretation {
+        for (domain, surface) in card.interpretation() {
             println!("│  <{domain}: {surface}>");
         }
         println!("│  items you will need:");

@@ -192,6 +192,6 @@ fn built_net_is_structurally_valid_and_serves_applications() {
     assert!(!out.is_empty(), "no recommendations from linked history");
     // Reasons render to non-empty text.
     for r in &out {
-        assert!(!r.reason.text(kg, &r.name).is_empty());
+        assert!(!r.reason.text(kg, r.name).is_empty());
     }
 }
