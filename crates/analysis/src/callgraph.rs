@@ -1,9 +1,7 @@
 //! Workspace-level call graph and the three inter-procedural rules.
 //!
 //! Built from the per-file [`FileSummary`] artifacts ([`crate::symbols`]),
-//! never from re-lexed source — which is what makes the incremental cache
-//! ([`crate::cache`]) sound: a warm run deserializes summaries for
-//! unchanged files and this phase is bit-for-bit the same.
+//! never from re-lexed source.
 //!
 //! The rules:
 //!
@@ -126,7 +124,6 @@ const BUILD_TIME: &[&str] = &["crates/ann/src/embed.rs"];
 const SERIALIZATION_SCOPE: &[&str] = &[
     "core/src/snapshot/tsv.rs",
     "core/src/snapshot/binary.rs",
-    "core/src/snapshot/records.rs",
     "core/src/store.rs",
     "nn/src/persist.rs",
 ];

@@ -483,7 +483,6 @@ fn guard_outlives_statement(ctx: &FileCtx, lock_si: usize) -> bool {
 const AL005_SCOPE: &[&str] = &[
     "core/src/snapshot/tsv.rs",
     "core/src/snapshot/binary.rs",
-    "core/src/snapshot/records.rs",
     "core/src/store.rs",
     "nn/src/persist.rs",
 ];

@@ -9,10 +9,11 @@
 //! reassembles. A snapshot without the sections is simply a net without
 //! vector retrieval — every legacy path is untouched.
 
+use alicoco::snapshot::binary::Cursor;
 use alicoco::snapshot::LoadError;
 use alicoco_nn::util::FxHashMap;
 
-use crate::hnsw::{normalize, ByteReader, Hnsw};
+use crate::hnsw::{normalize, Hnsw};
 
 /// Encoded-format version of the token-table payload.
 const VOCAB_VERSION: u32 = 1;
@@ -122,7 +123,7 @@ impl TokenTable {
     /// Decode a table produced by [`encode`](Self::encode), validating
     /// counts, lengths and UTF-8; corrupt input is a typed error.
     pub fn decode(bytes: &[u8]) -> Result<TokenTable, LoadError> {
-        let mut r = ByteReader::new(bytes, "ann vocab");
+        let mut r = Cursor::new(bytes, "ann vocab");
         let version = r.u32()?;
         if version != VOCAB_VERSION {
             return Err(r.corrupt(format!("unsupported ann vocab version {version}")));
@@ -140,8 +141,7 @@ impl TokenTable {
                 return Err(r.corrupt("token longer than 4096 bytes"));
             }
             let raw = r.bytes(len)?;
-            let token = std::str::from_utf8(raw)
-                .map_err(|_| LoadError::Corrupt("ann vocab", "token is not UTF-8".into()))?;
+            let token = std::str::from_utf8(raw).map_err(|_| r.corrupt("token is not UTF-8"))?;
             if index.insert(token.to_string(), i as u32).is_some() {
                 return Err(r.corrupt(format!("duplicate token {token:?}")));
             }

@@ -34,6 +34,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use alicoco::snapshot::binary::Cursor;
 use alicoco::snapshot::LoadError;
 use alicoco_nn::rank::{self, from_rank_key, rank_key, TopK};
 
@@ -640,7 +641,7 @@ impl Hnsw {
     /// is a typed [`LoadError`], never a panic. `decode(encode(x)) == x`,
     /// and re-encoding reproduces the input bytes.
     pub fn decode(bytes: &[u8]) -> Result<Hnsw, LoadError> {
-        let mut r = ByteReader::new(bytes, "ann index");
+        let mut r = Cursor::new(bytes, "ann index");
         let version = r.u32()?;
         if version != VERSION {
             return Err(r.corrupt(format!("unsupported ann version {version}")));
@@ -769,70 +770,6 @@ impl Hnsw {
             upper,
             upper_at,
         })
-    }
-}
-
-/// Sequential validating little-endian reader (the ann-payload analogue
-/// of the codec's varint `Cursor`).
-pub(crate) struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> ByteReader<'a> {
-    pub(crate) fn new(buf: &'a [u8], section: &'static str) -> Self {
-        ByteReader {
-            buf,
-            pos: 0,
-            section,
-        }
-    }
-
-    pub(crate) fn corrupt(&self, msg: impl Into<String>) -> LoadError {
-        LoadError::Corrupt(self.section, msg.into())
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], LoadError> {
-        let bytes = self
-            .buf
-            .get(self.pos..self.pos + N)
-            .and_then(|b| <[u8; N]>::try_from(b).ok())
-            .ok_or_else(|| self.corrupt("truncated integer"))?;
-        self.pos += N;
-        Ok(bytes)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, LoadError> {
-        Ok(u32::from_le_bytes(self.take()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, LoadError> {
-        Ok(u64::from_le_bytes(self.take()?))
-    }
-
-    pub(crate) fn f32(&mut self) -> Result<f32, LoadError> {
-        Ok(f32::from_le_bytes(self.take()?))
-    }
-
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], LoadError> {
-        let out = self
-            .buf
-            .get(self.pos..self.pos.saturating_add(n))
-            .ok_or_else(|| self.corrupt("truncated payload"))?;
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn expect_end(&self) -> Result<(), LoadError> {
-        if self.pos != self.buf.len() {
-            return Err(self.corrupt("trailing bytes in section"));
-        }
-        Ok(())
     }
 }
 

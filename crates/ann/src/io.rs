@@ -1,6 +1,7 @@
-//! Snapshot I/O for ann-bearing snapshots: the one-stop load/save
-//! helpers the CLI and `alicoco-serve` use when a snapshot may carry
-//! the `AVOC`/`ACON`/`AITM` trailer sections.
+//! Snapshot file I/O: [`load_file_with_bundle`] is the one file loader
+//! (the CLI, `alicoco-serve` and `ann-gate` all load through it), and
+//! [`save_snapshot_with_bundle`] writes a net with its
+//! `AVOC`/`ACON`/`AITM` trailer sections.
 //!
 //! These sit in this crate (not `core::store`) because core treats the
 //! ANN payloads as opaque bytes — only this crate knows how to decode
@@ -10,11 +11,38 @@ use std::path::Path;
 
 use alicoco::snapshot::binary::{self, AnnPayload, SnapshotView};
 use alicoco::snapshot::{LoadError, SaveError};
-use alicoco::store::{FileLoadError, Format};
+use alicoco::store::Format;
 use alicoco::AliCoCo;
 use alicoco_obs::{Registry, Stopwatch};
 
 use crate::bundle::AnnBundle;
+
+/// Failure of [`load_file_with_bundle`]: either the filesystem or the
+/// codec.
+#[derive(Debug)]
+pub enum FileLoadError {
+    /// Reading the file failed.
+    Io(std::io::Error),
+    /// The bytes did not decode.
+    Load(LoadError),
+}
+
+impl std::fmt::Display for FileLoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FileLoadError::Io(e) => write!(f, "read: {e}"),
+            FileLoadError::Load(e) => write!(f, "load: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for FileLoadError {}
+
+impl From<LoadError> for FileLoadError {
+    fn from(e: LoadError) -> Self {
+        FileLoadError::Load(e)
+    }
+}
 
 /// Serialize a net plus its retrieval bundle as one binary snapshot
 /// with the three ANN trailer sections.
@@ -70,9 +98,9 @@ pub fn load_snapshot_with_bundle(bytes: &[u8]) -> Result<(AliCoCo, Option<AnnBun
     Ok((kg, bundle))
 }
 
-/// Read `path`, sniff the codec, and load net + optional bundle,
-/// recording the same `snapshot.<fmt>.*` metrics as
-/// [`alicoco::store::load_file`] — the serve binary's loading path.
+/// Read `path`, sniff the codec from its magic bytes, and load the net
+/// plus its bundle if it carries one, recording the per-backend
+/// `snapshot.<fmt>.load_ns` and `snapshot.<fmt>.loaded_bytes` metrics.
 pub fn load_file_with_bundle(
     path: &Path,
     metrics: &Registry,
@@ -198,6 +226,18 @@ mod tests {
         assert_eq!(
             reg.counter("snapshot.binary.loaded_bytes").get(),
             bytes.len() as u64
+        );
+        // A TSV snapshot is sniffed as such and loads without a bundle.
+        let tsv = dir.join("net.tsv");
+        let mut text = Vec::new();
+        alicoco::snapshot::save(&kg, &mut text).unwrap();
+        std::fs::write(&tsv, &text).unwrap();
+        let (kg3, none) = load_file_with_bundle(&tsv, &reg).unwrap();
+        assert_eq!(kg3, kg);
+        assert!(none.is_none());
+        assert_eq!(
+            reg.counter("snapshot.tsv.loaded_bytes").get(),
+            text.len() as u64
         );
         assert!(matches!(
             load_file_with_bundle(&dir.join("absent"), &reg),

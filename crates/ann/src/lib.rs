@@ -26,4 +26,6 @@ pub mod io;
 pub use bundle::{AnnBundle, TokenTable};
 pub use embed::{build_bundle, build_default_bundle, EmbedConfig};
 pub use hnsw::{Hnsw, HnswConfig};
-pub use io::{load_file_with_bundle, load_snapshot_with_bundle, save_snapshot_with_bundle};
+pub use io::{
+    load_file_with_bundle, load_snapshot_with_bundle, save_snapshot_with_bundle, FileLoadError,
+};

@@ -217,7 +217,7 @@ impl SemanticSearch {
     /// sizes. `search_top(q, cfg.k)` is exactly `search(q)`.
     pub fn search_top(&self, query: &str, k: usize) -> Vec<ConceptCard<'_>> {
         let m = &self.metrics;
-        let mut clock = StageClock::started(true);
+        let mut clock = StageClock::started();
         let qvec = self.retriever.embed(query);
         clock.lap(&m.retrieve_ns);
         let (fused, walked) = self.retriever.rank_concepts(

@@ -59,7 +59,7 @@ fn obs_calls_secs() -> f64 {
     let stages = ["h0", "h1", "h2"].map(|name| scratch.histogram(name));
     let t = Instant::now();
     for i in 0..OBS_ITERS {
-        let mut clock = StageClock::started(true);
+        let mut clock = StageClock::started();
         for counter in &counters {
             counter.add(black_box(i as u64));
         }

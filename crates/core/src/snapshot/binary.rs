@@ -547,15 +547,20 @@ impl<'a> FixedSection<'a> {
     }
 }
 
-/// Sequential validating reader over one varint-coded section.
-struct Cursor<'a> {
+/// The one sequential bounded reader over a snapshot payload: the varint
+/// edge sections here and the fixed-width little-endian ANN payloads
+/// (`alicoco-ann`'s `Hnsw::decode` and `AnnBundle::decode`). Every read is
+/// checked against the bytes left, and every failure is a
+/// [`LoadError::Corrupt`] naming the reader's section.
+pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
     section: &'static str,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Self {
+    /// A reader at the start of `buf`, reporting errors as `section`'s.
+    pub fn new(buf: &'a [u8], section: &'static str) -> Self {
         Self {
             buf,
             pos: 0,
@@ -563,8 +568,54 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn remaining(&self) -> usize {
+    /// A [`LoadError::Corrupt`] for this reader's section.
+    pub fn corrupt(&self, msg: impl Into<String>) -> LoadError {
+        corrupt(self.section, msg)
+    }
+
+    /// Bytes not yet read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    #[inline]
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], LoadError> {
+        let bytes = self
+            .buf
+            .get(self.pos..self.pos + N)
+            .and_then(|b| <[u8; N]>::try_from(b).ok())
+            .ok_or_else(|| self.corrupt("truncated integer"))?;
+        self.pos += N;
+        Ok(bytes)
+    }
+
+    /// A little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, LoadError> {
+        Ok(u32::from_le_bytes(self.take()?))
+    }
+
+    /// A little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, LoadError> {
+        Ok(u64::from_le_bytes(self.take()?))
+    }
+
+    /// A little-endian `f32`.
+    #[inline]
+    pub fn f32(&mut self) -> Result<f32, LoadError> {
+        Ok(f32::from_le_bytes(self.take()?))
+    }
+
+    /// The next `n` bytes, borrowed from the buffer.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], LoadError> {
+        let out = self
+            .buf
+            .get(self.pos..self.pos.saturating_add(n))
+            .ok_or_else(|| self.corrupt("truncated payload"))?;
+        self.pos += n;
+        Ok(out)
     }
 
     fn varint(&mut self) -> Result<u64, LoadError> {
@@ -669,7 +720,8 @@ impl<'a> Cursor<'a> {
         Ok(deg as u64)
     }
 
-    fn expect_end(&self) -> Result<(), LoadError> {
+    /// Fail unless every byte has been read.
+    pub fn expect_end(&self) -> Result<(), LoadError> {
         if self.pos != self.buf.len() {
             return Err(corrupt(self.section, "trailing bytes in section"));
         }

@@ -1,14 +1,14 @@
-//! Snapshot persistence, split into a format-agnostic record layer and
-//! per-format codecs.
+//! Snapshot persistence: one codec module per format.
 //!
-//! [`records`] defines the model ↔ record mapping every codec shares: a
-//! canonical stream of typed [`records::Record`]s out of a net, and a
-//! validating [`records::GraphBuilder`] that reassembles a net from them.
 //! [`tsv`] is the line-oriented text codec — the canonical-bytes oracle
-//! every other format is tested against. [`binary`] is a compact sectioned
-//! format whose reader borrows zero-copy views straight out of one loaded
-//! byte buffer. The [`crate::store`] module wraps both behind a common
-//! `Store` trait with format auto-detection.
+//! every other format is tested against. It writes each line straight
+//! from the net and checks and applies each line as it parses it.
+//! [`binary`] is a compact sectioned format whose reader borrows
+//! zero-copy views out of one loaded byte buffer and decodes straight
+//! into the net's columns; its bounded [`binary::Cursor`] reads the
+//! varint edge sections and, in `alicoco-ann`, the ANN trailer's
+//! payloads. The [`crate::store`] module wraps both codecs behind a
+//! common `Store` trait with format auto-detection.
 //!
 //! The free functions here ([`save`], [`load`]) keep the historical
 //! TSV-snapshot API: ids are written in arena order, so loading reproduces
@@ -17,7 +17,6 @@
 //! codecs.
 
 pub mod binary;
-pub mod records;
 pub mod tsv;
 
 use std::io::{self, BufRead, Write};

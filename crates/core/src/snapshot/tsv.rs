@@ -17,194 +17,256 @@
 //! R\t<name>\t<from>\t<to>                primitive instance relation
 //! ```
 //!
-//! Ids are written in arena order, so loading reproduces identical ids.
-//! Tabs and newlines are forbidden in names (a typed [`SaveError`]).
+//! Lines come in one canonical order: classes, primitives, concepts and
+//! items by arena id, then primitive isA edges, then per concept its isA,
+//! primitive and item edges, then item-primitive edges, schema relations
+//! and instance relations. Ids are written in arena order, so loading
+//! reproduces identical ids and re-saving a loaded net reproduces its
+//! bytes. Tabs and newlines are forbidden in names (a typed
+//! [`SaveError`]).
 
 use std::io::{BufRead, Write};
 
-use super::records::{stream, GraphBuilder, Record};
 use super::{check_name, LoadError, SaveError};
 use crate::graph::AliCoCo;
+use crate::ids::{ClassId, ConceptId, ItemId, PrimitiveId};
 
 /// The record types in canonical stream order, with the byte that tags
 /// them on the wire. Used by [`crate::store`] to group a TSV snapshot into
 /// inspectable pseudo-sections.
 pub const RECORD_KINDS: &[&str] = &["C", "P", "E", "I", "pp", "ee", "ep", "ip", "ei", "S", "R"];
 
-/// Serialize the canonical record stream as TSV lines.
+/// Write the net as TSV lines in the canonical order.
 pub fn save<W: Write>(kg: &AliCoCo, w: &mut W) -> Result<(), SaveError> {
-    for rec in stream(kg) {
-        write_record(w, &rec)?;
+    for id in kg.class_ids() {
+        let c = kg.class(id);
+        let name = check_name("class", &c.name)?;
+        match c.parent {
+            Some(p) => writeln!(w, "C\t{}\t{name}\t{}", id.index(), p.index())?,
+            None => writeln!(w, "C\t{}\t{name}\t-", id.index())?,
+        }
+    }
+    for id in kg.primitive_ids() {
+        let p = kg.primitive(id);
+        let name = check_name("primitive", &p.name)?;
+        writeln!(w, "P\t{}\t{name}\t{}", id.index(), p.class.index())?;
+    }
+    for id in kg.concept_ids() {
+        let name = check_name("concept", kg.concept(id).name)?;
+        writeln!(w, "E\t{}\t{name}", id.index())?;
+    }
+    for id in kg.item_ids() {
+        let title = kg.item(id).title.join(" ");
+        writeln!(
+            w,
+            "I\t{}\t{}",
+            id.index(),
+            check_name("item title", &title)?
+        )?;
+    }
+    for id in kg.primitive_ids() {
+        for h in &kg.primitive(id).hypernyms {
+            writeln!(w, "pp\t{}\t{}", id.index(), h.index())?;
+        }
+    }
+    for id in kg.concept_ids() {
+        let c = kg.concept(id);
+        let cid = id.index();
+        for h in c.hypernyms {
+            writeln!(w, "ee\t{cid}\t{}", h.index())?;
+        }
+        for p in c.primitives {
+            writeln!(w, "ep\t{cid}\t{}", p.index())?;
+        }
+        for &(item, weight) in c.items {
+            writeln!(w, "ei\t{cid}\t{}\t{weight}", item.index())?;
+        }
+    }
+    for id in kg.item_ids() {
+        for p in kg.item(id).primitives {
+            writeln!(w, "ip\t{}\t{}", id.index(), p.index())?;
+        }
+    }
+    for s in kg.schema() {
+        let name = check_name("schema relation", &s.name)?;
+        writeln!(w, "S\t{name}\t{}\t{}", s.from.index(), s.to.index())?;
+    }
+    for r in kg.primitive_relations() {
+        let name = check_name("primitive relation", &r.name)?;
+        writeln!(w, "R\t{name}\t{}\t{}", r.from.index(), r.to.index())?;
     }
     Ok(())
 }
 
-fn write_record<W: Write>(w: &mut W, rec: &Record<'_>) -> Result<(), SaveError> {
-    match *rec {
-        Record::Class { id, name, parent } => {
-            let name = check_name("class", name)?;
-            match parent {
-                Some(p) => writeln!(w, "C\t{id}\t{name}\t{p}")?,
-                None => writeln!(w, "C\t{id}\t{name}\t-")?,
-            }
-        }
-        Record::Primitive { id, name, class } => {
-            writeln!(w, "P\t{id}\t{}\t{class}", check_name("primitive", name)?)?;
-        }
-        Record::Concept { id, name } => {
-            writeln!(w, "E\t{id}\t{}", check_name("concept", name)?)?;
-        }
-        Record::Item { id, ref title } => {
-            writeln!(w, "I\t{id}\t{}", check_name("item title", title)?)?;
-        }
-        Record::PrimitiveIsA { hypo, hyper } => writeln!(w, "pp\t{hypo}\t{hyper}")?,
-        Record::ConceptIsA { hypo, hyper } => writeln!(w, "ee\t{hypo}\t{hyper}")?,
-        Record::ConceptPrimitive { concept, primitive } => {
-            writeln!(w, "ep\t{concept}\t{primitive}")?;
-        }
-        Record::ConceptItem {
-            concept,
-            item,
-            weight,
-        } => {
-            writeln!(w, "ei\t{concept}\t{item}\t{weight}")?;
-        }
-        Record::ItemPrimitive { item, primitive } => writeln!(w, "ip\t{item}\t{primitive}")?,
-        Record::Schema { name, from, to } => {
-            writeln!(
-                w,
-                "S\t{}\t{from}\t{to}",
-                check_name("schema relation", name)?
-            )?;
-        }
-        Record::Relation { name, from, to } => {
-            writeln!(
-                w,
-                "R\t{}\t{from}\t{to}",
-                check_name("primitive relation", name)?
-            )?;
+/// Deserialize a graph from a TSV reader, checking and applying each line
+/// as it is parsed: node ids must arrive in arena order, every referenced
+/// id must already exist, class names must be unique, isA edges must not
+/// be self-loops, and weights must be finite probabilities. Malformed
+/// input of any shape is a [`LoadError::Parse`] carrying the offending
+/// line's index, never a panic inside the graph.
+pub fn load<R: BufRead>(r: &mut R) -> Result<AliCoCo, LoadError> {
+    let mut kg = AliCoCo::new();
+    for (ln, line) in r.lines().enumerate() {
+        let line = line?;
+        if !line.is_empty() {
+            apply_line(&mut kg, ln, &line)?;
         }
     }
-    Ok(())
+    Ok(kg)
 }
 
-/// Parse one TSV line into a [`Record`] borrowing from it. Every field
-/// access is bounds-checked; `ln` is reported in errors.
-pub fn parse_line<'a>(ln: usize, line: &'a str) -> Result<Record<'a>, LoadError> {
+/// Parse line `ln` and add what it declares to `kg`. Every field access
+/// is bounds-checked, and every field is parsed before any reference is
+/// checked.
+fn apply_line(kg: &mut AliCoCo, ln: usize, line: &str) -> Result<(), LoadError> {
     let err = |msg: &str| LoadError::Parse(ln, msg.to_string());
-    // Ids are stored as `u32` internally, so parse at that width: an
-    // out-of-range id in the stream is a parse error, not an overflow panic
-    // inside `from_index`.
-    let parse_idx = |s: &str| -> Result<u32, LoadError> {
-        s.parse::<u32>()
-            .map_err(|_| LoadError::Parse(ln, "bad id".to_string()))
+    let parts: Vec<&str> = line.split('\t').collect();
+    let field = |i: usize| parts.get(i).copied().ok_or_else(|| err("truncated record"));
+    // Ids are stored as `u32`, so parse at that width: an out-of-range id
+    // is a parse error, not an overflow panic inside `from_index`.
+    let id = |i: usize| {
+        field(i)?
+            .parse::<u32>()
+            .map(|v| v as usize)
+            .map_err(|_| err("bad id"))
     };
-    fn field<'b>(ln: usize, parts: &[&'b str], i: usize) -> Result<&'b str, LoadError> {
-        parts
-            .get(i)
-            .copied()
-            .ok_or_else(|| LoadError::Parse(ln, "truncated record".to_string()))
-    }
-    let parts: Vec<&'a str> = line.split('\t').collect();
-    let parts = parts.as_slice();
-    Ok(match field(ln, parts, 0)? {
+    let arity = |n: usize, msg: &str| {
+        if parts.len() == n {
+            Ok(())
+        } else {
+            Err(err(msg))
+        }
+    };
+    match field(0)? {
         "C" => {
-            if parts.len() != 4 {
-                return Err(err("class record needs 4 fields"));
-            }
-            let parent = if field(ln, parts, 3)? == "-" {
-                None
-            } else {
-                Some(parse_idx(field(ln, parts, 3)?)?)
+            arity(4, "class record needs 4 fields")?;
+            let parent = match field(3)? {
+                "-" => None,
+                _ => Some(id(3)?),
             };
-            Record::Class {
-                id: parse_idx(field(ln, parts, 1)?)?,
-                name: field(ln, parts, 2)?,
-                parent,
+            let (cid, name) = (id(1)?, field(2)?);
+            if kg.class_by_name(name).is_some() {
+                return Err(err("duplicate class name"));
+            }
+            let parent = match parent {
+                Some(p) if p < kg.num_classes() => Some(ClassId::from_index(p)),
+                Some(_) => return Err(err("class parent out of range")),
+                None => None,
+            };
+            if kg.add_class(name, parent).index() != cid {
+                return Err(err("class ids out of order"));
             }
         }
         "P" => {
-            if parts.len() != 4 {
-                return Err(err("primitive record needs 4 fields"));
+            arity(4, "primitive record needs 4 fields")?;
+            let (pid, name, class) = (id(1)?, field(2)?, id(3)?);
+            if class >= kg.num_classes() {
+                return Err(err("primitive class out of range"));
             }
-            Record::Primitive {
-                id: parse_idx(field(ln, parts, 1)?)?,
-                name: field(ln, parts, 2)?,
-                class: parse_idx(field(ln, parts, 3)?)?,
+            if kg.add_primitive(name, ClassId::from_index(class)).index() != pid {
+                return Err(err("primitive ids out of order"));
             }
         }
         "E" => {
-            if parts.len() != 3 {
-                return Err(err("concept record needs 3 fields"));
-            }
-            Record::Concept {
-                id: parse_idx(field(ln, parts, 1)?)?,
-                name: field(ln, parts, 2)?,
+            arity(3, "concept record needs 3 fields")?;
+            let (cid, name) = (id(1)?, field(2)?);
+            if kg.add_concept(name).index() != cid {
+                return Err(err("concept ids out of order"));
             }
         }
         "I" => {
-            if parts.len() != 3 {
-                return Err(err("item record needs 3 fields"));
-            }
-            Record::Item {
-                id: parse_idx(field(ln, parts, 1)?)?,
-                title: field(ln, parts, 2)?.to_string(),
+            arity(3, "item record needs 3 fields")?;
+            let (iid, title) = (id(1)?, field(2)?);
+            let tokens: Vec<String> = if title.is_empty() {
+                Vec::new()
+            } else {
+                title.split(' ').map(String::from).collect()
+            };
+            if kg.add_item(&tokens).index() != iid {
+                return Err(err("item ids out of order"));
             }
         }
-        "pp" => Record::PrimitiveIsA {
-            hypo: parse_idx(field(ln, parts, 1)?)?,
-            hyper: parse_idx(field(ln, parts, 2)?)?,
-        },
-        "ee" => Record::ConceptIsA {
-            hypo: parse_idx(field(ln, parts, 1)?)?,
-            hyper: parse_idx(field(ln, parts, 2)?)?,
-        },
-        "ep" => Record::ConceptPrimitive {
-            concept: parse_idx(field(ln, parts, 1)?)?,
-            primitive: parse_idx(field(ln, parts, 2)?)?,
-        },
-        "ip" => Record::ItemPrimitive {
-            item: parse_idx(field(ln, parts, 1)?)?,
-            primitive: parse_idx(field(ln, parts, 2)?)?,
-        },
+        "pp" => {
+            let (hypo, hyper) = (id(1)?, id(2)?);
+            let n = kg.num_primitives();
+            if hypo >= n || hyper >= n {
+                return Err(err("primitive isA endpoint out of range"));
+            }
+            if hypo == hyper {
+                return Err(err("primitive isA self-loop"));
+            }
+            kg.add_primitive_is_a(
+                PrimitiveId::from_index(hypo),
+                PrimitiveId::from_index(hyper),
+            );
+        }
+        "ee" => {
+            let (hypo, hyper) = (id(1)?, id(2)?);
+            let n = kg.num_concepts();
+            if hypo >= n || hyper >= n {
+                return Err(err("concept isA endpoint out of range"));
+            }
+            if hypo == hyper {
+                return Err(err("concept isA self-loop"));
+            }
+            kg.add_concept_is_a(ConceptId::from_index(hypo), ConceptId::from_index(hyper));
+        }
+        "ep" => {
+            let (concept, primitive) = (id(1)?, id(2)?);
+            if concept >= kg.num_concepts() || primitive >= kg.num_primitives() {
+                return Err(err("concept-primitive endpoint out of range"));
+            }
+            kg.link_concept_primitive(
+                ConceptId::from_index(concept),
+                PrimitiveId::from_index(primitive),
+            );
+        }
+        "ip" => {
+            let (item, primitive) = (id(1)?, id(2)?);
+            if item >= kg.num_items() || primitive >= kg.num_primitives() {
+                return Err(err("item-primitive endpoint out of range"));
+            }
+            kg.link_item_primitive(ItemId::from_index(item), PrimitiveId::from_index(primitive));
+        }
         "ei" => {
-            if parts.len() != 4 {
-                return Err(err("concept-item record needs 4 fields"));
+            arity(4, "concept-item record needs 4 fields")?;
+            let (concept, item) = (id(1)?, id(2)?);
+            let weight: f32 = field(3)?.parse().map_err(|_| err("bad weight"))?;
+            if concept >= kg.num_concepts() || item >= kg.num_items() {
+                return Err(err("concept-item endpoint out of range"));
             }
-            Record::ConceptItem {
-                concept: parse_idx(field(ln, parts, 1)?)?,
-                item: parse_idx(field(ln, parts, 2)?)?,
-                weight: field(ln, parts, 3)?
-                    .parse()
-                    .map_err(|_| err("bad weight"))?,
+            if !weight.is_finite() || !(0.0..=1.0).contains(&weight) {
+                return Err(err("weight must be a probability"));
             }
+            kg.link_concept_item(
+                ConceptId::from_index(concept),
+                ItemId::from_index(item),
+                weight,
+            );
         }
-        "S" => Record::Schema {
-            name: field(ln, parts, 1)?,
-            from: parse_idx(field(ln, parts, 2)?)?,
-            to: parse_idx(field(ln, parts, 3)?)?,
-        },
-        "R" => Record::Relation {
-            name: field(ln, parts, 1)?,
-            from: parse_idx(field(ln, parts, 2)?)?,
-            to: parse_idx(field(ln, parts, 3)?)?,
-        },
+        "S" => {
+            let (name, from, to) = (field(1)?, id(2)?, id(3)?);
+            let n = kg.num_classes();
+            if from >= n || to >= n {
+                return Err(err("schema relation class out of range"));
+            }
+            kg.add_schema_relation(name, ClassId::from_index(from), ClassId::from_index(to));
+        }
+        "R" => {
+            let (name, from, to) = (field(1)?, id(2)?, id(3)?);
+            let n = kg.num_primitives();
+            if from >= n || to >= n {
+                return Err(err("primitive relation endpoint out of range"));
+            }
+            kg.add_primitive_relation(
+                name,
+                PrimitiveId::from_index(from),
+                PrimitiveId::from_index(to),
+            );
+        }
         other => return Err(err(&format!("unknown record type {other:?}"))),
-    })
-}
-
-/// Deserialize a graph from a TSV reader.
-pub fn load<R: BufRead>(r: &mut R) -> Result<AliCoCo, LoadError> {
-    let mut builder = GraphBuilder::new();
-    for (ln, line) in r.lines().enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        let rec = parse_line(ln, &line)?;
-        builder.apply(ln, &rec)?;
     }
-    Ok(builder.finish())
+    Ok(())
 }
 
 #[cfg(test)]
@@ -232,5 +294,12 @@ mod tests {
         let kg = b"C\t0\troot\t-\nP\t0\tx\t0\nP\t1\ty\t0\npp\t0\t1\textra\n";
         assert!(load(&mut kg.as_slice()).is_ok());
         assert!(load(&mut text.as_slice()).is_err(), "missing class");
+    }
+
+    #[test]
+    fn dangling_references_are_rejected_on_their_line() {
+        let text = b"C\t0\troot\t-\nP\t0\tx\t0\nE\t0\tc\nep\t0\t1\n";
+        let e = load(&mut text.as_slice()).unwrap_err();
+        assert!(matches!(e, LoadError::Parse(3, _)), "{e:?}");
     }
 }

@@ -1,6 +1,6 @@
-//! Pluggable storage: both snapshot codecs behind one [`Store`] trait with
-//! format auto-detection, so engines and CLIs can swap backends (and later
-//! PRs can add new ones) without touching load/save call sites.
+//! Storage: the two snapshot codecs behind one [`Store`] trait with
+//! format auto-detection, so callers pick a backend by value instead of
+//! by call site.
 //!
 //! The two built-in backends are [`TsvStore`] (the line-oriented
 //! canonical-bytes oracle) and [`BinaryStore`] (the compact sectioned
@@ -8,7 +8,9 @@
 //! magic bytes, [`store_for`]/[`detect`] hand back a `&'static dyn Store`,
 //! and the `*_instrumented` helpers record per-backend
 //! `snapshot.{tsv,binary}.*` timings and byte counts into a metrics
-//! [`Registry`].
+//! [`Registry`]. Reading a snapshot *file* is `alicoco-ann`'s
+//! `load_file_with_bundle`, the one file loader: only that crate can
+//! decode the ANN trailer a binary snapshot may carry.
 
 use alicoco_obs::{Registry, Stopwatch};
 
@@ -258,42 +260,6 @@ pub fn open_instrumented(
     Ok(info)
 }
 
-/// Failure of [`load_file`]: either the filesystem or the codec.
-#[derive(Debug)]
-pub enum FileLoadError {
-    /// Reading the file failed.
-    Io(std::io::Error),
-    /// The bytes did not decode.
-    Load(LoadError),
-}
-
-impl std::fmt::Display for FileLoadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FileLoadError::Io(e) => write!(f, "read: {e}"),
-            FileLoadError::Load(e) => write!(f, "load: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FileLoadError {}
-
-impl From<LoadError> for FileLoadError {
-    fn from(e: LoadError) -> Self {
-        FileLoadError::Load(e)
-    }
-}
-
-/// Read `path`, sniff the codec from its magic bytes, and load the net,
-/// recording per-backend `snapshot.<fmt>.*` metrics. The one-stop entry
-/// point for anything that serves a snapshot from disk — the CLI and
-/// `alicoco-serve` both load through here, so format support stays in
-/// one place.
-pub fn load_file(path: &std::path::Path, metrics: &Registry) -> Result<AliCoCo, FileLoadError> {
-    let bytes = std::fs::read(path).map_err(FileLoadError::Io)?;
-    Ok(load_instrumented(detect(&bytes), &bytes, metrics)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +270,11 @@ mod tests {
         [&TsvStore, &BinaryStore]
     }
 
+    /// The core half of loading a snapshot file: bytes read back from
+    /// disk are sniffed to their backend, loaded with per-backend
+    /// metrics, and a torn binary file is a typed [`LoadError`]. The
+    /// filesystem half (`FileLoadError::Io`) is `alicoco-ann`'s
+    /// `load_file_with_bundle` test.
     #[test]
     fn load_file_sniffs_both_formats_and_types_its_errors() {
         let dir = std::env::temp_dir().join(format!("alicoco-store-{}", std::process::id()));
@@ -314,8 +285,9 @@ mod tests {
             store.save(&kg, &mut bytes).unwrap();
             let path = dir.join(format!("net.{}", store.format().name()));
             std::fs::write(&path, &bytes).unwrap();
+            let read = std::fs::read(&path).unwrap();
             let reg = Registry::new();
-            let loaded = load_file(&path, &reg).unwrap();
+            let loaded = load_instrumented(detect(&read), &read, &reg).unwrap();
             assert_eq!(loaded, kg);
             assert_eq!(
                 reg.counter(&format!("snapshot.{}.loaded_bytes", store.format().name()))
@@ -323,10 +295,7 @@ mod tests {
                 bytes.len() as u64
             );
         }
-        let missing = load_file(&dir.join("absent"), &Registry::new());
-        assert!(matches!(missing, Err(FileLoadError::Io(_))));
         let garbled = dir.join("garbled");
-        std::fs::write(&garbled, b"ALCC\x00garbage").ok();
         std::fs::write(&garbled, {
             let mut b = Vec::new();
             BinaryStore.save(&kg, &mut b).unwrap();
@@ -334,10 +303,9 @@ mod tests {
             b
         })
         .unwrap();
-        assert!(matches!(
-            load_file(&garbled, &Registry::new()),
-            Err(FileLoadError::Load(_))
-        ));
+        let read = std::fs::read(&garbled).unwrap();
+        assert_eq!(detect(&read).format(), Format::Binary);
+        assert!(load_instrumented(detect(&read), &read, &Registry::new()).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

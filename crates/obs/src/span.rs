@@ -95,31 +95,25 @@ impl Drop for SpanTimer {
 /// A lap clock for splitting one request into stages without re-reading
 /// the wall clock between histogram and caller: each [`lap`] records the
 /// time since the previous lap (or construction) and restarts.
-///
-/// Built disabled, it never touches the clock — the hot path pays one
-/// branch, which is what keeps the instrumented/uninstrumented overhead
-/// gate honest.
 #[derive(Debug)]
 pub struct StageClock {
-    last: Option<Instant>,
+    last: Instant,
 }
 
 impl StageClock {
-    /// Start the clock; `enabled = false` makes every lap a no-op.
-    pub fn started(enabled: bool) -> Self {
+    /// Start the clock.
+    pub fn started() -> Self {
         StageClock {
-            last: enabled.then(Instant::now),
+            last: Instant::now(),
         }
     }
 
     /// Record the stage ending now into `hist` and restart the lap.
     #[inline]
     pub fn lap(&mut self, hist: &Histogram) {
-        if let Some(prev) = self.last {
-            let now = Instant::now();
-            hist.record_duration(now.duration_since(prev));
-            self.last = Some(now);
-        }
+        let now = Instant::now();
+        hist.record_duration(now.duration_since(self.last));
+        self.last = now;
     }
 }
 
@@ -172,18 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_stage_clock_records_nothing() {
-        let h = Histogram::new();
-        let mut clock = StageClock::started(false);
-        clock.lap(&h);
-        clock.lap(&h);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
     fn enabled_stage_clock_records_every_lap() {
         let h = Histogram::new();
-        let mut clock = StageClock::started(true);
+        let mut clock = StageClock::started();
         clock.lap(&h);
         clock.lap(&h);
         clock.lap(&h);

@@ -17,7 +17,9 @@
 //! ```
 //!
 //! Every `<snapshot>` argument accepts either codec — the format is sniffed
-//! from the leading magic bytes (see `alicoco::store`).
+//! from the leading magic bytes — and is read through the one file loader
+//! `alicoco-serve` uses, so `search`, `qa` and `recommend` answer from the
+//! ANN bundle when the snapshot carries one, as the server does.
 //!
 //! Any invocation also accepts a global `--metrics <out.json>` flag: the
 //! command runs with instrumented engines and the metric registry is
@@ -33,7 +35,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use alicoco::snapshot::binary::SnapshotView;
 use alicoco::{store, AliCoCo, Stats};
+use alicoco_ann::AnnBundle;
 use alicoco_apps::{
     CognitiveRecommender, RecommendConfig, RelevanceScorer, Retriever, ScenarioQa, SearchConfig,
     SemanticSearch,
@@ -107,10 +111,16 @@ fn write_metrics(path: &str, metrics: &Registry) -> CliResult {
     Ok(())
 }
 
-/// Load a net from either codec, sniffed by magic, recording the
-/// per-backend `snapshot.<fmt>.*` metric family.
-fn load_net(path: &str, metrics: &Registry) -> Result<AliCoCo, Box<dyn std::error::Error>> {
-    Ok(store::load_file(Path::new(path), metrics)?)
+/// A net and the retrieval bundle its snapshot carries, if any.
+type Loaded = (AliCoCo, Option<AnnBundle>);
+
+/// Load a net (and its bundle) from either codec, sniffed by magic,
+/// recording the per-backend `snapshot.<fmt>.*` metric family.
+fn load_net(path: &str, metrics: &Registry) -> Result<Loaded, Box<dyn std::error::Error>> {
+    Ok(alicoco_ann::load_file_with_bundle(
+        Path::new(path),
+        metrics,
+    )?)
 }
 
 /// Replace `path` with `bytes` without ever exposing a partial file: the
@@ -208,6 +218,15 @@ fn cmd_snapshot(args: &[String], metrics: &Registry) -> CliResult {
             let output = require(args, 2, "output snapshot")?;
             let bytes = std::fs::read(input)?;
             let from = store::detect(&bytes);
+            // TSV cannot hold the ANN trailer, and a bare binary copy
+            // would silently lose it: refuse before touching `output`.
+            if from.format() == store::Format::Binary && SnapshotView::open(&bytes)?.ann().is_some()
+            {
+                return Err(format!(
+                    "{input} carries the ANN trailer (AVOC/ACON/AITM); converting would drop it"
+                )
+                .into());
+            }
             let kg = store::load_instrumented(from, &bytes, metrics)?;
             let to = store::store_for(from.format().other());
             let written = save_net(output, &kg, to, metrics)?;
@@ -237,7 +256,7 @@ fn cmd_snapshot(args: &[String], metrics: &Registry) -> CliResult {
 }
 
 fn cmd_stats(args: &[String], metrics: &Registry) -> CliResult {
-    let kg = load_net(require(args, 0, "snapshot path")?, metrics)?;
+    let (kg, _) = load_net(require(args, 0, "snapshot path")?, metrics)?;
     print!("{}", Stats::compute(&kg));
     let ci = alicoco::query::concept_item_degrees(&kg);
     let ip = alicoco::query::item_primitive_degrees(&kg);
@@ -253,39 +272,57 @@ fn cmd_stats(args: &[String], metrics: &Registry) -> CliResult {
     Ok(())
 }
 
-/// The lexical retriever the one-shot commands serve from.
-fn retriever(kg: &Arc<AliCoCo>) -> Arc<Retriever> {
-    Retriever::new(Arc::clone(kg), None)
+/// The retriever the one-shot commands serve from: hybrid when the
+/// snapshot carried a bundle, lexical otherwise — as `alicoco-serve`.
+fn retriever((kg, bundle): Loaded) -> Arc<Retriever> {
+    Retriever::new(Arc::new(kg), bundle.map(Arc::new))
 }
 
 fn cmd_search(args: &[String], metrics: &Registry) -> CliResult {
-    let kg = Arc::new(load_net(require(args, 0, "snapshot path")?, metrics)?);
+    let loaded = load_net(require(args, 0, "snapshot path")?, metrics)?;
     let query = require(args, 1, "query")?;
-    let engine = SemanticSearch::new(retriever(&kg), SearchConfig::default(), metrics);
+    write_search(
+        &mut std::io::stdout().lock(),
+        retriever(loaded),
+        query,
+        metrics,
+    )
+}
+
+/// Write the search page for `query` to `out`, or the keyword items
+/// when no concept card matches.
+fn write_search(
+    out: &mut dyn Write,
+    retriever: Arc<Retriever>,
+    query: &str,
+    metrics: &Registry,
+) -> CliResult {
+    let engine = SemanticSearch::new(Arc::clone(&retriever), SearchConfig::default(), metrics);
+    let kg = retriever.kg();
     let cards = engine.search(query);
     if cards.is_empty() {
-        println!("no concept card for {query:?}; keyword items:");
+        writeln!(out, "no concept card for {query:?}; keyword items:")?;
         for iid in engine.keyword_items(query, 5) {
-            println!("  {}", kg.item(iid).title.join(" "));
+            writeln!(out, "  {}", kg.item(iid).title.join(" "))?;
         }
         return Ok(());
     }
     for card in cards {
-        println!("[{:.2}] {}", card.score, card.name);
+        writeln!(out, "[{:.2}] {}", card.score, card.name)?;
         for (domain, surface) in card.interpretation() {
-            println!("    <{domain}: {surface}>");
+            writeln!(out, "    <{domain}: {surface}>")?;
         }
         for (iid, w) in card.items.iter().take(5) {
-            println!("    ({w:.2}) {}", kg.item(*iid).title.join(" "));
+            writeln!(out, "    ({w:.2}) {}", kg.item(*iid).title.join(" "))?;
         }
     }
     Ok(())
 }
 
 fn cmd_qa(args: &[String], metrics: &Registry) -> CliResult {
-    let kg = Arc::new(load_net(require(args, 0, "snapshot path")?, metrics)?);
+    let loaded = load_net(require(args, 0, "snapshot path")?, metrics)?;
     let question = require(args, 1, "question")?;
-    match ScenarioQa::new(retriever(&kg), metrics).answer(question) {
+    match ScenarioQa::new(retriever(loaded), metrics).answer(question) {
         Some(a) => {
             println!("for \"{}\" you will need:", a.concept_name);
             for e in &a.checklist {
@@ -298,7 +335,8 @@ fn cmd_qa(args: &[String], metrics: &Registry) -> CliResult {
 }
 
 fn cmd_recommend(args: &[String], metrics: &Registry) -> CliResult {
-    let kg = Arc::new(load_net(require(args, 0, "snapshot path")?, metrics)?);
+    let retriever = retriever(load_net(require(args, 0, "snapshot path")?, metrics)?);
+    let kg = retriever.kg();
     let history: Vec<alicoco::ItemId> = kg
         .item_ids()
         .filter(|&i| !kg.concepts_for_item(i).is_empty())
@@ -312,10 +350,11 @@ fn cmd_recommend(args: &[String], metrics: &Registry) -> CliResult {
     for &i in &history {
         println!("  viewed {}", kg.item(i).title.join(" "));
     }
-    let rec = CognitiveRecommender::new(retriever(&kg), RecommendConfig::default(), metrics);
+    let rec =
+        CognitiveRecommender::new(Arc::clone(&retriever), RecommendConfig::default(), metrics);
     for r in rec.recommend(&history) {
         println!("[{:.2}] {}", r.affinity, r.name);
-        println!("    {}", r.reason.text(&kg, r.name));
+        println!("    {}", r.reason.text(kg, r.name));
         for (iid, w) in r.items.iter().take(3) {
             println!("    ({w:.2}) {}", kg.item(*iid).title.join(" "));
         }
@@ -324,7 +363,7 @@ fn cmd_recommend(args: &[String], metrics: &Registry) -> CliResult {
 }
 
 fn cmd_concept(args: &[String], metrics: &Registry) -> CliResult {
-    let kg = load_net(require(args, 0, "snapshot path")?, metrics)?;
+    let (kg, _) = load_net(require(args, 0, "snapshot path")?, metrics)?;
     let name = require(args, 1, "concept name")?;
     let cid = kg
         .concept_by_name(name)
@@ -378,7 +417,7 @@ fn demo_net() -> AliCoCo {
 /// exported registry contains a sample of each metric family.
 fn cmd_demo(metrics: &Registry) -> CliResult {
     let kg = Arc::new(demo_net());
-    let shared = retriever(&kg);
+    let shared = Retriever::new(Arc::clone(&kg), None);
 
     let search = SemanticSearch::new(Arc::clone(&shared), SearchConfig::default(), metrics);
     let mut cards = 0;
@@ -527,8 +566,9 @@ mod tests {
         let path = dir.join("net.bin");
         std::fs::write(&path, &bytes).unwrap();
         let reg = Registry::new();
-        let loaded = load_net(path.to_str().unwrap(), &reg).unwrap();
+        let (loaded, bundle) = load_net(path.to_str().unwrap(), &reg).unwrap();
         assert_eq!(loaded, kg);
+        assert!(bundle.is_none());
         assert_eq!(
             reg.counter("snapshot.binary.loaded_bytes").get(),
             bytes.len() as u64
@@ -569,7 +609,7 @@ mod tests {
         let kg = demo_net();
         let written = save_net(path.to_str().unwrap(), &kg, &store::TsvStore, &reg).unwrap();
         assert_eq!(std::fs::read(&path).unwrap().len(), written);
-        assert_eq!(load_net(path.to_str().unwrap(), &reg).unwrap(), kg);
+        assert_eq!(load_net(path.to_str().unwrap(), &reg).unwrap().0, kg);
         assert_eq!(tmp_siblings(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -587,8 +627,53 @@ mod tests {
         assert_eq!(bundle.concepts().len(), kg.num_concepts());
         assert_eq!(bundle.items().len(), kg.num_items());
         // The bare binary store still reads the graph, trailer ignored.
-        let plain = load_net(path.to_str().unwrap(), &reg).unwrap();
+        let plain = store::detect(&bytes).load(&bytes).unwrap();
         assert_eq!(plain, kg);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The demo net with its bundle, saved as a hybrid snapshot file.
+    fn hybrid_snapshot(dir: &Path) -> (PathBuf, Vec<u8>) {
+        let kg = demo_net();
+        let mut bytes = Vec::new();
+        let bundle = alicoco_ann::build_default_bundle(&kg);
+        alicoco_ann::save_snapshot_with_bundle(&kg, &bundle, &mut bytes).unwrap();
+        let path = dir.join("net.alcc");
+        std::fs::write(&path, &bytes).unwrap();
+        (path, bytes)
+    }
+
+    #[test]
+    fn snapshot_convert_refuses_a_snapshot_with_the_ann_trailer() {
+        let dir = scratch_dir("convert-ann");
+        let (path, _) = hybrid_snapshot(&dir);
+        let out = dir.join("out.tsv");
+        std::fs::write(&out, b"previous snapshot").unwrap();
+        let args = strings(&["convert", path.to_str().unwrap(), out.to_str().unwrap()]);
+        let err = cmd_snapshot(&args, &Registry::new()).unwrap_err();
+        assert!(err.to_string().contains("ANN trailer"), "{err}");
+        assert_eq!(std::fs::read(&out).unwrap(), b"previous snapshot");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A query whose every token is an item-title-only word has no lexical
+    /// page; loaded from a hybrid file, `search` answers it from the
+    /// snapshot's vectors, as `alicoco-serve` does.
+    #[test]
+    fn search_answers_a_vector_only_query_from_the_snapshot_bundle() {
+        let dir = scratch_dir("search-ann");
+        let (path, _) = hybrid_snapshot(&dir);
+        let reg = Registry::new();
+        let page = |loaded: Loaded, query: &str| {
+            let mut out = Vec::new();
+            write_search(&mut out, retriever(loaded), query, &reg).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let lexical = page((demo_net(), None), "charcoal");
+        assert!(lexical.starts_with("no concept card"), "{lexical}");
+        let hybrid = page(load_net(path.to_str().unwrap(), &reg).unwrap(), "charcoal");
+        assert!(hybrid.starts_with('['), "{hybrid}");
+        assert_eq!(reg.histogram("snapshot.binary.load_ns").count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,12 +4,10 @@
 //! Text-processing substrate for the AliCoCo reproduction. The paper's
 //! construction pipeline leans on a stack of pre-existing NLP tooling —
 //! GloVe embeddings, Doc2vec, a BERT perplexity model, AutoPhrase, Hearst
-//! patterns, POS/NER taggers, BM25, and a max-matching segmenter for distant
-//! supervision. This crate implements each of those from scratch:
+//! patterns, POS/NER taggers and BM25. This crate implements each of those
+//! from scratch:
 //!
 //! - [`vocab`] — string interning with counts,
-//! - [`segment`] — DP max-matching segmentation for distant-supervision
-//!   data (§7.2),
 //! - [`word2vec`] — SGNS embeddings (stand-in for pre-trained GloVe),
 //! - [`doc2vec`] — PV-DBOW document vectors for gloss encoding (§5.2.2),
 //! - [`lm`] — interpolated trigram LM whose perplexity replaces the BERT
@@ -24,7 +22,6 @@ pub mod doc2vec;
 pub mod hearst;
 pub mod lm;
 pub mod phrase;
-pub mod segment;
 pub mod tagger;
 pub mod vocab;
 pub mod word2vec;

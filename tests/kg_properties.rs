@@ -1,12 +1,11 @@
 //! Property-based tests (proptest) over the core invariants: snapshot
 //! round-tripping for arbitrary graphs, CRF decoding optimality, metric
-//! bounds, segmentation coverage, and coverage-evaluator bounds.
+//! bounds, and coverage-evaluator bounds.
 
 use alicoco::{AliCoCo, Stats};
 use alicoco_nn::crf::Crf;
 use alicoco_nn::metrics::{average_precision, precision_at_k, reciprocal_rank, roc_auc};
 use alicoco_nn::{ParamSet, Tensor};
-use alicoco_text::segment::MaxMatchSegmenter;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -261,49 +260,5 @@ proptest! {
         let flipped: Vec<(f32, bool)> = scored.iter().map(|&(s, y)| (s, !y)).collect();
         let auc_f = roc_auc(&flipped);
         prop_assert!((auc + auc_f - 1.0).abs() < 1e-9);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Segmentation properties
-// ---------------------------------------------------------------------------
-
-fn segmenter(entries: &[String]) -> MaxMatchSegmenter {
-    let mut seg = MaxMatchSegmenter::new();
-    for e in entries {
-        seg.insert(e);
-    }
-    seg
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn segmentation_reconstructs_input(
-        entries in prop::collection::vec("[a-c]{1,3}", 1..8),
-        text in "[a-d]{0,12}",
-    ) {
-        let seg = segmenter(&entries);
-        let parts = seg.segment(&text);
-        let rebuilt: String = parts.iter().map(|s| s.text.as_str()).collect::<String>();
-        prop_assert_eq!(rebuilt, text.clone());
-        // Every in-lexicon segment is truly in the lexicon.
-        for p in &parts {
-            if p.in_lexicon {
-                prop_assert!(seg.contains(&p.text));
-            }
-        }
-    }
-
-    #[test]
-    fn concatenated_entries_match_perfectly(
-        entries in prop::collection::vec("[a-c]{1,3}", 1..6),
-        picks in prop::collection::vec(0usize..6, 1..5),
-    ) {
-        let seg = segmenter(&entries);
-        let text: String = picks.iter().map(|&i| entries[i % entries.len()].clone()).collect();
-        let parts = seg.segment(&text);
-        prop_assert!(parts.iter().all(|p| p.in_lexicon), "failed on {text:?} from {entries:?}");
     }
 }
