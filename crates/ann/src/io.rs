@@ -11,9 +11,9 @@ use std::path::Path;
 
 use alicoco::snapshot::binary::{self, AnnPayload, SnapshotView};
 use alicoco::snapshot::{LoadError, SaveError};
-use alicoco::store::Format;
+use alicoco::store::{self, Format};
 use alicoco::AliCoCo;
-use alicoco_obs::{Registry, Stopwatch};
+use alicoco_obs::Registry;
 
 use crate::bundle::AnnBundle;
 
@@ -73,8 +73,7 @@ pub fn save_snapshot_with_bundle(
 /// a proposed vector id straight into a concept or item id.
 pub fn load_snapshot_with_bundle(bytes: &[u8]) -> Result<(AliCoCo, Option<AnnBundle>), LoadError> {
     if Format::detect(bytes) != Format::Binary {
-        let store = alicoco::store::store_for(Format::Tsv);
-        return Ok((store.load(bytes)?, None));
+        return Ok((store::store_for(Format::Tsv).load(bytes)?, None));
     }
     let view = SnapshotView::open(bytes)?;
     let kg = view.to_graph()?;
@@ -106,16 +105,13 @@ pub fn load_file_with_bundle(
     metrics: &Registry,
 ) -> Result<(AliCoCo, Option<AnnBundle>), FileLoadError> {
     let bytes = std::fs::read(path).map_err(FileLoadError::Io)?;
-    let fmt = Format::detect(&bytes).name();
-    let watch = Stopwatch::start();
-    let loaded = load_snapshot_with_bundle(&bytes)?;
-    metrics
-        .histogram(&format!("snapshot.{fmt}.load_ns"))
-        .record_duration(watch.elapsed());
-    metrics
-        .counter(&format!("snapshot.{fmt}.loaded_bytes"))
-        .add(bytes.len() as u64);
-    Ok(loaded)
+    let format = Format::detect(&bytes);
+    Ok(store::timed_load(
+        format,
+        &bytes,
+        metrics,
+        load_snapshot_with_bundle,
+    )?)
 }
 
 #[cfg(test)]

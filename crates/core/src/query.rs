@@ -798,57 +798,12 @@ impl<'a> Cursor<'a> {
             .get(self.len.div_ceil(BLOCK) + self.at() / RUN_ENTRIES)
     }
 
-    /// The rest of the head block.
-    fn block_ids(&self) -> &'a [ConceptId] {
-        let left = BLOCK - self.at() % BLOCK;
-        self.ids.get(..left).unwrap_or(self.ids)
-    }
-
     /// Move to the first entry whose id is not below `id`, reading no fact
-    /// byte: a gallop from the head and a binary search inside the head
-    /// block, and only when the block ends before `id`, over whole runs and
-    /// blocks by their last ids. Returns whether the cursor moved.
+    /// byte (see [`gallop`]). Returns whether the cursor moved.
     fn seek(&mut self, id: usize) -> bool {
-        // Most seeks move no entry or one: decide those from the head.
-        match self.ids {
-            [head, ..] if head.index() >= id => return false,
-            [_, next, ..] if next.index() >= id => {
-                self.advance(1);
-                return true;
-            }
-            _ => {}
-        }
-        let block = self.block_ids();
-        let mut reach = 1;
-        while block.get(reach - 1).is_some_and(|c| c.index() < id) {
-            reach *= 2;
-        }
-        let from = reach / 2;
-        let span = block.get(from..reach.min(block.len())).unwrap_or(&[]);
-        let step = from + span.partition_point(|c| c.index() < id);
+        let step = gallop(self.ids, 0, id);
         self.advance(step);
-        if step == block.len() && !self.is_done() {
-            self.seek_past_block(id);
-        }
         step > 0
-    }
-
-    /// [`seek`](Self::seek) from a block boundary.
-    #[cold]
-    #[inline(never)]
-    fn seek_past_block(&mut self, id: usize) {
-        while self.run().is_some_and(|r| r.last.index() < id) {
-            self.skip_run();
-        }
-        // A binary search over the summaries of the run's blocks left.
-        let first = self.at() / BLOCK;
-        let last = ((first / RUN + 1) * RUN).min(self.len.div_ceil(BLOCK));
-        let blocks = self.blocks.get(first..last).unwrap_or(&[]);
-        let before = blocks.partition_point(|b| b.last.index() < id);
-        if before > 0 {
-            self.advance((first + before) * BLOCK - self.at());
-        }
-        self.seek(id);
     }
 }
 
@@ -996,8 +951,9 @@ impl Floor {
 /// stepped over unread. Otherwise the lists whose bounds together still
 /// cannot reach it are only *probed* — looked up at the ids the others
 /// yield — and a concept they alone hold is never yielded (MaxScore, per
-/// window); nor is one no probed list holds when the merged lists' blocks
-/// alone cannot reach the floor.
+/// window). When the merged lists' blocks alone cannot reach the floor
+/// either, only an id both kinds hold can, and the window intersects them
+/// instead ([`Windows::intersect`]).
 pub struct PrunedMatches<'a> {
     /// The merged list whose head is the smallest id not yet yielded.
     front: Cursor<'a>,
@@ -1021,7 +977,8 @@ struct Windows<'a> {
     /// How many of `lists` are probed.
     probed: usize,
     /// Whether a concept none of the probed lists holds falls short of the
-    /// floor: the merged lists' blocks together cannot reach it.
+    /// floor: the merged lists' blocks together cannot reach it, so the
+    /// window is walked by [`intersect`](Self::intersect).
     drop_unprobed: bool,
     floor: &'a Floor,
     /// The best score a [`Ceiling`] allows, `None` when not positive.
@@ -1198,20 +1155,14 @@ impl<'a> Windows<'a> {
                     None => return (Cursor::default(), usize::MAX, None),
                 }
             }
+            if self.drop_unprobed && !self.intersect(&mut front, rest) {
+                continue;
+            }
             let block = front.block();
             let Some(mut found) = merge_step(&mut front, rest) else {
                 return (front, bypass, None);
             };
-            if self.probed > 0 {
-                let (held, next) = self.probe(&mut found);
-                if !held && self.drop_unprobed {
-                    // An id below every probed list's head is the merged
-                    // lists' alone, so it falls short too: leap to the
-                    // first head.
-                    leap(&mut front, rest, next.min(self.end.saturating_add(1)));
-                    continue;
-                }
-            }
+            self.probe(&mut found);
             if self.reaches(&found, block) {
                 return (front, bypass, Some(found));
             }
@@ -1237,20 +1188,47 @@ impl<'a> Windows<'a> {
         (self.ceiling)(bound).is_some_and(|best| best >= floor)
     }
 
-    /// Add the probed lists' evidence to `found`: whether any of them holds
-    /// it, and the first id past it that one of them may hold.
-    fn probe(&mut self, found: &mut ConceptMatch) -> (bool, usize) {
+    /// Add the probed lists' evidence to `found`.
+    fn probe(&mut self, found: &mut ConceptMatch) {
         let head = found.concept.index();
-        let (mut held, mut next) = (false, usize::MAX);
         for c in self.lists.iter_mut().take(self.probed) {
             c.seek(head);
             if c.head() == head {
                 c.take_head(found);
-                held = true;
             }
-            next = next.min(c.head());
         }
-        (held, next)
+    }
+
+    /// In a window where only a concept that a merged list and a probed
+    /// list both hold can reach the floor, move every list to the first
+    /// such id up to the window's end, reading no fact byte; whether there
+    /// is one. A leapfrog of galloping seeks: the probed lists to the
+    /// smallest merged head, the merged lists to the smallest probed head.
+    /// One merged list against one probed list, the window of a two-word
+    /// query, is [`intersect_two`], which moves no cursor until it stops
+    /// (DESIGN.md §13.6 has the numbers for keeping both).
+    fn intersect(&mut self, front: &mut Cursor<'a>, rest: &mut BinaryHeap<Cursor<'a>>) -> bool {
+        // The merged lists stop at the window's end: what lies past it is
+        // the next window's to judge.
+        let stop = self.end.saturating_add(1);
+        if let (Some([probed]), true) = (self.lists.get_mut(..self.probed), rest.is_empty()) {
+            return intersect_two(front, probed, stop);
+        }
+        loop {
+            let head = front.head();
+            if head >= stop {
+                return false;
+            }
+            let mut next = usize::MAX;
+            for c in self.lists.iter_mut().take(self.probed) {
+                c.seek(head);
+                next = next.min(c.head());
+            }
+            if next == head {
+                return true;
+            }
+            leap(front, rest, next.min(stop));
+        }
     }
 }
 
@@ -1270,6 +1248,49 @@ impl Iterator for PrunedMatches<'_> {
         }
         merge_step(&mut self.front, &mut self.rest)
     }
+}
+
+/// [`Windows::intersect`] of one merged and one probed list, on their raw
+/// id slices: each side gallops to the other's head, and the cursors move
+/// once, when it stops.
+fn intersect_two(merged: &mut Cursor<'_>, probed: &mut Cursor<'_>, stop: usize) -> bool {
+    let (a, b) = (merged.ids, probed.ids);
+    let (mut i, mut j) = (0, 0);
+    let found = loop {
+        let Some(x) = a.get(i).map(|c| c.index()).filter(|&x| x < stop) else {
+            break false;
+        };
+        j = gallop(b, j, x);
+        let y = b.get(j).map_or(usize::MAX, |c| c.index());
+        if y == x {
+            break true;
+        }
+        i = gallop(a, i + 1, y.min(stop));
+    };
+    merged.advance(i);
+    probed.advance(j);
+    found
+}
+
+/// The first index from `at` on whose id is not below `id`: the common
+/// moves of none or one entry settled from `at`, then a gallop and a
+/// binary search over the span it brackets.
+#[inline(always)]
+fn gallop(ids: &[ConceptId], at: usize, id: usize) -> usize {
+    let below = |i: usize| ids.get(i).is_some_and(|c| c.index() < id);
+    if !below(at) {
+        return at;
+    }
+    if !below(at + 1) {
+        return at + 1;
+    }
+    let (mut lo, mut step) = (at + 1, 2);
+    while below(lo + step) {
+        lo += step;
+        step *= 2;
+    }
+    let span = ids.get(lo + 1..(lo + step).min(ids.len())).unwrap_or(&[]);
+    lo + 1 + span.partition_point(|c| c.index() < id)
 }
 
 /// Move every list of `front` and `rest` to its first id not below `id`,
@@ -1726,6 +1747,40 @@ mod tests {
         assert!(short.iter().all(|c| kept.contains(c)), "{kept:?}");
         assert!(kept.len() <= BLOCK * short.len(), "{}", kept.len());
         assert!(floor.blocks_skipped() > 0, "{floor:?}");
+    }
+
+    /// An intersection stops at its window's end. "a" has a block of
+    /// five-word names, then one of two-word names; "p" and "q" hold
+    /// five-word names before and after both. In the first block's window
+    /// "a" is merged and only what it shares with "p" (or "q") can reach
+    /// the floor, and their next ids lie past the strong block, which the
+    /// next window keeps whole.
+    #[test]
+    fn an_intersection_stops_at_the_window_end() {
+        let mut kg = AliCoCo::new();
+        for i in 0..4 * BLOCK {
+            let name = match i / BLOCK {
+                1 => format!("a x1 x2 x3 c{i}"),
+                2 => format!("a c{i}"),
+                _ => format!("p q x1 x2 c{i}"),
+            };
+            kg.add_concept(&name);
+        }
+        let q = QueryIndex::build(&kg);
+        let strong: Vec<usize> = (2 * BLOCK..3 * BLOCK).collect();
+        for (words, floor_at) in [(&["a", "p"][..], 0.35), (&["a", "p", "q"], 0.45)] {
+            let floor = Floor::default();
+            floor.raise(floor_at);
+            let kept: Vec<usize> = q
+                .concept_matches(words.iter().copied())
+                .pruned(&floor, &coverage)
+                .map(|m| m.concept.index())
+                .collect();
+            assert!(
+                strong.iter().all(|c| kept.contains(c)),
+                "{words:?}: {kept:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! `snapshot.{tsv,binary}.*` timings and byte counts into a metrics
 //! [`Registry`]. Reading a snapshot *file* is `alicoco-ann`'s
 //! `load_file_with_bundle`, the one file loader: only that crate can
-//! decode the ANN trailer a binary snapshot may carry.
+//! decode the ANN trailer a binary snapshot may carry. It records its
+//! loads through [`timed_load`], as [`load_instrumented`] does, so the
+//! load metrics are spelled once.
 
 use alicoco_obs::{Registry, Stopwatch};
 
@@ -234,16 +236,28 @@ pub fn load_instrumented(
     bytes: &[u8],
     metrics: &Registry,
 ) -> Result<AliCoCo, LoadError> {
+    timed_load(store.format(), bytes, metrics, |bytes| store.load(bytes))
+}
+
+/// Run `load` over `bytes`, a `format` snapshot, and once it succeeds
+/// record `snapshot.<fmt>.load_ns` and `snapshot.<fmt>.loaded_bytes`: the
+/// one writer of that family, whichever loader decodes the bytes.
+pub fn timed_load<T, E>(
+    format: Format,
+    bytes: &[u8],
+    metrics: &Registry,
+    load: impl FnOnce(&[u8]) -> Result<T, E>,
+) -> Result<T, E> {
     let watch = Stopwatch::start();
-    let kg = store.load(bytes)?;
-    let fmt = store.format().name();
+    let loaded = load(bytes)?;
+    let fmt = format.name();
     metrics
         .histogram(&format!("snapshot.{fmt}.load_ns"))
         .record_duration(watch.elapsed());
     metrics
         .counter(&format!("snapshot.{fmt}.loaded_bytes"))
         .add(bytes.len() as u64);
-    Ok(kg)
+    Ok(loaded)
 }
 
 /// [`Store::open`] plus metrics: `snapshot.<fmt>.open_ns`.
