@@ -31,6 +31,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+use crate::rules::SERIALIZATION_SCOPE;
 use crate::symbols::{CallKind, FileSummary, FnInfo, RecvHint};
 
 /// A finding produced by a workspace-level rule, before fingerprinting.
@@ -118,15 +119,6 @@ const SERVING_SCOPE: &[&str] = &[
 /// entry points. Only the roots are excluded — AL001 still polices direct
 /// panic sites in these files and AL009's sink roots are unchanged.
 const BUILD_TIME: &[&str] = &["crates/ann/src/embed.rs"];
-
-/// Serialization files — AL005's jurisdiction for direct sites, and AL009
-/// sink roots for transitive ones.
-const SERIALIZATION_SCOPE: &[&str] = &[
-    "core/src/snapshot/tsv.rs",
-    "core/src/snapshot/binary.rs",
-    "core/src/store.rs",
-    "nn/src/persist.rs",
-];
 
 /// Crates allowed to read the clock: the observability layer owns wall
 /// time, and the benchmarking harnesses exist to measure it.

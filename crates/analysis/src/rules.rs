@@ -19,7 +19,7 @@
 //!   held, and no per-op `Param::value()`/`value_mut()` guard reads in
 //!   the training hot path (`nn/src/train.rs`, `nn/src/graph.rs`) — hot
 //!   code reads through the graph's version-checked snapshot cache.
-//! - **AL005** — snapshot/persist serialization must not iterate hash
+//! - **AL005** — snapshot serialization must not iterate hash
 //!   collections without a canonical sort: hash order differs between
 //!   runs and would break byte-identical artifacts.
 //! - **AL006** — every `unsafe` block carries a `// SAFETY:` comment.
@@ -479,12 +479,13 @@ fn guard_outlives_statement(ctx: &FileCtx, lock_si: usize) -> bool {
 
 // ---------------------------------------------------------------- AL005
 
-/// Files whose output must be byte-identical across runs.
-const AL005_SCOPE: &[&str] = &[
+/// Serialization files, whose output must be byte-identical across runs:
+/// AL005's jurisdiction for direct sites, and AL009's sink roots for
+/// transitive ones ([`crate::callgraph`]).
+pub(crate) const SERIALIZATION_SCOPE: &[&str] = &[
     "core/src/snapshot/tsv.rs",
     "core/src/snapshot/binary.rs",
     "core/src/store.rs",
-    "nn/src/persist.rs",
 ];
 
 /// Methods that only exist on hash/ordered maps and sets.
@@ -501,7 +502,7 @@ const MAP_METHODS: &[&str] = &[
 const ITER_METHODS: &[&str] = &["iter", "iter_mut", "into_iter"];
 
 fn al005_canonical_iteration(ctx: &FileCtx, out: &mut Vec<RawFinding>) {
-    if !AL005_SCOPE.iter().any(|s| ctx.path.ends_with(s)) {
+    if !SERIALIZATION_SCOPE.iter().any(|s| ctx.path.ends_with(s)) {
         return;
     }
     for si in hash_iteration_sites(ctx, 0, ctx.sig.len(), |_| true) {

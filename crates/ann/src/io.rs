@@ -77,10 +77,10 @@ pub fn load_snapshot_with_bundle(bytes: &[u8]) -> Result<(AliCoCo, Option<AnnBun
     }
     let view = SnapshotView::open(bytes)?;
     let kg = view.to_graph()?;
-    let bundle = view
-        .ann()
-        .map(|(v, c, i)| AnnBundle::decode(v, c, i))
-        .transpose()?;
+    let bundle = match view.ann() {
+        Some((v, c, i)) => Some(AnnBundle::decode(v, c, i)?),
+        None => None,
+    };
     if let Some(bundle) = &bundle {
         for (section, vectors, nodes) in [
             ("ACON", bundle.concepts().len(), kg.num_concepts()),

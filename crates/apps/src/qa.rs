@@ -252,33 +252,25 @@ impl ScenarioQa {
     /// borrows swimsuits.
     fn sibling_items(&self, cid: ConceptId, words: &[String]) -> Vec<(ItemId, f32)> {
         let kg = self.retriever.kg();
-        let mut prims: FxHashSet<_> = kg
-            .concept(cid)
-            .primitives
+        let primitives = kg.concept(cid).primitives;
+        let mut prims: Vec<_> = primitives
             .iter()
             .copied()
             .filter(|&p| words.contains(&kg.primitive(p).name))
             .collect();
         if prims.is_empty() {
-            prims = kg.concept(cid).primitives.iter().copied().collect();
+            prims = primitives.to_vec();
         }
         // Sibling concepts come straight off the primitive postings
         // (sorted so the borrowing order is concept-id deterministic).
-        let mut siblings: Vec<ConceptId> = {
-            let mut set: FxHashSet<ConceptId> = FxHashSet::default();
-            for &p in &prims {
-                set.extend(
-                    self.retriever
-                        .index()
-                        .concepts_by_primitive(p)
-                        .iter()
-                        .copied(),
-                );
-            }
-            set.remove(&cid);
-            set.into_iter().collect()
-        };
-        siblings.sort();
+        let index = self.retriever.index();
+        let mut siblings: Vec<ConceptId> = prims
+            .iter()
+            .flat_map(|&p| index.concepts_by_primitive(p).iter().copied())
+            .filter(|&other| other != cid)
+            .collect();
+        siblings.sort_unstable();
+        siblings.dedup();
         // A concept's items are distinct, so an item's weight is the one
         // its first sibling gives it, in whatever order each sibling's
         // list is read; the sort below is total.

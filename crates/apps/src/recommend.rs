@@ -14,13 +14,19 @@ use crate::retrieve::{Fusion, Retriever, ANN_EF};
 
 /// The recommender's vector-vote constants: each viewed item's stored
 /// embedding votes `vector_weight · max(0, cos)` for its 8 nearest
-/// concepts. The weight sits deliberately below `shared_weight`·votes so
+/// concepts. The weight sits deliberately below [`SHARED_WEIGHT`]·votes so
 /// vector evidence refines but never outranks graph evidence. (The
 /// recommender votes per history item; it does not run the union fusion.)
 const FUSION: Fusion = Fusion {
     vector_weight: 0.1,
     ann_k: 8,
 };
+
+/// Vote weight of a direct item->concept link.
+pub const DIRECT_WEIGHT: f64 = 1.0;
+
+/// Vote weight of each shared primitive.
+pub const SHARED_WEIGHT: f64 = 0.2;
 
 /// Pre-registered `recommend.*` metric handles.
 #[derive(Clone, Debug)]
@@ -138,10 +144,6 @@ pub struct RecommendConfig {
     pub k: usize,
     /// Items per card.
     pub items_per_card: usize,
-    /// Vote weight of a direct item->concept link.
-    pub direct_weight: f64,
-    /// Vote weight of each shared primitive.
-    pub shared_weight: f64,
 }
 
 impl Default for RecommendConfig {
@@ -149,8 +151,6 @@ impl Default for RecommendConfig {
         RecommendConfig {
             k: 3,
             items_per_card: 8,
-            direct_weight: 1.0,
-            shared_weight: 0.2,
         }
     }
 }
@@ -250,13 +250,13 @@ impl CognitiveRecommender {
         for &item in history {
             for &cid in kg.concepts_for_item(item) {
                 let vote = votes.entry(cid).or_default();
-                vote.affinity += self.cfg.direct_weight;
+                vote.affinity += DIRECT_WEIGHT;
                 vote.direct.get_or_insert(item);
             }
             for &p in kg.item(item).primitives {
                 for &cid in index.concepts_by_primitive(p) {
                     let vote = votes.entry(cid).or_default();
-                    vote.affinity += self.cfg.shared_weight;
+                    vote.affinity += SHARED_WEIGHT;
                     vote.shared = true;
                 }
             }

@@ -33,7 +33,7 @@ use alicoco::rank::TopK;
 use alicoco::{AliCoCo, ConceptId, ItemId, PrimitiveId};
 use alicoco_ann::AnnBundle;
 use alicoco_nn::util::FxHashSet;
-use alicoco_obs::{Counter, Histogram, Registry, StageClock};
+use alicoco_obs::{Counter, Histogram, Registry, Stopwatch};
 
 use crate::retrieve::{Fusion, LexicalWeights, Proposals, Retriever};
 
@@ -42,6 +42,16 @@ use crate::retrieve::{Fusion, LexicalWeights, Proposals, Retriever};
 pub const FUSION: Fusion = Fusion {
     vector_weight: 0.6,
     ann_k: 16,
+};
+
+/// Search's weights over a concept's match counts: surface coverage plus
+/// 0.3 per named primitive, then `+0.1` for a stocked concept on a
+/// positive lexical score, then vectors.
+const WEIGHTS: LexicalWeights = LexicalWeights {
+    surface_coverage: true,
+    primitive_weight: 0.3,
+    stocked_bonus: 0.1,
+    stock_before_vectors: true,
 };
 
 /// Pre-registered `search.*` metric handles: registered once at engine
@@ -141,10 +151,6 @@ pub struct SearchConfig {
     pub k: usize,
     /// Items shown per card.
     pub items_per_card: usize,
-    /// Weight of primitive-level matches relative to surface overlap.
-    pub primitive_weight: f64,
-    /// Bonus for cards that have items to show.
-    pub stocked_bonus: f64,
 }
 
 impl Default for SearchConfig {
@@ -152,8 +158,6 @@ impl Default for SearchConfig {
         SearchConfig {
             k: 3,
             items_per_card: 10,
-            primitive_weight: 0.3,
-            stocked_bonus: 0.1,
         }
     }
 }
@@ -189,16 +193,11 @@ impl SemanticSearch {
         self.retriever.kg()
     }
 
-    /// The configured weights over a concept's match counts: surface
-    /// coverage plus `primitive_weight` per named primitive, then the
-    /// stocked bonus on a positive lexical score, then vectors.
+    /// The weights over a concept's match counts: surface coverage plus
+    /// 0.3 per named primitive, then the stocked bonus on a positive
+    /// lexical score, then vectors.
     pub fn weights(&self) -> LexicalWeights {
-        LexicalWeights {
-            surface_coverage: true,
-            primitive_weight: self.cfg.primitive_weight,
-            stocked_bonus: self.cfg.stocked_bonus,
-            stock_before_vectors: true,
-        }
+        WEIGHTS
     }
 
     /// Retrieve concept cards for a keyword query.
@@ -217,13 +216,13 @@ impl SemanticSearch {
     /// sizes. `search_top(q, cfg.k)` is exactly `search(q)`.
     pub fn search_top(&self, query: &str, k: usize) -> Vec<ConceptCard<'_>> {
         let m = &self.metrics;
-        let mut clock = StageClock::started();
+        let mut clock = Stopwatch::start();
         let qvec = self.retriever.embed(query);
-        clock.lap(&m.retrieve_ns);
+        m.retrieve_ns.record(clock.lap_ns());
         let (fused, walked) = self.retriever.rank_concepts(
             query.split_whitespace(),
             qvec.as_deref(),
-            &self.weights(),
+            &WEIGHTS,
             FUSION,
             k,
         );
@@ -236,14 +235,14 @@ impl SemanticSearch {
             m.ann_skipped.inc();
         }
         m.candidates_examined.add(fused.examined as u64);
-        clock.lap(&m.score_ns);
+        m.score_ns.record(clock.lap_ns());
         let cards = fused
             .top
             .into_sorted_vec()
             .into_iter()
             .map(|(slot, score)| self.card(ConceptId::from_index(slot as usize), score))
             .collect();
-        clock.lap(&m.rank_ns);
+        m.rank_ns.record(clock.lap_ns());
         cards
     }
 
@@ -261,9 +260,9 @@ impl SemanticSearch {
             .iter()
             .filter(|&&p| words.contains(kg.primitive(p).name.as_str()))
             .count() as f64;
-        score += self.cfg.primitive_weight * prim_hits;
+        score += WEIGHTS.primitive_weight * prim_hits;
         if score > 0.0 && !c.items.is_empty() {
-            score += self.cfg.stocked_bonus;
+            score += WEIGHTS.stocked_bonus;
         }
         score
     }

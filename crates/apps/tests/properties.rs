@@ -17,7 +17,9 @@ use alicoco::rank::by_score_then_id;
 use alicoco::{AliCoCo, ConceptId, ItemId, PrimitiveId};
 use alicoco_ann::{AnnBundle, Hnsw, HnswConfig, TokenTable};
 use alicoco_apps::qa::ScenarioQa;
-use alicoco_apps::recommend::{CognitiveRecommender, Reason, RecommendConfig, Recommendation};
+use alicoco_apps::recommend::{
+    CognitiveRecommender, Reason, RecommendConfig, Recommendation, DIRECT_WEIGHT, SHARED_WEIGHT,
+};
 use alicoco_apps::relevance::RelevanceScorer;
 use alicoco_apps::retrieve::{Fusion, Proposals, Retriever, ANN_EF};
 use alicoco_apps::search::{self, SearchConfig, SemanticSearch};
@@ -352,12 +354,12 @@ fn recommend_scan<'a>(
     let mut vector: BTreeMap<ConceptId, ItemId> = BTreeMap::new();
     for &item in history {
         for &c in kg.concepts_for_item(item) {
-            *votes.entry(c).or_insert(0.0) += cfg.direct_weight;
+            *votes.entry(c).or_insert(0.0) += DIRECT_WEIGHT;
             direct.entry(c).or_insert(item);
         }
         for &p in kg.item(item).primitives {
             for &c in retriever.index().concepts_by_primitive(p) {
-                *votes.entry(c).or_insert(0.0) += cfg.shared_weight;
+                *votes.entry(c).or_insert(0.0) += SHARED_WEIGHT;
                 shared.entry(c).or_default().insert(p);
             }
         }
@@ -875,7 +877,7 @@ proptest! {
             .collect();
         let twice = [history.clone(), history.clone()].concat();
         let with_item_0 = [vec![ItemId::from_index(0)], history.clone()].concat();
-        let cfg = RecommendConfig { k, items_per_card, ..RecommendConfig::default() };
+        let cfg = RecommendConfig { k, items_per_card };
         let bundle = Arc::new(recommend_bundle(&kg, seed));
         for ann in [None, Some(bundle)] {
             let hybrid = ann.is_some();

@@ -19,7 +19,7 @@ use std::time::Instant;
 use alicoco_ann::{Hnsw, HnswConfig};
 use alicoco_apps::{Retriever, SearchConfig, SemanticSearch};
 use alicoco_bench::{median_secs, scale_vocab, scale_world};
-use alicoco_obs::{Registry, StageClock};
+use alicoco_obs::{Registry, Stopwatch};
 
 const N_CONCEPTS: usize = 50_000;
 const QUERIES: usize = 512;
@@ -59,12 +59,12 @@ fn obs_calls_secs() -> f64 {
     let stages = ["h0", "h1", "h2"].map(|name| scratch.histogram(name));
     let t = Instant::now();
     for i in 0..OBS_ITERS {
-        let mut clock = StageClock::started();
+        let mut clock = Stopwatch::start();
         for counter in &counters {
             counter.add(black_box(i as u64));
         }
         for stage in &stages {
-            clock.lap(stage);
+            stage.record(clock.lap_ns());
         }
     }
     t.elapsed().as_secs_f64() / OBS_ITERS as f64

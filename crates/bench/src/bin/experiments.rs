@@ -743,7 +743,6 @@ fn recommendation() {
         alicoco_apps::RecommendConfig {
             k: 3,
             items_per_card: 10,
-            ..Default::default()
         },
         &alicoco_obs::Registry::new(),
     );

@@ -10,8 +10,8 @@
 //! tokens' id-sorted posting lists and sums those bytes per concept, so a
 //! lexical scorer needs nothing but integers (DESIGN.md §13).
 //!
-//! Each list is also summarised in blocks of [`BLOCK`] entries — the most
-//! any entry of the block can contribute — and again in runs of [`RUN`]
+//! Each list is also summarised in blocks of `BLOCK` entries — the most
+//! any entry of the block can contribute — and again in runs of `RUN`
 //! blocks, so a merge told the page's current k-th score steps over runs
 //! of blocks whose best possible score is strictly below it, reading none
 //! of their facts (DESIGN.md §13.6).
@@ -266,7 +266,7 @@ impl ConceptFacts {
 /// order-free matching). It owns everything it holds: the net it was
 /// built from is the caller's to keep.
 ///
-/// Every list kind lives in one arena with an offsets table ([`Csr`]),
+/// Every list kind lives in one arena with an offsets table (`Csr`),
 /// built to size: the build counts each list's entries first, then fills
 /// the arena once.
 pub struct QueryIndex {
@@ -953,7 +953,7 @@ impl Floor {
 /// yield — and a concept they alone hold is never yielded (MaxScore, per
 /// window). When the merged lists' blocks alone cannot reach the floor
 /// either, only an id both kinds hold can, and the window intersects them
-/// instead ([`Windows::intersect`]).
+/// instead (`Windows::intersect`).
 pub struct PrunedMatches<'a> {
     /// The merged list whose head is the smallest id not yet yielded.
     front: Cursor<'a>,
@@ -1780,6 +1780,108 @@ mod tests {
                 strong.iter().all(|c| kept.contains(c)),
                 "{words:?}: {kept:?}"
             );
+        }
+    }
+
+    /// A seeded world of `n` concepts in stretches, each weak or strong.
+    /// A weak stretch, up to six blocks long, names one of the query words
+    /// `w0`–`w5` among four to six fillers, unstocked; a strong one, up to
+    /// a block long, one or two of the head words `w0`–`w2`, half of them
+    /// stocked, some interpreted by a primitive named one. Words are drawn
+    /// with Zipf-like skew, so `w0`'s list is dense with weak blocks that
+    /// end where strong ones begin, while the tail words' lists are sparse
+    /// and weak throughout: their next id lies far past the strong block.
+    fn skewed_world(seed: u64, n: usize) -> AliCoCo {
+        let mut kg = AliCoCo::new();
+        let root = kg.add_class("concept", None);
+        let class = kg.add_class("Event", Some(root));
+        let words = ["w0", "w1", "w2", "w3", "w4", "w5"];
+        let prims: Vec<PrimitiveId> = words.iter().map(|w| kg.add_primitive(w, class)).collect();
+        let item = kg.add_item(&["thing".into()]);
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |n: usize| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((x >> 33) % n as u64) as usize
+        };
+        // Word i of the first `of` is drawn with weight 1 / (i + 1).
+        let cumulative = [60, 90, 110, 125, 137, 147];
+        let word = |next: &mut dyn FnMut(usize) -> usize, of: usize| {
+            let r = next(cumulative[of - 1]);
+            words[cumulative.iter().position(|&c| r < c).unwrap_or(0)]
+        };
+        let mut i = 0;
+        while i < n {
+            let strong = next(3) == 0;
+            let len = 1 + next(if strong { BLOCK } else { 6 * BLOCK });
+            for _ in 0..len.min(n - i) {
+                let c = if strong {
+                    let mut name = vec![word(&mut next, 3)];
+                    if next(2) == 0 {
+                        name.push(word(&mut next, 3));
+                    }
+                    let c = kg.add_concept(&format!("{} c{i}", name.join(" ")));
+                    if next(2) == 0 {
+                        kg.link_concept_item(c, item, 0.5);
+                    }
+                    if next(4) == 0 {
+                        kg.link_concept_primitive(c, prims[next(3)]);
+                    }
+                    c
+                } else {
+                    let fillers = ["x1", "x2", "x3", "x4", "x5", "x6"];
+                    let fillers = &fillers[..4 + next(3)];
+                    let name = format!("{} {} c{i}", word(&mut next, 6), fillers.join(" "));
+                    kg.add_concept(&name)
+                };
+                assert_eq!(c.index(), i);
+                i += 1;
+            }
+        }
+        kg
+    }
+
+    /// On skewed worlds, every three-word query at every floor keeps
+    /// exactly the plain merge's concepts that reach the floor, with their
+    /// exact counts, and yields nothing the plain merge does not. Their
+    /// weak windows end where a strong block of a merged list begins, so
+    /// an intersection that ran past its window's end would drop that
+    /// block's head.
+    #[test]
+    fn skewed_worlds_keep_every_concept_that_reaches_the_floor() {
+        for seed in 0..4 {
+            let kg = skewed_world(seed, 6_000);
+            let q = QueryIndex::build(&kg);
+            let exact = |m: &ConceptMatch| {
+                coverage(Ceiling {
+                    surface_hits: m.surface_hits,
+                    primitive_hits: m.primitive_hits,
+                    surface_len: q.surface_len(m.concept),
+                    stocked: q.is_stocked(m.concept),
+                })
+            };
+            let words = ["w0", "w1", "w2", "w3", "w4", "w5"];
+            for a in 0..words.len() {
+                for b in a..words.len() {
+                    for c in b..words.len() {
+                        let query = [words[a], words[b], words[c]];
+                        let plain: Vec<ConceptMatch> = q.concept_matches(query).collect();
+                        for floor_at in [0.2, 0.35, 0.5, 0.7, 0.9, 1.2] {
+                            let reach = |m: &&ConceptMatch| exact(m).is_some_and(|s| s >= floor_at);
+                            let floor = Floor::default();
+                            floor.raise(floor_at);
+                            let pruned: Vec<ConceptMatch> =
+                                q.concept_matches(query).pruned(&floor, &coverage).collect();
+                            let at = format!("seed {seed} {query:?} {floor_at}");
+                            assert!(pruned.iter().all(|m| plain.contains(m)), "{at}");
+                            let kept: Vec<&ConceptMatch> = pruned.iter().filter(reach).collect();
+                            let want: Vec<&ConceptMatch> = plain.iter().filter(reach).collect();
+                            assert_eq!(kept, want, "{at}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -112,11 +112,6 @@ impl Domain {
             Domain::Modifier => "Modifier",
         }
     }
-
-    /// Parse the Table 2 name back into a domain.
-    pub fn from_name(name: &str) -> Option<Domain> {
-        Domain::ALL.iter().copied().find(|d| d.name() == name)
-    }
 }
 
 #[cfg(test)]
@@ -134,14 +129,6 @@ mod tests {
             assert_eq!(d.index(), i);
             assert_eq!(Domain::from_index(i), *d);
         }
-    }
-
-    #[test]
-    fn name_roundtrip() {
-        for d in Domain::ALL {
-            assert_eq!(Domain::from_name(d.name()), Some(d));
-        }
-        assert_eq!(Domain::from_name("NotADomain"), None);
     }
 
     #[test]

@@ -98,20 +98,6 @@ impl<'w> Oracle<'w> {
     pub fn label_relevance(&self, concept: &ConceptSpec, item: &ItemSpec) -> bool {
         self.answer(concept_relevant_item(self.world, concept, item))
     }
-
-    /// Gold IOB domain labels for a concept's tokens (`None` = outside).
-    /// Does not count as a "label" per token — the paper prices one concept
-    /// annotation as one unit.
-    pub fn label_tagging(&self, concept: &ConceptSpec) -> Vec<Option<Domain>> {
-        self.labels_used.set(self.labels_used.get() + 1);
-        let mut out = vec![None; concept.tokens.len()];
-        for s in &concept.slots {
-            for slot_label in out.iter_mut().skip(s.start).take(s.len) {
-                *slot_label = Some(s.domain);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -196,21 +182,6 @@ mod tests {
         assert_eq!(o.labels_used(), 1);
         o.reset_counter();
         assert_eq!(o.labels_used(), 0);
-    }
-
-    #[test]
-    fn tagging_labels_align_with_slots() {
-        let w = world();
-        let mut rng = alicoco_nn::util::seeded_rng(5);
-        let concepts = generate_concepts(&w, 20, 0, &mut rng);
-        let o = Oracle::new(&w);
-        for c in &concepts {
-            let tags = o.label_tagging(c);
-            assert_eq!(tags.len(), c.tokens.len());
-            for s in &c.slots {
-                assert_eq!(tags[s.start], Some(s.domain));
-            }
-        }
     }
 
     #[test]

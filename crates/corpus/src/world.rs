@@ -309,7 +309,7 @@ pub const OCCASION_GIFTS: &[(&str, &[&str])] = &[
 ];
 
 /// Function → audiences it plausibly serves (beyond generic wearable
-/// functions). Drives "[Function] for [Audience]" plausibility.
+/// functions). Drives "`[Function] for [Audience]`" plausibility.
 pub const FUNCTION_AUDIENCES: &[(&str, &[&str])] = &[
     ("health-care", &["elders", "grandpa", "grandma", "babies"]),
     ("anti-lost", &["kids", "toddlers", "elders", "babies"]),
@@ -546,11 +546,6 @@ impl World {
             Some(&i) => self.event_needs[i].contains(&cat),
             None => false,
         }
-    }
-
-    /// Needed node ids for an event.
-    pub fn event_need_set(&self, event: &str) -> Option<&FxHashSet<usize>> {
-        self.event_index.get(event).map(|&i| &self.event_needs[i])
     }
 
     fn branch_compat(&self, cat: usize) -> Option<&'static BranchCompat> {

@@ -374,7 +374,7 @@ impl ConceptClassifier {
         self.ps.num_weights()
     }
 
-    /// Trainable parameters (for persistence via `alicoco_nn::persist`).
+    /// Trainable parameters (the train bench's reproducibility gate reads them).
     pub fn params(&self) -> &ParamSet {
         &self.ps
     }

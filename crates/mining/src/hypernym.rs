@@ -284,7 +284,7 @@ impl ProjectionModel {
         }
     }
 
-    /// Trainable parameters (for persistence via `alicoco_nn::persist`).
+    /// Trainable parameters (the train bench's reproducibility gate reads them).
     pub fn params(&self) -> &ParamSet {
         &self.ps
     }

@@ -311,7 +311,7 @@ fn gloss_matrix(res: &Resources, a: &[String], b: &[String]) -> Tensor {
     let mut m = Tensor::zeros(a.len(), b.len());
     for (i, ta) in a.iter().enumerate() {
         for (j, tb) in b.iter().enumerate() {
-            m.set(i, j, res.gloss_similarity(ta, tb));
+            m.put(i, j, res.gloss_similarity(ta, tb));
         }
     }
     m
@@ -323,7 +323,7 @@ fn cosine_matrix(res: &Resources, a: &[String], b: &[String]) -> Tensor {
         let va = res.word_vectors.vector(res.vocab.get_or_unk(ta));
         for (j, tb) in b.iter().enumerate() {
             let vb = res.word_vectors.vector(res.vocab.get_or_unk(tb));
-            m.set(i, j, alicoco_text::word2vec::cosine(va, vb));
+            m.put(i, j, alicoco_text::word2vec::cosine(va, vb));
         }
     }
     m
@@ -607,9 +607,6 @@ impl Re2Matcher {
 pub struct OursConfig {
     /// Use knowledge.
     pub use_knowledge: bool,
-    /// Two-way additive attention + attentive pooling (eq. 11-14);
-    /// ablatable — mean pooling when off.
-    pub use_attention: bool,
     /// Conv channels.
     pub conv_channels: usize,
     /// Attn hidden.
@@ -626,7 +623,6 @@ impl Default for OursConfig {
     fn default() -> Self {
         OursConfig {
             use_knowledge: true,
-            use_attention: true,
             conv_channels: 20,
             attn_hidden: 16,
             k_layers: 2,
@@ -721,7 +717,7 @@ impl OursMatcher {
         self.ps.num_weights()
     }
 
-    /// Trainable parameters (for persistence via `alicoco_nn::persist`).
+    /// Trainable parameters (the train bench's reproducibility gate reads them).
     pub fn params(&self) -> &ParamSet {
         &self.ps
     }
@@ -743,14 +739,8 @@ impl OursMatcher {
         // Two-way additive attention (eq. 11–13) and attentive pooling
         // (eq. 14).
         let att = self.pair_attn.forward(g, cenc, tenc);
-        let (cvec, ivec) = if self.cfg.use_attention {
-            (
-                attentive_pool(g, att, cenc),
-                attentive_pool_cols(g, att, tenc),
-            )
-        } else {
-            (g.mean_rows(cenc), g.mean_rows(tenc))
-        };
+        let cvec = attentive_pool(g, att, cenc);
+        let ivec = attentive_pool_cols(g, att, tenc);
         let prod = g.mul(cvec, ivec);
         let diff = g.sub(cvec, ivec);
         let att_pool = grid_pool(g, att);
@@ -962,7 +952,7 @@ mod tests {
     fn grid_pool_is_translation_sensitive() {
         let mut g = Graph::new();
         let mut m = Tensor::zeros(6, 6);
-        m.set(0, 0, 5.0);
+        m.put(0, 0, 5.0);
         let n = g.input(m);
         let pooled = grid_pool(&mut g, n);
         let v = g.value(pooled);

@@ -154,8 +154,6 @@ pub struct TaggerConfig {
     pub use_fuzzy: bool,
     /// Knowledge: gloss + context vectors in the token representation.
     pub use_knowledge: bool,
-    /// Char-level CNN features (eq. 4-5); ablatable.
-    pub use_char_cnn: bool,
     /// Char embedding dimension.
     pub char_dim: usize,
     /// Char channels.
@@ -177,7 +175,6 @@ impl Default for TaggerConfig {
         TaggerConfig {
             use_fuzzy: true,
             use_knowledge: true,
-            use_char_cnn: true,
             char_dim: 10,
             char_channels: 12,
             hidden: 20,
@@ -304,13 +301,7 @@ impl ConceptTagger {
             cfg.pos_dim,
             &mut rng,
         );
-        let word_in = word_emb.dim()
-            + if cfg.use_char_cnn {
-                cfg.char_channels
-            } else {
-                0
-            }
-            + cfg.pos_dim;
+        let word_in = word_emb.dim() + cfg.char_channels + cfg.pos_dim;
         let encoder = BiLstm::new(&mut ps, "tag.bilstm", word_in, cfg.hidden, &mut rng);
         // Knowledge augmentation doubles gloss_dim (gloss vec + context vec).
         let know_dim = if cfg.use_knowledge {
@@ -347,7 +338,7 @@ impl ConceptTagger {
         self.ps.num_weights()
     }
 
-    /// Trainable parameters (for persistence via `alicoco_nn::persist`).
+    /// Trainable parameters (the train bench's reproducibility gate reads them).
     pub fn params(&self) -> &ParamSet {
         &self.ps
     }
@@ -364,25 +355,21 @@ impl ConceptTagger {
         let pos_ids = res.pos.tag_indices(&tok_refs);
         let we = self.word_emb.forward(g, &word_ids);
         let pe = self.pos_emb.forward(g, &pos_ids);
-        let wcat = if self.cfg.use_char_cnn {
-            // Per-word char CNN with max pooling (eq. 4-5).
-            let mut char_feats: Vec<NodeId> = Vec::with_capacity(tokens.len());
-            for t in tokens {
-                let ids = res.word_char_ids(t);
-                let ids = if ids.is_empty() {
-                    vec![alicoco_text::UNK]
-                } else {
-                    ids
-                };
-                let ce = self.char_emb.forward(g, &ids);
-                let conv = self.char_cnn.forward(g, ce);
-                char_feats.push(g.max_rows(conv));
-            }
-            let chars = g.concat_rows(&char_feats);
-            g.concat_cols(&[we, chars, pe]) // eq. 6
-        } else {
-            g.concat_cols(&[we, pe])
-        };
+        // Per-word char CNN with max pooling (eq. 4-5).
+        let mut char_feats: Vec<NodeId> = Vec::with_capacity(tokens.len());
+        for t in tokens {
+            let ids = res.word_char_ids(t);
+            let ids = if ids.is_empty() {
+                vec![alicoco_text::UNK]
+            } else {
+                ids
+            };
+            let ce = self.char_emb.forward(g, &ids);
+            let conv = self.char_cnn.forward(g, ce);
+            char_feats.push(g.max_rows(conv));
+        }
+        let chars = g.concat_rows(&char_feats);
+        let wcat = g.concat_cols(&[we, chars, pe]); // eq. 6
         let h = self.encoder.forward(g, wcat);
 
         let enriched = if self.cfg.use_knowledge {

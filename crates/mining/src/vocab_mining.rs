@@ -282,7 +282,7 @@ impl VocabMiner {
         self.ps.num_weights()
     }
 
-    /// Trainable parameters (for persistence via `alicoco_nn::persist`).
+    /// Trainable parameters (the train bench's reproducibility gate reads them).
     pub fn params(&self) -> &ParamSet {
         &self.ps
     }

@@ -92,13 +92,7 @@ impl Crf {
     /// Viterbi decode: the highest-scoring label sequence for the given
     /// emission scores, using the current transition values.
     pub fn decode(&self, emissions: &Tensor) -> Vec<usize> {
-        viterbi(emissions, &self.trans.value(), self.labels, None)
-    }
-
-    /// Constrained Viterbi decode: the best path restricted to the allowed
-    /// label sets.
-    pub fn decode_constrained(&self, emissions: &Tensor, allowed: &[Vec<usize>]) -> Vec<usize> {
-        viterbi(emissions, &self.trans.value(), self.labels, Some(allowed))
+        viterbi(emissions, &self.trans.value(), self.labels)
     }
 
     /// Log-partition (total path score) for the emissions; exposed for
@@ -228,7 +222,7 @@ fn marginals(
         for y in 0..labels {
             let lp = alpha[t][y] + beta[t][y] - log_z;
             if lp.is_finite() {
-                de.set(t, y, lp.exp());
+                de.put(t, y, lp.exp());
             }
         }
     }
@@ -239,9 +233,9 @@ fn marginals(
         // START -> y contributes P(y_0 = y); y -> END contributes
         // P(y_{T-1} = y).
         let v0 = de.get(0, y);
-        dt.set(start, y, v0);
+        dt.put(start, y, v0);
         let vl = de.get(t_len - 1, y);
-        dt.set(y, end, vl);
+        dt.put(y, end, vl);
     }
     for t in 0..t_len - 1 {
         for y in 0..labels {
@@ -253,7 +247,7 @@ fn marginals(
                     alpha[t][y] + trans.get(y, yn) + emit.get(t + 1, yn) + beta[t + 1][yn] - log_z;
                 if lp.is_finite() {
                     let v = dt.get(y, yn) + lp.exp();
-                    dt.set(y, yn, v);
+                    dt.put(y, yn, v);
                 }
             }
         }
@@ -261,13 +255,8 @@ fn marginals(
     (de, dt, log_z)
 }
 
-/// Viterbi decoding on an (optionally constrained) lattice.
-fn viterbi(
-    emit: &Tensor,
-    trans: &Tensor,
-    labels: usize,
-    allowed: Option<&[Vec<usize>]>,
-) -> Vec<usize> {
+/// Viterbi decoding over the full lattice.
+fn viterbi(emit: &Tensor, trans: &Tensor, labels: usize) -> Vec<usize> {
     let t_len = emit.rows();
     assert!(t_len > 0, "viterbi over empty sequence");
     let start = labels;
@@ -276,15 +265,10 @@ fn viterbi(
     let mut score = vec![vec![ninf; labels]; t_len];
     let mut back = vec![vec![0usize; labels]; t_len];
     for y in 0..labels {
-        if is_allowed(allowed, 0, y) {
-            score[0][y] = emit.get(0, y) + trans.get(start, y);
-        }
+        score[0][y] = emit.get(0, y) + trans.get(start, y);
     }
     for t in 1..t_len {
         for y in 0..labels {
-            if !is_allowed(allowed, t, y) {
-                continue;
-            }
             let mut best = ninf;
             let mut arg = 0;
             for yp in 0..labels {
@@ -490,18 +474,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn constrained_decode_respects_allowed_sets() {
-        let (_, crf) = tiny_crf(7, 3);
-        let emit = Tensor::from_vec(3, 3, vec![5.0, 0.0, 0.0, 5.0, 0.0, 0.0, 5.0, 0.0, 0.0]);
-        // Label 0 dominates but is forbidden at position 1.
-        let allowed = vec![vec![0, 1, 2], vec![1, 2], vec![0, 1, 2]];
-        let path = crf.decode_constrained(&emit, &allowed);
-        assert_ne!(path[1], 0);
-        assert_eq!(path[0], 0);
-        assert_eq!(path[2], 0);
     }
 
     #[test]

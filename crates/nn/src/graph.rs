@@ -1,7 +1,7 @@
 //! Define-by-run reverse-mode automatic differentiation.
 //!
 //! A [`Graph`] records every operation applied during a forward pass as a
-//! [`Node`] in a flat tape. Calling [`Graph::backward`] walks the tape in
+//! `Node` in a flat tape. Calling [`Graph::backward`] walks the tape in
 //! reverse, accumulating gradients into each node and, for leaves created by
 //! [`Graph::param`] / [`Graph::lookup`], into the external [`Param`] storage
 //! that outlives the graph. A tape is built per training example; the
@@ -369,7 +369,7 @@ impl Graph {
             for c in 0..n {
                 let x = src.get(r, c);
                 if x > v.get(0, c) {
-                    v.set(0, c, x);
+                    v.put(0, c, x);
                     arg[c] = r;
                 }
             }
@@ -387,7 +387,7 @@ impl Graph {
             for c in 0..n {
                 acc += src.get(r, c);
             }
-            v.set(r, 0, acc);
+            v.put(r, 0, acc);
         }
         self.push(v, Op::SumCols(a))
     }
@@ -563,7 +563,7 @@ impl Graph {
                         let gr = g.row_slice(r);
                         let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
                         for c in 0..n {
-                            ga.set(r, c, yr[c] * (gr[c] - dot));
+                            ga.put(r, c, yr[c] * (gr[c] - dot));
                         }
                     }
                     contrib.push((a.0, ga));
@@ -609,7 +609,7 @@ impl Graph {
                     let inv = 1.0 / m as f32;
                     for r in 0..m {
                         for c in 0..n {
-                            gp.set(r, c, g.get(0, c) * inv);
+                            gp.put(r, c, g.get(0, c) * inv);
                         }
                     }
                     contrib.push((a.0, gp));
@@ -618,7 +618,7 @@ impl Graph {
                     let (m, n) = self.nodes[a.0].value.shape();
                     let mut gp = Tensor::zeros(m, n);
                     for c in 0..n {
-                        gp.set(arg[c], c, g.get(0, c));
+                        gp.put(arg[c], c, g.get(0, c));
                     }
                     contrib.push((a.0, gp));
                 }
@@ -627,7 +627,7 @@ impl Graph {
                     let mut gp = Tensor::zeros(m, n);
                     for r in 0..m {
                         for c in 0..n {
-                            gp.set(r, c, g.get(r, 0));
+                            gp.put(r, c, g.get(r, 0));
                         }
                     }
                     contrib.push((a.0, gp));
@@ -637,7 +637,7 @@ impl Graph {
                     let mut gp = Tensor::zeros(m, n);
                     for r in 0..m {
                         for c in 0..n {
-                            gp.set(r, c, g.get(0, c));
+                            gp.put(r, c, g.get(0, c));
                         }
                     }
                     contrib.push((a.0, gp));
@@ -658,7 +658,7 @@ impl Graph {
                         for r in 0..m {
                             for c in 0..n {
                                 let v = gp.get(r, c) + g.get(k * m + r, c);
-                                gp.set(r, c, v);
+                                gp.put(r, c, v);
                             }
                         }
                     }
@@ -671,7 +671,7 @@ impl Graph {
                         for k in 0..*t {
                             for c in 0..n {
                                 let v = gp.get(r, c) + g.get(r * t + k, c);
-                                gp.set(r, c, v);
+                                gp.put(r, c, v);
                             }
                         }
                     }

@@ -29,7 +29,6 @@ pub mod graph;
 pub mod layers;
 pub mod metrics;
 pub mod param;
-pub mod persist;
 pub mod rank;
 pub mod rnn;
 pub mod tensor;

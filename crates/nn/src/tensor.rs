@@ -125,8 +125,8 @@ impl Tensor {
     }
 
     #[inline]
-    /// Set.
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
+    /// Write the entry at row `r`, column `c`.
+    pub fn put(&mut self, r: usize, c: usize, v: f32) {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c] = v;
     }

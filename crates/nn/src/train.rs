@@ -72,12 +72,6 @@ impl TrainConfig {
         self
     }
 
-    /// Builder-style learning-rate override.
-    pub fn with_lr(mut self, lr: f32) -> Self {
-        self.lr = lr;
-        self
-    }
-
     /// Builder-style batch-size override.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;

@@ -172,7 +172,7 @@ impl Histogram {
     }
 
     /// A point-in-time copy for export or comparison.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub fn summary(&self) -> HistogramSnapshot {
         let buckets = self
             .buckets
             .iter()
@@ -264,7 +264,7 @@ mod tests {
         assert_eq!(h.max(), None);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.snapshot().buckets.is_empty());
+        assert!(h.summary().buckets.is_empty());
     }
 
     #[test]

@@ -31,11 +31,13 @@
 //!   min/max-bounded p50/p90/p99 estimation,
 //! - [`Registry`] — `Arc`-shared, thread-safe name → metric table with
 //!   deterministic sorted JSON export,
-//! - [`SpanTimer`] / [`StageClock`] — RAII wall-clock guards that record
-//!   elapsed nanoseconds into a histogram,
+//! - [`SpanTimer`] — RAII wall-clock guard that records elapsed
+//!   nanoseconds into a histogram,
 //! - [`Stopwatch`] — raw elapsed-ns reader for call sites that aggregate
-//!   timings themselves; the only sanctioned clock access outside this
-//!   crate (enforced by the AL009 lint),
+//!   timings themselves or split one request into stages
+//!   ([`Stopwatch::lap_ns`] into [`Histogram::record`]); the only
+//!   sanctioned clock access outside this crate (enforced by the AL009
+//!   lint),
 //! - [`json`] — the workspace's one JSON string escaper and a small
 //!   reader for the documents the export and the benches emit.
 
@@ -48,4 +50,4 @@ mod span;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;
-pub use span::{SpanTimer, StageClock, Stopwatch};
+pub use span::{SpanTimer, Stopwatch};

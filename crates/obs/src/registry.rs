@@ -130,7 +130,7 @@ impl Registry {
             let map = read_lock(&self.inner.histograms);
             for (i, (name, h)) in map.iter().enumerate() {
                 push_sep(&mut out, i);
-                let s = h.snapshot();
+                let s = h.summary();
                 out.push_str("    ");
                 push_string(&mut out, name);
                 out.push_str(&format!(

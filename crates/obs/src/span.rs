@@ -1,4 +1,4 @@
-//! RAII wall-clock guards: whole-operation spans and multi-stage laps.
+//! Wall-clock readers: a lap stopwatch and an RAII whole-operation span.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -92,31 +92,6 @@ impl Drop for SpanTimer {
     }
 }
 
-/// A lap clock for splitting one request into stages without re-reading
-/// the wall clock between histogram and caller: each [`lap`] records the
-/// time since the previous lap (or construction) and restarts.
-#[derive(Debug)]
-pub struct StageClock {
-    last: Instant,
-}
-
-impl StageClock {
-    /// Start the clock.
-    pub fn started() -> Self {
-        StageClock {
-            last: Instant::now(),
-        }
-    }
-
-    /// Record the stage ending now into `hist` and restart the lap.
-    #[inline]
-    pub fn lap(&mut self, hist: &Histogram) {
-        let now = Instant::now();
-        hist.record_duration(now.duration_since(self.last));
-        self.last = now;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,15 +138,5 @@ mod tests {
             "stop consumed the guard; drop must not re-record"
         );
         assert_eq!(h.sum(), ns, "stop must record exactly the returned span");
-    }
-
-    #[test]
-    fn enabled_stage_clock_records_every_lap() {
-        let h = Histogram::new();
-        let mut clock = StageClock::started();
-        clock.lap(&h);
-        clock.lap(&h);
-        clock.lap(&h);
-        assert_eq!(h.count(), 3);
     }
 }

@@ -192,7 +192,7 @@ fn group_dots<const N: usize>(
 /// drawing each just before its update. When the targets are distinct, no
 /// sample writes a row a later one reads (the center's row is updated
 /// only after the last sample), so every dot product runs up front, side
-/// by side ([`interleaved_dots`]), and the updates then follow in sample
+/// by side (`interleaved_dots`), and the updates then follow in sample
 /// order. A step that repeats a target keeps dot and update per sample,
 /// because the repeat must read the row its earlier draw updated.
 pub fn train(vocab: &Vocab, sentences: &[Vec<TokenId>], cfg: &Word2VecConfig) -> WordVectors {
